@@ -54,9 +54,9 @@ def main(argv: list[str] | None = None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    config = Config(precision_bits=ns.precision_bits, quad_bound=ns.quad_bound,
-                    jobs=getattr(ns, "jobs", 1))
     try:
+        config = Config(precision_bits=ns.precision_bits, quad_bound=ns.quad_bound,
+                        jobs=getattr(ns, "jobs", 1))
         if ns.command == "classify":
             tag = theorems.classify_pair(PrimePair(ns.p, ns.q))
             _emit(json.dumps(harness.case_tag_json(tag), indent=2) + "\n", None)

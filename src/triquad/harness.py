@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -38,6 +39,8 @@ class Config:
     def __post_init__(self):
         if not 64 <= self.precision_bits <= octic.MAX_PRECISION:
             raise TriquadError("precision-bits must lie in [64, 4096]")
+        if self.jobs < 1:
+            raise TriquadError("jobs must be at least 1")
 
 
 @dataclass
@@ -143,11 +146,6 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
     return rec
 
 
-def classify_only(p: int, q: int) -> CaseTag:
-    """Decompose-and-classify without the class-number machinery."""
-    return theorems.classify_pair(PrimePair(p, q))
-
-
 def valid_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
     ps = primes_in_range(p_max, 1, 8)
     qs = primes_in_range(q_max, 7, 8)
@@ -170,8 +168,9 @@ def scan_pairs(p_max: int, q_max: int, config: Config = Config()) -> ScanResult:
     and deterministic content regardless of the worker count."""
     pairs = valid_pairs(p_max, q_max)
     tasks = [(p, q, config) for p, q in pairs]
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_scan_worker, tasks, chunksize=1))
     else:
         records = [_scan_worker(t) for t in tasks]

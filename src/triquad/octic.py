@@ -330,10 +330,6 @@ def sign_vector(x: OcticElem) -> tuple[int, ...]:
     return tuple(embedding_sign(x, i) for i in range(8))
 
 
-def is_totally_positive(x: OcticElem) -> bool:
-    return all(s > 0 for s in sign_vector(x))
-
-
 # -- exact square roots ----------------------------------------------------
 
 def _rational_sqrt(fr: Fraction) -> Fraction | None:

@@ -9,11 +9,12 @@ number of replacement steps m gives the unit index q(K) = 2^m.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import octic
-from .arith import PrimePair
+from .arith import PrimePair, is_prime
 from .errors import (InternalInconsistencyError, PrecisionExhaustedError,
                      RootMissingError, TriquadError)
 from .octic import OcticElem, embed_quadratic, octic_mul, sqrt_exact
@@ -24,6 +25,11 @@ NONTORSION_IDS = ("e2", "ep", "eq", "e2p", "e2q", "epq", "e2pq")
 BASE_UNIT_IDS = (TORSION_ID,) + NONTORSION_IDS
 
 SATURATION_GUARD = 14
+
+# Odd primes l, prime to pq, modulo which 2, p and q are squares: each splits
+# completely in K and gives 8 quadratic characters of the units, one per
+# prime of K above l. Six leave almost no non-square past the sieve.
+SPLIT_PRIMES = 6
 
 
 def unit_radicand(uid: str, pair) -> int:
@@ -133,7 +139,8 @@ class SaturationResult:
 
 
 class UnitContext:
-    """Per-pair cache of embedded base units and their embedding signs."""
+    """Per-pair cache of embedded base units, the split primes of the
+    saturation sieve, and the character rows of the base units."""
 
     def __init__(self, pair: PrimePair):
         self.pair = pair
@@ -147,7 +154,8 @@ class UnitContext:
             self.quad[uid] = fu
             self.units[uid] = embed_quadratic(fu.elem, self.key)
             self.norms[uid] = fu.norm
-        self.signs = {uid: octic.sign_vector(u) for uid, u in self.units.items()}
+        self.primes = _split_primes(pair.p, pair.q)
+        self.rows = {u: _character_row(self, u) for u in self.units.values()}
 
     def element_of(self, vector: int, ids: tuple[str, ...] | None = None) -> OcticElem:
         ids = ids or BASE_UNIT_IDS
@@ -215,12 +223,78 @@ def _product_of(gens_elems: list[OcticElem], vector: int, pair_key) -> OcticElem
     return prod
 
 
-def _neg_mask(sign_vec: tuple[int, ...]) -> int:
-    m = 0
-    for i, s in enumerate(sign_vec):
-        if s < 0:
-            m |= 1 << i
-    return m
+# -- the quadratic-character sieve --------------------------------------------
+#
+# A unit square y^2 is totally positive, and stays a square under each of the
+# 8 ring maps O_K -> F_l of a split prime l. So the F2 row of a unit (its 8
+# negative-embedding bits, then per split prime 8 Legendre bits) is a
+# homomorphism that vanishes on squares: a product of generators whose rows do
+# not XOR to zero is no square, and sqrt_exact need not be asked. A bit is
+# undefined when l divides a coordinate denominator or the residue is 0; such a
+# column is dropped for the whole search, never read as 0, so no square is lost.
+
+def _split_primes(p: int, q: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The first SPLIT_PRIMES odd primes l not dividing pq with 2, p and q
+    squares mod l, each with roots[mask]: sqrt(prod mask) mod l for one fixed
+    choice of the square roots of 2, p and q."""
+    out = []
+    l = 1
+    while len(out) < SPLIT_PRIMES:
+        l += 2
+        # 2 is a square mod l exactly when l = +-1 mod 8
+        if l % 8 not in (1, 7) or not is_prime(l) or p % l == 0 or q % l == 0:
+            continue
+        squares = {r * r % l: r for r in range(l)}
+        base = [squares.get(a % l) for a in (2, p, q)]
+        if None in base:
+            continue
+        roots = tuple(math.prod(r for b, r in enumerate(base) if mask >> b & 1) % l
+                      for mask in range(8))
+        out.append((l, roots))
+    return tuple(out)
+
+
+def _character_row(ctx: UnitContext, x: OcticElem) -> tuple[int, int]:
+    """(bits, undefined) of x: bit i is a negative embedding i, bit 8+8k+i a
+    non-residue at the prime above the k-th split prime that flips the roots
+    as embedding i flips the radicals; `undefined` marks the Legendre bits
+    that do not exist for x."""
+    bits = sum(1 << i for i, s in enumerate(octic.sign_vector(x)) if s < 0)
+    undefined = 0
+    for k, (l, roots) in enumerate(ctx.primes):
+        shift = 8 + 8 * k
+        if any(c.denominator % l == 0 for c in x.coords):
+            undefined |= 0xFF << shift
+            continue
+        terms = [c.numerator * pow(c.denominator, -1, l) * r % l
+                 for c, r in zip(x.coords, roots)]
+        for i, chi in enumerate(octic._CHI):
+            v = sum(t * s for t, s in zip(terms, chi)) % l
+            if v == 0:
+                undefined |= 1 << (shift + i)
+            elif pow(v, (l - 1) // 2, l) != 1:
+                bits |= 1 << (shift + i)
+    return bits, undefined
+
+
+def _rows_of(ctx: UnitContext, elems: list[OcticElem]) -> list[tuple[int, int]]:
+    return [ctx.rows.get(e) or _character_row(ctx, e) for e in elems]
+
+
+def _square_candidates(rows: list[tuple[int, int]]):
+    """Yield the nonzero exponent vectors whose products may be squares, in
+    _vector_order: those whose rows XOR to zero on every column defined for
+    all the generators."""
+    keep = -1
+    for _, undefined in rows:
+        keep &= ~undefined
+    acc = [0] * (1 << len(rows))
+    for v in range(1, len(acc)):
+        low = v & -v
+        acc[v] = acc[v ^ low] ^ rows[low.bit_length() - 1][0]
+    for v in _vector_order(len(rows)):
+        if not acc[v] & keep:
+            yield v
 
 
 def square_class_dimension(pair: PrimePair,
@@ -228,18 +302,11 @@ def square_class_dimension(pair: PrimePair,
     """Subspace of F2-combinations of the generators that are squares in K."""
     ctx = unit_context(pair)
     elems = [word_embed(w, pair) for w in generators]
-    neg = [_neg_mask(octic.sign_vector(e)) for e in elems]
     basis: list[tuple[int, OcticElem]] = []
     span = {0}
-    for v in _vector_order(len(generators)):
+    for v in _square_candidates(_rows_of(ctx, elems)):
         if v in span:
             continue  # a combination of found squares is itself a square
-        s = 0
-        for i in range(len(elems)):
-            if v >> i & 1:
-                s ^= neg[i]
-        if s:
-            continue  # some embedding negative, not a square
         xi = sqrt_exact(_product_of(elems, v, ctx.key))
         if xi is not None:
             basis.append((v, xi))
@@ -266,19 +333,12 @@ def saturate(pair: PrimePair,
         if not any(w.exponents == {TORSION_ID: Fraction(1)} for w in gens):
             gens = [UnitWord({TORSION_ID: 1}, embedding=ctx.units[TORSION_ID])] + gens
     elems = [word_embed(w, pair) for w in gens]
-    neg = [_neg_mask(octic.sign_vector(e)) for e in elems]
+    rows = _rows_of(ctx, elems)
     m = 0
     while True:
         hit = None
-        for v in _vector_order(len(gens)):
-            s = 0
-            for i in range(len(elems)):
-                if v >> i & 1:
-                    s ^= neg[i]
-            if s:
-                continue
-            prod = _product_of(elems, v, ctx.key)
-            xi = sqrt_exact(prod)
+        for v in _square_candidates(rows):
+            xi = sqrt_exact(_product_of(elems, v, ctx.key))
             if xi is None:
                 continue
             if restrict_support is not None and not xi.support() <= restrict_support:
@@ -306,7 +366,7 @@ def saturate(pair: PrimePair,
             raise InternalInconsistencyError("-1 alone reported as a square")
         gens[idx] = word
         elems[idx] = xi
-        neg[idx] = _neg_mask(octic.sign_vector(xi))
+        rows[idx] = _character_row(ctx, xi)
         m += 1
         if m > SATURATION_GUARD:
             raise InternalInconsistencyError(

@@ -6,9 +6,17 @@ minimality witness, feasible for small radical coefficients) with the
 Chakravala method plus exact root descent for radicands whose least
 solution is astronomically large: the minimal coefficient for d = 199 is
 1 153 080 099, far outside any feasible scan.
+
+The unsieved saturation is the 2-saturation loop without the character
+sieve: every product that passes the sign screen goes to sqrt_exact.
 """
 
 import math
+from fractions import Fraction
+
+from triquad.octic import OcticElem, octic_mul, sign_vector, sqrt_exact
+from triquad.unit_lattice import (TORSION_ID, UnitWord, base_unit_words,
+                                  unit_context, word_embed)
 
 
 def legendre_by_enumeration(a: int, p: int) -> int:
@@ -197,3 +205,44 @@ def brute_force_fundamental_unit(d: int, coeff_bound: int = 20000) -> tuple[int,
         assert scanned == descended, (d, scanned, descended)
         return scanned
     return descended
+
+
+def unsieved_saturation(pair, generators=None, restrict_support=None):
+    """Reference 2-saturation with the sign screen only; returns
+    (m, non-torsion words, their embeddings) as saturate does."""
+    ctx = unit_context(pair)
+    torsion = {TORSION_ID: Fraction(1)}
+    gens = base_unit_words(pair) if generators is None else list(generators)
+    if not any(w.exponents == torsion for w in gens):
+        gens = [UnitWord(torsion, embedding=ctx.units[TORSION_ID])] + gens
+    elems = [word_embed(w, pair) for w in gens]
+    order = sorted(range(1, 1 << len(gens)), key=lambda v: (bin(v).count("1"), v))
+    m = 0
+    while True:
+        neg = [sum(1 << i for i, s in enumerate(sign_vector(e)) if s < 0)
+               for e in elems]
+        for v in order:
+            chosen = [i for i in range(len(gens)) if v >> i & 1]
+            signs = 0
+            for i in chosen:
+                signs ^= neg[i]
+            if signs:
+                continue
+            prod = OcticElem.one(ctx.key)
+            for i in chosen:
+                prod = octic_mul(prod, elems[i])
+            root = sqrt_exact(prod)
+            if root is not None and (restrict_support is None
+                                     or root.support() <= restrict_support):
+                break
+        else:
+            kept = [i for i, w in enumerate(gens) if w.exponents != torsion]
+            return m, [gens[i] for i in kept], [elems[i] for i in kept]
+        combined = UnitWord({})
+        for i in chosen:
+            combined = combined * gens[i]
+        word = combined.sqrt_word()
+        word._embedding = root
+        idx = next(i for i in chosen if gens[i].exponents != torsion)
+        gens[idx], elems[idx] = word, root
+        m += 1

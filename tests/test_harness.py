@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from triquad import harness
 from triquad.errors import TriquadError
 from triquad.harness import (Config, record_json, scan_csv, scan_json,
                              scan_pairs, valid_pairs, verify_pair)
@@ -101,7 +102,40 @@ def test_cli_units_and_h2(capsys):
 def test_cli_usage_errors(capsys):
     assert cli_main(["verify", "7", "17"]) == 1
     assert cli_main(["classify", "15", "7"]) == 1
-    capsys.readouterr()
+    assert cli_main(["--precision-bits", "10", "verify", "17", "7"]) == 1
+    assert "error: precision-bits" in capsys.readouterr().err
+    for jobs in ("0", "-3"):
+        assert cli_main(["scan", "--pmax", "50", "--qmax", "32", "--jobs", jobs]) == 1
+        assert "error: jobs" in capsys.readouterr().err
+
+
+def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    serial = scan_json(scan_pairs(41, 23, Config()))  # 4 pairs
+    assert scan_json(scan_pairs(41, 23, Config(jobs=64))) == serial
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 16)
+    assert scan_json(scan_pairs(41, 23, Config(jobs=64))) == serial
+    scan_pairs(41, 23, Config(jobs=2))
+    assert started == [3, 4, 2]
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    scan_pairs(41, 23, Config(jobs=64))
+    assert started == [3, 4, 2]
 
 
 def test_cli_scan_csv_to_file(tmp_path, capsys):

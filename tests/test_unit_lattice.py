@@ -2,15 +2,22 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import unsieved_saturation
 from triquad.arith import PrimePair
 from triquad.errors import RootMissingError, TriquadError
 from triquad.octic import OcticElem, octic_mul, rational_norm
-from triquad.unit_lattice import (BASE_UNIT_IDS, UnitWord, base_unit_words,
+from triquad.theorems import classify_pair, unit_generators
+from triquad.unit_lattice import (BASE_UNIT_IDS, UnitWord, _character_row,
+                                  _square_candidates, base_unit_words,
                                   k5_unit_index, rank_certificate, saturate,
-                                  square_class_dimension, word_embed)
+                                  square_class_dimension, unit_context,
+                                  word_embed)
 
 P17 = PrimePair(17, 7)
 P41 = PrimePair(41, 7)
+P89 = PrimePair(89, 7)     # (p/q) = -1, as are 17 and 41 over 7
+P17_191 = PrimePair(17, 191)  # (p/q) = +1
+K5_SUPPORT = frozenset({0, 0b100, 0b011, 0b111})
 
 
 def test_word_canonicalization():
@@ -107,3 +114,61 @@ def test_rank_certificate_cases():
     assert rank_certificate(sat.words, P17)
     with pytest.raises(TriquadError):
         rank_certificate(words[:5], P17)
+
+
+def _assert_same_saturation(res, reference):
+    m, words, elems = reference
+    assert res.m == m
+    assert [w.render() for w in res.words] == [w.render() for w in words]
+    assert res.elements == elems
+
+
+@pytest.mark.parametrize("pair", [P17, P41])
+def test_sieved_saturation_matches_unsieved_reference(pair):
+    _assert_same_saturation(saturate(pair), unsieved_saturation(pair))
+
+
+def test_sieved_k5_saturation_matches_unsieved_reference():
+    ctx = unit_context(P89)
+    words = [UnitWord({uid: 1}, embedding=ctx.units[uid])
+             for uid in ("eq", "e2p", "e2pq")]
+    reference = unsieved_saturation(P89, words, K5_SUPPORT)
+    _assert_same_saturation(saturate(P89, words, K5_SUPPORT), reference)
+    assert k5_unit_index(P89) == reference[0]
+
+
+@pytest.mark.parametrize("pair", [P17, P17_191])
+def test_sieved_resaturation_matches_unsieved_reference(pair):
+    words = unit_generators(classify_pair(pair), pair)
+    reference = unsieved_saturation(pair, words)
+    assert reference[0] == 0
+    _assert_same_saturation(saturate(pair, words), reference)
+
+
+def test_character_row_is_a_homomorphism_that_kills_squares():
+    ctx = unit_context(P17)
+    units = [ctx.element_of(v) for v in (0b10, 0b110, 0b10010110, 0b11111111)]
+    units += saturate(P17).elements
+    for x in units:
+        assert _character_row(ctx, octic_mul(x, x)) == (0, 0)
+    for x, y in zip(units, units[1:]):
+        bx, ux = _character_row(ctx, x)
+        by, uy = _character_row(ctx, y)
+        assert ux == uy == 0
+        assert _character_row(ctx, octic_mul(x, y)) == (bx ^ by, 0)
+
+
+def test_undefined_character_column_is_dropped_not_zeroed():
+    ctx = unit_context(P17)
+    l = ctx.primes[0][0]
+    column = 0xFF << 8  # the characters of the first split prime
+    n = next(a for a in range(2, l) if pow(a, (l - 1) // 2, l) == l - 1)
+    a = OcticElem.rational((17, 7), Fraction(n, l * l))  # l divides a denominator
+    b = OcticElem.rational((17, 7), n)                   # a non-residue mod l
+    row_a, row_b = _character_row(ctx, a), _character_row(ctx, b)
+    assert row_a[1] == column
+    assert row_b[1] == 0 and row_b[0] & column == column
+    assert _character_row(ctx, OcticElem.rational((17, 7), l))[1] == column
+    # a*b = (n/l)^2 is a square; a zeroed column would reject it
+    assert 0b11 in _square_candidates([row_a, row_b])
+    assert 0b11 not in _square_candidates([(row_a[0], 0), row_b])
