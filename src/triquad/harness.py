@@ -21,7 +21,7 @@ from . import classnumber, octic, theorems, unit_lattice
 from .arith import PrimePair, primes_in_range
 from .classnumber import ClassNumberReport
 from .errors import (InternalInconsistencyError, PrecisionExhaustedError,
-                     ResourceGuardError, TriquadError)
+                     ResourceGuardError, RootMissingError, TriquadError)
 from .theorems import CaseTag
 
 STATUS_VERIFIED = "verified"
@@ -136,7 +136,8 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
     except PrecisionExhaustedError as exc:
         rec.status = STATUS_PRECISION
         mism.append(str(exc))
-    except InternalInconsistencyError as exc:
+    except (InternalInconsistencyError, RootMissingError) as exc:
+        # a word whose root is missing in K is a mismatch of the prescription
         rec.status = STATUS_MISMATCH
         mism.append(str(exc))
     else:

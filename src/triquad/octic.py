@@ -1,12 +1,18 @@
 """Exact arithmetic in K = Q(sqrt2, sqrtp, sqrtq) on the radical basis.
 
-An element is held as 8 exact rational coordinates indexed by subsets
-S of {2, p, q}; the coordinate of mask S multiplies sqrt(prod S). Masks use
-bit 0 for 2, bit 1 for p, bit 2 for q.
+An element is held as 8 integer coordinates `num` over one positive shared
+denominator `den`, indexed by subsets S of {2, p, q}; the coordinate of mask
+S multiplies sqrt(prod S). Masks use bit 0 for 2, bit 1 for p, bit 2 for q.
+The form is canonical: gcd(den, *num) == 1, and zero is stored over den 1.
+
+An automorphism is a 3-bit flip mask f in the same bit order: it negates
+the radicals of the bits set in f, so basis element m changes sign when
+popcount(f & m) is odd.
 
 Real embeddings are indexed 0..7 in lexicographic sign order
 (+++, ++-, +-+, +--, -++, ...): bit 2 of the index flips sqrt2, bit 1 flips
-sqrtp, bit 0 flips sqrtq.
+sqrtp, bit 0 flips sqrtq. Embedding i is therefore the all-positive
+embedding after the flip mask `_EMB_FLIPS[i]`, i with its 3 bits reversed.
 """
 
 from __future__ import annotations
@@ -30,14 +36,8 @@ DEFAULT_PRECISION = 256
 MAX_PRECISION = 4096
 ROOT_DENOM_BOUND = 16
 
-# chi[i][mask]: sign of basis element sqrt(prod mask) under embedding i
-_CHI = [[1] * 8 for _ in range(8)]
-for _i in range(8):
-    for _m in range(8):
-        flips = (((_i >> 2) & _m & 1)            # sqrt2
-                 ^ ((_i >> 1) & (_m >> 1) & 1)   # sqrtp
-                 ^ (_i & (_m >> 2) & 1))         # sqrtq
-        _CHI[_i][_m] = -1 if flips else 1
+# flip mask of real embedding i: i with its 3 bits reversed
+_EMB_FLIPS = (0, 4, 2, 6, 1, 5, 3, 7)
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,6 +52,18 @@ def _normalize_pair(pair) -> tuple[int, int]:
     p, q = pair
     _validate_pair(p, q)
     return p, q
+
+
+@functools.lru_cache(maxsize=None)
+def _radicals(pair: tuple[int, int]) -> tuple[int, ...]:
+    """prod(S) for each mask S."""
+    p, q = pair
+    return tuple((2 if m & 1 else 1) * (p if m & 2 else 1) * (q if m & 4 else 1)
+                 for m in range(8))
+
+
+# row s lists (t, s^t, s&t): sqrt(prod s)*sqrt(prod t) = prod(s&t)*sqrt(prod(s^t))
+_MUL_TABLE = tuple(tuple((t, s ^ t, s & t) for t in range(8)) for s in range(8))
 
 
 @dataclass(frozen=True)
@@ -71,12 +83,10 @@ class Automorphism:
     def is_identity(self) -> bool:
         return self.signs == (1, 1, 1)
 
-    def basis_sign(self, mask: int) -> int:
-        s = 1
-        for i in range(3):
-            if mask >> i & 1 and self.signs[i] < 0:
-                s = -s
-        return s
+    @property
+    def mask(self) -> int:
+        """Flip mask: bit i set when the i-th radical changes sign."""
+        return sum(1 << i for i, s in enumerate(self.signs) if s < 0)
 
 
 IDENTITY = Automorphism((1, 1, 1))
@@ -85,83 +95,112 @@ TAU2 = Automorphism((1, -1, 1))
 TAU3 = Automorphism((1, 1, -1))
 
 
-@dataclass(frozen=True)
 class OcticElem:
-    pair: tuple[int, int]
-    coords: tuple[Fraction, ...]
+    """An element of K for one pair: integer coordinates `num` over `den`.
 
-    def __post_init__(self):
-        if len(self.coords) != 8:
+    `OcticElem(pair, coords)` takes 8 rationals; `.coords` gives them back
+    as Fractions. Instances are immutable, and equal elements have equal
+    (pair, num, den), which equality and hashing compare.
+    """
+
+    __slots__ = ("pair", "num", "den")
+
+    def __init__(self, pair, coords):
+        if len(coords) != 8:
             raise TriquadError("octic element needs exactly 8 coordinates")
+        fr = [Fraction(c) for c in coords]
+        # over the lcm of the reduced denominators the form is canonical
+        den = math.lcm(*(c.denominator for c in fr))
+        _set_pair(self, _normalize_pair(pair))
+        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in fr))
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"OcticElem is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"OcticElem is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _new, (self.pair, self.num, self.den)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OcticElem):
+            return NotImplemented
+        return (self.den == other.den and self.num == other.num
+                and self.pair == other.pair)
+
+    def __hash__(self) -> int:
+        return hash((self.pair, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"OcticElem({self.pair!r}, {self.coords!r})"
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_dict(pair, d: dict[int, Fraction | int]) -> "OcticElem":
-        pq = _normalize_pair(pair)
-        c = [Fraction(0)] * 8
+        c = [0] * 8
         for mask, v in d.items():
-            c[mask] = Fraction(v)
-        return OcticElem(pq, tuple(c))
+            c[mask] = v
+        return OcticElem(pair, c)
 
     @staticmethod
     def rational(pair, v) -> "OcticElem":
-        return OcticElem.from_dict(pair, {0: Fraction(v)})
+        return OcticElem.from_dict(pair, {0: v})
 
     @staticmethod
     def one(pair) -> "OcticElem":
-        return OcticElem.rational(pair, 1)
+        return _new(_normalize_pair(pair), (1, 0, 0, 0, 0, 0, 0, 0), 1)
 
     @staticmethod
     def zero(pair) -> "OcticElem":
-        return OcticElem.from_dict(pair, {})
+        return _new(_normalize_pair(pair), (0,) * 8, 1)
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.num)
+
     def radical_product(self, mask: int) -> int:
-        p, q = self.pair
-        r = 1
-        if mask & 1:
-            r *= 2
-        if mask & 2:
-            r *= p
-        if mask & 4:
-            r *= q
-        return r
+        return _radicals(self.pair)[mask]
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def support(self) -> frozenset[int]:
-        return frozenset(m for m in range(8) if self.coords[m] != 0)
+        return frozenset(m for m, n in enumerate(self.num) if n)
 
     def coord_bit_size(self) -> int:
-        b = 1
-        for c in self.coords:
-            if c != 0:
-                b = max(b, abs(c.numerator).bit_length(), c.denominator.bit_length())
-        return b
+        """Largest bit length among the numerators and the shared denominator.
+
+        Never below the largest bit length of a reduced coordinate's
+        numerator or denominator, which divide these."""
+        return max(self.den, *map(abs, self.num)).bit_length()
 
     def coords_by_label(self) -> dict[str, Fraction]:
-        return {SUBSET_LABELS[m]: self.coords[m] for m in range(8)}
+        return dict(zip(SUBSET_LABELS, self.coords))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "OcticElem") -> "OcticElem":
         self._check(other)
-        return OcticElem(self.pair, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        a, b, den = _common(self, other)
+        return _reduced(self.pair, [x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "OcticElem") -> "OcticElem":
         self._check(other)
-        return OcticElem(self.pair, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b, den = _common(self, other)
+        return _reduced(self.pair, [x - y for x, y in zip(a, b)], den)
 
     def __neg__(self) -> "OcticElem":
-        return OcticElem(self.pair, tuple(-a for a in self.coords))
+        return _new(self.pair, tuple(-n for n in self.num), self.den)
 
     def __mul__(self, other: "OcticElem") -> "OcticElem":
         return octic_mul(self, other)
@@ -179,7 +218,7 @@ class OcticElem:
 
     def scale(self, v) -> "OcticElem":
         f = Fraction(v)
-        return OcticElem(self.pair, tuple(c * f for c in self.coords))
+        return _scaled(self, f.numerator, f.denominator)
 
     def _check(self, other: "OcticElem"):
         if self.pair != other.pair:
@@ -187,32 +226,71 @@ class OcticElem:
 
     def __str__(self) -> str:
         parts = []
-        for m in range(8):
-            if self.coords[m] != 0:
-                lbl = SUBSET_LABELS[m]
-                parts.append(str(self.coords[m]) + (f"*sqrt({lbl})" if lbl else ""))
+        for lbl, c in zip(SUBSET_LABELS, self.coords):
+            if c != 0:
+                parts.append(str(c) + (f"*sqrt({lbl})" if lbl else ""))
         return " + ".join(parts) if parts else "0"
+
+
+_set_pair = OcticElem.pair.__set__
+_set_num = OcticElem.num.__set__
+_set_den = OcticElem.den.__set__
+
+
+def _new(pair: tuple[int, int], num: tuple[int, ...], den: int) -> OcticElem:
+    """Element from coordinates already in canonical form."""
+    x = object.__new__(OcticElem)
+    _set_pair(x, pair)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _reduced(pair: tuple[int, int], num: list[int], den: int) -> OcticElem:
+    """Element num/den for den > 0, brought to canonical form by one gcd."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        return _new(pair, tuple(n // g for n in num), den // g)
+    return _new(pair, tuple(num), den)
+
+
+def _scaled(x: OcticElem, n: int, d: int) -> OcticElem:
+    """x * n/d for d > 0."""
+    return _reduced(x.pair, [c * n for c in x.num], x.den * d)
+
+
+def _common(x: OcticElem, y: OcticElem) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Numerators of x and y over their least common denominator."""
+    dx, dy = x.den, y.den
+    if dx == dy:
+        return x.num, y.num, dx
+    g = math.gcd(dx, dy)
+    fx, fy = dy // g, dx // g
+    return (tuple(n * fx for n in x.num), tuple(n * fy for n in y.num), dx * fx)
 
 
 def octic_mul(x: OcticElem, y: OcticElem) -> OcticElem:
     """Bilinear product: sqrt(prod S) * sqrt(prod T) = prod(S&T) * sqrt(prod(S^T))."""
     x._check(y)
-    c = [Fraction(0)] * 8
-    xc, yc = x.coords, y.coords
-    for s in range(8):
-        a = xc[s]
-        if a == 0:
-            continue
-        for t in range(8):
-            b = yc[t]
-            if b == 0:
-                continue
-            c[s ^ t] += a * b * x.radical_product(s & t)
-    return OcticElem(x.pair, tuple(c))
+    c = [0, 0, 0, 0, 0, 0, 0, 0]
+    rad = _radicals(x.pair)
+    b = y.num
+    for s, a in enumerate(x.num):
+        if a:
+            for t, u, st in _MUL_TABLE[s]:
+                if b[t]:
+                    c[u] += a * b[t] * rad[st]
+    return _reduced(x.pair, c, x.den * y.den)
+
+
+def _conj(x: OcticElem, flips: int) -> OcticElem:
+    """Image of x under the automorphism with flip mask `flips`."""
+    return _new(x.pair, tuple(-n if (flips & m).bit_count() & 1 else n
+                              for m, n in enumerate(x.num)), x.den)
 
 
 def apply_automorphism(sigma: Automorphism, x: OcticElem) -> OcticElem:
-    return OcticElem(x.pair, tuple(x.coords[m] * sigma.basis_sign(m) for m in range(8)))
+    return _conj(x, sigma.mask)
 
 
 def norm_to_subfield(sigma: Automorphism, x: OcticElem) -> OcticElem:
@@ -222,29 +300,42 @@ def norm_to_subfield(sigma: Automorphism, x: OcticElem) -> OcticElem:
     return octic_mul(x, apply_automorphism(sigma, x))
 
 
+def _tower_norm(x: OcticElem) -> tuple[OcticElem, OcticElem, int]:
+    """(acc, y, k) with y = x * acc rational, by k relative norms.
+
+    For each radical that y still involves, y is replaced by y * sigma(y),
+    sigma the flip of that radical, and the conjugate joins acc. After the
+    step for bit b, y is fixed by the flips of bits 0..b, so the loop ends
+    on a rational; the steps skipped are those where y already lay in the
+    fixed field, so N(x) = y^(2^(3-k))."""
+    y, acc, k = x, OcticElem.one(x.pair), 0
+    for bit in range(3):
+        if any(n for m, n in enumerate(y.num) if m >> bit & 1):
+            c = _conj(y, 1 << bit)
+            acc = octic_mul(acc, c) if k else c
+            y = octic_mul(y, c)
+            k += 1
+    return acc, y, k
+
+
 def rational_norm(x: OcticElem) -> Fraction:
-    """Product of all 8 conjugates."""
-    acc = OcticElem.one(x.pair)
-    for i in range(8):
-        sigma = Automorphism((1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1), 1 - 2 * (i & 1)))
-        acc = octic_mul(acc, apply_automorphism(sigma, x))
-    if not acc.is_rational:
+    """Product of all 8 conjugates, by the tower of relative norms."""
+    _, y, k = _tower_norm(x)
+    if not y.is_rational:
         raise InternalInconsistencyError("full conjugate product is not rational")
-    return acc.coords[0]
+    return Fraction(y.num[0], y.den) ** (8 >> k)
 
 
 def octic_inv(x: OcticElem) -> OcticElem:
-    """Inverse via the product of the seven nontrivial conjugates."""
+    """Inverse via the tower of relative norms: x * acc = y is rational, so
+    x^-1 = acc / y, from at most 3 conjugates."""
     if x.is_zero:
         raise ZeroDivisionError("octic element is zero")
-    acc = OcticElem.one(x.pair)
-    for i in range(1, 8):
-        sigma = Automorphism((1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1), 1 - 2 * (i & 1)))
-        acc = octic_mul(acc, apply_automorphism(sigma, x))
-    n = octic_mul(x, acc)
-    if not n.is_rational or n.coords[0] == 0:
+    acc, y, _ = _tower_norm(x)
+    n = y.num[0]
+    if not y.is_rational or n == 0:
         raise InternalInconsistencyError("norm of nonzero element vanished")
-    return acc.scale(Fraction(1) / n.coords[0])
+    return _scaled(acc, y.den, n) if n > 0 else _scaled(acc, -y.den, -n)
 
 
 def embed_quadratic(x: QuadElem, pair) -> OcticElem:
@@ -274,18 +365,22 @@ def _sqrt_interval(n: int, bits: int) -> tuple[int, int]:
 def _embedding_interval(x: OcticElem, emb: int, bits: int) -> tuple[int, int]:
     """Dyadic interval (scaled by 2^bits) certified to contain embedding emb."""
     lo_acc = hi_acc = 0
-    for m in range(8):
-        c = x.coords[m] * _CHI[emb][m]
+    flips = _EMB_FLIPS[emb]
+    rad = _radicals(x.pair)
+    den = x.den
+    for m, c in enumerate(x.num):
         if c == 0:
             continue
-        rl, rh = _sqrt_interval(x.radical_product(m), bits)
-        # outward-rounded product of the exact rational c with [rl, rh]
+        if (flips & m).bit_count() & 1:
+            c = -c
+        rl, rh = _sqrt_interval(rad[m], bits)
+        # outward-rounded product of the exact rational c/den with [rl, rh]
         if c > 0:
-            lo_acc += (c.numerator * rl) // c.denominator
-            hi_acc += -((-c.numerator * rh) // c.denominator)
+            lo_acc += (c * rl) // den
+            hi_acc += -((-c * rh) // den)
         else:
-            lo_acc += (c.numerator * rh) // c.denominator
-            hi_acc += -((-c.numerator * rl) // c.denominator)
+            lo_acc += (c * rh) // den
+            hi_acc += -((-c * rl) // den)
     return lo_acc, hi_acc
 
 
@@ -301,18 +396,23 @@ def real_embeddings(x: OcticElem, precision: int = DEFAULT_PRECISION) -> list[tu
     return out
 
 
-def _sign_cap_bits(x: OcticElem) -> int:
+def _sign_cap_bits(size: int) -> int:
     # |v| >= prod of the other |conjugates|^-1 times |N(x)| and N(x) is a
     # nonzero rational with bounded denominator, so this cap is generous
-    return 8 * (x.coord_bit_size() + 24) + 128
+    return 8 * (size + 24) + 128
 
 
 def embedding_sign(x: OcticElem, emb: int) -> int:
-    """Certified sign of one real embedding of a nonzero element."""
+    """Certified sign of one real embedding of a nonzero element.
+
+    The start and the cap of the precision grow with coord_bit_size, which
+    is taken on the shared-denominator form and so is never below the
+    bit size of the reduced coordinates."""
     if x.is_zero:
         raise TriquadError("sign of the zero element")
-    cap = _sign_cap_bits(x)
-    bits = 32 + x.coord_bit_size()
+    size = x.coord_bit_size()
+    cap = _sign_cap_bits(size)
+    bits = 32 + size
     while True:
         lo, hi = _embedding_interval(x, emb, bits)
         if lo > 0:
@@ -332,36 +432,41 @@ def sign_vector(x: OcticElem) -> tuple[int, ...]:
 
 # -- exact square roots ----------------------------------------------------
 
-def _rational_sqrt(fr: Fraction) -> Fraction | None:
-    if fr < 0:
+def _rational_sqrt(x: OcticElem) -> OcticElem | None:
+    """Rational square root of a rational element, or None. In canonical
+    form num[0]/den is already in lowest terms."""
+    n = x.num[0]
+    if n < 0:
         return None
-    num = math.isqrt(fr.numerator)
-    if num * num != fr.numerator:
+    r = math.isqrt(n)
+    if r * r != n:
         return None
-    den = math.isqrt(fr.denominator)
-    if den * den != fr.denominator:
+    s = math.isqrt(x.den)
+    if s * s != x.den:
         return None
-    return Fraction(num, den)
+    return _new(x.pair, (r, 0, 0, 0, 0, 0, 0, 0), s)
 
 
 def _split(x: OcticElem, bit: int) -> tuple[OcticElem, OcticElem]:
     """x = a + b*sqrt(r_bit) with a, b supported away from bit."""
-    a = [Fraction(0)] * 8
-    b = [Fraction(0)] * 8
-    for m in range(8):
+    a = [0] * 8
+    b = [0] * 8
+    for m, n in enumerate(x.num):
         if m >> bit & 1:
-            b[m ^ (1 << bit)] = x.coords[m]
+            b[m ^ (1 << bit)] = n
         else:
-            a[m] = x.coords[m]
-    return OcticElem(x.pair, tuple(a)), OcticElem(x.pair, tuple(b))
+            a[m] = n
+    return _reduced(x.pair, a, x.den), _reduced(x.pair, b, x.den)
 
 
 def _join(a: OcticElem, b: OcticElem, bit: int) -> OcticElem:
-    c = list(a.coords)
-    for m in range(8):
-        if b.coords[m] != 0:
-            c[m ^ (1 << bit)] += b.coords[m]
-    return OcticElem(a.pair, tuple(c))
+    """a + b*sqrt(r_bit) for a, b supported away from bit."""
+    an, bn, den = _common(a, b)
+    c = list(an)
+    for m, n in enumerate(bn):
+        if n:
+            c[m ^ (1 << bit)] += n
+    return _reduced(a.pair, c, den)
 
 
 def _sqrt_tower(x: OcticElem, bits: tuple[int, ...]) -> OcticElem | None:
@@ -371,8 +476,7 @@ def _sqrt_tower(x: OcticElem, bits: tuple[int, ...]) -> OcticElem | None:
     if not bits:
         if not x.is_rational:
             return None
-        r = _rational_sqrt(x.coords[0])
-        return None if r is None else OcticElem.rational(x.pair, r)
+        return _rational_sqrt(x)
     bit, rest = bits[0], bits[1:]
     t = x.radical_product(1 << bit)
     a, b = _split(x, bit)
@@ -380,19 +484,18 @@ def _sqrt_tower(x: OcticElem, bits: tuple[int, ...]) -> OcticElem | None:
         y = _sqrt_tower(a, rest)
         if y is not None:
             return y
-        d = _sqrt_tower(a.scale(Fraction(1, t)), rest)
+        d = _sqrt_tower(_scaled(a, 1, t), rest)
         if d is not None:
             return _join(OcticElem.zero(x.pair), d, bit)
         return None
-    n = octic_mul(a, a) - octic_mul(b, b).scale(t)
+    n = octic_mul(a, a) - _scaled(octic_mul(b, b), t, 1)
     m = _sqrt_tower(n, rest)
     if m is None:
         return None
     for mm in (m, -m):
-        c2 = (a + mm).scale(Fraction(1, 2))
-        c = _sqrt_tower(c2, rest)
+        c = _sqrt_tower(_scaled(a + mm, 1, 2), rest)
         if c is not None and not c.is_zero:
-            d = octic_mul(b, octic_inv(c.scale(2)))
+            d = octic_mul(b, octic_inv(_scaled(c, 2, 1)))
             return _join(c, d, bit)
     return None
 
@@ -473,7 +576,7 @@ def sqrt_in_field(x: OcticElem, precision: int = DEFAULT_PRECISION,
                 for m in range(8):
                     nl = nh = 0
                     for i in range(8):
-                        s = _CHI[i][m] * signs[i]
+                        s = -signs[i] if (_EMB_FLIPS[i] & m).bit_count() & 1 else signs[i]
                         if s > 0:
                             nl += roots[i][0]
                             nh += roots[i][1]

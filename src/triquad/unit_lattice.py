@@ -263,13 +263,20 @@ def _character_row(ctx: UnitContext, x: OcticElem) -> tuple[int, int]:
     undefined = 0
     for k, (l, roots) in enumerate(ctx.primes):
         shift = 8 + 8 * k
-        if any(c.denominator % l == 0 for c in x.coords):
+        # in canonical form den is the lcm of the coordinate denominators
+        if x.den % l == 0:
             undefined |= 0xFF << shift
             continue
-        terms = [c.numerator * pow(c.denominator, -1, l) * r % l
-                 for c, r in zip(x.coords, roots)]
-        for i, chi in enumerate(octic._CHI):
-            v = sum(t * s for t, s in zip(terms, chi)) % l
+        inv = pow(x.den, -1, l)
+        vals = [n * inv * r % l for n, r in zip(x.num, roots)]
+        # Walsh-Hadamard butterflies: vals[f] becomes the image under the
+        # root choice with flip mask f, the sum of the terms signed by
+        # popcount(f & m)
+        for b in (1, 2, 4):
+            vals = [vals[m] + vals[m | b] if not m & b else vals[m ^ b] - vals[m]
+                    for m in range(8)]
+        for i, flips in enumerate(octic._EMB_FLIPS):
+            v = vals[flips] % l
             if v == 0:
                 undefined |= 1 << (shift + i)
             elif pow(v, (l - 1) // 2, l) != 1:

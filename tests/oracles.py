@@ -9,6 +9,11 @@ solution is astronomically large: the minimal coefficient for d = 199 is
 
 The unsieved saturation is the 2-saturation loop without the character
 sieve: every product that passes the sign screen goes to sqrt_exact.
+
+The conjugate-product inverse and norm, and the embedding enclosure, are the
+textbook formulas on Fraction coordinates: all 7 (or 8) conjugates multiplied
+out, and a sign table built from the embedding order spelled out digit by
+digit.
 """
 
 import math
@@ -246,3 +251,73 @@ def unsieved_saturation(pair, generators=None, restrict_support=None):
         idx = next(i for i in chosen if gens[i].exponents != torsion)
         gens[idx], elems[idx] = word, root
         m += 1
+
+
+# -- Fraction-coordinate arithmetic in K -------------------------------------
+
+def _radical(pair, mask: int) -> int:
+    p, q = pair
+    return math.prod(r for bit, r in enumerate((2, p, q)) if mask >> bit & 1)
+
+
+def fraction_mul(pair, x: tuple, y: tuple) -> tuple:
+    """Product of two Fraction coordinate tuples on the radical basis."""
+    c = [Fraction(0)] * 8
+    for s in range(8):
+        for t in range(8):
+            c[s ^ t] += x[s] * y[t] * _radical(pair, s & t)
+    return tuple(c)
+
+
+def _conjugate(x: tuple, signs: tuple) -> tuple:
+    """x under sqrt2, sqrtp, sqrtq -> signs[0] sqrt2, signs[1] sqrtp, ..."""
+    out = []
+    for mask in range(8):
+        s = 1
+        for bit in range(3):
+            if mask >> bit & 1:
+                s *= signs[bit]
+        out.append(x[mask] * s)
+    return tuple(out)
+
+
+_ALL_SIGNS = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+
+
+def conjugate_product_norm(x: OcticElem) -> Fraction:
+    """Product of all 8 conjugates of x."""
+    acc = (Fraction(1),) + (Fraction(0),) * 7
+    for signs in _ALL_SIGNS:
+        acc = fraction_mul(x.pair, acc, _conjugate(x.coords, signs))
+    assert all(c == 0 for c in acc[1:]), acc
+    return acc[0]
+
+
+def conjugate_product_inverse(x: OcticElem) -> tuple:
+    """Coordinates of 1/x: the 7 nontrivial conjugates over the norm."""
+    acc = (Fraction(1),) + (Fraction(0),) * 7
+    for signs in _ALL_SIGNS[1:]:
+        acc = fraction_mul(x.pair, acc, _conjugate(x.coords, signs))
+    norm = fraction_mul(x.pair, x.coords, acc)[0]
+    return tuple(c / norm for c in acc)
+
+
+def fraction_embedding_interval(x: OcticElem, emb: int, bits: int) -> tuple[int, int]:
+    """Outward-rounded enclosure, scaled by 2^bits, of real embedding emb:
+    the embeddings run through the sign triples of (sqrt2, sqrtp, sqrtq) in
+    lexicographic order +++, ++-, +-+, ..., and each coordinate c multiplies
+    [isqrt(r 4^bits), isqrt(r 4^bits) + 1]."""
+    signs = _ALL_SIGNS[emb]
+    lo_acc = hi_acc = 0
+    for mask, c in enumerate(_conjugate(x.coords, signs)):
+        if c == 0:
+            continue
+        rl = math.isqrt(_radical(x.pair, mask) << (2 * bits))
+        rh = rl + 1
+        if c > 0:
+            lo_acc += math.floor(c * rl)
+            hi_acc += math.ceil(c * rh)
+        else:
+            lo_acc += math.floor(c * rh)
+            hi_acc += math.ceil(c * rl)
+    return lo_acc, hi_acc

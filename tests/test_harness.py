@@ -1,11 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from triquad import harness
+from triquad import harness, theorems
 from triquad.errors import TriquadError
 from triquad.harness import (Config, record_json, scan_csv, scan_json,
                              scan_pairs, valid_pairs, verify_pair)
+from triquad.unit_lattice import UnitWord
 from triquad.cli import main as cli_main
 
 
@@ -178,3 +180,34 @@ def test_cli_scan_rerun_byte_identical(tmp_path):
     assert cli_main(["scan", "--pmax", "41", "--qmax", "8", "--jobs", "2",
                      "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _half_e2_for(bad_pair, monkeypatch):
+    """Make the prescribed system of bad_pair start with e2^(1/2), which has
+    no root in K (e2 is not totally positive)."""
+    real = theorems.unit_generators
+
+    def unit_generators(tag, pair):
+        words = list(real(tag, pair))
+        if (pair.p, pair.q) == bad_pair:
+            words[0] = UnitWord({"e2": Fraction(1, 2)})
+        return words
+
+    monkeypatch.setattr(theorems, "unit_generators", unit_generators)
+
+
+def test_missing_root_is_a_mismatch_record(monkeypatch):
+    _half_e2_for((17, 7), monkeypatch)
+    rec = verify_pair(17, 7)
+    assert rec.status == "theorem-mismatch"
+    assert rec.mismatches == ["no square root in K for sub-word e2^1/2"]
+    assert rec.case_tag is not None and rec.case_tag.case == "C0"
+
+
+def test_missing_root_in_one_pair_keeps_the_scan(monkeypatch):
+    _half_e2_for((17, 23), monkeypatch)
+    result = scan_pairs(41, 23)
+    assert [(r.pair, r.status) for r in result.records] == [
+        ((17, 7), "verified"), ((17, 23), "theorem-mismatch"),
+        ((41, 7), "verified"), ((41, 23), "verified")]
+    assert result.summary["by_status"] == {"theorem-mismatch": 1, "verified": 3}

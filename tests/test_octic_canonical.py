@@ -1,0 +1,193 @@
+"""The integer-coordinate form of OcticElem: canonical form, immutability,
+flip-mask automorphisms, tower-norm inversion and the embedding enclosures,
+each checked against the Fraction-coordinate formulas in tests/oracles.py."""
+
+import math
+import pickle
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import (conjugate_product_inverse, conjugate_product_norm,
+                     fraction_embedding_interval)
+from triquad.octic import (Automorphism, OcticElem, _embedding_interval,
+                           _tower_norm, apply_automorphism, octic_inv,
+                           octic_mul, rational_norm, sqrt_exact)
+
+KEY = (17, 7)
+PAIRS = [(17, 7), (977, 487)]
+
+# subfields of K as basis supports: Q, the 7 quadratic fields, the 7
+# biquadratic fields, and K itself
+QUADRATIC = [frozenset({0, m}) for m in range(1, 8)]
+BIQUADRATIC = sorted({frozenset({0, a, b, a ^ b}) for a in range(1, 8)
+                      for b in range(1, 8) if a != b}, key=sorted)
+SUPPORTS = [frozenset({0})] + QUADRATIC + BIQUADRATIC + [frozenset(range(8))]
+
+
+def elements():
+    fr = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+    def build(args):
+        pair, support, values = args
+        return OcticElem(pair, [values[m] if m in support else 0 for m in range(8)])
+
+    return st.tuples(st.sampled_from(PAIRS), st.sampled_from(SUPPORTS),
+                     st.lists(fr, min_size=8, max_size=8)).map(build)
+
+
+def nonzero_elements():
+    return elements().filter(lambda x: not x.is_zero)
+
+
+def is_canonical(x: OcticElem) -> bool:
+    return (x.den > 0 and math.gcd(x.den, *x.num) == 1
+            and all(type(n) is int for n in x.num) and type(x.den) is int
+            and (any(x.num) or x.den == 1))
+
+
+def old_coord_bit_size(x: OcticElem) -> int:
+    b = 1
+    for c in x.coords:
+        if c != 0:
+            b = max(b, abs(c.numerator).bit_length(), c.denominator.bit_length())
+    return b
+
+
+# -- canonical form ----------------------------------------------------------
+
+@settings(max_examples=60)
+@given(elements(), elements())
+def test_results_are_canonical(x, y):
+    if x.pair != y.pair:
+        y = OcticElem(x.pair, y.coords)
+    for z in (x, y, x + y, x - y, -x, octic_mul(x, y), x.scale(Fraction(-3, 4)),
+              x - x):
+        assert is_canonical(z), z
+    assert (x - x).den == 1 and not any((x - x).num)
+    if not x.is_zero:
+        assert is_canonical(octic_inv(x))
+    root = sqrt_exact(octic_mul(x, x))
+    assert root is not None and is_canonical(root)
+
+
+@settings(max_examples=60)
+@given(elements())
+def test_coords_round_trip_and_bit_size_never_shrinks(x):
+    assert OcticElem(x.pair, x.coords) == x
+    assert all(isinstance(c, Fraction) for c in x.coords)
+    assert x.coords == tuple(Fraction(n, x.den) for n in x.num)
+    assert x.den == math.lcm(*(c.denominator for c in x.coords))
+    assert x.coord_bit_size() >= old_coord_bit_size(x)
+
+
+def test_different_spellings_are_equal_and_hash_alike():
+    half = OcticElem(KEY, [Fraction(1, 2)] + [0] * 7)
+    spellings = [OcticElem(KEY, [Fraction(2, 4)] + [0] * 7),
+                 OcticElem.from_dict(KEY, {0: Fraction(3, 6)}),
+                 OcticElem.rational(KEY, Fraction(-5, -10)),
+                 OcticElem.one(KEY).scale(Fraction(4, 8))]
+    for x in spellings:
+        assert x == half and hash(x) == hash(half)
+        assert (x.num, x.den) == ((1, 0, 0, 0, 0, 0, 0, 0), 2)
+    two = OcticElem(KEY, [Fraction(4, 2), 0, 0, 0, 0, 0, 0, Fraction(6, 3)])
+    assert two == OcticElem(KEY, [2, 0, 0, 0, 0, 0, 0, 2])
+    assert (two.num, two.den) == ((2, 0, 0, 0, 0, 0, 0, 2), 1)
+    mixed = OcticElem(KEY, [Fraction(1, 6), Fraction(3, 4), 0, 0, 0, 0, 0, 0])
+    assert (mixed.num, mixed.den) == ((2, 9, 0, 0, 0, 0, 0, 0), 12)
+    zero = OcticElem(KEY, [Fraction(0, 5)] * 8)
+    assert zero == OcticElem.zero(KEY) and zero.den == 1
+    assert hash(zero) == hash(OcticElem.zero(KEY))
+
+
+def test_equality_separates_pairs_and_other_types():
+    assert OcticElem.one((17, 7)) != OcticElem.one((41, 7))
+    assert OcticElem.one(KEY) != (KEY, (1, 0, 0, 0, 0, 0, 0, 0), 1)
+    assert OcticElem.one(KEY) != 1
+
+
+@settings(max_examples=30)
+@given(elements())
+def test_pickle_round_trip(x):
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and hash(y) == hash(x) and is_canonical(y)
+    assert octic_mul(y, y) == octic_mul(x, x)
+
+
+def test_elements_are_immutable():
+    x = OcticElem.from_dict(KEY, {0: 3, 5: Fraction(1, 2)})
+    for name, value in (("den", 5), ("num", (0,) * 8), ("pair", (41, 7)),
+                        ("coords", ()), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    with pytest.raises(AttributeError):
+        del x.den
+    assert x == OcticElem.from_dict(KEY, {0: 3, 5: Fraction(1, 2)})
+
+
+# -- flip masks ----------------------------------------------------------------
+
+def test_automorphism_masks():
+    for i in range(8):
+        signs = (1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1), 1 - 2 * (i & 1))
+        sigma = Automorphism(signs)
+        assert sigma.mask == sum(1 << b for b in range(3) if signs[b] < 0)
+    x = OcticElem(KEY, range(1, 9))
+    for i in range(8):
+        sigma = Automorphism(tuple(1 - 2 * (i >> b & 1) for b in range(3)))
+        assert apply_automorphism(sigma, x).num == tuple(
+            -n if bin(i & m).count("1") % 2 else n for m, n in enumerate(x.num))
+
+
+@settings(max_examples=30)
+@given(nonzero_elements(), st.sampled_from([8, 40, 130]))
+def test_embedding_i_is_the_first_embedding_of_its_conjugate(x, bits):
+    # embedding i negates sqrt2 with bit 2 of i and sqrtq with bit 0
+    for i in range(8):
+        sigma = Automorphism((1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1),
+                              1 - 2 * (i & 1)))
+        assert (_embedding_interval(x, i, bits)
+                == _embedding_interval(apply_automorphism(sigma, x), 0, bits))
+
+
+# -- tower-norm inversion against the conjugate products ------------------------
+
+@settings(max_examples=80)
+@given(nonzero_elements())
+def test_inverse_matches_the_seven_conjugate_product(x):
+    inv = octic_inv(x)
+    assert inv.coords == conjugate_product_inverse(x)
+    assert octic_mul(x, inv) == OcticElem.one(x.pair)
+
+
+@settings(max_examples=80)
+@given(nonzero_elements())
+def test_rational_norm_matches_the_eight_conjugate_product(x):
+    assert rational_norm(x) == conjugate_product_norm(x)
+
+
+@pytest.mark.parametrize("support", [frozenset({0})] + QUADRATIC + BIQUADRATIC,
+                         ids=lambda s: "".join(map(str, sorted(s))))
+def test_subfield_inverses_stay_in_the_subfield(support):
+    x = OcticElem(KEY, [Fraction(m + 2, 3) if m in support else 0 for m in range(8)])
+    # one relative norm per halving of the degree: 0, 1 or 2 conjugates
+    assert _tower_norm(x)[2] == len(support).bit_length() - 1
+    inv = octic_inv(x)
+    assert inv.support() <= support
+    assert inv.coords == conjugate_product_inverse(x)
+    assert rational_norm(x) == conjugate_product_norm(x)
+
+
+def test_zero_has_no_inverse():
+    with pytest.raises(ZeroDivisionError):
+        octic_inv(OcticElem.zero(KEY))
+
+
+# -- embedding enclosures --------------------------------------------------------
+
+@settings(max_examples=60)
+@given(elements(), st.sampled_from([1, 8, 33, 64, 200]))
+def test_embedding_interval_matches_the_fraction_formula(x, bits):
+    for emb in range(8):
+        assert _embedding_interval(x, emb, bits) == fraction_embedding_interval(x, emb, bits)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import unsieved_saturation
+from oracles import legendre_by_enumeration, unsieved_saturation
 from triquad.arith import PrimePair
 from triquad.errors import RootMissingError, TriquadError
 from triquad.octic import OcticElem, octic_mul, rational_norm
@@ -156,6 +156,28 @@ def test_character_row_is_a_homomorphism_that_kills_squares():
         by, uy = _character_row(ctx, y)
         assert ux == uy == 0
         assert _character_row(ctx, octic_mul(x, y)) == (bx ^ by, 0)
+
+
+def test_character_row_bits_are_legendre_symbols_at_each_root_choice():
+    # bit 8+8k+i: the image of x when the roots of 2, p, q mod the k-th split
+    # prime are negated as embedding i negates sqrt2, sqrtp, sqrtq
+    ctx = unit_context(P17)
+    units = list(ctx.units.values()) + saturate(P17).elements
+    for x in units:
+        bits, undefined = _character_row(ctx, x)
+        assert undefined == 0
+        for k, (l, roots) in enumerate(ctx.primes):
+            for i in range(8):
+                signs = (1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1), 1 - 2 * (i & 1))
+                v = 0
+                for mask, c in enumerate(x.coords):
+                    s = 1
+                    for b in range(3):
+                        if mask >> b & 1:
+                            s *= signs[b]
+                    v += s * c.numerator * roots[mask] * pow(c.denominator, -1, l)
+                expected = legendre_by_enumeration(v, l) == -1
+                assert bool(bits >> (8 + 8 * k + i) & 1) == expected, (x, k, i)
 
 
 def test_undefined_character_column_is_dropped_not_zeroed():
