@@ -3,13 +3,12 @@
 from .arith import PrimePair, is_perfect_square, is_prime, legendre_symbol
 from .classnumber import (ClassNumberReport, h2_real_quadratic, kuroda_h2K,
                           subfield_h2_map)
-from .errors import (InternalInconsistencyError, PrecisionExhaustedError,
-                     ResourceGuardError, RootMissingError, TriquadError)
+from .errors import (InternalInconsistencyError, ResourceGuardError,
+                     RootMissingError, TriquadError)
 from .harness import Config, VerificationRecord, scan_pairs, verify_pair
 from .octic import (Automorphism, OcticElem, TAU1, TAU2, TAU3,
                     apply_automorphism, embed_quadratic, norm_to_subfield,
-                    octic_mul, real_embeddings, sign_vector, sqrt_exact,
-                    sqrt_in_field)
+                    octic_mul, real_embeddings, sign_vector, sqrt_exact)
 from .quadratic import FundamentalUnit, QuadElem, fundamental_unit, quad_mul, quad_norm
 from .theorems import (CaseTag, SqrtDecomposition, classify_pair,
                        decompose_sqrt_data, predict_h2K, unit_generators)

@@ -8,7 +8,7 @@ import sys
 
 from . import classnumber, harness, theorems, unit_lattice
 from .arith import PrimePair
-from .errors import PrecisionExhaustedError, ResourceGuardError, TriquadError
+from .errors import ResourceGuardError, TriquadError
 from .harness import Config
 
 
@@ -17,8 +17,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="triquad",
         description="Unit groups and 2-class numbers of Q(sqrt2, sqrtp, sqrtq) "
                     "for primes p = 1 mod 8, q = 7 mod 8, by exact arithmetic.")
-    ap.add_argument("--precision-bits", type=int, default=256,
-                    help="interval-arithmetic margin in bits (64..4096)")
+    # removed: the rank certificate is exact; kept only to reject it clearly
+    ap.add_argument("--precision-bits", help=argparse.SUPPRESS)
     ap.add_argument("--quad-bound", type=int, default=classnumber.DEFAULT_QUAD_BOUND,
                     help="resource guard for quadratic class-number radicands")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -55,8 +55,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        config = Config(precision_bits=ns.precision_bits, quad_bound=ns.quad_bound,
-                        jobs=getattr(ns, "jobs", 1))
+        if ns.precision_bits is not None:
+            raise TriquadError(
+                "precision-bits was removed: the rank certificate is exact")
+        config = Config(quad_bound=ns.quad_bound, jobs=getattr(ns, "jobs", 1))
         if ns.command == "classify":
             tag = theorems.classify_pair(PrimePair(ns.p, ns.q))
             _emit(json.dumps(harness.case_tag_json(tag), indent=2) + "\n", None)
@@ -88,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
             _emit(json.dumps(harness.record_json(rec), indent=2) + "\n", None)
             return {harness.STATUS_VERIFIED: 0,
                     harness.STATUS_MISMATCH: 2,
-                    harness.STATUS_PRECISION: 3,
                     harness.STATUS_RESOURCE: 3}[rec.status]
         if ns.command == "scan":
             result = harness.scan_pairs(ns.pmax, ns.qmax, config)
@@ -96,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
                     else harness.scan_csv(result))
             _emit(text, ns.out)
             return 0
-    except (ResourceGuardError, PrecisionExhaustedError) as exc:
+    except ResourceGuardError as exc:
         print(f"limit reached: {exc}", file=sys.stderr)
         return 3
     except (TriquadError, ValueError) as exc:

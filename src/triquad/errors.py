@@ -9,11 +9,6 @@ class InternalInconsistencyError(TriquadError):
     """A verified mathematical identity failed; indicates a bug or bad input."""
 
 
-class PrecisionExhaustedError(TriquadError):
-    """Neither a verified result nor a certified rejection was reached at the
-    configured precision cap."""
-
-
 class ResourceGuardError(TriquadError):
     """An input exceeds a configured resource bound."""
 

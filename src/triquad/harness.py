@@ -20,25 +20,21 @@ from fractions import Fraction
 from . import classnumber, octic, theorems, unit_lattice
 from .arith import PrimePair, primes_in_range
 from .classnumber import ClassNumberReport
-from .errors import (InternalInconsistencyError, PrecisionExhaustedError,
-                     ResourceGuardError, RootMissingError, TriquadError)
+from .errors import (InternalInconsistencyError, ResourceGuardError,
+                     RootMissingError, TriquadError)
 from .theorems import CaseTag
 
 STATUS_VERIFIED = "verified"
 STATUS_MISMATCH = "theorem-mismatch"
-STATUS_PRECISION = "precision-exhausted"
 STATUS_RESOURCE = "resource-guard"
 
 
 @dataclass(frozen=True)
 class Config:
-    precision_bits: int = octic.DEFAULT_PRECISION
     quad_bound: int = classnumber.DEFAULT_QUAD_BOUND
     jobs: int = 1
 
     def __post_init__(self):
-        if not 64 <= self.precision_bits <= octic.MAX_PRECISION:
-            raise TriquadError("precision-bits must lie in [64, 4096]")
         if self.jobs < 1:
             raise TriquadError("jobs must be at least 1")
 
@@ -92,8 +88,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
                           for w, e in zip(words, elems)]
         rec.fingerprints = [_fingerprint(e) for e in elems]
 
-        rec.rank_ok = unit_lattice.rank_certificate(words, pair,
-                                                    config.precision_bits)
+        rec.rank_ok = unit_lattice.rank_certificate(words, pair)
         if not rec.rank_ok:
             mism.append("prescribed generators fail the rank certificate")
 
@@ -132,9 +127,6 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
                     f"intermediate-field identity failed: m5={m5}, h2(k5)={h2_k5}")
     except ResourceGuardError as exc:
         rec.status = STATUS_RESOURCE
-        mism.append(str(exc))
-    except PrecisionExhaustedError as exc:
-        rec.status = STATUS_PRECISION
         mism.append(str(exc))
     except (InternalInconsistencyError, RootMissingError) as exc:
         # a word whose root is missing in K is a mismatch of the prescription

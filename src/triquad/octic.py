@@ -18,23 +18,17 @@ embedding after the flip mask `_EMB_FLIPS[i]`, i with its 3 bits reversed.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import PrimePair, is_prime
-from .errors import (InternalInconsistencyError, PrecisionExhaustedError,
-                     TriquadError)
+from .errors import InternalInconsistencyError, TriquadError
 from .quadratic import QuadElem
-
-logger = logging.getLogger(__name__)
 
 SUBSET_LABELS = ("", "2", "p", "2p", "q", "2q", "pq", "2pq")
 
 DEFAULT_PRECISION = 256
-MAX_PRECISION = 4096
-ROOT_DENOM_BOUND = 16
 
 # flip mask of real embedding i: i with its 3 bits reversed
 _EMB_FLIPS = (0, 4, 2, 6, 1, 5, 3, 7)
@@ -396,10 +390,20 @@ def real_embeddings(x: OcticElem, precision: int = DEFAULT_PRECISION) -> list[tu
     return out
 
 
-def _sign_cap_bits(size: int) -> int:
-    # |v| >= prod of the other |conjugates|^-1 times |N(x)| and N(x) is a
-    # nonzero rational with bounded denominator, so this cap is generous
-    return 8 * (size + 24) + 128
+def _sign_cap_bits(size: int, pair: tuple[int, int]) -> int:
+    """Bits at which _embedding_interval decides the sign of any nonzero x
+    with coord_bit_size `size`, by a norm argument.
+
+    y = den*x lies in Z[sqrt2, sqrtp, sqrtq], so |N(y)| >= 1, and every
+    conjugate has |tau(y)| <= 8 * 2^size * sqrt(2pq). Dividing |N(y)| by the
+    other 7 conjugates and by den < 2^size gives
+        -log2|sigma(x)| <= 8*size + 21 + 3.5*log2(2pq).
+    Each of the 8 terms of the enclosure at B bits is at most
+    |num|/den + 2 <= 2^size + 2 units of 2^-B wide, so its width is at most
+    2^(size+4-B), which is below |sigma(x)| once
+        B >= 9*size + 26 + 3.5*log2(2pq);
+    the cap exceeds that."""
+    return 9 * size + 30 + 4 * _radicals(pair)[7].bit_length()
 
 
 def embedding_sign(x: OcticElem, emb: int) -> int:
@@ -407,11 +411,12 @@ def embedding_sign(x: OcticElem, emb: int) -> int:
 
     The start and the cap of the precision grow with coord_bit_size, which
     is taken on the shared-denominator form and so is never below the
-    bit size of the reduced coordinates."""
+    bit size of the reduced coordinates. The first precision past the cap
+    decides the sign (see _sign_cap_bits), so the error is unreachable."""
     if x.is_zero:
         raise TriquadError("sign of the zero element")
     size = x.coord_bit_size()
-    cap = _sign_cap_bits(size)
+    cap = _sign_cap_bits(size, x.pair)
     bits = 32 + size
     while True:
         lo, hi = _embedding_interval(x, emb, bits)
@@ -517,91 +522,3 @@ def sqrt_exact(x: OcticElem) -> OcticElem | None:
         y = -y
     return y
 
-
-def _reconstruct_coord(num_lo: int, num_hi: int, rad_lo: int, rad_hi: int,
-                       bits: int) -> tuple[Fraction | None, bool]:
-    """Candidate rational for num/(8*rad) with denominator <= ROOT_DENOM_BOUND.
-
-    Returns (candidate_or_None, decided): decided is False when the enclosure
-    is too wide to isolate a single small-denominator rational.
-    """
-    dl, dh = 8 * rad_lo, 8 * rad_hi
-    qs = [Fraction(num_lo, dl), Fraction(num_lo, dh),
-          Fraction(num_hi, dl), Fraction(num_hi, dh)]
-    q_lo, q_hi = min(qs), max(qs)
-    if q_hi - q_lo >= Fraction(1, 2 * ROOT_DENOM_BOUND * ROOT_DENOM_BOUND):
-        return None, False
-    mid = (q_lo + q_hi) / 2
-    cand = mid.limit_denominator(ROOT_DENOM_BOUND)
-    if q_lo <= cand <= q_hi:
-        return cand, True
-    return None, True
-
-
-def sqrt_in_field(x: OcticElem, precision: int = DEFAULT_PRECISION,
-                  max_precision: int = MAX_PRECISION) -> OcticElem | None:
-    """Square root in K by embedding reconstruction, or None.
-
-    Guess-and-verify: take certified square roots of the 8 positive embedding
-    enclosures, then for each of the 128 sign patterns (first embedding fixed
-    positive) recover candidate coordinates c_S = sum(chi_S * conj)/(8 sqrt S),
-    round to denominator <= 16 by continued fractions, and verify by exact
-    squaring. Absence is certified by a negative embedding or by a fully
-    decided pattern sweep with no verified root (rejection at the denominator
-    bound); undecided sweeps retry with doubled precision up to max_precision.
-    """
-    if x.is_zero:
-        raise TriquadError("sqrt_in_field requires a nonzero element")
-    if precision < 64:
-        raise TriquadError("precision must be at least 64 bits")
-    cb = x.coord_bit_size()
-    margin = precision
-    while True:
-        bits = margin // 2 + cb + 32
-        embs = [_embedding_interval(x, i, bits) for i in range(8)]
-        if any(hi < 0 for _, hi in embs):
-            logger.debug("sqrt_in_field: rejected, certified negative embedding")
-            return None
-        if any(lo <= 0 for lo, _ in embs):
-            undecided = True  # an enclosure straddles zero
-        else:
-            undecided = False
-            roots = [(math.isqrt(lo << bits), math.isqrt(hi << bits) + 1)
-                     for lo, hi in embs]
-            rads = {m: _sqrt_interval(x.radical_product(m), bits) for m in range(8)}
-            for pattern in range(128):
-                signs = [1] + [1 - 2 * (pattern >> k & 1) for k in range(7)]
-                cand_coords = []
-                ok = True
-                for m in range(8):
-                    nl = nh = 0
-                    for i in range(8):
-                        s = -signs[i] if (_EMB_FLIPS[i] & m).bit_count() & 1 else signs[i]
-                        if s > 0:
-                            nl += roots[i][0]
-                            nh += roots[i][1]
-                        else:
-                            nl -= roots[i][1]
-                            nh -= roots[i][0]
-                    cand, decided = _reconstruct_coord(nl, nh, rads[m][0],
-                                                       rads[m][1], bits)
-                    if not decided:
-                        undecided = True
-                        ok = False
-                        break
-                    if cand is None:
-                        ok = False
-                        break
-                    cand_coords.append(cand)
-                if ok:
-                    xi = OcticElem(x.pair, tuple(cand_coords))
-                    if octic_mul(xi, xi) == x:
-                        return xi
-            if not undecided:
-                logger.debug("sqrt_in_field: rejected at denominator bound "
-                             "(all 128 patterns failed, margin %d)", margin)
-                return None
-        if margin >= max_precision:
-            raise PrecisionExhaustedError(
-                f"sqrt_in_field undecided at {max_precision} bits")
-        margin *= 2

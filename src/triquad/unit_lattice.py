@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from . import octic
 from .arith import PrimePair, is_prime
-from .errors import (InternalInconsistencyError, PrecisionExhaustedError,
-                     RootMissingError, TriquadError)
+from .errors import InternalInconsistencyError, RootMissingError, TriquadError
 from .octic import OcticElem, embed_quadratic, octic_mul, sqrt_exact
 from .quadratic import fundamental_unit
 
@@ -180,6 +179,18 @@ def base_unit_words(pair: PrimePair) -> list[UnitWord]:
     return out
 
 
+def _integral_power(word: UnitWord, ctx: UnitContext, k: int) -> OcticElem:
+    """word^(2^k) = prod eps_uid^(e*2^k) by exact multiplication, for k at
+    least the word's depth; a negative power goes through octic_inv."""
+    z = OcticElem.one(ctx.key)
+    for uid, e in word.exponents.items():
+        e = e * (1 << k)
+        if e.denominator != 1:
+            raise InternalInconsistencyError("scaled exponent not integral")
+        z = octic_mul(z, ctx.units[uid] ** int(e))
+    return z
+
+
 def word_embed(word: UnitWord, pair: PrimePair) -> OcticElem:
     """Exact embedding of a formal word into K.
 
@@ -189,19 +200,13 @@ def word_embed(word: UnitWord, pair: PrimePair) -> OcticElem:
     """
     if word._embedding is not None:
         return word._embedding
-    ctx = unit_context(pair)
     depth = word.depth
-    scaled = {uid: e * (1 << depth) for uid, e in word.exponents.items()}
-    z = OcticElem.one(ctx.key)
-    for uid, e in scaled.items():
-        if e.denominator != 1:
-            raise InternalInconsistencyError("scaled exponent not integral")
-        z = octic_mul(z, ctx.units[uid] ** int(e))
+    z = _integral_power(word, unit_context(pair), depth)
     for level in range(depth):
         xi = sqrt_exact(z)
         if xi is None:
-            sub = UnitWord({uid: e / (1 << (depth - level))
-                            for uid, e in scaled.items()})
+            sub = UnitWord({uid: e * (1 << level)
+                            for uid, e in word.exponents.items()})
             raise RootMissingError(sub.render())
         z = xi
     word._embedding = z
@@ -415,73 +420,24 @@ def _exact_exponent_det(words: list[UnitWord]) -> Fraction:
     return det
 
 
-def rank_certificate(words: list[UnitWord], pair: PrimePair,
-                     precision: int = octic.DEFAULT_PRECISION) -> bool:
-    """Certify that 7 words are multiplicatively independent.
+def rank_certificate(words: list[UnitWord], pair: PrimePair) -> bool:
+    """Certify exactly that 7 words are multiplicatively independent.
 
-    True iff the 7x7 matrix of logarithms of conjugate absolute values
-    (embeddings 0..6) has certifiably nonzero determinant by interval
-    arithmetic. Exactly dependent exponent vectors short-circuit to False.
+    The seven subfield units generate a subgroup of finite index in E_K
+    (Kuroda; H. Wada, 1966), so they are independent. Words in them are then
+    independent exactly when their exponent matrix is nonsingular, provided
+    each attached element is its word: elem^(2^k) == +-prod eps^(e*2^k) for
+    k the word's depth, checked by exact multiplication. A wrong element
+    attached to a word fails the second check.
     """
-    from mpmath import iv
-
     if len(words) != 7:
         raise TriquadError("rank certificate expects exactly 7 words")
     if _exact_exponent_det(words) == 0:
         return False
-    elems = [word_embed(w, pair) for w in words]
-    bits = precision
-    while bits <= 16 * octic.MAX_PRECISION:
-        old_prec = iv.prec
-        iv.prec = bits + 64
-        try:
-            mat = []
-            for e in elems:
-                scale_bits = bits // 2 + e.coord_bit_size() + 8
-                row = []
-                for emb in range(7):
-                    lo, hi = octic._embedding_interval(e, emb, scale_bits)
-                    if lo < 0:
-                        lo, hi = -hi, -lo
-                    if lo <= 0:
-                        row = None
-                        break
-                    val = iv.mpf([lo, hi]) / iv.mpf(2) ** scale_bits
-                    row.append(iv.log(val))
-                if row is None:
-                    break
-                mat.append(row)
-            if len(mat) == 7:
-                det = _interval_det(iv, mat)
-                if det is not None and (det.a > 0 or det.b < 0):
-                    return True
-        finally:
-            iv.prec = old_prec
-        bits *= 2
-    raise PrecisionExhaustedError("rank certificate undecided at precision cap")
-
-
-def _interval_det(iv, mat):
-    """Gaussian elimination determinant; None when a pivot straddles zero."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = iv.mpf(1)
-    for col in range(n):
-        piv = None
-        best = None
-        for row in range(col, n):
-            x = m[row][col]
-            if x.a > 0 or x.b < 0:
-                mag = min(abs(x.a), abs(x.b))
-                if best is None or mag > best:
-                    best, piv = mag, row
-        if piv is None:
-            return None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for row in range(col + 1, n):
-            f = m[row][col] / m[col][col]
-            m[row] = [a - f * b for a, b in zip(m[row], m[col])]
-    return det
+    ctx = unit_context(pair)
+    for w in words:
+        k = w.depth
+        target = _integral_power(w, ctx, k)
+        if word_embed(w, pair) ** (1 << k) not in (target, -target):
+            return False
+    return True

@@ -14,14 +14,33 @@ The conjugate-product inverse and norm, and the embedding enclosure, are the
 textbook formulas on Fraction coordinates: all 7 (or 8) conjugates multiplied
 out, and a sign table built from the embedding order spelled out digit by
 digit.
+
+The embedding-reconstruction square root, sqrt_in_field, is a second root
+engine kept as an independent cross-check of sqrt_exact: it rounds certified
+embedding enclosures to small-denominator coordinates and verifies by exact
+squaring.
 """
 
+import logging
 import math
 from fractions import Fraction
 
-from triquad.octic import OcticElem, octic_mul, sign_vector, sqrt_exact
+from triquad.errors import TriquadError
+from triquad.octic import (DEFAULT_PRECISION, _EMB_FLIPS, OcticElem,
+                           _embedding_interval, _sqrt_interval, octic_mul,
+                           sign_vector, sqrt_exact)
 from triquad.unit_lattice import (TORSION_ID, UnitWord, base_unit_words,
                                   unit_context, word_embed)
+
+logger = logging.getLogger(__name__)
+
+MAX_PRECISION = 4096
+ROOT_DENOM_BOUND = 16
+
+
+class PrecisionExhaustedError(TriquadError):
+    """Neither a verified result nor a certified rejection was reached at the
+    configured precision cap."""
 
 
 def legendre_by_enumeration(a: int, p: int) -> int:
@@ -321,3 +340,92 @@ def fraction_embedding_interval(x: OcticElem, emb: int, bits: int) -> tuple[int,
             lo_acc += math.floor(c * rh)
             hi_acc += math.ceil(c * rl)
     return lo_acc, hi_acc
+
+
+def _reconstruct_coord(num_lo: int, num_hi: int, rad_lo: int, rad_hi: int,
+                       bits: int) -> tuple[Fraction | None, bool]:
+    """Candidate rational for num/(8*rad) with denominator <= ROOT_DENOM_BOUND.
+
+    Returns (candidate_or_None, decided): decided is False when the enclosure
+    is too wide to isolate a single small-denominator rational.
+    """
+    dl, dh = 8 * rad_lo, 8 * rad_hi
+    qs = [Fraction(num_lo, dl), Fraction(num_lo, dh),
+          Fraction(num_hi, dl), Fraction(num_hi, dh)]
+    q_lo, q_hi = min(qs), max(qs)
+    if q_hi - q_lo >= Fraction(1, 2 * ROOT_DENOM_BOUND * ROOT_DENOM_BOUND):
+        return None, False
+    mid = (q_lo + q_hi) / 2
+    cand = mid.limit_denominator(ROOT_DENOM_BOUND)
+    if q_lo <= cand <= q_hi:
+        return cand, True
+    return None, True
+
+
+def sqrt_in_field(x: OcticElem, precision: int = DEFAULT_PRECISION,
+                  max_precision: int = MAX_PRECISION) -> OcticElem | None:
+    """Square root in K by embedding reconstruction, or None.
+
+    Guess-and-verify: take certified square roots of the 8 positive embedding
+    enclosures, then for each of the 128 sign patterns (first embedding fixed
+    positive) recover candidate coordinates c_S = sum(chi_S * conj)/(8 sqrt S),
+    round to denominator <= 16 by continued fractions, and verify by exact
+    squaring. Absence is certified by a negative embedding or by a fully
+    decided pattern sweep with no verified root (rejection at the denominator
+    bound); undecided sweeps retry with doubled precision up to max_precision.
+    """
+    if x.is_zero:
+        raise TriquadError("sqrt_in_field requires a nonzero element")
+    if precision < 64:
+        raise TriquadError("precision must be at least 64 bits")
+    cb = x.coord_bit_size()
+    margin = precision
+    while True:
+        bits = margin // 2 + cb + 32
+        embs = [_embedding_interval(x, i, bits) for i in range(8)]
+        if any(hi < 0 for _, hi in embs):
+            logger.debug("sqrt_in_field: rejected, certified negative embedding")
+            return None
+        if any(lo <= 0 for lo, _ in embs):
+            undecided = True  # an enclosure straddles zero
+        else:
+            undecided = False
+            roots = [(math.isqrt(lo << bits), math.isqrt(hi << bits) + 1)
+                     for lo, hi in embs]
+            rads = {m: _sqrt_interval(x.radical_product(m), bits) for m in range(8)}
+            for pattern in range(128):
+                signs = [1] + [1 - 2 * (pattern >> k & 1) for k in range(7)]
+                cand_coords = []
+                ok = True
+                for m in range(8):
+                    nl = nh = 0
+                    for i in range(8):
+                        s = -signs[i] if (_EMB_FLIPS[i] & m).bit_count() & 1 else signs[i]
+                        if s > 0:
+                            nl += roots[i][0]
+                            nh += roots[i][1]
+                        else:
+                            nl -= roots[i][1]
+                            nh -= roots[i][0]
+                    cand, decided = _reconstruct_coord(nl, nh, rads[m][0],
+                                                       rads[m][1], bits)
+                    if not decided:
+                        undecided = True
+                        ok = False
+                        break
+                    if cand is None:
+                        ok = False
+                        break
+                    cand_coords.append(cand)
+                if ok:
+                    xi = OcticElem(x.pair, tuple(cand_coords))
+                    if octic_mul(xi, xi) == x:
+                        return xi
+            if not undecided:
+                logger.debug("sqrt_in_field: rejected at denominator bound "
+                             "(all 128 patterns failed, margin %d)", margin)
+                return None
+        if margin >= max_precision:
+            raise PrecisionExhaustedError(
+                f"sqrt_in_field undecided at {max_precision} bits")
+        margin *= 2

@@ -10,14 +10,14 @@ from fractions import Fraction
 
 from triquad.arith import PrimePair, is_perfect_square, primes_in_range
 from triquad.classnumber import h2_real_quadratic, subfield_h2_map
-from triquad.errors import PrecisionExhaustedError
 from triquad.harness import verify_pair
-from triquad.octic import OcticElem, octic_mul, sign_vector, sqrt_in_field
+from triquad.octic import OcticElem, octic_mul, sign_vector, sqrt_exact
 from triquad.quadratic import QuadElem, fundamental_unit
 from triquad.theorems import classify_pair, verify_norm_tables
 
 
-from oracles import brute_force_fundamental_unit, squarefree_numbers
+from oracles import (PrecisionExhaustedError, brute_force_fundamental_unit,
+                     sqrt_in_field, squarefree_numbers)
 
 
 def test_criterion_1_fundamental_unit_oracle_equivalence():
@@ -182,6 +182,7 @@ def test_criterion_7_sqrt_extractor_soundness_completeness():
         assert got is not None, coords
         assert got in (xi, -xi), coords
         assert octic_mul(got, got) == sq  # no false positive possible
+        assert sqrt_exact(sq) in (xi, -xi), coords
         done += 1
 
     rejected = 0
@@ -197,6 +198,7 @@ def test_criterion_7_sqrt_extractor_soundness_completeness():
             assert sqrt_in_field(x) is None
         except PrecisionExhaustedError:
             raise AssertionError(f"negative input undecided: {coords}")
+        assert sqrt_exact(x) is None, coords
         rejected += 1
     assert rejected >= 40
     print(f"\nACCEPTANCE 7 PASS: 100 round-trips recovered +-xi, "

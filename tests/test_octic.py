@@ -10,9 +10,11 @@ from triquad.octic import (IDENTITY, TAU1, TAU2, TAU3, OcticElem,
                            apply_automorphism, embed_quadratic,
                            norm_to_subfield, octic_inv, octic_mul,
                            rational_norm, real_embeddings, sign_vector,
-                           sqrt_exact, sqrt_in_field)
+                           sqrt_exact)
 from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
 from triquad.unit_lattice import unit_context
+
+from oracles import sqrt_in_field
 
 PAIR = PrimePair(17, 7)
 KEY = (17, 7)

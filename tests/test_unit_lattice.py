@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import triquad
 from oracles import legendre_by_enumeration, unsieved_saturation
 from triquad.arith import PrimePair
 from triquad.errors import RootMissingError, TriquadError
@@ -114,6 +119,33 @@ def test_rank_certificate_cases():
     assert rank_certificate(sat.words, P17)
     with pytest.raises(TriquadError):
         rank_certificate(words[:5], P17)
+
+
+def test_rank_certificate_rejects_a_wrong_element_on_a_right_word():
+    words = unit_generators(classify_pair(P17), P17)
+    assert rank_certificate(words, P17)
+    w0 = words[0]
+    wrong = octic_mul(word_embed(w0, P17), unit_context(P17).units["e2"])
+    corrupted = UnitWord(w0.exponents, embedding=wrong)
+    assert not rank_certificate([corrupted] + words[1:], P17)
+
+
+def test_rank_certificate_rejects_dependent_elements_on_independent_words():
+    words = unit_generators(classify_pair(P17), P17)
+    borrowed = UnitWord(words[0].exponents, embedding=word_embed(words[1], P17))
+    assert not rank_certificate([borrowed] + words[1:], P17)
+
+
+def test_verify_pair_does_not_import_mpmath():
+    code = ("import sys\n"
+            "from triquad.harness import verify_pair\n"
+            "assert verify_pair(17, 7).status == 'verified'\n"
+            "print('mpmath' in sys.modules)\n")
+    src = str(Path(triquad.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def _assert_same_saturation(res, reference):
