@@ -8,7 +8,7 @@ from .errors import (InternalInconsistencyError, ResourceGuardError,
 from .harness import Config, VerificationRecord, scan_pairs, verify_pair
 from .octic import (Automorphism, OcticElem, TAU1, TAU2, TAU3,
                     apply_automorphism, embed_quadratic, norm_to_subfield,
-                    octic_mul, real_embeddings, sign_vector, sqrt_exact)
+                    octic_mul, sign_vector, sqrt_exact)
 from .quadratic import FundamentalUnit, QuadElem, fundamental_unit, quad_mul, quad_norm
 from .theorems import (CaseTag, SqrtDecomposition, classify_pair,
                        decompose_sqrt_data, predict_h2K, unit_generators)

@@ -2,8 +2,19 @@
 
 The narrow class number of a fundamental discriminant D > 0 is the number of
 cycles of reduced indefinite binary quadratic forms under the reduction
-operator; the wide (ideal) class number halves it exactly when the
+operator rho; the wide (ideal) class number halves it exactly when the
 fundamental unit has norm +1. The 2-class number is the 2-part of the order.
+
+The reduced forms (a, b, c), b^2 - 4ac = D, are enumerated by b:
+- window: with r = isqrt(D) and 0 < b <= r, the form is reduced exactly when
+  ceil((r + 1 - b)/2) <= |a| <= floor((r + b)/2), since sqrt(D) is
+  irrational and reduction is sqrt(D) - b < 2|a| < sqrt(D) + b;
+- divisors: a runs over the divisors of n = (D - b^2)/4 in that window, and
+  n is factored by trial division by the odd primes l with (D/l) != -1
+  only, as an odd prime dividing n has D = b^2 mod l;
+- walk: a reduced form has ac < 0 and rho(a, b, c) = (c, b', c'), so the
+  sign of a alternates along a cycle and the forms with a > 0 of one cycle
+  make exactly one orbit of rho twice; only they are stored and walked.
 """
 
 from __future__ import annotations
@@ -20,33 +31,13 @@ from .quadratic import fundamental_unit
 DEFAULT_QUAD_BOUND = 10 ** 7
 
 
-def _divisors(n: int) -> list[int]:
-    fac: dict[int, int] = {}
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        fac[m] = fac.get(m, 0) + 1
-    divs = [1]
-    for prime, mult in fac.items():
-        divs = [v * prime ** k for v in divs for k in range(mult + 1)]
-    return divs
-
-
-def _is_reduced(a: int, b: int, D: int) -> bool:
-    # reduced indefinite form: 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b
-    if b <= 0 or b * b >= D:
-        return False
-    ta = 2 * abs(a)
-    if D >= (ta + b) * (ta + b):
-        return False
-    if ta <= b:
-        return True
-    return (ta - b) * (ta - b) < D
+def _odd_primes(limit: int) -> list[int]:
+    """Odd primes up to limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (limit + 1)
+    for i in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[i]:
+            sieve[i * i::2 * i] = bytes(len(range(i * i, limit + 1, 2 * i)))
+    return [i for i in range(3, limit + 1, 2) if sieve[i]]
 
 
 def _rho(form: tuple[int, int, int], D: int, rD: int) -> tuple[int, int, int]:
@@ -64,23 +55,42 @@ def _rho(form: tuple[int, int, int], D: int, rD: int) -> tuple[int, int, int]:
 
 
 def narrow_class_number(D: int) -> int:
-    """Cycle count of reduced indefinite forms of fundamental discriminant D."""
+    """Cycle count of reduced indefinite forms of discriminant D, a positive
+    non-square (the narrow class number when D is fundamental)."""
     if D <= 0 or D % 4 not in (0, 1):
         raise TriquadError(f"not a positive discriminant: {D}")
     rD = math.isqrt(D)
-    forms = set()
-    b = D & 1
-    if b == 0:
-        b = 2
-    while b <= rD:
-        n4 = D - b * b
-        if n4 % 4 == 0:
-            n = n4 // 4  # forms (a, b, c) with -ac = n
-            for a in _divisors(n):
-                for aa in (a, -a):
-                    if _is_reduced(aa, b, D):
-                        forms.add((aa, b, (b * b - D) // (4 * aa)))
-        b += 2
+    if rD * rD == D:
+        raise TriquadError(f"square discriminant: {D}")
+    # an odd prime l | n = (D - b^2)/4 has D = b^2 mod l, so (D/l) != -1;
+    # n <= D/4, so a cofactor with no such prime up to its square root is prime
+    primes = [l for l in _odd_primes(math.isqrt(D // 4))
+              if pow(D, (l - 1) // 2, l) != l - 1]
+    forms = set()  # reduced forms with a > 0
+    for b in range(2 - (D & 1), rD + 1, 2):
+        n = (D - b * b) >> 2  # forms (a, b, c) with -ac = n
+        # reduced: sqrt(D) - b < 2|a| < sqrt(D) + b, i.e. lo <= |a| <= hi
+        lo = (rD + 2 - b) >> 1
+        hi = (rD + b) >> 1
+        two = (n & -n).bit_length() - 1
+        m = n >> two
+        divs = [1 << k for k in range(two + 1)]
+        for l in primes:
+            if l * l > m:
+                break
+            if m % l == 0:
+                step = divs
+                while m % l == 0:
+                    m //= l
+                    step = [v * l for v in step]
+                    divs = divs + step
+        if m > 1:
+            divs += [v * m for v in divs]
+        for a in divs:
+            if lo <= a <= hi:
+                forms.add((a, b, -(n // a)))
+    # one rho^2 orbit per cycle (module docstring); negation keeps a form
+    # reduced, so the middle form is checked by its negative
     seen: set[tuple[int, int, int]] = set()
     cycles = 0
     for f in forms:
@@ -90,12 +100,19 @@ def narrow_class_number(D: int) -> int:
         g = f
         while True:
             seen.add(g)
-            g = _rho(g, D, rD)
+            mid = _rho(g, D, rD)
+            if (-mid[0], mid[1], -mid[2]) not in forms:
+                raise InternalInconsistencyError(
+                    f"reduction step left the reduced set at discriminant {D}")
+            g = _rho(mid, D, rD)
             if g == f:
                 break
             if g not in forms:
                 raise InternalInconsistencyError(
                     f"reduction step left the reduced set at discriminant {D}")
+            if g in seen:
+                raise InternalInconsistencyError(
+                    f"reduction walk missed its start at discriminant {D}")
     return cycles
 
 

@@ -90,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit(json.dumps(harness.record_json(rec), indent=2) + "\n", None)
             return {harness.STATUS_VERIFIED: 0,
                     harness.STATUS_MISMATCH: 2,
-                    harness.STATUS_RESOURCE: 3}[rec.status]
+                    harness.STATUS_RESOURCE: 3,
+                    harness.STATUS_INTERNAL: 4}[rec.status]
         if ns.command == "scan":
             result = harness.scan_pairs(ns.pmax, ns.qmax, config)
             text = (harness.scan_json(result) if ns.format == "json"

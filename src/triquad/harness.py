@@ -2,7 +2,8 @@
 
 verify_pair runs the whole chain (decompose, classify, prescribed generators,
 saturation, class numbers, table checks) and encodes mathematical mismatches
-as record status rather than exceptions: detecting them is the point.
+as record status rather than exceptions: detecting them is the point. Any
+other exception becomes an internal-error record naming its type and stage.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import io
 import json
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,6 +29,7 @@ from .theorems import CaseTag
 STATUS_VERIFIED = "verified"
 STATUS_MISMATCH = "theorem-mismatch"
 STATUS_RESOURCE = "resource-guard"
+STATUS_INTERNAL = "internal-error"
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,12 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
     t0 = time.monotonic()
     rec = VerificationRecord(pair=(p, q), status=STATUS_VERIFIED)
     mism = rec.mismatches
+    stage = "classify"
     try:
         tag = theorems.classify_pair(pair)
         rec.case_tag = tag
 
+        stage = "generators"
         words = theorems.unit_generators(tag, pair)
         elems = [unit_lattice.word_embed(w, pair) for w in words]
         for w, e in zip(words, elems):
@@ -88,16 +93,20 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
                           for w, e in zip(words, elems)]
         rec.fingerprints = [_fingerprint(e) for e in elems]
 
+        stage = "rank"
         rec.rank_ok = unit_lattice.rank_certificate(words, pair)
         if not rec.rank_ok:
             mism.append("prescribed generators fail the rank certificate")
 
+        stage = "saturate"
         sat = unit_lattice.saturate(pair)
+        stage = "resaturate"
         resat = unit_lattice.saturate(pair, list(words))
         rec.resaturation_m = resat.m
         if resat.m != 0:
             mism.append(f"prescribed system is not saturated: {resat.m} more steps")
 
+        stage = "h2"
         h2 = classnumber.subfield_h2_map(pair, config.quad_bound)
         for msg in classnumber.h2_pattern_failures(pair, h2):
             mism.append("quadratic 2-class pattern: " + msg)
@@ -107,6 +116,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
         if h2_theorem != h2_kuroda:
             mism.append(f"theorem h2(K) = {h2_theorem} but Kuroda gives {h2_kuroda}")
 
+        stage = "tables"
         for chk in theorems.verify_norm_tables(pair):
             if not chk.ok:
                 rec.table_failures.append(
@@ -114,6 +124,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
         if rec.table_failures:
             mism.append(f"{len(rec.table_failures)} norm-table rows failed")
 
+        stage = "k5"
         if pair.legendre_pq == -1:
             # h2(K) = h2(k5)/2 across the unramified step K/k5, with
             # h2(k5) = 2^(m5-2) h2(q) h2(2p) h2(2pq); the m5 = 1 value holds
@@ -132,6 +143,13 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
         # a word whose root is missing in K is a mismatch of the prescription
         rec.status = STATUS_MISMATCH
         mism.append(str(exc))
+    except Exception as exc:
+        # any other failure stays in this pair's record, so a pool scan
+        # keeps every other record; the traceback goes to stderr only, as
+        # the report must not depend on where the package is installed
+        traceback.print_exc()
+        rec.status = STATUS_INTERNAL
+        mism.append(f"{type(exc).__name__} in {stage}: {exc}")
     else:
         if mism:
             rec.status = STATUS_MISMATCH

@@ -28,8 +28,6 @@ from .quadratic import QuadElem
 
 SUBSET_LABELS = ("", "2", "p", "2p", "q", "2q", "pq", "2pq")
 
-DEFAULT_PRECISION = 256
-
 # flip mask of real embedding i: i with its 3 bits reversed
 _EMB_FLIPS = (0, 4, 2, 6, 1, 5, 3, 7)
 
@@ -376,18 +374,6 @@ def _embedding_interval(x: OcticElem, emb: int, bits: int) -> tuple[int, int]:
             lo_acc += (c * rh) // den
             hi_acc += -((-c * rl) // den)
     return lo_acc, hi_acc
-
-
-def real_embeddings(x: OcticElem, precision: int = DEFAULT_PRECISION) -> list[tuple[Fraction, Fraction]]:
-    """Certified enclosures of the 8 real embeddings, width <= 2^(-precision/2)."""
-    if precision < 64:
-        raise TriquadError("precision must be at least 64 bits")
-    bits = precision // 2 + x.coord_bit_size() + 8
-    out = []
-    for i in range(8):
-        lo, hi = _embedding_interval(x, i, bits)
-        out.append((Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)))
-    return out
 
 
 def _sign_cap_bits(size: int, pair: tuple[int, int]) -> int:

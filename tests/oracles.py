@@ -18,22 +18,27 @@ digit.
 The embedding-reconstruction square root, sqrt_in_field, is a second root
 engine kept as an independent cross-check of sqrt_exact: it rounds certified
 embedding enclosures to small-denominator coordinates and verifies by exact
-squaring.
+squaring; real_embeddings gives its certified enclosures at a chosen precision.
+
+enumerated_class_number is the cycle count as the library first computed
+it: every divisor of (D - b^2)/4 by trial division by all odd numbers, each
+sign of a tested by the real-number reduction condition, and the walk by
+single reduction steps over all reduced forms.
 """
 
 import logging
 import math
 from fractions import Fraction
 
-from triquad.errors import TriquadError
-from triquad.octic import (DEFAULT_PRECISION, _EMB_FLIPS, OcticElem,
-                           _embedding_interval, _sqrt_interval, octic_mul,
-                           sign_vector, sqrt_exact)
+from triquad.errors import InternalInconsistencyError, TriquadError
+from triquad.octic import (_EMB_FLIPS, OcticElem, _embedding_interval,
+                           _sqrt_interval, octic_mul, sign_vector, sqrt_exact)
 from triquad.unit_lattice import (TORSION_ID, UnitWord, base_unit_words,
                                   unit_context, word_embed)
 
 logger = logging.getLogger(__name__)
 
+DEFAULT_PRECISION = 256
 MAX_PRECISION = 4096
 ROOT_DENOM_BOUND = 16
 
@@ -429,3 +434,94 @@ def sqrt_in_field(x: OcticElem, precision: int = DEFAULT_PRECISION,
             raise PrecisionExhaustedError(
                 f"sqrt_in_field undecided at {max_precision} bits")
         margin *= 2
+
+
+def real_embeddings(x: OcticElem, precision: int = DEFAULT_PRECISION) -> list[tuple[Fraction, Fraction]]:
+    """Certified enclosures of the 8 real embeddings, width <= 2^(-precision/2)."""
+    if precision < 64:
+        raise TriquadError("precision must be at least 64 bits")
+    bits = precision // 2 + x.coord_bit_size() + 8
+    out = []
+    for i in range(8):
+        lo, hi = _embedding_interval(x, i, bits)
+        out.append((Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)))
+    return out
+
+
+def _divisors(n: int) -> list[int]:
+    fac: dict[int, int] = {}
+    m = n
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            fac[d] = fac.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        fac[m] = fac.get(m, 0) + 1
+    divs = [1]
+    for prime, mult in fac.items():
+        divs = [v * prime ** k for v in divs for k in range(mult + 1)]
+    return divs
+
+
+def _is_reduced(a: int, b: int, D: int) -> bool:
+    # reduced indefinite form: 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b
+    if b <= 0 or b * b >= D:
+        return False
+    ta = 2 * abs(a)
+    if D >= (ta + b) * (ta + b):
+        return False
+    if ta <= b:
+        return True
+    return (ta - b) * (ta - b) < D
+
+
+def _rho(form: tuple[int, int, int], D: int, rD: int) -> tuple[int, int, int]:
+    """Reduction-operator step to the right neighbour of a reduced form."""
+    _, b, c = form
+    ac = abs(c)
+    t = (-b) % (2 * ac)
+    bp = t + 2 * ac * ((rD - t) // (2 * ac))
+    while bp > rD:
+        bp -= 2 * ac
+    while bp <= rD - 2 * ac:
+        bp += 2 * ac
+    cp = (bp * bp - D) // (4 * c)
+    return (c, bp, cp)
+
+
+def enumerated_class_number(D: int) -> int:
+    """Cycle count of reduced indefinite forms of fundamental discriminant D."""
+    if D <= 0 or D % 4 not in (0, 1):
+        raise TriquadError(f"not a positive discriminant: {D}")
+    rD = math.isqrt(D)
+    forms = set()
+    b = D & 1
+    if b == 0:
+        b = 2
+    while b <= rD:
+        n4 = D - b * b
+        if n4 % 4 == 0:
+            n = n4 // 4  # forms (a, b, c) with -ac = n
+            for a in _divisors(n):
+                for aa in (a, -a):
+                    if _is_reduced(aa, b, D):
+                        forms.add((aa, b, (b * b - D) // (4 * aa)))
+        b += 2
+    seen: set[tuple[int, int, int]] = set()
+    cycles = 0
+    for f in forms:
+        if f in seen:
+            continue
+        cycles += 1
+        g = f
+        while True:
+            seen.add(g)
+            g = _rho(g, D, rD)
+            if g == f:
+                break
+            if g not in forms:
+                raise InternalInconsistencyError(
+                    f"reduction step left the reduced set at discriminant {D}")
+    return cycles

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from triquad import harness, theorems
+from triquad import classnumber, harness, theorems
 from triquad.errors import TriquadError
 from triquad.harness import (Config, record_json, scan_csv, scan_json,
                              scan_pairs, valid_pairs, verify_pair)
@@ -211,3 +211,42 @@ def test_missing_root_in_one_pair_keeps_the_scan(monkeypatch):
         ((17, 7), "verified"), ((17, 23), "theorem-mismatch"),
         ((41, 7), "verified"), ((41, 23), "verified")]
     assert result.summary["by_status"] == {"theorem-mismatch": 1, "verified": 3}
+
+
+def _h2_fails_for(bad_pair, monkeypatch):
+    """Make the subfield class numbers of bad_pair raise a non-package error."""
+    real = classnumber.subfield_h2_map
+
+    def subfield_h2_map(pair, bound=classnumber.DEFAULT_QUAD_BOUND):
+        if (pair.p, pair.q) == bad_pair:
+            raise ZeroDivisionError("integer division by zero")
+        return real(pair, bound)
+
+    monkeypatch.setattr(classnumber, "subfield_h2_map", subfield_h2_map)
+
+
+def test_unexpected_error_is_an_internal_error_record(monkeypatch, capsys):
+    _h2_fails_for((17, 7), monkeypatch)
+    rec = verify_pair(17, 7)
+    assert "Traceback" in capsys.readouterr().err
+    assert rec.status == "internal-error"
+    assert rec.mismatches == ["ZeroDivisionError in h2: integer division by zero"]
+    assert rec.case_tag is not None and rec.rank_ok
+    assert record_json(rec)["status"] == "internal-error"
+
+
+def test_internal_error_in_one_pair_keeps_the_scan(monkeypatch):
+    _h2_fails_for((41, 7), monkeypatch)
+    result = scan_pairs(41, 23)
+    assert [(r.pair, r.status) for r in result.records] == [
+        ((17, 7), "verified"), ((17, 23), "verified"),
+        ((41, 7), "internal-error"), ((41, 23), "verified")]
+    assert result.summary["by_status"] == {"internal-error": 1, "verified": 3}
+
+
+def test_cli_verify_exits_4_on_internal_error(monkeypatch, capsys):
+    _h2_fails_for((17, 7), monkeypatch)
+    assert cli_main(["verify", "17", "7"]) == 4
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "internal-error"
+    assert "ZeroDivisionError in h2" in out["mismatches"][0]

@@ -9,12 +9,11 @@ from triquad.errors import TriquadError
 from triquad.octic import (IDENTITY, TAU1, TAU2, TAU3, OcticElem,
                            apply_automorphism, embed_quadratic,
                            norm_to_subfield, octic_inv, octic_mul,
-                           rational_norm, real_embeddings, sign_vector,
-                           sqrt_exact)
+                           rational_norm, sign_vector, sqrt_exact)
 from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
 from triquad.unit_lattice import unit_context
 
-from oracles import sqrt_in_field
+from oracles import real_embeddings, sqrt_in_field
 
 PAIR = PrimePair(17, 7)
 KEY = (17, 7)
