@@ -1,17 +1,26 @@
 """Exact 2-class numbers of real quadratic fields and the Kuroda assembly.
 
-The narrow class number of a fundamental discriminant D > 0 is the number of
-cycles of reduced indefinite binary quadratic forms under the reduction
-operator rho; the wide (ideal) class number halves it exactly when the
-fundamental unit has norm +1. The 2-class number is the 2-part of the order.
+The 2-class number of Q(sqrt d) is read from the narrow class group of its
+discriminant D, in two steps:
+- gate: D is the product of t prime discriminants; genus theory gives the
+  narrow 2-rank t - 1, and Redei's F2 matrix of their Kronecker symbols
+  gives the 4-rank r4 = t - 1 - rank. When r4 = 0 the 2-part of the narrow
+  class number is 2^(t-1) and nothing is enumerated;
+- otherwise the narrow class number is counted as the number of cycles of
+  reduced indefinite binary quadratic forms under the reduction operator
+  rho, and its 2-part must be at least 2^(t-1+r4).
+The wide (ideal) class number halves the narrow one exactly when the
+fundamental unit has norm +1.
 
 The reduced forms (a, b, c), b^2 - 4ac = D, are enumerated by b:
 - window: with r = isqrt(D) and 0 < b <= r, the form is reduced exactly when
   ceil((r + 1 - b)/2) <= |a| <= floor((r + b)/2), since sqrt(D) is
   irrational and reduction is sqrt(D) - b < 2|a| < sqrt(D) + b;
-- divisors: a runs over the divisors of n = (D - b^2)/4 in that window, and
-  n is factored by trial division by the odd primes l with (D/l) != -1
-  only, as an odd prime dividing n has D = b^2 mod l;
+- divisors: a runs over the divisors of n = (D - b^2)/4 in that window. An
+  odd prime l divides n exactly when b = +-s mod l, s a square root of D
+  mod l, so each prime l <= isqrt(D/4) with (D/l) != -1 is sieved onto its
+  b once; n is divided only by its sieved primes, and as n < D/4 the
+  cofactor left is 1 or prime;
 - walk: a reduced form has ac < 0 and rho(a, b, c) = (c, b', c'), so the
   sign of a alternates along a cycle and the forms with a > 0 of one cycle
   make exactly one orbit of rho twice; only they are stored and walked.
@@ -40,6 +49,28 @@ def _odd_primes(limit: int) -> list[int]:
     return [i for i in range(3, limit + 1, 2) if sieve[i]]
 
 
+def _sqrt_mod(a: int, l: int) -> int:
+    """A square root of a modulo an odd prime l with (a/l) != -1, by
+    Tonelli-Shanks."""
+    a %= l
+    if a == 0:
+        return 0
+    s = ((l - 1) & (1 - l)).bit_length() - 1  # l - 1 = odd * 2^s
+    odd = (l - 1) >> s
+    z = 2
+    while pow(z, (l - 1) // 2, l) != l - 1:
+        z += 1
+    m, c, t, r = s, pow(z, odd, l), pow(a, odd, l), pow(a, (odd + 1) // 2, l)
+    while t != 1:
+        i, t2 = 1, t * t % l
+        while t2 != 1:
+            t2 = t2 * t2 % l
+            i += 1
+        b = pow(c, 1 << (m - i - 1), l)
+        m, c, t, r = i, b * b % l, t * b * b % l, r * b % l
+    return r
+
+
 def _rho(form: tuple[int, int, int], D: int, rD: int) -> tuple[int, int, int]:
     """Reduction-operator step to the right neighbour of a reduced form."""
     _, b, c = form
@@ -62,12 +93,27 @@ def narrow_class_number(D: int) -> int:
     rD = math.isqrt(D)
     if rD * rD == D:
         raise TriquadError(f"square discriminant: {D}")
-    # an odd prime l | n = (D - b^2)/4 has D = b^2 mod l, so (D/l) != -1;
-    # n <= D/4, so a cofactor with no such prime up to its square root is prime
-    primes = [l for l in _odd_primes(math.isqrt(D // 4))
-              if pow(D, (l - 1) // 2, l) != l - 1]
+    # b runs over b0, b0 + 2, ..., rD; marks[i] lists the odd primes that
+    # divide n = (D - b^2)/4 at b = b0 + 2i, i.e. those with b = +-s mod l
+    b0 = 2 - (D & 1)
+    marks: list[list[int]] = [[] for _ in range((rD - b0) // 2 + 1)]
+    for l in _odd_primes(math.isqrt(D // 4)):
+        if pow(D, (l - 1) // 2, l) == l - 1:
+            continue
+        s = _sqrt_mod(D, l)
+        if (s * s - D) % l:
+            raise InternalInconsistencyError(
+                f"{s} is not a square root of {D} mod {l}")
+        for r in {s, -s % l}:
+            # the least b >= b0 with b = r mod l and b = D mod 2
+            start = r if (r - b0) % 2 == 0 else r + l
+            if start < b0:
+                start += 2 * l
+            for i in range((start - b0) // 2, len(marks), l):
+                marks[i].append(l)
     forms = set()  # reduced forms with a > 0
-    for b in range(2 - (D & 1), rD + 1, 2):
+    for i, primes in enumerate(marks):
+        b = b0 + 2 * i
         n = (D - b * b) >> 2  # forms (a, b, c) with -ac = n
         # reduced: sqrt(D) - b < 2|a| < sqrt(D) + b, i.e. lo <= |a| <= hi
         lo = (rD + 2 - b) >> 1
@@ -76,14 +122,15 @@ def narrow_class_number(D: int) -> int:
         m = n >> two
         divs = [1 << k for k in range(two + 1)]
         for l in primes:
-            if l * l > m:
-                break
-            if m % l == 0:
-                step = divs
-                while m % l == 0:
-                    m //= l
-                    step = [v * l for v in step]
-                    divs = divs + step
+            if m % l:
+                raise InternalInconsistencyError(
+                    f"sieved prime {l} does not divide {n} at discriminant {D}")
+            step = divs
+            while m % l == 0:
+                m //= l
+                step = [v * l for v in step]
+                divs = divs + step
+        # n < D/4 has at most one prime factor above isqrt(D/4)
         if m > 1:
             divs += [v * m for v in divs]
         for a in divs:
@@ -116,29 +163,110 @@ def narrow_class_number(D: int) -> int:
     return cycles
 
 
-def _two_part(n: int) -> int:
-    return n & -n
+def _prime_discriminants(d: int) -> list[int]:
+    """The prime discriminants whose product is the discriminant D of
+    Q(sqrt d), d > 1 squarefree: (-1)^((l-1)/2) l for each odd prime l | d,
+    and -4, 8 or -8 when D is even."""
+    if d < 2 or d % 4 == 0:
+        raise TriquadError(f"not a squarefree radicand above 1: {d}")
+    m = d if d % 2 else d // 2
+    discs = []
+    k = 3
+    while k * k <= m:
+        if m % k == 0:
+            m //= k
+            if m % k == 0:
+                raise TriquadError(f"not a squarefree radicand above 1: {d}")
+            discs.append(k if k % 4 == 1 else -k)
+        k += 2
+    if m > 1:
+        discs.append(m if m % 4 == 1 else -m)
+    if d % 4 == 3:
+        discs.append(-4)
+    elif d % 2 == 0:
+        discs.append(8 if d % 8 == 2 else -8)
+    return discs
+
+
+def _redei_matrix(discs: list[int]) -> list[list[int]]:
+    """Redei's matrix over F2 of prime discriminants d_1..d_t: off the
+    diagonal, entry (i, j) is 1 when the Kronecker symbol (d_j / l_i) is -1,
+    l_i the prime dividing d_i ((d_j / 2) is read from d_j mod 8); the
+    diagonal makes each row sum to 0."""
+    rows = []
+    for i, di in enumerate(discs):
+        l = abs(di) if di % 2 else 2
+        row = []
+        for j, dj in enumerate(discs):
+            if j == i:
+                minus = False
+            elif l == 2:
+                minus = dj % 8 in (3, 5)
+            else:
+                minus = pow(dj, (l - 1) // 2, l) == l - 1
+            row.append(int(minus))
+        row[i] = sum(row) % 2
+        rows.append(row)
+    return rows
+
+
+def _f2_rank(rows: list[list[int]]) -> int:
+    basis: list[int] = []
+    for row in rows:
+        v = sum(bit << j for j, bit in enumerate(row))
+        for w in basis:  # each w lacks the leading bits of those before it
+            v = min(v, v ^ w)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 @functools.lru_cache(maxsize=None)
 def _h2_cached(d: int) -> int:
-    D = d if d % 4 == 1 else 4 * d
-    h_narrow = narrow_class_number(D)
+    """2-class number of Q(sqrt d), d > 1 squarefree.
+
+    Let D = d_1 ... d_t be the prime discriminants of Q(sqrt d) and Cl+ its
+    narrow class group. By genus theory Cl+[2] has rank t - 1, and by
+    Redei (J. reine angew. Math. 171, 1934; P. Stevenhagen, "Redei matrices
+    and applications", 1995) the 4-rank of Cl+ is r4 = t - 1 - rank R, R
+    the Redei matrix. When r4 = 0 the 2-Sylow subgroup of Cl+ is elementary
+    abelian of order 2^(t-1), and nothing is enumerated. Otherwise the
+    narrow class number h+ is counted, and v2(h+) >= t - 1 + r4 is checked,
+    as r4 of the t - 1 cyclic factors have order at least 4. The ideal
+    class group is Cl+ modulo a subgroup of order 2 when the fundamental
+    unit has norm +1, and Cl+ itself otherwise.
+    """
+    discs = _prime_discriminants(d)
+    t = len(discs)
+    r4 = t - 1 - _f2_rank(_redei_matrix(discs))
+    v2 = t - 1
+    if r4:
+        D = d if d % 4 == 1 else 4 * d
+        h_narrow = narrow_class_number(D)
+        v2 = (h_narrow & -h_narrow).bit_length() - 1
+        if v2 < t - 1 + r4:
+            raise InternalInconsistencyError(
+                f"narrow class number {h_narrow} of discriminant {D} is not "
+                f"divisible by 2^{t - 1 + r4} (genus theory and Redei)")
     if fundamental_unit(d).norm == 1:
-        if h_narrow % 2:
+        if v2 == 0:
             raise InternalInconsistencyError(
                 f"narrow class number odd with norm +1 unit at d={d}")
-        h_wide = h_narrow // 2
-    else:
-        h_wide = h_narrow
-    return _two_part(h_wide)
+        v2 -= 1
+    return 1 << v2
+
+
+def check_radicand(d: int, bound: int) -> None:
+    """Raise ResourceGuardError when a radicand exceeds the class-number
+    bound."""
+    if d > bound:
+        raise ResourceGuardError(
+            f"radicand {d} exceeds the class-number bound {bound}")
 
 
 def h2_real_quadratic(d: int, bound: int = DEFAULT_QUAD_BOUND) -> int:
     """Exact 2-class number of Q(sqrt d) for squarefree d > 1."""
-    if d > bound:
-        raise ResourceGuardError(
-            f"radicand {d} exceeds the class-number bound {bound}")
+    check_radicand(d, bound)
     return _h2_cached(d)
 
 
@@ -187,7 +315,3 @@ class ClassNumberReport:
     m: int
     h2K_theorem: int
     h2K_kuroda: int
-
-    @property
-    def consistent(self) -> bool:
-        return self.h2K_theorem == self.h2K_kuroda

@@ -75,6 +75,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if ns.command == "h2":
             pair = PrimePair(ns.p, ns.q)
+            classnumber.check_radicand(max(pair.radicands), config.quad_bound)
             tag = theorems.classify_pair(pair)
             sat = unit_lattice.saturate(pair)
             h2 = classnumber.subfield_h2_map(pair, config.quad_bound)

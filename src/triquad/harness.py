@@ -58,8 +58,25 @@ class VerificationRecord:
     wall_time: float = 0.0
 
 
+# 2^2000 < 10^603, below the least digit limit str(int) can be set to (640)
+_STR_BITS = 2000
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any length: str(int) refuses more digits than
+    the interpreter's limit (4,300 by default), so long values are split by
+    a power of ten and converted piece by piece."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() < _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
+    hi, lo = divmod(n, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def _rat(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+    return f"{_decimal(fr.numerator)}/{_decimal(fr.denominator)}"
 
 
 def _coords_json(elem: octic.OcticElem) -> dict[str, str]:
@@ -79,6 +96,8 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
     mism = rec.mismatches
     stage = "classify"
     try:
+        # 2pq is the largest radicand: refuse before any unit is computed
+        classnumber.check_radicand(max(pair.radicands), config.quad_bound)
         tag = theorems.classify_pair(pair)
         rec.case_tag = tag
 

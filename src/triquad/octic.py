@@ -81,7 +81,6 @@ class Automorphism:
         return sum(1 << i for i, s in enumerate(self.signs) if s < 0)
 
 
-IDENTITY = Automorphism((1, 1, 1))
 TAU1 = Automorphism((-1, 1, 1))
 TAU2 = Automorphism((1, -1, 1))
 TAU3 = Automorphism((1, 1, -1))
@@ -207,10 +206,6 @@ class OcticElem:
             base = octic_mul(base, base)
             n >>= 1
         return r
-
-    def scale(self, v) -> "OcticElem":
-        f = Fraction(v)
-        return _scaled(self, f.numerator, f.denominator)
 
     def _check(self, other: "OcticElem"):
         if self.pair != other.pair:

@@ -24,6 +24,9 @@ enumerated_class_number is the cycle count as the library first computed
 it: every divisor of (D - b^2)/4 by trial division by all odd numbers, each
 sign of a tested by the real-number reduction condition, and the walk by
 single reduction steps over all reduced forms.
+
+IDENTITY, scale and report_consistent are test helpers that the library
+itself has no use for.
 """
 
 import logging
@@ -31,8 +34,9 @@ import math
 from fractions import Fraction
 
 from triquad.errors import InternalInconsistencyError, TriquadError
-from triquad.octic import (_EMB_FLIPS, OcticElem, _embedding_interval,
-                           _sqrt_interval, octic_mul, sign_vector, sqrt_exact)
+from triquad.octic import (_EMB_FLIPS, Automorphism, OcticElem,
+                           _embedding_interval, _scaled, _sqrt_interval,
+                           octic_mul, sign_vector, sqrt_exact)
 from triquad.unit_lattice import (TORSION_ID, UnitWord, base_unit_words,
                                   unit_context, word_embed)
 
@@ -41,6 +45,19 @@ logger = logging.getLogger(__name__)
 DEFAULT_PRECISION = 256
 MAX_PRECISION = 4096
 ROOT_DENOM_BOUND = 16
+
+IDENTITY = Automorphism((1, 1, 1))
+
+
+def scale(x: OcticElem, v) -> OcticElem:
+    """x times the rational v, through the library's canonical scaling."""
+    f = Fraction(v)
+    return _scaled(x, f.numerator, f.denominator)
+
+
+def report_consistent(report) -> bool:
+    """Whether a ClassNumberReport's case formula and Kuroda values agree."""
+    return report.h2K_theorem == report.h2K_kuroda
 
 
 class PrecisionExhaustedError(TriquadError):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from triquad import classnumber
@@ -9,7 +11,8 @@ from triquad.errors import (InternalInconsistencyError, ResourceGuardError,
                             TriquadError)
 from triquad.quadratic import fundamental_unit
 
-from oracles import enumerated_class_number, squarefree_numbers
+from oracles import (enumerated_class_number, report_consistent,
+                     squarefree_numbers)
 
 
 def test_h2_examples():
@@ -99,21 +102,114 @@ def test_report_consistency_flag():
     pair = PrimePair(17, 7)
     h2 = subfield_h2_map(pair)
     rep = ClassNumberReport(pair, h2, 7, 2, 2)
-    assert rep.consistent
+    assert report_consistent(rep)
+
+
+def wide_two_part(d, h):
+    """2-class number of Q(sqrt d) from its narrow class number h."""
+    if fundamental_unit(d).norm == 1:
+        h //= 2
+    return h & -h
 
 
 def test_matches_enumeration_on_small_fundamental_discriminants():
-    discs = sorted(D for d in squarefree_numbers(20000)
-                   for D in [d if d % 4 == 1 else 4 * d] if D < 20000)
-    assert len(discs) == 6081
-    for D in discs:
-        assert narrow_class_number(D) == enumerated_class_number(D), D
+    radicands = [d for d in squarefree_numbers(20000)
+                 if (d if d % 4 == 1 else 4 * d) < 20000]
+    assert len(radicands) == 6081
+    for d in radicands:
+        D = d if d % 4 == 1 else 4 * d
+        h = enumerated_class_number(D)
+        assert narrow_class_number(D) == h, D
+        # genus theory and Redei: the 2-part of h+ is 2^(t-1) exactly
+        # when the 4-rank is 0, and at least 2^(t-1+r4) otherwise
+        discs = classnumber._prime_discriminants(d)
+        assert math.prod(discs) == D
+        t = len(discs)
+        r4 = t - 1 - classnumber._f2_rank(classnumber._redei_matrix(discs))
+        v2 = (h & -h).bit_length() - 1
+        assert v2 >= t - 1 + r4 and (r4 == 0) == (v2 == t - 1), D
+        assert h2_real_quadratic(d) == wide_two_part(d, h), d
 
 
 @pytest.mark.parametrize("p, q", [(3889, 1231), (4201, 1151)])
 def test_matches_enumeration_near_the_radicand_bound(p, q):
-    for D in (4 * p * q, 8 * p * q):
-        assert narrow_class_number(D) == enumerated_class_number(D), D
+    # the seven discriminants of the pair, up to 4pq and 8pq
+    for d in PrimePair(p, q).radicands:
+        D = d if d % 4 == 1 else 4 * d
+        h = enumerated_class_number(D)
+        assert narrow_class_number(D) == h, D
+        assert h2_real_quadratic(d) == wide_two_part(d, h), d
+
+
+def test_redei_matrices_by_hand():
+    # D = 40 = 5 * 8: (8/5) = (2/5) = -1, and 5 = 5 mod 8 gives (5/2) = -1
+    assert classnumber._prime_discriminants(10) == [5, 8]
+    assert classnumber._redei_matrix([5, 8]) == [[1, 1], [1, 1]]
+    # D = 476 = -7 * 17 * -4: (17/7) = (3/7) = -1, (-4/7) = (-1/7) = -1,
+    # (-7/17) = (10/17) = -1, (-4/17) = (-1/17) = 1, and -7 = 17 = 1 mod 8
+    assert classnumber._prime_discriminants(119) == [-7, 17, -4]
+    assert classnumber._redei_matrix([-7, 17, -4]) == [[0, 1, 1],
+                                                       [1, 1, 0],
+                                                       [0, 0, 0]]
+    for rows in ([[1, 1], [1, 1]], [[0, 1, 1], [1, 1, 0], [0, 0, 0]]):
+        assert classnumber._f2_rank(rows) == len(rows) - 1  # r4 = 0
+    # D = 136 = 17 * 8: (8/17) = (2/17) = 1 and 17 = 1 mod 8: r4 = 1
+    assert classnumber._prime_discriminants(34) == [17, 8]
+    assert classnumber._redei_matrix([17, 8]) == [[0, 0], [0, 0]]
+    assert classnumber._f2_rank([[0, 0], [0, 0]]) == 0
+    # D = 4 * 3889 * 1231 (the C1 pin, (p/q) = 1): only (-4/1231) = -1, so
+    # rank 1 and r4 = 1, and h+ = 2 h = 2^5 * odd has v2 >= t - 1 + r4 = 3
+    assert classnumber._prime_discriminants(3889 * 1231) == [-1231, 3889, -4]
+    rows = classnumber._redei_matrix([-1231, 3889, -4])
+    assert rows == [[1, 0, 1], [0, 0, 0], [0, 0, 0]]
+    assert classnumber._f2_rank(rows) == 1
+
+
+def test_four_rank_zero_is_not_enumerated(monkeypatch):
+    counted = []
+
+    def counting(D):
+        counted.append(D)
+        return narrow_class_number(D)
+
+    monkeypatch.setattr(classnumber, "narrow_class_number", counting)
+    h2 = classnumber._h2_cached.__wrapped__  # past the cache
+    assert (h2(10), h2(119)) == (2, 2)       # r4 = 0
+    assert counted == []
+    assert (h2(34), h2(3889 * 1231)) == (2, 16)  # r4 = 1
+    assert counted == [136, 4 * 3889 * 1231]
+
+
+def test_narrow_class_number_below_the_redei_bound_is_inconsistent(monkeypatch):
+    # D = 136 has t = 2 and r4 = 1, so 4 | h+; a count of 2 must be refused
+    monkeypatch.setattr(classnumber, "narrow_class_number", lambda D: 2)
+    with pytest.raises(InternalInconsistencyError, match="Redei"):
+        classnumber._h2_cached.__wrapped__(34)
+
+
+def test_non_squarefree_radicands_are_rejected():
+    for d in (0, 1, 4, 9, 18, 12, 50, 3 * 49):
+        with pytest.raises(TriquadError):
+            classnumber._prime_discriminants(d)
+
+
+def test_tonelli_shanks_on_primes_one_mod_eight():
+    # l = 1 mod 8 makes 8 | l - 1, so the Tonelli-Shanks loop must run
+    primes = primes_in_range(700, 1, 8) + [40961, 65537]
+    assert primes[:4] == [17, 41, 73, 89]
+    for l in primes:
+        step = max(1, l // 300)
+        for a in range(0, l, step):
+            if pow(a, (l - 1) // 2, l) != l - 1:
+                assert classnumber._sqrt_mod(a, l) ** 2 % l == a, (a, l)
+
+
+def test_wrong_modular_root_is_caught(monkeypatch):
+    sqrt_mod = classnumber._sqrt_mod
+    monkeypatch.setattr(classnumber, "_sqrt_mod",
+                        lambda a, l: (sqrt_mod(a, l) + (l % 8 == 1)) % l)
+    with pytest.raises(InternalInconsistencyError, match="square root"):
+        narrow_class_number(4 * 3889 * 1231)
 
 
 def test_matches_enumeration_past_the_default_bound():

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from triquad import classnumber, harness, theorems
 from triquad.errors import TriquadError
 from triquad.harness import (Config, record_json, scan_csv, scan_json,
                              scan_pairs, valid_pairs, verify_pair)
+from triquad.octic import OcticElem
 from triquad.unit_lattice import UnitWord
 from triquad.cli import main as cli_main
 
@@ -250,3 +252,39 @@ def test_cli_verify_exits_4_on_internal_error(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["status"] == "internal-error"
     assert "ZeroDivisionError in h2" in out["mismatches"][0]
+
+
+def test_radicand_past_the_bound_is_refused_before_any_work(capsys):
+    # 2pq = 20,030,410,094 is past the default bound: the pair is refused
+    # before classification, where units of that size would take seconds
+    start = time.monotonic()
+    rec = verify_pair(100049, 100103)
+    assert time.monotonic() - start < 1
+    assert rec.status == "resource-guard" and rec.case_tag is None
+    assert rec.mismatches == [
+        "radicand 20030410094 exceeds the class-number bound 10000000"]
+    assert cli_main(["verify", "100049", "100103"]) == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "resource-guard"
+    assert cli_main(["h2", "100049", "100103"]) == 3
+    assert "exceeds the class-number bound" in capsys.readouterr().err
+    # the bound is the pair's largest radicand, 2pq = 238 for (17, 7)
+    assert verify_pair(17, 7, Config(quad_bound=237)).status == "resource-guard"
+    assert verify_pair(17, 7, Config(quad_bound=238)).status == "verified"
+
+
+def test_coordinates_past_the_str_digit_limit_serialise():
+    # str(int) refuses more than 4,300 digits by default; 7 * 10^4999 + 123
+    # has 5,000, and 3^10480 has 5,001 with no digit pattern
+    big = 7 * 10 ** 4999 + 123
+    assert harness._rat(Fraction(-big, 11)) == (
+        "-7" + "0" * 4996 + "123/11")
+    other = 3 ** 10480
+    text = harness._rat(Fraction(1, other)).split("/")[1]
+    assert len(text) == 5001 and text[0] != "0"
+    value = 0
+    for i in range(0, len(text), 500):  # int() of 500 digits is allowed
+        chunk = text[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == other
+    elem = OcticElem((17, 7), [0, Fraction(big, 3)] + [0] * 6)
+    assert harness._coords_json(elem)["2"] == "7" + "0" * 4996 + "123/3"

@@ -6,14 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from triquad.arith import PrimePair
 from triquad.errors import TriquadError
-from triquad.octic import (IDENTITY, TAU1, TAU2, TAU3, OcticElem,
+from triquad.octic import (TAU1, TAU2, TAU3, OcticElem,
                            apply_automorphism, embed_quadratic,
                            norm_to_subfield, octic_inv, octic_mul,
                            rational_norm, sign_vector, sqrt_exact)
 from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
 from triquad.unit_lattice import unit_context
 
-from oracles import real_embeddings, sqrt_in_field
+from oracles import IDENTITY, real_embeddings, sqrt_in_field
 
 PAIR = PrimePair(17, 7)
 KEY = (17, 7)
