@@ -1,4 +1,5 @@
-"""Big-integer primitives: primality, perfect squares, quadratic residues."""
+"""Big-integer primitives: primality, perfect squares, quadratic residues
+and modular square roots."""
 
 from __future__ import annotations
 
@@ -58,6 +59,28 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else 1
+
+
+def sqrt_mod(a: int, l: int) -> int:
+    """A square root of a modulo an odd prime l with (a/l) != -1, by
+    Tonelli-Shanks. Callers check the root by squaring."""
+    a %= l
+    if a == 0:
+        return 0
+    s = ((l - 1) & (1 - l)).bit_length() - 1  # l - 1 = odd * 2^s
+    odd = (l - 1) >> s
+    z = 2
+    while pow(z, (l - 1) // 2, l) != l - 1:
+        z += 1
+    m, c, t, r = s, pow(z, odd, l), pow(a, odd, l), pow(a, (odd + 1) // 2, l)
+    while t != 1:
+        i, t2 = 1, t * t % l
+        while t2 != 1:
+            t2 = t2 * t2 % l
+            i += 1
+        b = pow(c, 1 << (m - i - 1), l)
+        m, c, t, r = i, b * b % l, t * b * b % l, r * b % l
+    return r
 
 
 def is_squarefree(n: int) -> bool:

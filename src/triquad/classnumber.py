@@ -1,14 +1,26 @@
 """Exact 2-class numbers of real quadratic fields and the Kuroda assembly.
 
-The 2-class number of Q(sqrt d) is read from the narrow class group of its
-discriminant D, in two steps:
-- gate: D is the product of t prime discriminants; genus theory gives the
-  narrow 2-rank t - 1, and Redei's F2 matrix of their Kronecker symbols
-  gives the 4-rank r4 = t - 1 - rank. When r4 = 0 the 2-part of the narrow
-  class number is 2^(t-1) and nothing is enumerated;
+The 2-class number of Q(sqrt d) is read from the narrow class group Cl+ of
+its discriminant D, in three steps:
+- 4-rank: D is the product of t prime discriminants; genus theory gives the
+  narrow 2-rank t - 1, and Redei's F2 matrix R of their Kronecker symbols
+  gives the 4-rank r4 = t - 1 - rank R (L. Redei, J. reine angew. Math.
+  171, 1934; P. Stevenhagen, "Redei matrices and applications", 1995).
+  When r4 = 0 the 2-part of the narrow class number is 2^(t-1);
+- 8-rank: each of the 1 + r4 vectors of the left kernel of R picks an
+  ambiguous ideal a of norm A whose class c is a square. The conic
+  X^2 - D Y^2 = 4 A Z^2, solved by Lagrange's descent (J. Cremona and
+  D. Rusin, "Efficient solution of rational conics", Math. Comp. 72, 2003),
+  gives gamma = (X + Y sqrt D)/2 of norm A Z^2 > 0; divided by its content
+  it is primitive, so (gamma) = a b^2 with N(b) = |Z| prime to D, and
+  [b]^-1 is a square root of c. c lies in Cl+^4 exactly when the genus
+  of |Z| lies in the row space of R, the genera of Cl+[2], so
+  r8 = r4 - rho, rho the rank of these genera modulo the row space
+  (Stevenhagen, op. cit.). When r8 = 0 the 2-part of the narrow class
+  number is 2^(t-1+r4);
 - otherwise the narrow class number is counted as the number of cycles of
   reduced indefinite binary quadratic forms under the reduction operator
-  rho, and its 2-part must be at least 2^(t-1+r4).
+  rho, and its 2-part must be at least 2^(t-1+r4+r8).
 The wide (ideal) class number halves the narrow one exactly when the
 fundamental unit has norm +1.
 
@@ -33,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PrimePair
+from .arith import PrimePair, sqrt_mod
 from .errors import InternalInconsistencyError, ResourceGuardError, TriquadError
 from .quadratic import fundamental_unit
 
@@ -47,28 +59,6 @@ def _odd_primes(limit: int) -> list[int]:
         if sieve[i]:
             sieve[i * i::2 * i] = bytes(len(range(i * i, limit + 1, 2 * i)))
     return [i for i in range(3, limit + 1, 2) if sieve[i]]
-
-
-def _sqrt_mod(a: int, l: int) -> int:
-    """A square root of a modulo an odd prime l with (a/l) != -1, by
-    Tonelli-Shanks."""
-    a %= l
-    if a == 0:
-        return 0
-    s = ((l - 1) & (1 - l)).bit_length() - 1  # l - 1 = odd * 2^s
-    odd = (l - 1) >> s
-    z = 2
-    while pow(z, (l - 1) // 2, l) != l - 1:
-        z += 1
-    m, c, t, r = s, pow(z, odd, l), pow(a, odd, l), pow(a, (odd + 1) // 2, l)
-    while t != 1:
-        i, t2 = 1, t * t % l
-        while t2 != 1:
-            t2 = t2 * t2 % l
-            i += 1
-        b = pow(c, 1 << (m - i - 1), l)
-        m, c, t, r = i, b * b % l, t * b * b % l, r * b % l
-    return r
 
 
 def _rho(form: tuple[int, int, int], D: int, rD: int) -> tuple[int, int, int]:
@@ -100,7 +90,7 @@ def narrow_class_number(D: int) -> int:
     for l in _odd_primes(math.isqrt(D // 4)):
         if pow(D, (l - 1) // 2, l) == l - 1:
             continue
-        s = _sqrt_mod(D, l)
+        s = sqrt_mod(D, l)
         if (s * s - D) % l:
             raise InternalInconsistencyError(
                 f"{s} is not a square root of {D} mod {l}")
@@ -163,24 +153,31 @@ def narrow_class_number(D: int) -> int:
     return cycles
 
 
+def _factor(n: int) -> list[tuple[int, int]]:
+    """The primes of n >= 1 with their exponents, by trial division."""
+    out = []
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            e = 0
+            while n % k == 0:
+                n //= k
+                e += 1
+            out.append((k, e))
+        k += 1 + (k > 2)
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def _prime_discriminants(d: int) -> list[int]:
     """The prime discriminants whose product is the discriminant D of
     Q(sqrt d), d > 1 squarefree: (-1)^((l-1)/2) l for each odd prime l | d,
     and -4, 8 or -8 when D is even."""
-    if d < 2 or d % 4 == 0:
+    factors = _factor(d)
+    if d < 2 or any(e > 1 for _, e in factors):
         raise TriquadError(f"not a squarefree radicand above 1: {d}")
-    m = d if d % 2 else d // 2
-    discs = []
-    k = 3
-    while k * k <= m:
-        if m % k == 0:
-            m //= k
-            if m % k == 0:
-                raise TriquadError(f"not a squarefree radicand above 1: {d}")
-            discs.append(k if k % 4 == 1 else -k)
-        k += 2
-    if m > 1:
-        discs.append(m if m % 4 == 1 else -m)
+    discs = [l if l % 4 == 1 else -l for l, _ in factors if l > 2]
     if d % 4 == 3:
         discs.append(-4)
     elif d % 2 == 0:
@@ -188,66 +185,165 @@ def _prime_discriminants(d: int) -> list[int]:
     return discs
 
 
+def _ramified_prime(dj: int) -> int:
+    return abs(dj) if dj % 2 else 2
+
+
+def _is_minus(dj: int, n: int) -> bool:
+    """Whether chi(n) = -1, chi the quadratic character of the prime
+    discriminant dj and n > 0 prime to dj: the Legendre symbol (n / |dj|)
+    for odd dj, and n mod 4 or mod 8 for -4, 8 and -8."""
+    if dj == -4:
+        return n % 4 == 3
+    if dj == 8:
+        return n % 8 in (3, 5)
+    if dj == -8:
+        return n % 8 in (5, 7)
+    l = abs(dj)
+    return pow(n, (l - 1) // 2, l) == l - 1
+
+
 def _redei_matrix(discs: list[int]) -> list[list[int]]:
     """Redei's matrix over F2 of prime discriminants d_1..d_t: off the
     diagonal, entry (i, j) is 1 when the Kronecker symbol (d_j / l_i) is -1,
-    l_i the prime dividing d_i ((d_j / 2) is read from d_j mod 8); the
-    diagonal makes each row sum to 0."""
+    l_i the prime dividing d_i; the diagonal makes each row sum to 0. Row i
+    is the genus of the ramified prime above l_i."""
     rows = []
     for i, di in enumerate(discs):
-        l = abs(di) if di % 2 else 2
-        row = []
-        for j, dj in enumerate(discs):
-            if j == i:
-                minus = False
-            elif l == 2:
-                minus = dj % 8 in (3, 5)
-            else:
-                minus = pow(dj, (l - 1) // 2, l) == l - 1
-            row.append(int(minus))
+        l = _ramified_prime(di)
+        row = [int(j != i and _is_minus(dj, l)) for j, dj in enumerate(discs)]
         row[i] = sum(row) % 2
         rows.append(row)
     return rows
 
 
-def _f2_rank(rows: list[list[int]]) -> int:
+def _f2_eliminate(rows: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Gaussian elimination over F2: a basis of the row space (bit j for
+    column j) and a basis of the left kernel (bit i for row i)."""
+    n = len(rows)
     basis: list[int] = []
-    for row in rows:
-        v = sum(bit << j for j, bit in enumerate(row))
+    kernel: list[int] = []
+    for i, row in enumerate(rows):
+        # the row above n low bits that record which rows were added
+        v = sum(bit << j for j, bit in enumerate(row)) << n | 1 << i
         for w in basis:  # each w lacks the leading bits of those before it
             v = min(v, v ^ w)
-        if v:
+        if v >> n:
             basis.append(v)
-    return len(basis)
+        else:
+            kernel.append(v)
+    return [w >> n for w in basis], kernel
+
+
+def _legendre_solution(a: int, a_primes: list[int], b: int,
+                       b_primes: list[int]) -> tuple[int, int, int]:
+    """A nonzero integer solution (x, y, z) of x^2 = a y^2 + b z^2, a and b
+    squarefree with the primes of |a| and |b| given, by Lagrange's descent
+    (J. Cremona and D. Rusin, "Efficient solution of rational conics",
+    Math. Comp. 72, 2003, section 2)."""
+    if abs(a) > abs(b):
+        x, y, z = _legendre_solution(b, b_primes, a, a_primes)
+        return x, z, y
+    if a == 1:
+        return 1, 1, 0
+    if b == 1:
+        return 1, 0, 1
+    if abs(b) == 1:
+        raise InternalInconsistencyError("the conic x^2 = -y^2 - z^2 has no solution")
+    # r^2 = a mod b by the Chinese remainder theorem, |r| <= |b|/2
+    r, m = 0, 1
+    for l in b_primes:
+        if l > 2 and pow(a, (l - 1) // 2, l) == l - 1:
+            raise InternalInconsistencyError(
+                f"{a} is not a square mod {l}: the conic x^2 = {a} y^2 + {b} z^2 "
+                f"has no solution")
+        s = a % 2 if l == 2 else sqrt_mod(a, l)
+        r += m * ((s - r) * pow(m, -1, l) % l)
+        m *= l
+    if r > m // 2:
+        r -= m
+    if (r * r - a) % b:
+        raise InternalInconsistencyError(f"{r} is not a square root of {a} mod {b}")
+    # r^2 - a = b k s^2 with k squarefree and |k| < |b|: descend to (a, k)
+    c = (r * r - a) // b
+    k, s, k_primes = (1 if c > 0 else -1), 1, []
+    for l, e in _factor(abs(c)):
+        s *= l ** (e // 2)
+        if e % 2:
+            k *= l
+            k_primes.append(l)
+    x, y, z = _legendre_solution(a, a_primes, k, k_primes)
+    # (r + sqrt a)(x + y sqrt a) has norm b k s^2 * k z^2
+    return r * x + a * y, x + r * y, k * s * z
+
+
+def _root_genus(d: int, discs: list[int], e: int) -> list[int]:
+    """The genus of a square root of the narrow class c of the ambiguous
+    ideal a_e, the product of the ramified primes picked by e, when c is a
+    square.
+
+    A solution of X^2 - D Y^2 = 4 A Z^2, A = N(a_e), gives gamma =
+    (X + Y sqrt D)/2 of norm A Z^2 > 0. Made primitive, (gamma) = a_e b^2
+    with N(b) = |Z| prime to D, so [b]^-1 is a square root of c, and its
+    genus is that of |Z|: bit j is chi_j(|Z|) = -1.
+    """
+    D = d if d % 4 == 1 else 4 * d
+    f = 1 if D == d else 2
+    primes = [_ramified_prime(dj) for dj in discs]
+    a_primes = [l for i, l in enumerate(primes) if e >> i & 1]
+    A = math.prod(a_primes)
+    w, u, v = _legendre_solution(d, [l for l in primes if d % l == 0], A, a_primes)
+    # gamma = f (w + u sqrt d) = (X + Y sqrt D)/2 with X = 2 f w, Y = 2 u is
+    # integral; g, its content on the integral basis 1, (1 + sqrt D)/2 or
+    # 1, sqrt d, divides X, Y and (as g^2 | A Z^2, A squarefree) Z = f v
+    g = (math.gcd(w - u, 2 * u) if D % 2 else 2 * math.gcd(w, u)) or 1  # 0: refused below
+    X, Y, Z = 2 * f * w // g, 2 * u // g, abs(f * v) // g
+    if X * X - D * Y * Y != 4 * A * Z * Z or Z == 0 or math.gcd(Z, D) != 1:
+        raise InternalInconsistencyError(
+            f"({X}, {Y}, {Z}) does not solve X^2 - {D} Y^2 = 4 * {A} Z^2 "
+            f"with Z nonzero and prime to {D}")
+    genus = [int(_is_minus(dj, Z)) for dj in discs]
+    if sum(genus) % 2:
+        raise InternalInconsistencyError(
+            f"{Z} is not the norm of an ideal of discriminant {D}")
+    return genus
 
 
 @functools.lru_cache(maxsize=None)
 def _h2_cached(d: int) -> int:
     """2-class number of Q(sqrt d), d > 1 squarefree.
 
-    Let D = d_1 ... d_t be the prime discriminants of Q(sqrt d) and Cl+ its
-    narrow class group. By genus theory Cl+[2] has rank t - 1, and by
-    Redei (J. reine angew. Math. 171, 1934; P. Stevenhagen, "Redei matrices
-    and applications", 1995) the 4-rank of Cl+ is r4 = t - 1 - rank R, R
-    the Redei matrix. When r4 = 0 the 2-Sylow subgroup of Cl+ is elementary
-    abelian of order 2^(t-1), and nothing is enumerated. Otherwise the
-    narrow class number h+ is counted, and v2(h+) >= t - 1 + r4 is checked,
-    as r4 of the t - 1 cyclic factors have order at least 4. The ideal
-    class group is Cl+ modulo a subgroup of order 2 when the fundamental
-    unit has norm +1, and Cl+ itself otherwise.
+    Let Cl+ be the narrow class group. By genus theory Cl+[2] has rank
+    t - 1, is generated by the ramified primes, and has as genera the row
+    space of the Redei matrix R; the principal genus is Cl+^2. So the
+    4-rank is r4 = t - 1 - rank R, and the left kernel of R, of dimension
+    1 + r4, maps onto Cl+[2] meet Cl+^2; the genera of square roots
+    (_root_genus) give the 8-rank r8 (module docstring). When r8 = 0 the
+    2-Sylow subgroup of Cl+ has t - 1 cyclic factors, r4 of order 4 and
+    none larger, and nothing is enumerated. Otherwise h+ is counted and
+    v2(h+) >= t - 1 + r4 + r8 is checked. The ideal class group is Cl+
+    modulo a subgroup of order 2 when the fundamental unit has norm +1,
+    and Cl+ itself otherwise.
     """
     discs = _prime_discriminants(d)
     t = len(discs)
-    r4 = t - 1 - _f2_rank(_redei_matrix(discs))
-    v2 = t - 1
+    rows = _redei_matrix(discs)
+    basis, kernel = _f2_eliminate(rows)
+    r4 = t - 1 - len(basis)
+    r8 = 0
     if r4:
+        roots = [_root_genus(d, discs, e) for e in kernel]
+        r8 = r4 - (len(_f2_eliminate(rows + roots)[0]) - len(basis))
+    v2 = t - 1 + r4
+    if r8:
         D = d if d % 4 == 1 else 4 * d
         h_narrow = narrow_class_number(D)
         v2 = (h_narrow & -h_narrow).bit_length() - 1
-        if v2 < t - 1 + r4:
+        if v2 < t - 1 + r4 + r8:
             raise InternalInconsistencyError(
                 f"narrow class number {h_narrow} of discriminant {D} is not "
-                f"divisible by 2^{t - 1 + r4} (genus theory and Redei)")
+                f"divisible by 2^{t - 1 + r4 + r8} (genus theory, Redei and "
+                f"Reichardt)")
     if fundamental_unit(d).norm == 1:
         if v2 == 0:
             raise InternalInconsistencyError(

@@ -4,6 +4,18 @@ The multiplicative group generated by the seven quadratic-subfield
 fundamental units (with -1) is saturated by repeatedly replacing a generator
 with the square root of a product that turns out to be a square in K; the
 number of replacement steps m gives the unit index q(K) = 2^m.
+
+Both guards of the saturation are proved. For commuting involutions sigma,
+tau of a field and the norms N_g(u) = u g(u) to the fixed fields,
+    u^2 = N_sigma(u) N_tau(u) / sigma(N_sigma.tau(u))
+for every unit u (Kuroda; H. Wada, 1966), and each factor is a unit of a
+fixed field. Applied twice, from K to its quartic subfields and from those
+to their quadratic subfields, it gives E_K^4 in E_0, the group of -1 and the
+seven subfield units. So the index [E_K : E_0] divides
+[E_K : E_K^4 <-1>] = 4^7 = 2^14, and as each step doubles the index,
+m <= SATURATION_GUARD = 14. And u^4 in E_0 puts every exponent of a word in
+(1/4)Z: no word has depth above MAX_WORD_DEPTH = 2. The 144-pair range
+p <= 300, q <= 200 reaches depth 2 and m = 7.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import octic
-from .arith import PrimePair, is_prime
+from .arith import PrimePair, is_prime, sqrt_mod
 from .errors import InternalInconsistencyError, RootMissingError, TriquadError
 from .octic import OcticElem, embed_quadratic, octic_mul, sqrt_exact
 from .quadratic import fundamental_unit
@@ -23,7 +35,8 @@ TORSION_ID = "-1"
 NONTORSION_IDS = ("e2", "ep", "eq", "e2p", "e2q", "epq", "e2pq")
 BASE_UNIT_IDS = (TORSION_ID,) + NONTORSION_IDS
 
-SATURATION_GUARD = 14
+SATURATION_GUARD = 14  # the index bound 2^14 (module docstring)
+MAX_WORD_DEPTH = 2
 
 # Odd primes l, prime to pq, modulo which 2, p and q are squares: each splits
 # completely in K and gives 8 quadratic characters of the units, one per
@@ -213,11 +226,10 @@ def word_embed(word: UnitWord, pair: PrimePair) -> OcticElem:
     return z
 
 
-def _vector_order(n_gens: int) -> list[int]:
+@functools.lru_cache(maxsize=None)
+def _vector_order(n_gens: int) -> tuple[int, ...]:
     """All nonzero exponent vectors, smallest support first, then numeric."""
-    vs = list(range(1, 1 << n_gens))
-    vs.sort(key=lambda v: (bin(v).count("1"), v))
-    return vs
+    return tuple(sorted(range(1, 1 << n_gens), key=lambda v: (bin(v).count("1"), v)))
 
 
 def _product_of(gens_elems: list[OcticElem], vector: int, pair_key) -> OcticElem:
@@ -246,13 +258,13 @@ def _split_primes(p: int, q: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     l = 1
     while len(out) < SPLIT_PRIMES:
         l += 2
-        # 2 is a square mod l exactly when l = +-1 mod 8
-        if l % 8 not in (1, 7) or not is_prime(l) or p % l == 0 or q % l == 0:
+        # Euler's criterion first: it rejects most l before the primality test
+        if p % l == 0 or q % l == 0 or any(
+                pow(a, (l - 1) // 2, l) != 1 for a in (2, p, q)) or not is_prime(l):
             continue
-        squares = {r * r % l: r for r in range(l)}
-        base = [squares.get(a % l) for a in (2, p, q)]
-        if None in base:
-            continue
+        base = [sqrt_mod(a, l) for a in (2, p, q)]
+        if any((r * r - a) % l for r, a in zip(base, (2, p, q))):
+            raise InternalInconsistencyError(f"wrong square root mod {l}")
         roots = tuple(math.prod(r for b, r in enumerate(base) if mask >> b & 1) % l
                       for mask in range(8))
         out.append((l, roots))
@@ -368,6 +380,9 @@ def saturate(pair: PrimePair,
             if v >> i & 1:
                 combined = combined * w
         word = combined.sqrt_word()
+        if word.depth > MAX_WORD_DEPTH:
+            raise InternalInconsistencyError(
+                f"unit word {word.render()} has depth above {MAX_WORD_DEPTH}")
         word._embedding = xi
         idx = None
         for i, w in enumerate(gens):

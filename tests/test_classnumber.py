@@ -3,7 +3,7 @@ import math
 import pytest
 
 from triquad import classnumber
-from triquad.arith import PrimePair, primes_in_range
+from triquad.arith import PrimePair, primes_in_range, sqrt_mod
 from triquad.classnumber import (ClassNumberReport, h2_real_quadratic,
                                  kuroda_h2K, h2_pattern_failures,
                                  narrow_class_number, subfield_h2_map)
@@ -112,6 +112,29 @@ def wide_two_part(d, h):
     return h & -h
 
 
+def gate_ranks(d):
+    """(t, r4, r8) of Q(sqrt d) as the gate computes them."""
+    discs = classnumber._prime_discriminants(d)
+    rows = classnumber._redei_matrix(discs)
+    basis, kernel = classnumber._f2_eliminate(rows)
+    t, rank = len(discs), len(basis)
+    assert len(kernel) == t - rank
+    roots = [classnumber._root_genus(d, discs, e) for e in kernel]
+    rho = len(classnumber._f2_eliminate(rows + roots)[0]) - rank
+    return t, t - 1 - rank, t - 1 - rank - rho
+
+
+def check_ranks(d, h):
+    """Genus theory, Redei and Reichardt against the narrow class number h:
+    the 2-part of h is 2^(t-1+r4) exactly when r8 = 0, and at least
+    2^(t-1+r4+r8) always."""
+    t, r4, r8 = gate_ranks(d)
+    v2 = (h & -h).bit_length() - 1
+    assert v2 >= t - 1 + r4 + r8, d
+    assert (r8 == 0) == (v2 == t - 1 + r4), d
+    return t, r4, r8
+
+
 def test_matches_enumeration_on_small_fundamental_discriminants():
     radicands = [d for d in squarefree_numbers(20000)
                  if (d if d % 4 == 1 else 4 * d) < 20000]
@@ -122,22 +145,20 @@ def test_matches_enumeration_on_small_fundamental_discriminants():
         assert narrow_class_number(D) == h, D
         # genus theory and Redei: the 2-part of h+ is 2^(t-1) exactly
         # when the 4-rank is 0, and at least 2^(t-1+r4) otherwise
-        discs = classnumber._prime_discriminants(d)
-        assert math.prod(discs) == D
-        t = len(discs)
-        r4 = t - 1 - classnumber._f2_rank(classnumber._redei_matrix(discs))
-        v2 = (h & -h).bit_length() - 1
-        assert v2 >= t - 1 + r4 and (r4 == 0) == (v2 == t - 1), D
+        assert math.prod(classnumber._prime_discriminants(d)) == D
+        t, r4, r8 = check_ranks(d, h)
+        assert (r4 == 0) == (h & -h == 1 << (t - 1)), D
         assert h2_real_quadratic(d) == wide_two_part(d, h), d
 
 
-@pytest.mark.parametrize("p, q", [(3889, 1231), (4201, 1151)])
+@pytest.mark.parametrize("p, q", [(3889, 1231), (4201, 1151), (19457, 239)])
 def test_matches_enumeration_near_the_radicand_bound(p, q):
     # the seven discriminants of the pair, up to 4pq and 8pq
     for d in PrimePair(p, q).radicands:
         D = d if d % 4 == 1 else 4 * d
         h = enumerated_class_number(D)
         assert narrow_class_number(D) == h, D
+        check_ranks(d, h)
         assert h2_real_quadratic(d) == wide_two_part(d, h), d
 
 
@@ -152,20 +173,24 @@ def test_redei_matrices_by_hand():
                                                        [1, 1, 0],
                                                        [0, 0, 0]]
     for rows in ([[1, 1], [1, 1]], [[0, 1, 1], [1, 1, 0], [0, 0, 0]]):
-        assert classnumber._f2_rank(rows) == len(rows) - 1  # r4 = 0
+        basis, kernel = classnumber._f2_eliminate(rows)
+        assert len(basis) == len(rows) - 1  # r4 = 0
+    # the kernel of the second: row 3 alone (the prime above 2)
+    assert kernel == [0b100]
     # D = 136 = 17 * 8: (8/17) = (2/17) = 1 and 17 = 1 mod 8: r4 = 1
     assert classnumber._prime_discriminants(34) == [17, 8]
     assert classnumber._redei_matrix([17, 8]) == [[0, 0], [0, 0]]
-    assert classnumber._f2_rank([[0, 0], [0, 0]]) == 0
+    assert classnumber._f2_eliminate([[0, 0], [0, 0]]) == ([], [0b01, 0b10])
     # D = 4 * 3889 * 1231 (the C1 pin, (p/q) = 1): only (-4/1231) = -1, so
     # rank 1 and r4 = 1, and h+ = 2 h = 2^5 * odd has v2 >= t - 1 + r4 = 3
     assert classnumber._prime_discriminants(3889 * 1231) == [-1231, 3889, -4]
     rows = classnumber._redei_matrix([-1231, 3889, -4])
     assert rows == [[1, 0, 1], [0, 0, 0], [0, 0, 0]]
-    assert classnumber._f2_rank(rows) == 1
+    assert classnumber._f2_eliminate(rows) == ([0b101], [0b010, 0b100])
 
 
 def test_four_rank_zero_is_not_enumerated(monkeypatch):
+    # nor is eight-rank zero: only r8 >= 1 is counted
     counted = []
 
     def counting(D):
@@ -175,16 +200,19 @@ def test_four_rank_zero_is_not_enumerated(monkeypatch):
     monkeypatch.setattr(classnumber, "narrow_class_number", counting)
     h2 = classnumber._h2_cached.__wrapped__  # past the cache
     assert (h2(10), h2(119)) == (2, 2)       # r4 = 0
+    assert h2(34) == 2                       # r4 = 1, r8 = 0: h+(136) = 4
     assert counted == []
-    assert (h2(34), h2(3889 * 1231)) == (2, 16)  # r4 = 1
-    assert counted == [136, 4 * 3889 * 1231]
+    assert (h2(226), h2(3889 * 1231)) == (8, 16)  # r4 = r8 = 1
+    assert counted == [904, 4 * 3889 * 1231]
 
 
 def test_narrow_class_number_below_the_redei_bound_is_inconsistent(monkeypatch):
-    # D = 136 has t = 2 and r4 = 1, so 4 | h+; a count of 2 must be refused
-    monkeypatch.setattr(classnumber, "narrow_class_number", lambda D: 2)
+    # D = 904 has t = 2 and r4 = r8 = 1, so 8 | h+; a count of 4 must be
+    # refused
+    assert gate_ranks(226) == (2, 1, 1)
+    monkeypatch.setattr(classnumber, "narrow_class_number", lambda D: 4)
     with pytest.raises(InternalInconsistencyError, match="Redei"):
-        classnumber._h2_cached.__wrapped__(34)
+        classnumber._h2_cached.__wrapped__(226)
 
 
 def test_non_squarefree_radicands_are_rejected():
@@ -201,12 +229,11 @@ def test_tonelli_shanks_on_primes_one_mod_eight():
         step = max(1, l // 300)
         for a in range(0, l, step):
             if pow(a, (l - 1) // 2, l) != l - 1:
-                assert classnumber._sqrt_mod(a, l) ** 2 % l == a, (a, l)
+                assert sqrt_mod(a, l) ** 2 % l == a, (a, l)
 
 
 def test_wrong_modular_root_is_caught(monkeypatch):
-    sqrt_mod = classnumber._sqrt_mod
-    monkeypatch.setattr(classnumber, "_sqrt_mod",
+    monkeypatch.setattr(classnumber, "sqrt_mod",
                         lambda a, l: (sqrt_mod(a, l) + (l % 8 == 1)) % l)
     with pytest.raises(InternalInconsistencyError, match="square root"):
         narrow_class_number(4 * 3889 * 1231)
@@ -268,3 +295,59 @@ def test_pinned_pairs_near_the_radicand_bound():
     assert h2 == {2: 1, 4201: 1, 1151: 1, 8402: 2, 2302: 1,
                   4835351: 2, 9670702: 2}
     assert kuroda_h2K(pair, 7, h2) == 2
+
+
+def test_eight_rank_on_four_rank_two_discriminants():
+    # D = 12104 = 8 * 17 * 89 and 12505 = 5 * 41 * 61: t = 3, r4 = 2, so
+    # the left kernel of R has three vectors; r8 = 0 and 1
+    for d, ranks, h in ((3026, (3, 2, 0), 16), (12505, (3, 2, 1), 32)):
+        D = d if d % 4 == 1 else 4 * d
+        assert enumerated_class_number(D) == h
+        assert check_ranks(d, h) == ranks
+        assert h2_real_quadratic(d) == wide_two_part(d, h)
+
+
+def test_root_genus_by_hand():
+    # D = 136 = 17 * 8, Cl+ = Z/4: R = 0, and p_2 = (6 + sqrt 34) is
+    # principal, so [p_17] = g^2; its roots g, g^3 lie outside the principal
+    # genus (r8 = 0). D = 904 = 113 * 8, Cl+ = Z/8: the order-2 class g^4
+    # has roots g^2, g^6 inside it (r8 = 1)
+    assert [classnumber._root_genus(34, [17, 8], e) for e in (1, 2)] == [[1, 1], [0, 0]]
+    assert classnumber._redei_matrix([113, 8]) == [[0, 0], [0, 0]]
+    assert [classnumber._root_genus(226, [113, 8], e) for e in (1, 2)] == [[0, 0], [0, 0]]
+
+
+def test_legendre_solution_solves_its_conic():
+    for a in (2, 3, 5, 34, 226, 3889 * 1231, -1, -7):
+        for b in (2, 17, 113, 1231, 3889, 2 * 3889):
+            try:
+                x, y, z = classnumber._legendre_solution(
+                    a, [l for l, _ in classnumber._factor(abs(a))],
+                    b, [l for l, _ in classnumber._factor(b)])
+            except InternalInconsistencyError as exc:
+                assert "no solution" in str(exc)
+                continue
+            assert (x, y, z) != (0, 0, 0) and x * x == a * y * y + b * z * z
+
+
+def test_insoluble_conic_is_inconsistent():
+    # (3/5) = -1: x^2 = 3 y^2 + 5 z^2 has no nonzero solution
+    with pytest.raises(InternalInconsistencyError, match="no solution"):
+        classnumber._legendre_solution(3, [3], 5, [5])
+
+
+def test_corrupted_descent_root_is_caught(monkeypatch):
+    monkeypatch.setattr(classnumber, "sqrt_mod",
+                        lambda a, l: (sqrt_mod(a, l) + 1) % l)
+    with pytest.raises(InternalInconsistencyError, match="square root"):
+        classnumber._h2_cached.__wrapped__(226)
+
+
+def test_wrong_eight_character_is_caught(monkeypatch):
+    # chi_8(n) = -1 for n = 3, 5 mod 8; reading it at n = 3, 7 (chi_-8
+    # chi_-4's mix) gives a root genus of odd weight at D = 136
+    is_minus = classnumber._is_minus
+    monkeypatch.setattr(classnumber, "_is_minus",
+                        lambda dj, n: n % 8 in (3, 7) if dj == 8 else is_minus(dj, n))
+    with pytest.raises(InternalInconsistencyError, match="not the norm"):
+        classnumber._h2_cached.__wrapped__(34)

@@ -9,7 +9,8 @@ import pytest
 import triquad
 from oracles import legendre_by_enumeration, unsieved_saturation
 from triquad.arith import PrimePair
-from triquad.errors import RootMissingError, TriquadError
+from triquad.errors import (InternalInconsistencyError, RootMissingError,
+                            TriquadError)
 from triquad.octic import OcticElem, octic_mul, rational_norm
 from triquad.theorems import classify_pair, unit_generators
 from triquad.unit_lattice import (BASE_UNIT_IDS, UnitWord, _character_row,
@@ -81,6 +82,15 @@ def test_square_class_space_41_7_k1_product():
 def test_saturate_reference_values():
     assert saturate(P17).m == 7
     assert saturate(P41).m == 6
+
+
+def test_saturation_word_deeper_than_two_is_inconsistent():
+    # E_K^4 lies in the group of the subfield units, so no unit word needs
+    # depth 3; a depth-2 word carrying a square (eps_2^2 as eps_2^(1/4))
+    # would make saturation take eps_2^(1/8)
+    square = unit_context(P17).units["e2"] ** 2
+    with pytest.raises(InternalInconsistencyError, match="depth above 2"):
+        saturate(P17, [UnitWord({"e2": Fraction(1, 4)}, embedding=square)])
 
 
 def test_saturate_returns_seven_verified_words():
