@@ -12,7 +12,6 @@ from .octic import (Automorphism, OcticElem, TAU1, TAU2, TAU3,
 from .quadratic import FundamentalUnit, QuadElem, fundamental_unit, quad_mul, quad_norm
 from .theorems import (CaseTag, SqrtDecomposition, classify_pair,
                        decompose_sqrt_data, predict_h2K, unit_generators)
-from .unit_lattice import (SquareClassSpace, UnitWord, rank_certificate,
-                           saturate, square_class_dimension, word_embed)
+from .unit_lattice import UnitWord, rank_certificate, saturate, word_embed
 
 __version__ = "0.1.0"

@@ -1,5 +1,5 @@
-"""Big-integer primitives: primality, perfect squares, quadratic residues
-and modular square roots."""
+"""Big-integer primitives: primality, perfect squares, quadratic residues,
+modular square roots, factoring by trial division and F2 elimination."""
 
 from __future__ import annotations
 
@@ -83,18 +83,39 @@ def sqrt_mod(a: int, l: int) -> int:
     return r
 
 
-def is_squarefree(n: int) -> bool:
-    """Trial-division squarefreeness check; only used to validate radicands."""
-    if n < 1:
-        return False
-    if n % 4 == 0:
-        return False
-    k = 3
+def factor(n: int) -> list[tuple[int, int]]:
+    """The primes of n >= 1 with their exponents, by trial division."""
+    out = []
+    k = 2
     while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 2
-    return True
+        if n % k == 0:
+            e = 0
+            while n % k == 0:
+                n //= k
+                e += 1
+            out.append((k, e))
+        k += 1 + (k > 2)
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def f2_eliminate(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Gaussian elimination over F2 of rows with bit j for column j: a basis
+    of the row space and a basis of the left kernel (bit i for row i)."""
+    n = len(rows)
+    basis: list[int] = []
+    kernel: list[int] = []
+    for i, row in enumerate(rows):
+        # the row above n low bits that record which rows were added
+        v = row << n | 1 << i
+        for w in basis:  # each w lacks the leading bits of those before it
+            v = min(v, v ^ w)
+        if v >> n:
+            basis.append(v)
+        else:
+            kernel.append(v)
+    return [w >> n for w in basis], kernel
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PrimePair, sqrt_mod
+from .arith import PrimePair, f2_eliminate, factor, sqrt_mod
 from .errors import InternalInconsistencyError, ResourceGuardError, TriquadError
 from .quadratic import fundamental_unit
 
@@ -153,28 +153,11 @@ def narrow_class_number(D: int) -> int:
     return cycles
 
 
-def _factor(n: int) -> list[tuple[int, int]]:
-    """The primes of n >= 1 with their exponents, by trial division."""
-    out = []
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            e = 0
-            while n % k == 0:
-                n //= k
-                e += 1
-            out.append((k, e))
-        k += 1 + (k > 2)
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def _prime_discriminants(d: int) -> list[int]:
     """The prime discriminants whose product is the discriminant D of
     Q(sqrt d), d > 1 squarefree: (-1)^((l-1)/2) l for each odd prime l | d,
     and -4, 8 or -8 when D is even."""
-    factors = _factor(d)
+    factors = factor(d)
     if d < 2 or any(e > 1 for _, e in factors):
         raise TriquadError(f"not a squarefree radicand above 1: {d}")
     discs = [l if l % 4 == 1 else -l for l, _ in factors if l > 2]
@@ -203,36 +186,17 @@ def _is_minus(dj: int, n: int) -> bool:
     return pow(n, (l - 1) // 2, l) == l - 1
 
 
-def _redei_matrix(discs: list[int]) -> list[list[int]]:
-    """Redei's matrix over F2 of prime discriminants d_1..d_t: off the
-    diagonal, entry (i, j) is 1 when the Kronecker symbol (d_j / l_i) is -1,
-    l_i the prime dividing d_i; the diagonal makes each row sum to 0. Row i
-    is the genus of the ramified prime above l_i."""
+def _redei_matrix(discs: list[int]) -> list[int]:
+    """Redei's matrix over F2 of prime discriminants d_1..d_t, row i with bit
+    j for column j: off the diagonal, entry (i, j) is 1 when the Kronecker
+    symbol (d_j / l_i) is -1, l_i the prime dividing d_i; the diagonal makes
+    each row sum to 0. Row i is the genus of the ramified prime above l_i."""
     rows = []
     for i, di in enumerate(discs):
         l = _ramified_prime(di)
-        row = [int(j != i and _is_minus(dj, l)) for j, dj in enumerate(discs)]
-        row[i] = sum(row) % 2
-        rows.append(row)
+        row = sum(1 << j for j, dj in enumerate(discs) if j != i and _is_minus(dj, l))
+        rows.append(row | (row.bit_count() & 1) << i)
     return rows
-
-
-def _f2_eliminate(rows: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Gaussian elimination over F2: a basis of the row space (bit j for
-    column j) and a basis of the left kernel (bit i for row i)."""
-    n = len(rows)
-    basis: list[int] = []
-    kernel: list[int] = []
-    for i, row in enumerate(rows):
-        # the row above n low bits that record which rows were added
-        v = sum(bit << j for j, bit in enumerate(row)) << n | 1 << i
-        for w in basis:  # each w lacks the leading bits of those before it
-            v = min(v, v ^ w)
-        if v >> n:
-            basis.append(v)
-        else:
-            kernel.append(v)
-    return [w >> n for w in basis], kernel
 
 
 def _legendre_solution(a: int, a_primes: list[int], b: int,
@@ -267,7 +231,7 @@ def _legendre_solution(a: int, a_primes: list[int], b: int,
     # r^2 - a = b k s^2 with k squarefree and |k| < |b|: descend to (a, k)
     c = (r * r - a) // b
     k, s, k_primes = (1 if c > 0 else -1), 1, []
-    for l, e in _factor(abs(c)):
+    for l, e in factor(abs(c)):
         s *= l ** (e // 2)
         if e % 2:
             k *= l
@@ -277,7 +241,7 @@ def _legendre_solution(a: int, a_primes: list[int], b: int,
     return r * x + a * y, x + r * y, k * s * z
 
 
-def _root_genus(d: int, discs: list[int], e: int) -> list[int]:
+def _root_genus(d: int, discs: list[int], e: int) -> int:
     """The genus of a square root of the narrow class c of the ambiguous
     ideal a_e, the product of the ramified primes picked by e, when c is a
     square.
@@ -302,8 +266,8 @@ def _root_genus(d: int, discs: list[int], e: int) -> list[int]:
         raise InternalInconsistencyError(
             f"({X}, {Y}, {Z}) does not solve X^2 - {D} Y^2 = 4 * {A} Z^2 "
             f"with Z nonzero and prime to {D}")
-    genus = [int(_is_minus(dj, Z)) for dj in discs]
-    if sum(genus) % 2:
+    genus = sum(1 << j for j, dj in enumerate(discs) if _is_minus(dj, Z))
+    if genus.bit_count() % 2:
         raise InternalInconsistencyError(
             f"{Z} is not the norm of an ideal of discriminant {D}")
     return genus
@@ -328,12 +292,12 @@ def _h2_cached(d: int) -> int:
     discs = _prime_discriminants(d)
     t = len(discs)
     rows = _redei_matrix(discs)
-    basis, kernel = _f2_eliminate(rows)
+    basis, kernel = f2_eliminate(rows)
     r4 = t - 1 - len(basis)
     r8 = 0
     if r4:
         roots = [_root_genus(d, discs, e) for e in kernel]
-        r8 = r4 - (len(_f2_eliminate(rows + roots)[0]) - len(basis))
+        r8 = r4 - (len(f2_eliminate(rows + roots)[0]) - len(basis))
     v2 = t - 1 + r4
     if r8:
         D = d if d % 4 == 1 else 4 * d

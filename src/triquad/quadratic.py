@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_squarefree
+from .arith import factor
 from .errors import InternalInconsistencyError, TriquadError
 
 
@@ -148,7 +148,7 @@ def fundamental_unit(d: int) -> FundamentalUnit:
     """
     if d <= 1:
         raise TriquadError(f"radicand must exceed 1, got {d}")
-    if not is_squarefree(d):
+    if any(e > 1 for _, e in factor(d)):
         raise TriquadError(f"radicand must be squarefree, got {d}")
     x, y, n = _cf_pell_unit(d)
     if d % 4 == 1:

@@ -1,4 +1,4 @@
-"""Formal unit words, square-class linear algebra, and 2-saturation.
+"""Formal unit words, the quadratic-character sieve, and 2-saturation.
 
 The multiplicative group generated by the seven quadratic-subfield
 fundamental units (with -1) is saturated by repeatedly replacing a generator
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import octic
-from .arith import PrimePair, is_prime, sqrt_mod
+from .arith import PrimePair, f2_eliminate, is_prime, sqrt_mod
 from .errors import InternalInconsistencyError, RootMissingError, TriquadError
 from .octic import OcticElem, embed_quadratic, octic_mul, sqrt_exact
 from .quadratic import fundamental_unit
@@ -42,12 +42,6 @@ MAX_WORD_DEPTH = 2
 # completely in K and gives 8 quadratic characters of the units, one per
 # prime of K above l. Six leave almost no non-square past the sieve.
 SPLIT_PRIMES = 6
-
-
-def unit_radicand(uid: str, pair) -> int:
-    p, q = (pair.p, pair.q) if isinstance(pair, PrimePair) else pair
-    return {"e2": 2, "ep": p, "eq": q, "e2p": 2 * p,
-            "e2q": 2 * q, "epq": p * q, "e2pq": 2 * p * q}[uid]
 
 
 class UnitWord:
@@ -122,27 +116,6 @@ class UnitWord:
         return f"UnitWord({self.render()})"
 
 
-@dataclass(frozen=True)
-class SquareClassSpace:
-    """F2-subspace of exponent vectors whose products are squares in K."""
-
-    generators: tuple[UnitWord, ...]
-    basis: tuple[tuple[int, OcticElem], ...]  # (bit-vector, witness root)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-    def span(self) -> frozenset[int]:
-        s = {0}
-        for bv, _ in self.basis:
-            s |= {v ^ bv for v in s}
-        return frozenset(s)
-
-    def contains(self, vector: int) -> bool:
-        return vector in self.span()
-
-
 @dataclass
 class SaturationResult:
     m: int
@@ -161,21 +134,13 @@ class UnitContext:
             TORSION_ID: OcticElem.rational(self.key, -1)}
         self.norms: dict[str, int] = {}
         self.quad = {}
-        for uid in NONTORSION_IDS:
-            fu = fundamental_unit(unit_radicand(uid, pair))
+        for uid, d in zip(NONTORSION_IDS, pair.radicands):
+            fu = fundamental_unit(d)
             self.quad[uid] = fu
             self.units[uid] = embed_quadratic(fu.elem, self.key)
             self.norms[uid] = fu.norm
         self.primes = _split_primes(pair.p, pair.q)
         self.rows = {u: _character_row(self, u) for u in self.units.values()}
-
-    def element_of(self, vector: int, ids: tuple[str, ...] | None = None) -> OcticElem:
-        ids = ids or BASE_UNIT_IDS
-        prod = OcticElem.one(self.key)
-        for i, uid in enumerate(ids):
-            if vector >> i & 1:
-                prod = octic_mul(prod, self.units[uid])
-        return prod
 
 
 @functools.lru_cache(maxsize=64)
@@ -224,12 +189,6 @@ def word_embed(word: UnitWord, pair: PrimePair) -> OcticElem:
         z = xi
     word._embedding = z
     return z
-
-
-@functools.lru_cache(maxsize=None)
-def _vector_order(n_gens: int) -> tuple[int, ...]:
-    """All nonzero exponent vectors, smallest support first, then numeric."""
-    return tuple(sorted(range(1, 1 << n_gens), key=lambda v: (bin(v).count("1"), v)))
 
 
 def _product_of(gens_elems: list[OcticElem], vector: int, pair_key) -> OcticElem:
@@ -305,37 +264,17 @@ def _rows_of(ctx: UnitContext, elems: list[OcticElem]) -> list[tuple[int, int]]:
     return [ctx.rows.get(e) or _character_row(ctx, e) for e in elems]
 
 
-def _square_candidates(rows: list[tuple[int, int]]):
-    """Yield the nonzero exponent vectors whose products may be squares, in
-    _vector_order: those whose rows XOR to zero on every column defined for
-    all the generators."""
+def _square_candidates(rows: list[tuple[int, int]]) -> list[int]:
+    """The nonzero exponent vectors whose products may be squares, smallest
+    support first, then numeric: the span of the left kernel of the rows
+    restricted to the columns defined for all the generators."""
     keep = -1
     for _, undefined in rows:
         keep &= ~undefined
-    acc = [0] * (1 << len(rows))
-    for v in range(1, len(acc)):
-        low = v & -v
-        acc[v] = acc[v ^ low] ^ rows[low.bit_length() - 1][0]
-    for v in _vector_order(len(rows)):
-        if not acc[v] & keep:
-            yield v
-
-
-def square_class_dimension(pair: PrimePair,
-                           generators: list[UnitWord]) -> SquareClassSpace:
-    """Subspace of F2-combinations of the generators that are squares in K."""
-    ctx = unit_context(pair)
-    elems = [word_embed(w, pair) for w in generators]
-    basis: list[tuple[int, OcticElem]] = []
-    span = {0}
-    for v in _square_candidates(_rows_of(ctx, elems)):
-        if v in span:
-            continue  # a combination of found squares is itself a square
-        xi = sqrt_exact(_product_of(elems, v, ctx.key))
-        if xi is not None:
-            basis.append((v, xi))
-            span |= {w ^ v for w in span}
-    return SquareClassSpace(tuple(generators), tuple(basis))
+    span = [0]
+    for v in f2_eliminate([bits & keep for bits, _ in rows])[1]:
+        span += [w ^ v for w in span]
+    return sorted(span[1:], key=lambda v: (v.bit_count(), v))
 
 
 def saturate(pair: PrimePair,

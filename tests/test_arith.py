@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from triquad.arith import (PrimePair, is_perfect_square, is_prime,
+from triquad.arith import (PrimePair, f2_eliminate, is_perfect_square, is_prime,
                            legendre_symbol, primes_in_range)
 from triquad.errors import TriquadError
 
@@ -101,3 +101,29 @@ def test_prime_pair_radicands():
     pair = PrimePair(17, 7)
     assert pair.radicands == (2, 17, 7, 34, 14, 119, 238)
     assert pair.legendre_pq == -1
+
+
+def _xor_of(rows, v):
+    acc = 0
+    for i, row in enumerate(rows):
+        if v >> i & 1:
+            acc ^= row
+    return acc
+
+
+def _span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {w ^ v for w in span}
+    return span
+
+
+@given(st.lists(st.integers(0, (1 << 6) - 1), max_size=9))
+def test_f2_eliminate_splits_the_rows_into_rank_and_left_kernel(rows):
+    basis, kernel = f2_eliminate(rows)
+    assert len(basis) + len(kernel) == len(rows)
+    assert _span(basis) == _span(rows)
+    assert len(_span(basis)) == 1 << len(basis)  # independent: the rank
+    for v in kernel:
+        assert _xor_of(rows, v) == 0
+    assert len(_span(kernel)) == 1 << len(kernel)  # independent

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from triquad import classnumber
-from triquad.arith import PrimePair, primes_in_range, sqrt_mod
+from triquad.arith import PrimePair, f2_eliminate, factor, primes_in_range, sqrt_mod
 from triquad.classnumber import (ClassNumberReport, h2_real_quadratic,
                                  kuroda_h2K, h2_pattern_failures,
                                  narrow_class_number, subfield_h2_map)
@@ -116,11 +116,11 @@ def gate_ranks(d):
     """(t, r4, r8) of Q(sqrt d) as the gate computes them."""
     discs = classnumber._prime_discriminants(d)
     rows = classnumber._redei_matrix(discs)
-    basis, kernel = classnumber._f2_eliminate(rows)
+    basis, kernel = f2_eliminate(rows)
     t, rank = len(discs), len(basis)
     assert len(kernel) == t - rank
     roots = [classnumber._root_genus(d, discs, e) for e in kernel]
-    rho = len(classnumber._f2_eliminate(rows + roots)[0]) - rank
+    rho = len(f2_eliminate(rows + roots)[0]) - rank
     return t, t - 1 - rank, t - 1 - rank - rho
 
 
@@ -165,28 +165,29 @@ def test_matches_enumeration_near_the_radicand_bound(p, q):
 def test_redei_matrices_by_hand():
     # D = 40 = 5 * 8: (8/5) = (2/5) = -1, and 5 = 5 mod 8 gives (5/2) = -1
     assert classnumber._prime_discriminants(10) == [5, 8]
-    assert classnumber._redei_matrix([5, 8]) == [[1, 1], [1, 1]]
+    assert classnumber._redei_matrix([5, 8]) == [0b11, 0b11]
     # D = 476 = -7 * 17 * -4: (17/7) = (3/7) = -1, (-4/7) = (-1/7) = -1,
     # (-7/17) = (10/17) = -1, (-4/17) = (-1/17) = 1, and -7 = 17 = 1 mod 8
     assert classnumber._prime_discriminants(119) == [-7, 17, -4]
-    assert classnumber._redei_matrix([-7, 17, -4]) == [[0, 1, 1],
-                                                       [1, 1, 0],
-                                                       [0, 0, 0]]
-    for rows in ([[1, 1], [1, 1]], [[0, 1, 1], [1, 1, 0], [0, 0, 0]]):
-        basis, kernel = classnumber._f2_eliminate(rows)
+    # (row i, bit j for column j)
+    assert classnumber._redei_matrix([-7, 17, -4]) == [0b110,
+                                                       0b011,
+                                                       0b000]
+    for rows in ([0b11, 0b11], [0b110, 0b011, 0b000]):
+        basis, kernel = f2_eliminate(rows)
         assert len(basis) == len(rows) - 1  # r4 = 0
     # the kernel of the second: row 3 alone (the prime above 2)
     assert kernel == [0b100]
     # D = 136 = 17 * 8: (8/17) = (2/17) = 1 and 17 = 1 mod 8: r4 = 1
     assert classnumber._prime_discriminants(34) == [17, 8]
-    assert classnumber._redei_matrix([17, 8]) == [[0, 0], [0, 0]]
-    assert classnumber._f2_eliminate([[0, 0], [0, 0]]) == ([], [0b01, 0b10])
+    assert classnumber._redei_matrix([17, 8]) == [0, 0]
+    assert f2_eliminate([0, 0]) == ([], [0b01, 0b10])
     # D = 4 * 3889 * 1231 (the C1 pin, (p/q) = 1): only (-4/1231) = -1, so
     # rank 1 and r4 = 1, and h+ = 2 h = 2^5 * odd has v2 >= t - 1 + r4 = 3
     assert classnumber._prime_discriminants(3889 * 1231) == [-1231, 3889, -4]
     rows = classnumber._redei_matrix([-1231, 3889, -4])
-    assert rows == [[1, 0, 1], [0, 0, 0], [0, 0, 0]]
-    assert classnumber._f2_eliminate(rows) == ([0b101], [0b010, 0b100])
+    assert rows == [0b101, 0, 0]
+    assert f2_eliminate(rows) == ([0b101], [0b010, 0b100])
 
 
 def test_four_rank_zero_is_not_enumerated(monkeypatch):
@@ -312,9 +313,9 @@ def test_root_genus_by_hand():
     # principal, so [p_17] = g^2; its roots g, g^3 lie outside the principal
     # genus (r8 = 0). D = 904 = 113 * 8, Cl+ = Z/8: the order-2 class g^4
     # has roots g^2, g^6 inside it (r8 = 1)
-    assert [classnumber._root_genus(34, [17, 8], e) for e in (1, 2)] == [[1, 1], [0, 0]]
-    assert classnumber._redei_matrix([113, 8]) == [[0, 0], [0, 0]]
-    assert [classnumber._root_genus(226, [113, 8], e) for e in (1, 2)] == [[0, 0], [0, 0]]
+    assert [classnumber._root_genus(34, [17, 8], e) for e in (1, 2)] == [0b11, 0]
+    assert classnumber._redei_matrix([113, 8]) == [0, 0]
+    assert [classnumber._root_genus(226, [113, 8], e) for e in (1, 2)] == [0, 0]
 
 
 def test_legendre_solution_solves_its_conic():
@@ -322,8 +323,8 @@ def test_legendre_solution_solves_its_conic():
         for b in (2, 17, 113, 1231, 3889, 2 * 3889):
             try:
                 x, y, z = classnumber._legendre_solution(
-                    a, [l for l, _ in classnumber._factor(abs(a))],
-                    b, [l for l, _ in classnumber._factor(b)])
+                    a, [l for l, _ in factor(abs(a))],
+                    b, [l for l, _ in factor(b)])
             except InternalInconsistencyError as exc:
                 assert "no solution" in str(exc)
                 continue

@@ -22,8 +22,9 @@ def test_fundamental_unit_examples():
 
 
 def test_fundamental_unit_rejects_bad_radicand():
-    with pytest.raises(TriquadError):
-        fundamental_unit(12)
+    for d in (12, 3137 ** 2, 2 * 1117 ** 2):
+        with pytest.raises(TriquadError):
+            fundamental_unit(d)
     with pytest.raises(TriquadError):
         fundamental_unit(1)
     with pytest.raises(TriquadError):

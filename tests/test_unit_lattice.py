@@ -5,18 +5,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import triquad
 from oracles import legendre_by_enumeration, unsieved_saturation
 from triquad.arith import PrimePair
 from triquad.errors import (InternalInconsistencyError, RootMissingError,
                             TriquadError)
-from triquad.octic import OcticElem, octic_mul, rational_norm
+from triquad.octic import OcticElem, octic_mul, rational_norm, sqrt_exact
 from triquad.theorems import classify_pair, unit_generators
 from triquad.unit_lattice import (BASE_UNIT_IDS, UnitWord, _character_row,
-                                  _square_candidates, base_unit_words,
-                                  k5_unit_index, rank_certificate, saturate,
-                                  square_class_dimension, unit_context,
+                                  _product_of, _rows_of, _square_candidates,
+                                  base_unit_words, k5_unit_index,
+                                  rank_certificate, saturate, unit_context,
                                   word_embed)
 
 P17 = PrimePair(17, 7)
@@ -55,28 +56,32 @@ def test_word_embed_unit_invariant():
         assert rational_norm(e) in (1, -1)
 
 
+def _base_unit_squares(pair):
+    """The square candidates among products of -1 and the seven subfield
+    units, each with the root sqrt_exact finds (None for a non-square)."""
+    ctx = unit_context(pair)
+    elems = [word_embed(w, pair) for w in base_unit_words(pair)]
+    return {v: sqrt_exact(_product_of(elems, v, ctx.key))
+            for v in _square_candidates(_rows_of(ctx, elems))}, elems
+
+
 def test_square_class_space_17_7():
-    words = base_unit_words(P17)
-    space = square_class_dimension(P17, words)
+    candidates, elems = _base_unit_squares(P17)
     ids = list(BASE_UNIT_IDS)
     vec_eq = 1 << ids.index("eq")
     vec_e2 = 1 << ids.index("e2")
-    assert space.contains(vec_eq)        # sqrt(eps_q) lies in K
-    assert not space.contains(vec_e2)    # eps_2 is not totally positive
-    for v, xi in space.basis:
-        prod = OcticElem.one((17, 7))
-        for i, w in enumerate(words):
-            if v >> i & 1:
-                prod = octic_mul(prod, word_embed(w, P17))
-        assert octic_mul(xi, xi) == prod
+    assert candidates[vec_eq] is not None   # sqrt(eps_q) lies in K
+    assert vec_e2 not in candidates         # eps_2 is not totally positive
+    for v, xi in candidates.items():
+        if xi is not None:
+            assert octic_mul(xi, xi) == _product_of(elems, v, (17, 7))
 
 
 def test_square_class_space_41_7_k1_product():
-    words = base_unit_words(P41)
-    space = square_class_dimension(P41, words)
+    candidates, _ = _base_unit_squares(P41)
     ids = list(BASE_UNIT_IDS)
     v = (1 << ids.index("e2")) | (1 << ids.index("ep")) | (1 << ids.index("e2p"))
-    assert space.contains(v)             # N(eps_2p) = -1: k1 product is a square
+    assert candidates[v] is not None     # N(eps_2p) = -1: k1 product is a square
 
 
 def test_saturate_reference_values():
@@ -189,7 +194,8 @@ def test_sieved_resaturation_matches_unsieved_reference(pair):
 
 def test_character_row_is_a_homomorphism_that_kills_squares():
     ctx = unit_context(P17)
-    units = [ctx.element_of(v) for v in (0b10, 0b110, 0b10010110, 0b11111111)]
+    base = [ctx.units[uid] for uid in BASE_UNIT_IDS]
+    units = [_product_of(base, v, ctx.key) for v in (0b10, 0b110, 0b10010110, 0b11111111)]
     units += saturate(P17).elements
     for x in units:
         assert _character_row(ctx, octic_mul(x, x)) == (0, 0)
@@ -236,3 +242,26 @@ def test_undefined_character_column_is_dropped_not_zeroed():
     # a*b = (n/l)^2 is a square; a zeroed column would reject it
     assert 0b11 in _square_candidates([row_a, row_b])
     assert 0b11 not in _square_candidates([(row_a[0], 0), row_b])
+
+
+@given(st.data())
+def test_square_candidates_are_the_screened_vectors_smallest_support_first(data):
+    # the witness order of saturate: every nonzero v whose rows XOR to zero
+    # on the columns defined for all generators, by (popcount, v)
+    n = data.draw(st.sampled_from([4, 8]))
+    width = data.draw(st.integers(1, 12))
+    column = st.integers(0, (1 << width) - 1)
+    rows = [(data.draw(column), data.draw(column) & data.draw(column) & data.draw(column))
+            for _ in range(n)]
+    undefined = 0
+    for _, u in rows:
+        undefined |= u
+    expected = []
+    for v in sorted(range(1, 1 << n), key=lambda v: (bin(v).count("1"), v)):
+        acc = 0
+        for i in range(n):
+            if v >> i & 1:
+                acc ^= rows[i][0]
+        if not acc & ~undefined:
+            expected.append(v)
+    assert _square_candidates(rows) == expected
