@@ -59,12 +59,15 @@ def main(argv: list[str] | None = None) -> int:
             raise TriquadError(
                 "precision-bits was removed: the rank certificate is exact")
         config = Config(quad_bound=ns.quad_bound, jobs=getattr(ns, "jobs", 1))
+        if ns.command in ("classify", "units", "h2"):
+            # verify_pair makes the same check and reports it in its record
+            pair = PrimePair(ns.p, ns.q)
+            classnumber.check_radicand(max(pair.radicands), config.quad_bound)
         if ns.command == "classify":
-            tag = theorems.classify_pair(PrimePair(ns.p, ns.q))
+            tag = theorems.classify_pair(pair)
             _emit(json.dumps(harness.case_tag_json(tag), indent=2) + "\n", None)
             return 0
         if ns.command == "units":
-            pair = PrimePair(ns.p, ns.q)
             tag = theorems.classify_pair(pair)
             words = theorems.unit_generators(tag, pair)
             gens = [{"word": w.render(),
@@ -74,8 +77,6 @@ def main(argv: list[str] | None = None) -> int:
                               "generators": gens}, indent=2) + "\n", None)
             return 0
         if ns.command == "h2":
-            pair = PrimePair(ns.p, ns.q)
-            classnumber.check_radicand(max(pair.radicands), config.quad_bound)
             tag = theorems.classify_pair(pair)
             sat = unit_lattice.saturate(pair)
             h2 = classnumber.subfield_h2_map(pair, config.quad_bound)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,13 +168,6 @@ class OcticElem:
 
     def support(self) -> frozenset[int]:
         return frozenset(m for m, n in enumerate(self.num) if n)
-
-    def coord_bit_size(self) -> int:
-        """Largest bit length among the numerators and the shared denominator.
-
-        Never below the largest bit length of a reduced coordinate's
-        numerator or denominator, which divide these."""
-        return max(self.den, *map(abs, self.num)).bit_length()
 
     def coords_by_label(self) -> dict[str, Fraction]:
         return dict(zip(SUBSET_LABELS, self.coords))
@@ -341,79 +335,71 @@ def embed_quadratic(x: QuadElem, pair) -> OcticElem:
                                         mask: Fraction(x.b, x.denom)})
 
 
-# -- certified real embeddings (exact dyadic interval arithmetic) ----------
+# -- exact embedding signs ------------------------------------------------
 
-def _sqrt_interval(n: int, bits: int) -> tuple[int, int]:
-    """lo, hi with lo/2^bits <= sqrt(n) <= hi/2^bits."""
-    lo = math.isqrt(n << (2 * bits))
-    return lo, lo + 1
+def _square_minus(a: Sequence[int], b: Sequence[int], t: int,
+                  rad: tuple[int, ...]) -> list[int]:
+    """a^2 - t*b^2 for a, b on the masks below len(a)."""
+    h = len(a)
+    c = [0] * h
+    for x, w in ((a, 1), (b, -t)):
+        for s, xs in enumerate(x):
+            if xs:
+                c[0] += w * xs * xs * rad[s]
+                w2 = 2 * w * xs
+                for u in range(s + 1, h):
+                    if x[u]:
+                        c[s ^ u] += w2 * x[u] * rad[s & u]
+    return c
 
 
-def _embedding_interval(x: OcticElem, emb: int, bits: int) -> tuple[int, int]:
-    """Dyadic interval (scaled by 2^bits) certified to contain embedding emb."""
-    lo_acc = hi_acc = 0
-    flips = _EMB_FLIPS[emb]
-    rad = _radicals(x.pair)
-    den = x.den
-    for m, c in enumerate(x.num):
-        if c == 0:
+def _signs(num: Sequence[int], rad: tuple[int, ...]) -> list[int]:
+    """Signs of sum num[m]*sqrt(rad[m]) under each flip mask f < len(num),
+    at index f; 0 for the zero element.
+
+    At the top radical, t = rad[h], x = a + b*sqrt(t) with a and b on the
+    masks below h. In each embedding where a and b have the same sign, or
+    one of them is 0, that is the sign of x; otherwise it is
+    sign(a) * sign(a^2 - t*b^2). That norm is not 0 when b is not, since
+    sqrt(t) does not lie in the subfield of a and b (2, p and q are
+    independent modulo squares)."""
+    h = len(num) // 2
+    if not h:
+        return [(num[0] > 0) - (num[0] < 0)]
+    a, b = num[:h], num[h:]
+    sa = _signs(a, rad)
+    if not any(b):
+        return sa + sa
+    sb = _signs(b, rad)
+    sn = None
+    plus, minus = [], []
+    for f in range(h):
+        s, u = sa[f], sb[f]
+        if not s or not u:
+            plus.append(s or u)
+            minus.append(s or -u)
             continue
-        if (flips & m).bit_count() & 1:
-            c = -c
-        rl, rh = _sqrt_interval(rad[m], bits)
-        # outward-rounded product of the exact rational c/den with [rl, rh]
-        if c > 0:
-            lo_acc += (c * rl) // den
-            hi_acc += -((-c * rh) // den)
-        else:
-            lo_acc += (c * rh) // den
-            hi_acc += -((-c * rl) // den)
-    return lo_acc, hi_acc
-
-
-def _sign_cap_bits(size: int, pair: tuple[int, int]) -> int:
-    """Bits at which _embedding_interval decides the sign of any nonzero x
-    with coord_bit_size `size`, by a norm argument.
-
-    y = den*x lies in Z[sqrt2, sqrtp, sqrtq], so |N(y)| >= 1, and every
-    conjugate has |tau(y)| <= 8 * 2^size * sqrt(2pq). Dividing |N(y)| by the
-    other 7 conjugates and by den < 2^size gives
-        -log2|sigma(x)| <= 8*size + 21 + 3.5*log2(2pq).
-    Each of the 8 terms of the enclosure at B bits is at most
-    |num|/den + 2 <= 2^size + 2 units of 2^-B wide, so its width is at most
-    2^(size+4-B), which is below |sigma(x)| once
-        B >= 9*size + 26 + 3.5*log2(2pq);
-    the cap exceeds that."""
-    return 9 * size + 30 + 4 * _radicals(pair)[7].bit_length()
-
-
-def embedding_sign(x: OcticElem, emb: int) -> int:
-    """Certified sign of one real embedding of a nonzero element.
-
-    The start and the cap of the precision grow with coord_bit_size, which
-    is taken on the shared-denominator form and so is never below the
-    bit size of the reduced coordinates. The first precision past the cap
-    decides the sign (see _sign_cap_bits), so the error is unreachable."""
-    if x.is_zero:
-        raise TriquadError("sign of the zero element")
-    size = x.coord_bit_size()
-    cap = _sign_cap_bits(size, x.pair)
-    bits = 32 + size
-    while True:
-        lo, hi = _embedding_interval(x, emb, bits)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if bits > cap:
-            raise InternalInconsistencyError(
-                "embedding sign undecided beyond the theoretical cap")
-        bits *= 2
+        if sn is None:
+            sn = _signs(_square_minus(a, b, rad[h], rad), rad)
+        d = s * sn[f]
+        plus.append(s if s == u else d)
+        minus.append(d if s == u else s)
+    return plus + minus
 
 
 def sign_vector(x: OcticElem) -> tuple[int, ...]:
-    """Signs of all 8 embeddings; the screen used before square testing."""
-    return tuple(embedding_sign(x, i) for i in range(8))
+    """Exact signs of all 8 real embeddings of a nonzero element, by descent
+    through the quadratic tower; the screen used before square testing. The
+    denominator is positive, so the signs are those of the numerators."""
+    if x.is_zero:
+        raise TriquadError("sign of the zero element")
+    s = _signs(x.num, _radicals(x.pair))
+    return tuple(s[f] for f in _EMB_FLIPS)
+
+
+def embedding_sign(x: OcticElem, emb: int) -> int:
+    """Exact sign of real embedding emb of a nonzero element."""
+    return sign_vector(x)[emb]
 
 
 # -- exact square roots ----------------------------------------------------

@@ -16,17 +16,19 @@ out, and a sign table built from the embedding order spelled out digit by
 digit.
 
 The embedding-reconstruction square root, sqrt_in_field, is a second root
-engine kept as an independent cross-check of sqrt_exact: it rounds certified
-embedding enclosures to small-denominator coordinates and verifies by exact
-squaring; real_embeddings gives its certified enclosures at a chosen precision.
+engine kept as an independent cross-check of sqrt_exact: it rounds the
+enclosures of fraction_embedding_interval to small-denominator coordinates
+and verifies by exact squaring; real_embeddings gives those enclosures at a
+chosen precision. The library decides signs exactly by tower descent and
+keeps no enclosures, so this referee shares no sign code with it.
 
 enumerated_class_number is the cycle count as the library first computed
 it: every divisor of (D - b^2)/4 by trial division by all odd numbers, each
 sign of a tested by the real-number reduction condition, and the walk by
 single reduction steps over all reduced forms.
 
-IDENTITY, scale and report_consistent are test helpers that the library
-itself has no use for.
+IDENTITY, scale, coord_bit_size and report_consistent are test helpers
+that the library itself has no use for.
 """
 
 import logging
@@ -34,8 +36,7 @@ import math
 from fractions import Fraction
 
 from triquad.errors import InternalInconsistencyError, TriquadError
-from triquad.octic import (_EMB_FLIPS, Automorphism, OcticElem,
-                           _embedding_interval, _scaled, _sqrt_interval,
+from triquad.octic import (_EMB_FLIPS, Automorphism, OcticElem, _scaled,
                            octic_mul, sign_vector, sqrt_exact)
 from triquad.unit_lattice import (TORSION_ID, UnitWord, base_unit_words,
                                   unit_context, word_embed)
@@ -53,6 +54,14 @@ def scale(x: OcticElem, v) -> OcticElem:
     """x times the rational v, through the library's canonical scaling."""
     f = Fraction(v)
     return _scaled(x, f.numerator, f.denominator)
+
+
+def coord_bit_size(x: OcticElem) -> int:
+    """Largest bit length among the numerators and the shared denominator.
+
+    Never below the largest bit length of a reduced coordinate's numerator
+    or denominator, which divide these."""
+    return max(x.den, *map(abs, x.num)).bit_length()
 
 
 def report_consistent(report) -> bool:
@@ -343,6 +352,12 @@ def conjugate_product_inverse(x: OcticElem) -> tuple:
     return tuple(c / norm for c in acc)
 
 
+def _sqrt_enclosure(n: int, bits: int) -> tuple[int, int]:
+    """lo, hi with lo/2^bits <= sqrt(n) <= hi/2^bits."""
+    lo = math.isqrt(n << (2 * bits))
+    return lo, lo + 1
+
+
 def fraction_embedding_interval(x: OcticElem, emb: int, bits: int) -> tuple[int, int]:
     """Outward-rounded enclosure, scaled by 2^bits, of real embedding emb:
     the embeddings run through the sign triples of (sqrt2, sqrtp, sqrtq) in
@@ -353,8 +368,7 @@ def fraction_embedding_interval(x: OcticElem, emb: int, bits: int) -> tuple[int,
     for mask, c in enumerate(_conjugate(x.coords, signs)):
         if c == 0:
             continue
-        rl = math.isqrt(_radical(x.pair, mask) << (2 * bits))
-        rh = rl + 1
+        rl, rh = _sqrt_enclosure(_radical(x.pair, mask), bits)
         if c > 0:
             lo_acc += math.floor(c * rl)
             hi_acc += math.ceil(c * rh)
@@ -400,11 +414,11 @@ def sqrt_in_field(x: OcticElem, precision: int = DEFAULT_PRECISION,
         raise TriquadError("sqrt_in_field requires a nonzero element")
     if precision < 64:
         raise TriquadError("precision must be at least 64 bits")
-    cb = x.coord_bit_size()
+    cb = coord_bit_size(x)
     margin = precision
     while True:
         bits = margin // 2 + cb + 32
-        embs = [_embedding_interval(x, i, bits) for i in range(8)]
+        embs = [fraction_embedding_interval(x, i, bits) for i in range(8)]
         if any(hi < 0 for _, hi in embs):
             logger.debug("sqrt_in_field: rejected, certified negative embedding")
             return None
@@ -414,7 +428,7 @@ def sqrt_in_field(x: OcticElem, precision: int = DEFAULT_PRECISION,
             undecided = False
             roots = [(math.isqrt(lo << bits), math.isqrt(hi << bits) + 1)
                      for lo, hi in embs]
-            rads = {m: _sqrt_interval(x.radical_product(m), bits) for m in range(8)}
+            rads = {m: _sqrt_enclosure(x.radical_product(m), bits) for m in range(8)}
             for pattern in range(128):
                 signs = [1] + [1 - 2 * (pattern >> k & 1) for k in range(7)]
                 cand_coords = []
@@ -457,10 +471,10 @@ def real_embeddings(x: OcticElem, precision: int = DEFAULT_PRECISION) -> list[tu
     """Certified enclosures of the 8 real embeddings, width <= 2^(-precision/2)."""
     if precision < 64:
         raise TriquadError("precision must be at least 64 bits")
-    bits = precision // 2 + x.coord_bit_size() + 8
+    bits = precision // 2 + coord_bit_size(x) + 8
     out = []
     for i in range(8):
-        lo, hi = _embedding_interval(x, i, bits)
+        lo, hi = fraction_embedding_interval(x, i, bits)
         out.append((Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)))
     return out
 

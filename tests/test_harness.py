@@ -265,8 +265,12 @@ def test_radicand_past_the_bound_is_refused_before_any_work(capsys):
         "radicand 20030410094 exceeds the class-number bound 10000000"]
     assert cli_main(["verify", "100049", "100103"]) == 3
     assert json.loads(capsys.readouterr().out)["status"] == "resource-guard"
-    assert cli_main(["h2", "100049", "100103"]) == 3
-    assert "exceeds the class-number bound" in capsys.readouterr().err
+    for command in ("classify", "units", "h2"):
+        start = time.monotonic()
+        assert cli_main([command, "100049", "100103"]) == 3
+        assert time.monotonic() - start < 1
+        captured = capsys.readouterr()
+        assert "exceeds the class-number bound" in captured.err and not captured.out
     # the bound is the pair's largest radicand, 2pq = 238 for (17, 7)
     assert verify_pair(17, 7, Config(quad_bound=237)).status == "resource-guard"
     assert verify_pair(17, 7, Config(quad_bound=238)).status == "verified"

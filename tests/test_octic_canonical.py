@@ -1,5 +1,5 @@
 """The integer-coordinate form of OcticElem: canonical form, immutability,
-flip-mask automorphisms, tower-norm inversion and the embedding enclosures,
+flip-mask automorphisms, tower-norm inversion and the exact embedding signs,
 each checked against the Fraction-coordinate formulas in tests/oracles.py."""
 
 import math
@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (conjugate_product_inverse, conjugate_product_norm,
-                     fraction_embedding_interval, scale)
-from triquad.octic import (Automorphism, OcticElem, _embedding_interval,
-                           _tower_norm, apply_automorphism, octic_inv,
-                           octic_mul, rational_norm, sqrt_exact)
+                     coord_bit_size, fraction_embedding_interval, scale)
+from triquad.errors import TriquadError
+from triquad.octic import (Automorphism, OcticElem, _tower_norm,
+                           apply_automorphism, embed_quadratic, embedding_sign,
+                           octic_inv, octic_mul, rational_norm, sign_vector,
+                           sqrt_exact)
+from triquad.quadratic import fundamental_unit
 
 KEY = (17, 7)
 PAIRS = [(17, 7), (977, 487)]
@@ -79,7 +82,7 @@ def test_coords_round_trip_and_bit_size_never_shrinks(x):
     assert all(isinstance(c, Fraction) for c in x.coords)
     assert x.coords == tuple(Fraction(n, x.den) for n in x.num)
     assert x.den == math.lcm(*(c.denominator for c in x.coords))
-    assert x.coord_bit_size() >= old_coord_bit_size(x)
+    assert coord_bit_size(x) >= old_coord_bit_size(x)
 
 
 def test_different_spellings_are_equal_and_hash_alike():
@@ -140,15 +143,9 @@ def test_automorphism_masks():
             -n if bin(i & m).count("1") % 2 else n for m, n in enumerate(x.num))
 
 
-@settings(max_examples=30)
-@given(nonzero_elements(), st.sampled_from([8, 40, 130]))
-def test_embedding_i_is_the_first_embedding_of_its_conjugate(x, bits):
+def mask_automorphism(i: int) -> Automorphism:
     # embedding i negates sqrt2 with bit 2 of i and sqrtq with bit 0
-    for i in range(8):
-        sigma = Automorphism((1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1),
-                              1 - 2 * (i & 1)))
-        assert (_embedding_interval(x, i, bits)
-                == _embedding_interval(apply_automorphism(sigma, x), 0, bits))
+    return Automorphism((1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1), 1 - 2 * (i & 1)))
 
 
 # -- tower-norm inversion against the conjugate products ------------------------
@@ -184,10 +181,65 @@ def test_zero_has_no_inverse():
         octic_inv(OcticElem.zero(KEY))
 
 
-# -- embedding enclosures --------------------------------------------------------
+# -- exact embedding signs -------------------------------------------------------
+
+@settings(max_examples=80)
+@given(nonzero_elements(), st.sampled_from([8, 40, 130]))
+def test_signs_agree_with_every_enclosure_that_excludes_zero(x, bits):
+    signs = sign_vector(x)
+    assert all(s in (1, -1) for s in signs)
+    for emb in range(8):
+        assert embedding_sign(x, emb) == signs[emb]
+        lo, hi = fraction_embedding_interval(x, emb, bits)
+        if lo > 0:
+            assert signs[emb] == 1
+        elif hi < 0:
+            assert signs[emb] == -1
+
 
 @settings(max_examples=60)
-@given(elements(), st.sampled_from([1, 8, 33, 64, 200]))
-def test_embedding_interval_matches_the_fraction_formula(x, bits):
-    for emb in range(8):
-        assert _embedding_interval(x, emb, bits) == fraction_embedding_interval(x, emb, bits)
+@given(nonzero_elements(), nonzero_elements())
+def test_signs_are_multiplicative(x, y):
+    y = OcticElem(x.pair, y.coords)
+    assert sign_vector(octic_mul(x, y)) == tuple(
+        s * t for s, t in zip(sign_vector(x), sign_vector(y)))
+
+
+@settings(max_examples=60)
+@given(nonzero_elements())
+def test_embedding_i_is_the_first_embedding_of_its_conjugate(x):
+    signs = sign_vector(x)
+    for i in range(8):
+        assert signs[i] == embedding_sign(apply_automorphism(mask_automorphism(i), x), 0)
+
+
+@pytest.mark.parametrize("pair, mask, k", [((17, 7), 7, 70), ((17, 7), 1, 801),
+                                           ((977, 487), 7, 2), ((977, 487), 2, 31)])
+def test_signs_of_units_with_an_embedding_below_2_to_the_minus_1000(pair, mask, k):
+    # eps^k = u + w sqrt(d) with u, w > 0, so u - w sqrt(d) = N(eps)^k / eps^k:
+    # its sign is that of the norm, and |u - w sqrt(d)| < 1/u < 2^-1000
+    d = math.prod(r for bit, r in enumerate((2, *pair)) if mask >> bit & 1)
+    unit = fundamental_unit(d)
+    eps = embed_quadratic(unit.elem, pair) ** k
+    u, w = eps.coords[0], eps.coords[mask]
+    assert u > 0 and w > 0 and u > 2 ** 1000
+    x = OcticElem.from_dict(pair, {0: u, mask: -w})
+    expected = tuple(1 if (mask_automorphism(i).mask & mask).bit_count() & 1
+                     else unit.norm ** k for i in range(8))
+    assert sign_vector(x) == expected and sign_vector(-x) == tuple(-s for s in expected)
+    # the first precision of an interval loop started at 32 + size bits
+    # cannot decide the tiny embedding
+    lo, hi = fraction_embedding_interval(x, 0, 32 + coord_bit_size(x))
+    assert lo <= 0 <= hi
+    # the tiny embedding next to a unit of another subfield: x + eps' has
+    # the sign of eps' there, and x - eps' the opposite
+    other = embed_quadratic(fundamental_unit(pair[1]).elem, pair)
+    assert sign_vector(x + other)[0] == 1 and sign_vector(x - other)[0] == -1
+
+
+def test_sign_of_zero_is_refused():
+    for x in (OcticElem.zero(KEY), OcticElem(KEY, [Fraction(0, 7)] * 8)):
+        with pytest.raises(TriquadError):
+            sign_vector(x)
+        with pytest.raises(TriquadError):
+            embedding_sign(x, 3)
