@@ -1,12 +1,13 @@
 """Big-integer primitives: primality, perfect squares, quadratic residues,
-modular square roots, factoring by trial division and F2 elimination."""
+modular square roots, primes with prescribed Legendre symbols, factoring by
+trial division and F2 elimination."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import TriquadError
+from .errors import InternalInconsistencyError, TriquadError
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
 # (Sorenson-Webster), far beyond any value this package touches.
@@ -81,6 +82,36 @@ def sqrt_mod(a: int, l: int) -> int:
         b = pow(c, 1 << (m - i - 1), l)
         m, c, t, r = i, b * b % l, t * b * b % l, r * b % l
     return r
+
+
+def symbol_primes(radicals: tuple[int, ...], symbols: tuple[int | None, ...],
+                  count: int) -> tuple[tuple[int, tuple[int | None, ...]], ...]:
+    """The first `count` odd primes l dividing no radical at which the
+    Legendre symbol of radicals[i] is symbols[i] (None: either), each with
+    roots[mask]: the product mod l of one fixed square root of each radical
+    in mask (bit i for radicals[i]), None when mask holds a non-residue."""
+    out = []
+    l = 1
+    while len(out) < count:
+        l += 2
+        h = (l - 1) // 2
+        # Euler's criterion first: it rejects most l before the primality
+        # test; it is 0 where l divides a radical
+        for a, s in zip(radicals, symbols):
+            e = pow(a, h, l)
+            if e == 0 or s is not None and e != s % l:
+                break
+        else:
+            if not is_prime(l):
+                continue
+            roots: list[int | None] = [1]
+            for a in radicals:
+                r = sqrt_mod(a, l) if pow(a, h, l) == 1 else None
+                if r is not None and (r * r - a) % l:
+                    raise InternalInconsistencyError(f"wrong square root mod {l}")
+                roots += [None if r is None or x is None else x * r % l for x in roots]
+            out.append((l, tuple(roots)))
+    return tuple(out)
 
 
 def factor(n: int) -> list[tuple[int, int]]:

@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import PrimePair, is_prime
+from .arith import PrimePair, is_prime, symbol_primes
 from .errors import InternalInconsistencyError, TriquadError
 from .quadratic import QuadElem
 
@@ -441,10 +441,35 @@ def _join(a: OcticElem, b: OcticElem, bit: int) -> OcticElem:
     return _reduced(a.pair, c, den)
 
 
+@functools.lru_cache(maxsize=None)
+def _branch_prime(pair: tuple[int, int], bit: int) -> tuple[int, tuple[int | None, ...]]:
+    """The first odd prime l prime to pq at which the radical of `bit` is a
+    non-residue and the radicals of the higher bits are residues, with
+    roots[mask] mapping sqrt(prod mask) into F_l for masks over those bits."""
+    symbols = tuple(-1 if b == bit else 1 if b > bit else None for b in range(3))
+    return symbol_primes((2, *pair), symbols, 1)[0]
+
+
+def _non_residue(z: OcticElem, bit: int) -> bool:
+    """True when z, in the subfield of the radicals above `bit`, maps to a
+    nonzero non-residue at the branch prime of `bit`, so is no square. z/den
+    has the character of num*den, which is 0 mod l where l divides den."""
+    l, roots = _branch_prime(z.pair, bit)
+    v = sum(n * roots[m] for m, n in enumerate(z.num) if n) * z.den % l
+    return v != 0 and pow(v, (l - 1) // 2, l) != 1
+
+
 def _sqrt_tower(x: OcticElem, bits: tuple[int, ...]) -> OcticElem | None:
     """Exact square root of x within the subfield generated by the radicals
     in `bits`, or None. Complete: descends the quadratic tower, solving
-    (c + d sqrt t)^2 = a + b sqrt t by c^2 = (a +- sqrt(a^2 - t b^2))/2."""
+    (c + d sqrt t)^2 = a + b sqrt t by c^2 = (a +- sqrt(a^2 - t b^2))/2, or
+    for b = 0 by c^2 = a or d^2 = a/t.
+
+    A candidate that is a nonzero non-residue at the branch prime of the
+    level (`_non_residue`) is no square and is not descended. (a + m)/2 and
+    (a - m)/2 multiply to t (b/2)^2, and a and a/t differ by the factor t,
+    a non-residue there: so where both images are nonzero and defined,
+    exactly one candidate is descended, and otherwise both are, in turn."""
     if not bits:
         if not x.is_rational:
             return None
@@ -453,19 +478,18 @@ def _sqrt_tower(x: OcticElem, bits: tuple[int, ...]) -> OcticElem | None:
     t = x.radical_product(1 << bit)
     a, b = _split(x, bit)
     if b.is_zero:
-        y = _sqrt_tower(a, rest)
-        if y is not None:
-            return y
-        d = _sqrt_tower(_scaled(a, 1, t), rest)
-        if d is not None:
-            return _join(OcticElem.zero(x.pair), d, bit)
+        for z, lifted in ((a, False), (_scaled(a, 1, t), True)):
+            y = None if _non_residue(z, bit) else _sqrt_tower(z, rest)
+            if y is not None:
+                return _join(OcticElem.zero(x.pair), y, bit) if lifted else y
         return None
     n = octic_mul(a, a) - _scaled(octic_mul(b, b), t, 1)
     m = _sqrt_tower(n, rest)
     if m is None:
         return None
     for mm in (m, -m):
-        c = _sqrt_tower(_scaled(a + mm, 1, 2), rest)
+        h = _scaled(a + mm, 1, 2)
+        c = None if _non_residue(h, bit) else _sqrt_tower(h, rest)
         if c is not None and not c.is_zero:
             d = octic_mul(b, octic_inv(_scaled(c, 2, 1)))
             return _join(c, d, bit)

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from .arith import PrimePair, is_perfect_square
 from .errors import InternalInconsistencyError, TriquadError
-from .octic import (TAU1, TAU2, TAU3, OcticElem, norm_to_subfield,
-                    octic_mul, sqrt_exact)
+from .octic import TAU1, TAU2, TAU3, OcticElem, norm_to_subfield, octic_mul
 from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord,
                            unit_context)
 
@@ -179,7 +178,7 @@ class ClassificationContext:
         else:
             prod = octic_mul(octic_mul(self.ctx.units["e2"], self.ctx.units["ep"]),
                              self.ctx.units["e2p"])
-            r = sqrt_exact(prod)
+            r = self.ctx.sqrt(prod)
             if r is None:
                 raise InternalInconsistencyError(
                     "sqrt(e2 ep e2p) missing although N(eps_2p) = -1")
@@ -268,7 +267,7 @@ def _test_candidates(cc: ClassificationContext, tail: OcticElem,
     witness = None
     hits = 0
     for a_exp, b_exp in candidates:
-        xi = sqrt_exact(cc.prefixed(tail, a_exp, b_exp))
+        xi = cc.ctx.sqrt(cc.prefixed(tail, a_exp, b_exp))
         if xi is not None:
             hits += 1
             if witness is None:
@@ -367,7 +366,7 @@ def _deep_root_word(cc: ClassificationContext, half_ids: tuple[str, ...],
             exps["e2"] = Fraction(a_exp, 2)
         if b_exp:
             exps["ep"] = Fraction(b_exp, 2)
-    xi = sqrt_exact(elem)
+    xi = cc.ctx.sqrt(elem)
     if xi is None:
         raise InternalInconsistencyError(
             "theorem-prescribed generator is not a square in K: "

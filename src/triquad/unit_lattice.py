@@ -21,12 +21,11 @@ p <= 300, q <= 200 reaches depth 2 and m = 7.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import octic
-from .arith import PrimePair, f2_eliminate, is_prime, sqrt_mod
+from .arith import PrimePair, f2_eliminate, symbol_primes
 from .errors import InternalInconsistencyError, RootMissingError, TriquadError
 from .octic import OcticElem, embed_quadratic, octic_mul, sqrt_exact
 from .quadratic import fundamental_unit
@@ -125,7 +124,8 @@ class SaturationResult:
 
 class UnitContext:
     """Per-pair cache of embedded base units, the split primes of the
-    saturation sieve, and the character rows of the base units."""
+    saturation sieve, and memos of character rows and of the square roots
+    that every stage of the pair asks for; they leave with the context."""
 
     def __init__(self, pair: PrimePair):
         self.pair = pair
@@ -139,8 +139,20 @@ class UnitContext:
             self.quad[uid] = fu
             self.units[uid] = embed_quadratic(fu.elem, self.key)
             self.norms[uid] = fu.norm
-        self.primes = _split_primes(pair.p, pair.q)
-        self.rows = {u: _character_row(self, u) for u in self.units.values()}
+        self.primes = symbol_primes((2, pair.p, pair.q), (1, 1, 1), SPLIT_PRIMES)
+        self.rows: dict[OcticElem, tuple[int, int]] = {}
+        self.sqrts: dict[OcticElem, OcticElem | None] = {}
+
+    def row(self, x: OcticElem) -> tuple[int, int]:
+        if x not in self.rows:
+            self.rows[x] = _character_row(self, x)
+        return self.rows[x]
+
+    def sqrt(self, x: OcticElem) -> OcticElem | None:
+        """sqrt_exact(x), computed once per element."""
+        if x not in self.sqrts:
+            self.sqrts[x] = sqrt_exact(x)
+        return self.sqrts[x]
 
 
 @functools.lru_cache(maxsize=64)
@@ -179,9 +191,10 @@ def word_embed(word: UnitWord, pair: PrimePair) -> OcticElem:
     if word._embedding is not None:
         return word._embedding
     depth = word.depth
-    z = _integral_power(word, unit_context(pair), depth)
+    ctx = unit_context(pair)
+    z = _integral_power(word, ctx, depth)
     for level in range(depth):
-        xi = sqrt_exact(z)
+        xi = ctx.sqrt(z)
         if xi is None:
             sub = UnitWord({uid: e * (1 << level)
                             for uid, e in word.exponents.items()})
@@ -208,27 +221,6 @@ def _product_of(gens_elems: list[OcticElem], vector: int, pair_key) -> OcticElem
 # not XOR to zero is no square, and sqrt_exact need not be asked. A bit is
 # undefined when l divides a coordinate denominator or the residue is 0; such a
 # column is dropped for the whole search, never read as 0, so no square is lost.
-
-def _split_primes(p: int, q: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The first SPLIT_PRIMES odd primes l not dividing pq with 2, p and q
-    squares mod l, each with roots[mask]: sqrt(prod mask) mod l for one fixed
-    choice of the square roots of 2, p and q."""
-    out = []
-    l = 1
-    while len(out) < SPLIT_PRIMES:
-        l += 2
-        # Euler's criterion first: it rejects most l before the primality test
-        if p % l == 0 or q % l == 0 or any(
-                pow(a, (l - 1) // 2, l) != 1 for a in (2, p, q)) or not is_prime(l):
-            continue
-        base = [sqrt_mod(a, l) for a in (2, p, q)]
-        if any((r * r - a) % l for r, a in zip(base, (2, p, q))):
-            raise InternalInconsistencyError(f"wrong square root mod {l}")
-        roots = tuple(math.prod(r for b, r in enumerate(base) if mask >> b & 1) % l
-                      for mask in range(8))
-        out.append((l, roots))
-    return tuple(out)
-
 
 def _character_row(ctx: UnitContext, x: OcticElem) -> tuple[int, int]:
     """(bits, undefined) of x: bit i is a negative embedding i, bit 8+8k+i a
@@ -258,10 +250,6 @@ def _character_row(ctx: UnitContext, x: OcticElem) -> tuple[int, int]:
             elif pow(v, (l - 1) // 2, l) != 1:
                 bits |= 1 << (shift + i)
     return bits, undefined
-
-
-def _rows_of(ctx: UnitContext, elems: list[OcticElem]) -> list[tuple[int, int]]:
-    return [ctx.rows.get(e) or _character_row(ctx, e) for e in elems]
 
 
 def _square_candidates(rows: list[tuple[int, int]]) -> list[int]:
@@ -296,12 +284,12 @@ def saturate(pair: PrimePair,
         if not any(w.exponents == {TORSION_ID: Fraction(1)} for w in gens):
             gens = [UnitWord({TORSION_ID: 1}, embedding=ctx.units[TORSION_ID])] + gens
     elems = [word_embed(w, pair) for w in gens]
-    rows = _rows_of(ctx, elems)
+    rows = [ctx.row(e) for e in elems]
     m = 0
     while True:
         hit = None
         for v in _square_candidates(rows):
-            xi = sqrt_exact(_product_of(elems, v, ctx.key))
+            xi = ctx.sqrt(_product_of(elems, v, ctx.key))
             if xi is None:
                 continue
             if restrict_support is not None and not xi.support() <= restrict_support:
@@ -332,7 +320,7 @@ def saturate(pair: PrimePair,
             raise InternalInconsistencyError("-1 alone reported as a square")
         gens[idx] = word
         elems[idx] = xi
-        rows[idx] = _character_row(ctx, xi)
+        rows[idx] = ctx.row(xi)
         m += 1
         if m > SATURATION_GUARD:
             raise InternalInconsistencyError(

@@ -1,19 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from triquad.arith import PrimePair
+from triquad import octic
+from triquad.arith import PrimePair, is_prime
 from triquad.errors import TriquadError
-from triquad.octic import (TAU1, TAU2, TAU3, OcticElem,
-                           apply_automorphism, embed_quadratic,
+from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
+                           _non_residue, apply_automorphism, embed_quadratic,
                            norm_to_subfield, octic_inv, octic_mul,
                            rational_norm, sign_vector, sqrt_exact)
 from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
 from triquad.unit_lattice import unit_context
 
-from oracles import IDENTITY, real_embeddings, sqrt_in_field
+from oracles import (IDENTITY, legendre_by_enumeration, real_embeddings,
+                     sqrt_in_field)
 
 PAIR = PrimePair(17, 7)
 KEY = (17, 7)
@@ -223,3 +226,95 @@ def test_octic_norm_is_fourth_power_of_quad_norm(d, a, b):
     if quad_norm(x) == 0:
         return
     assert rational_norm(embed_quadratic(x, PAIR)) == quad_norm(x) ** 4
+
+
+# -- the character-chosen branch of the tower descent ------------------------
+
+# the branch primes of (11, 19) are 5, 3 and 7 for the levels of sqrt2, sqrt11
+# and sqrt19: small enough for sqrt_in_field's denominator bound of 16
+BRANCH_KEY = (11, 19)
+BRANCH_DENOMINATORS = (1, 2, 3, 5, 7, 15)
+
+
+def branch_elements():
+    fr = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(BRANCH_DENOMINATORS))
+    return st.tuples(*[fr] * 8).map(lambda t: OcticElem(BRANCH_KEY, t))
+
+
+def _branch(coords):
+    return OcticElem(BRANCH_KEY, tuple(Fraction(c) for c in coords))
+
+
+@pytest.mark.parametrize("key", [KEY, BRANCH_KEY, (5, 7), (41, 23)])
+def test_branch_prime_is_the_first_with_the_level_symbols(key):
+    rads = (2, *key)
+    for bit in range(3):
+        l, roots = _branch_prime(key, bit)
+
+        def fits(n):
+            return (all(r % n for r in rads)
+                    and legendre_by_enumeration(rads[bit], n) == -1
+                    and all(legendre_by_enumeration(rads[b], n) == 1
+                            for b in range(bit + 1, 3)))
+
+        assert l == next(n for n in itertools.count(3, 2) if is_prime(n) and fits(n))
+        for m in range(8):
+            if m >> bit & 1:
+                assert roots[m] is None
+            elif not m & ((1 << bit) - 1):
+                prod = 1
+                for b in range(3):
+                    if m >> b & 1:
+                        prod *= rads[b]
+                assert (roots[m] ** 2 - prod) % l == 0
+
+
+@settings(max_examples=60)
+@given(branch_elements(), st.integers(1, 7))
+# denominators divisible by each branch prime, where a candidate's character
+# is undefined and both candidates are descended
+@example(_branch((Fraction(1, 5), 1, Fraction(2, 3), 1, 0, Fraction(1, 7), 1, 0)), 1)
+@example(_branch((1, Fraction(1, 15), 0, Fraction(3, 7), 2, 0, Fraction(1, 3), 1)), 6)
+@example(_branch((Fraction(2, 7), 0, 1, Fraction(1, 5), Fraction(1, 3), 1, 0, 0)), 7)
+def test_sqrt_exact_finds_squares_and_rejects_radical_multiples(y, mask):
+    assume(not y.is_zero)
+    x = octic_mul(y, y)
+    root = sqrt_exact(x)
+    assert root in (y, -y)
+    assert root == sqrt_in_field(x)
+    tx = octic_mul(OcticElem.from_dict(BRANCH_KEY, {mask: 1}), x)
+    assert sqrt_exact(tx) is None
+    assert sqrt_in_field(tx) is None
+
+
+def test_sqrt_exact_b_zero_branch_takes_a_or_a_over_t():
+    c = O({0: 1, 2: 1, 4: 1})                      # 1 + sqrt17 + sqrt7
+    c2 = octic_mul(c, c)
+    two_c2 = octic_mul(O({0: 2}), c2)
+    # a and a/t = a/2 have opposite characters at the branch prime of sqrt2
+    assert _non_residue(two_c2, 0) and not _non_residue(c2, 0)
+    assert sqrt_exact(c2) in (c, -c)               # c^2 = a
+    r2c = octic_mul(O({1: 1}), c)                  # d^2 = a/2, root sqrt2 * c
+    assert sqrt_exact(two_c2) in (r2c, -r2c)
+    assert sqrt_exact(octic_mul(O({0: 3}), c2)) is None
+    assert sqrt_exact(O({0: 17})) == O({2: 1})
+    assert sqrt_exact(O({0: 34})) == O({3: 1})
+    assert sqrt_exact(O({0: 119, 6: 2})) is None
+
+
+def test_sqrt_tower_descends_one_candidate_per_level(monkeypatch):
+    calls = []
+    descend = octic._sqrt_tower
+
+    def counted(x, bits):
+        calls.append(bits)
+        return descend(x, bits)
+
+    monkeypatch.setattr(octic, "_sqrt_tower", counted)
+    for coords in ((1,) * 8, (3, 1, -2, 1, 1, 5, 1, 2)):
+        y = O(dict(enumerate(coords)))
+        calls.clear()
+        assert sqrt_exact(octic_mul(y, y)) in (y, -y)
+        # every level descends its norm a^2 - t b^2 and one candidate, so
+        # the three levels make 1 + 2 * (1 + 2 * (1 + 2)) = 15 descents
+        assert len(calls) == 15

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import triquad
-from oracles import legendre_by_enumeration, unsieved_saturation
+from oracles import legendre_by_enumeration, sqrt_in_field, unsieved_saturation
+from triquad import unit_lattice
 from triquad.arith import PrimePair
+from triquad.harness import record_json, verify_pair
 from triquad.errors import (InternalInconsistencyError, RootMissingError,
                             TriquadError)
 from triquad.octic import OcticElem, octic_mul, rational_norm, sqrt_exact
-from triquad.theorems import classify_pair, unit_generators
+from triquad.theorems import (classification_context, classify_pair,
+                              unit_generators)
 from triquad.unit_lattice import (BASE_UNIT_IDS, UnitWord, _character_row,
-                                  _product_of, _rows_of, _square_candidates,
+                                  _product_of, _square_candidates,
                                   base_unit_words, k5_unit_index,
                                   rank_certificate, saturate, unit_context,
                                   word_embed)
@@ -62,7 +65,7 @@ def _base_unit_squares(pair):
     ctx = unit_context(pair)
     elems = [word_embed(w, pair) for w in base_unit_words(pair)]
     return {v: sqrt_exact(_product_of(elems, v, ctx.key))
-            for v in _square_candidates(_rows_of(ctx, elems))}, elems
+            for v in _square_candidates([ctx.row(e) for e in elems])}, elems
 
 
 def test_square_class_space_17_7():
@@ -265,3 +268,34 @@ def test_square_candidates_are_the_screened_vectors_smallest_support_first(data)
         if not acc & ~undefined:
             expected.append(v)
     assert _square_candidates(rows) == expected
+
+
+# -- the per-pair root memo ----------------------------------------------------
+
+def test_warm_verify_pair_repeats_the_cold_record_without_new_roots(monkeypatch):
+    unit_context.cache_clear()
+    classification_context.cache_clear()
+    cold = record_json(verify_pair(17, 191), include_wall_time=False)
+    asked = []
+
+    def counted(x):
+        asked.append(x)
+        return sqrt_exact(x)
+
+    monkeypatch.setattr(unit_lattice, "sqrt_exact", counted)
+    warm = record_json(verify_pair(17, 191), include_wall_time=False)
+    assert warm == cold
+    assert asked == []  # every root of the pair comes from the memo
+
+
+@pytest.mark.parametrize("pair", [P17, P17_191])
+def test_root_memo_holds_roots_of_its_pair_or_certified_misses(pair):
+    verify_pair(pair.p, pair.q)
+    ctx = unit_context(pair)
+    assert any(y is None for y in ctx.sqrts.values())
+    for x, y in ctx.sqrts.items():
+        assert x.pair == ctx.key
+        if y is None:
+            assert sqrt_in_field(x) is None
+        else:
+            assert y.pair == ctx.key and octic_mul(y, y) == x
