@@ -1,156 +1,51 @@
 """Exact 2-class numbers of real quadratic fields and the Kuroda assembly.
 
 The 2-class number of Q(sqrt d) is read from the narrow class group Cl+ of
-its discriminant D, in three steps:
-- 4-rank: D is the product of t prime discriminants; genus theory gives the
-  narrow 2-rank t - 1, and Redei's F2 matrix R of their Kronecker symbols
-  gives the 4-rank r4 = t - 1 - rank R (L. Redei, J. reine angew. Math.
-  171, 1934; P. Stevenhagen, "Redei matrices and applications", 1995).
-  When r4 = 0 the 2-part of the narrow class number is 2^(t-1);
-- 8-rank: each of the 1 + r4 vectors of the left kernel of R picks an
-  ambiguous ideal a of norm A whose class c is a square. The conic
-  X^2 - D Y^2 = 4 A Z^2, solved by Lagrange's descent (J. Cremona and
-  D. Rusin, "Efficient solution of rational conics", Math. Comp. 72, 2003),
-  gives gamma = (X + Y sqrt D)/2 of norm A Z^2 > 0; divided by its content
-  it is primitive, so (gamma) = a b^2 with N(b) = |Z| prime to D, and
-  [b]^-1 is a square root of c. c lies in Cl+^4 exactly when the genus
-  of |Z| lies in the row space of R, the genera of Cl+[2], so
-  r8 = r4 - rho, rho the rank of these genera modulo the row space
-  (Stevenhagen, op. cit.). When r8 = 0 the 2-part of the narrow class
-  number is 2^(t-1+r4);
-- otherwise the narrow class number is counted as the number of cycles of
-  reduced indefinite binary quadratic forms under the reduction operator
-  rho, and its 2-part must be at least 2^(t-1+r4+r8).
-The wide (ideal) class number halves the narrow one exactly when the
-fundamental unit has norm +1.
+its discriminant D, the product of t prime discriminants. By genus theory
+Cl+[2] has rank t - 1 and is generated by the classes [a_e] of the
+ambiguous ideals, e a vector over the ramified primes; its genera are the
+row space of Redei's F2 matrix R of their Kronecker symbols, and the
+principal genus is Cl+^2 (L. Redei, J. reine angew. Math. 171, 1934;
+P. Stevenhagen, "Redei matrices and applications", 1995). So v2(h+) is the
+sum of the 2^k-ranks e_k, the ranks of Cl+[2] meet Cl+^(2^(k-1)), found
+level by level (W. Bosma and P. Stevenhagen, "On the computation of
+quadratic 2-class groups", J. Theor. Nombres Bordeaux 8, 1996):
+- level k holds a basis of V_k, the e with [a_e] in Cl+^(2^(k-1)), of
+  dimension 1 + e_k (one e gives a principal ideal), each with a form y_e,
+  y_e^(2^(k-1)) ~ a_e, and witness forms of Cl+[2^(k-1)] with their
+  genera G_(k-1). Level 1 is every e, y_e = a_e, and G_0 = 0;
+- [a_e] lies in Cl+^(2^k) exactly when the genus of y_e lies in G_(k-1);
+  then y_e w^-1, w a witness of that genus, lies in Cl+^2, and its square
+  root is y_e at level k + 1. Cl+[2^k] is made of Cl+[2^(k-1)] and the y_e
+  of level k, the new witnesses;
+- the loop stops at the first e_k = 0, after at most D.bit_length() levels
+  as 2^(number of levels) divides h+ < D.
 
-The reduced forms (a, b, c), b^2 - 4ac = D, are enumerated by b:
-- window: with r = isqrt(D) and 0 < b <= r, the form is reduced exactly when
-  ceil((r + 1 - b)/2) <= |a| <= floor((r + b)/2), since sqrt(D) is
-  irrational and reduction is sqrt(D) - b < 2|a| < sqrt(D) + b;
-- divisors: a runs over the divisors of n = (D - b^2)/4 in that window. An
-  odd prime l divides n exactly when b = +-s mod l, s a square root of D
-  mod l, so each prime l <= isqrt(D/4) with (D/l) != -1 is sieved onto its
-  b once; n is divided only by its sieved primes, and as n < D/4 the
-  cofactor left is 1 or prime;
-- walk: a reduced form has ac < 0 and rho(a, b, c) = (c, b', c'), so the
-  sign of a alternates along a cycle and the forms with a > 0 of one cycle
-  make exactly one orbit of rho twice; only they are stored and walked.
+A class in the principal genus is given by a form (A, B, C), A > 0 the
+ambiguous ideal's norm at level 1 and an odd prime prime to D above it.
+The conic X^2 - D Y^2 = 4 A Z^2, solved by Lagrange's descent (J. Cremona
+and D. Rusin, "Efficient solution of rational conics", Math. Comp. 72,
+2003), gives gamma = (X + Y sqrt D)/2 of norm A Z^2 > 0 in the ideal a of
+the form, and (gamma) = a c^2 with N(c) = |Z| prime to D. So [c]^-1 is a
+square root, of the genus of |Z|. Each root is checked exactly (gamma lies
+in the composed ideal a c^2 of norm N(gamma)), and each genus against the
+product formula. The wide (ideal) class number halves the narrow one
+exactly when the fundamental unit has norm +1.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import PrimePair, f2_eliminate, factor, sqrt_mod
+from .arith import PrimePair, f2_eliminate, factor, is_prime, sqrt_mod
 from .errors import InternalInconsistencyError, ResourceGuardError, TriquadError
 from .quadratic import fundamental_unit
 
 DEFAULT_QUAD_BOUND = 10 ** 7
-
-
-def _odd_primes(limit: int) -> list[int]:
-    """Odd primes up to limit, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (limit + 1)
-    for i in range(3, math.isqrt(limit) + 1, 2):
-        if sieve[i]:
-            sieve[i * i::2 * i] = bytes(len(range(i * i, limit + 1, 2 * i)))
-    return [i for i in range(3, limit + 1, 2) if sieve[i]]
-
-
-def _rho(form: tuple[int, int, int], D: int, rD: int) -> tuple[int, int, int]:
-    """Reduction-operator step to the right neighbour of a reduced form."""
-    _, b, c = form
-    ac = abs(c)
-    t = (-b) % (2 * ac)
-    bp = t + 2 * ac * ((rD - t) // (2 * ac))
-    while bp > rD:
-        bp -= 2 * ac
-    while bp <= rD - 2 * ac:
-        bp += 2 * ac
-    cp = (bp * bp - D) // (4 * c)
-    return (c, bp, cp)
-
-
-def narrow_class_number(D: int) -> int:
-    """Cycle count of reduced indefinite forms of discriminant D, a positive
-    non-square (the narrow class number when D is fundamental)."""
-    if D <= 0 or D % 4 not in (0, 1):
-        raise TriquadError(f"not a positive discriminant: {D}")
-    rD = math.isqrt(D)
-    if rD * rD == D:
-        raise TriquadError(f"square discriminant: {D}")
-    # b runs over b0, b0 + 2, ..., rD; marks[i] lists the odd primes that
-    # divide n = (D - b^2)/4 at b = b0 + 2i, i.e. those with b = +-s mod l
-    b0 = 2 - (D & 1)
-    marks: list[list[int]] = [[] for _ in range((rD - b0) // 2 + 1)]
-    for l in _odd_primes(math.isqrt(D // 4)):
-        if pow(D, (l - 1) // 2, l) == l - 1:
-            continue
-        s = sqrt_mod(D, l)
-        if (s * s - D) % l:
-            raise InternalInconsistencyError(
-                f"{s} is not a square root of {D} mod {l}")
-        for r in {s, -s % l}:
-            # the least b >= b0 with b = r mod l and b = D mod 2
-            start = r if (r - b0) % 2 == 0 else r + l
-            if start < b0:
-                start += 2 * l
-            for i in range((start - b0) // 2, len(marks), l):
-                marks[i].append(l)
-    forms = set()  # reduced forms with a > 0
-    for i, primes in enumerate(marks):
-        b = b0 + 2 * i
-        n = (D - b * b) >> 2  # forms (a, b, c) with -ac = n
-        # reduced: sqrt(D) - b < 2|a| < sqrt(D) + b, i.e. lo <= |a| <= hi
-        lo = (rD + 2 - b) >> 1
-        hi = (rD + b) >> 1
-        two = (n & -n).bit_length() - 1
-        m = n >> two
-        divs = [1 << k for k in range(two + 1)]
-        for l in primes:
-            if m % l:
-                raise InternalInconsistencyError(
-                    f"sieved prime {l} does not divide {n} at discriminant {D}")
-            step = divs
-            while m % l == 0:
-                m //= l
-                step = [v * l for v in step]
-                divs = divs + step
-        # n < D/4 has at most one prime factor above isqrt(D/4)
-        if m > 1:
-            divs += [v * m for v in divs]
-        for a in divs:
-            if lo <= a <= hi:
-                forms.add((a, b, -(n // a)))
-    # one rho^2 orbit per cycle (module docstring); negation keeps a form
-    # reduced, so the middle form is checked by its negative
-    seen: set[tuple[int, int, int]] = set()
-    cycles = 0
-    for f in forms:
-        if f in seen:
-            continue
-        cycles += 1
-        g = f
-        while True:
-            seen.add(g)
-            mid = _rho(g, D, rD)
-            if (-mid[0], mid[1], -mid[2]) not in forms:
-                raise InternalInconsistencyError(
-                    f"reduction step left the reduced set at discriminant {D}")
-            g = _rho(mid, D, rD)
-            if g == f:
-                break
-            if g not in forms:
-                raise InternalInconsistencyError(
-                    f"reduction step left the reduced set at discriminant {D}")
-            if g in seen:
-                raise InternalInconsistencyError(
-                    f"reduction walk missed its start at discriminant {D}")
-    return cycles
 
 
 def _prime_discriminants(d: int) -> list[int]:
@@ -241,22 +136,98 @@ def _legendre_solution(a: int, a_primes: list[int], b: int,
     return r * x + a * y, x + r * y, k * s * z
 
 
-def _root_genus(d: int, discs: list[int], e: int) -> int:
-    """The genus of a square root of the narrow class c of the ambiguous
-    ideal a_e, the product of the ramified primes picked by e, when c is a
-    square.
+def _form(a: int, b: int, D: int) -> tuple[int, int, int]:
+    """The form (a, b, (b^2 - D)/(4a)) of discriminant D."""
+    c, r = divmod(b * b - D, 4 * a)
+    if r:
+        raise InternalInconsistencyError(
+            f"{b}^2 - {D} is not divisible by 4 * {a}: no form of discriminant {D}")
+    return a, b, c
 
-    A solution of X^2 - D Y^2 = 4 A Z^2, A = N(a_e), gives gamma =
-    (X + Y sqrt D)/2 of norm A Z^2 > 0. Made primitive, (gamma) = a_e b^2
-    with N(b) = |Z| prime to D, so [b]^-1 is a square root of c, and its
-    genus is that of |Z|: bit j is chi_j(|Z|) = -1.
-    """
-    D = d if d % 4 == 1 else 4 * d
+
+def _ambiguous_form(d: int, D: int, A: int) -> tuple[int, int, int]:
+    """The form (A, b, c) of the ideal of norm A, a product of ramified
+    primes: b = A when D is odd or d = 3 mod 4 and 2 | A, else b = 0."""
+    return _form(A, A if D % 2 or (A % 2 == 0 and d % 2) else 0, D)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u a + v b = g = gcd(a, b)."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, u0, v0, u1, v1 = b, r, u1, v1, u0 - q * u1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
+def _compose(f: tuple[int, int, int], g: tuple[int, int, int],
+             D: int) -> tuple[int, int, int]:
+    """Composition of forms of discriminant D with first coefficients
+    a1, a2 > 0: (a3, b3, c3) with d1 [a3, (-b3 + sqrt D)/2] the product of
+    their ideals, a1 a2 = d1^2 a3 (H. Cohen, "A Course in Computational
+    Algebraic Number Theory", 1993, Algorithm 5.4.7). Checked exactly: the
+    products of the bases of the two ideals lie in that ideal, whose norm
+    d1^2 a3 is that of the product, so the two are equal."""
+    if f[0] > g[0]:
+        f, g = g, f
+    (a1, b1, _), (a2, b2, c2) = f, g
+    s = (b1 + b2) // 2
+    dd, y1, _ = _xgcd(a2, a1)
+    d1, x2, v = _xgcd(s, dd)
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * v * (b2 - s) - x2 * c2) % v1
+    a3, b3 = v1 * v2, b2 + 2 * v2 * r
+    # (X + Y sqrt D)/2 lies in it when d1 | X, Y and X + b3 Y = 0 mod 2 d1 a3
+    for X, Y in ((-a1 * b2, a1), (-a2 * b1, a2), ((b1 * b2 + D) // 2, -s)):
+        if X % d1 or Y % d1 or (X + b3 * Y) // d1 % (2 * a3):
+            raise InternalInconsistencyError(
+                f"the product of the ideals of {f} and {g} is not {d1} times that of "
+                f"({a3}, {b3})")
+    return _form(a3, b3, D)
+
+
+def _reduce(f: tuple[int, int, int], D: int, rD: int) -> tuple[int, int, int]:
+    """A reduced form properly equivalent to f, with first coefficient
+    positive: sqrt(D) - b < 2|a| < sqrt(D) + b and 0 < b < sqrt(D), in
+    integers with rD = isqrt(D) as sqrt(D) is irrational. A step goes to
+    (c, b', c'), b' = -b mod 2|c| in (-|c|, |c|] when |c| > sqrt(D), else in
+    (sqrt(D) - 2|c|, sqrt(D)) (Cohen, op. cit., Algorithm 5.6.5). A reduced
+    form has ac < 0, and (a, b, c) is equivalent to (c, -b, a)."""
+    a, b, c = f
+    while not (0 < b <= rD and rD + 1 - b <= 2 * abs(a) <= rD + b):
+        m = abs(c)
+        b = m - (m + b) % (2 * m) if m > rD else rD - (rD + b) % (2 * m)
+        a, b, c = _form(c, b, D)
+    return (a, b, c) if a > 0 else (c, -b, a)
+
+
+def _prime_form(f: tuple[int, int, int], D: int) -> tuple[int, int, int]:
+    """A form (P, B, C) properly equivalent to f = (a, b, c), P an odd
+    prime prime to D: the first value f(x, y) that is one, over coprime
+    (x, y) by max(|x|, |y|), moved to the front by the substitution
+    (x, -t; y, s), sx + ty = 1. A primitive form represents infinitely many
+    primes (H. Weber, 1882), so the search ends."""
+    a, b, c = f
+    for k in itertools.count(1):
+        for x, y in itertools.chain(((k, y) for y in range(-k, k + 1)),
+                                    ((x, s * k) for x in range(k) for s in (1, -1))):
+            P = a * x * x + b * x * y + c * y * y
+            if P > 2 and P % 2 and D % P and math.gcd(x, y) == 1 and is_prime(P):
+                _, s, t = _xgcd(x, y)
+                return _form(P, b * (x * s - y * t) - 2 * a * x * t + 2 * c * y * s, D)
+
+
+def _sqrt_class(d: int, D: int, discs: list[int], form: tuple[int, int, int],
+                a_primes: list[int]) -> tuple[tuple[int, int, int], int]:
+    """A square root of the class of form = (A, B, C) in the principal
+    genus, and its genus (module docstring); A > 0 is a product of ramified
+    primes or one odd prime prime to D, with primes a_primes. Made
+    primitive, gamma or its conjugate lies in the ideal a of the form, and
+    c = [|Z|, (-b + sqrt D)/2] is the ideal with X + b Y = 0 mod 2|Z|."""
+    A, B, _ = form
     f = 1 if D == d else 2
-    primes = [_ramified_prime(dj) for dj in discs]
-    a_primes = [l for i, l in enumerate(primes) if e >> i & 1]
-    A = math.prod(a_primes)
-    w, u, v = _legendre_solution(d, [l for l in primes if d % l == 0], A, a_primes)
+    w, u, v = _legendre_solution(d, [_ramified_prime(dj) for dj in discs
+                                     if d % _ramified_prime(dj) == 0], A, a_primes)
     # gamma = f (w + u sqrt d) = (X + Y sqrt D)/2 with X = 2 f w, Y = 2 u is
     # integral; g, its content on the integral basis 1, (1 + sqrt D)/2 or
     # 1, sqrt d, divides X, Y and (as g^2 | A Z^2, A squarefree) Z = f v
@@ -266,48 +237,78 @@ def _root_genus(d: int, discs: list[int], e: int) -> int:
         raise InternalInconsistencyError(
             f"({X}, {Y}, {Z}) does not solve X^2 - {D} Y^2 = 4 * {A} Z^2 "
             f"with Z nonzero and prime to {D}")
+    if (X + B * Y) % (2 * A):
+        Y = -Y
+    # Y is prime to Z (so odd when Z is even), as gamma is primitive
+    if math.gcd(Y, Z) != 1:
+        raise InternalInconsistencyError(f"{X} + {Y} sqrt {D} is not primitive at {Z}")
+    m = Z if Z % 2 else 2 * Z  # for odd Z, b = D mod 2 is set below
+    b = -X * pow(Y, -1, m) % m
+    b += m * ((b - D) % 2)
+    c = _form(Z, b, D)
+    J = _compose(form, _compose(c, c, D), D)
+    if J[0] != A * Z * Z or (X + J[1] * Y) % (2 * J[0]):
+        raise InternalInconsistencyError(
+            f"({X} + {Y} sqrt {D})/2 does not generate the product of the ideal "
+            f"{form} and the square of {c}: no square root")
     genus = sum(1 << j for j, dj in enumerate(discs) if _is_minus(dj, Z))
     if genus.bit_count() % 2:
         raise InternalInconsistencyError(
             f"{Z} is not the norm of an ideal of discriminant {D}")
-    return genus
+    return (c[0], -c[1], c[2]), genus
+
+
+def _two_ranks(d: int) -> list[int]:
+    """The 2^k-ranks e_1, ..., e_K of the narrow class group of Q(sqrt d),
+    d > 1 squarefree, up to the first e_(K+1) = 0 (module docstring); their
+    sum is v2(h+)."""
+    discs = _prime_discriminants(d)
+    D = math.prod(discs)
+    rD = math.isqrt(D)
+    primes = [_ramified_prime(dj) for dj in discs]
+    rows = _redei_matrix(discs)
+    # level k: (e, y_e, genus of y_e) over a basis of V_k, after
+    # (0, w^-1, genus of w) over witnesses w of Cl+[2^(k-1)]
+    level = [(1 << i, _ambiguous_form(d, D, l), rows[i]) for i, l in enumerate(primes)]
+    witnesses: list[tuple[int, tuple[int, int, int], int]] = []
+    ranks: list[int] = []
+    while True:
+        if len(ranks) == D.bit_length():  # 2^len(ranks) divides h+ < D
+            raise InternalInconsistencyError(
+                f"the 2^k-ranks at discriminant {D} do not vanish within "
+                f"{len(ranks)} levels")
+        ranks.append(len(level) - 1)
+        # the combinations of the y_e with the genus of a witness
+        n, entries = len(witnesses), witnesses + level
+        combos = [v for v in f2_eliminate([g for *_, g in entries])[1] if v >> n]
+        if not combos:  # the principal ambiguous class lies in every V_k
+            raise InternalInconsistencyError(
+                f"no ambiguous class left at level {len(ranks) + 1} of discriminant {D}")
+        if len(combos) == 1:
+            return ranks
+        nxt = []
+        for v in combos:
+            picked = [entry for i, entry in enumerate(entries) if v >> i & 1]
+            e = functools.reduce(operator.xor, (entry[0] for entry in picked))
+            if n == 0:  # level 1: the ambiguous ideal a_e itself
+                a_primes = [l for i, l in enumerate(primes) if e >> i & 1]
+                x = _ambiguous_form(d, D, math.prod(a_primes))
+            else:
+                x = _prime_form(functools.reduce(
+                    lambda x, y: _reduce(_compose(x, y, D), D, rD),
+                    (entry[1] for entry in picked)), D)
+                a_primes = [x[0]]
+            root, genus = _sqrt_class(d, D, discs, x, a_primes)
+            nxt.append((e, _reduce(root, D, rD), genus))
+        witnesses += [(0, (a, -b, c), g) for _, (a, b, c), g in level]
+        level = nxt
 
 
 @functools.lru_cache(maxsize=None)
 def _h2_cached(d: int) -> int:
-    """2-class number of Q(sqrt d), d > 1 squarefree.
-
-    Let Cl+ be the narrow class group. By genus theory Cl+[2] has rank
-    t - 1, is generated by the ramified primes, and has as genera the row
-    space of the Redei matrix R; the principal genus is Cl+^2. So the
-    4-rank is r4 = t - 1 - rank R, and the left kernel of R, of dimension
-    1 + r4, maps onto Cl+[2] meet Cl+^2; the genera of square roots
-    (_root_genus) give the 8-rank r8 (module docstring). When r8 = 0 the
-    2-Sylow subgroup of Cl+ has t - 1 cyclic factors, r4 of order 4 and
-    none larger, and nothing is enumerated. Otherwise h+ is counted and
-    v2(h+) >= t - 1 + r4 + r8 is checked. The ideal class group is Cl+
-    modulo a subgroup of order 2 when the fundamental unit has norm +1,
-    and Cl+ itself otherwise.
-    """
-    discs = _prime_discriminants(d)
-    t = len(discs)
-    rows = _redei_matrix(discs)
-    basis, kernel = f2_eliminate(rows)
-    r4 = t - 1 - len(basis)
-    r8 = 0
-    if r4:
-        roots = [_root_genus(d, discs, e) for e in kernel]
-        r8 = r4 - (len(f2_eliminate(rows + roots)[0]) - len(basis))
-    v2 = t - 1 + r4
-    if r8:
-        D = d if d % 4 == 1 else 4 * d
-        h_narrow = narrow_class_number(D)
-        v2 = (h_narrow & -h_narrow).bit_length() - 1
-        if v2 < t - 1 + r4 + r8:
-            raise InternalInconsistencyError(
-                f"narrow class number {h_narrow} of discriminant {D} is not "
-                f"divisible by 2^{t - 1 + r4 + r8} (genus theory, Redei and "
-                f"Reichardt)")
+    """2-class number of Q(sqrt d), d > 1 squarefree: 2^v2(h+), halved when
+    the fundamental unit has norm +1 (module docstring)."""
+    v2 = sum(_two_ranks(d))
     if fundamental_unit(d).norm == 1:
         if v2 == 0:
             raise InternalInconsistencyError(
@@ -335,15 +336,14 @@ _KURODA_POWER = 9  # n (2^(n-1) - 1) for the real degree-8 case
 
 def kuroda_h2K(pair: PrimePair, m: int, h2: dict[int, int]) -> int:
     """h2(K) = 2^(m-9) * prod of the seven subfield 2-class numbers."""
-    prod = 1
-    for d in pair.radicands:
-        prod *= h2[d]
-    val = Fraction(prod * (1 << m), 1 << _KURODA_POWER)
-    if val.denominator != 1 or val.numerator < 1:
+    num, den = math.prod(h2[d] for d in pair.radicands) << m, 1 << _KURODA_POWER
+    if num % den or num < den:
+        g = math.gcd(num, den)
+        val = f"{num // g}/{den // g}" if den > g else num // g
         raise InternalInconsistencyError(
             f"Kuroda formula gave non-integer 2-class number {val} "
             f"for pair ({pair.p},{pair.q})")
-    return val.numerator
+    return num >> _KURODA_POWER
 
 
 def subfield_h2_map(pair: PrimePair, bound: int = DEFAULT_QUAD_BOUND) -> dict[int, int]:

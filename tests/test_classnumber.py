@@ -6,7 +6,7 @@ from triquad import classnumber
 from triquad.arith import PrimePair, f2_eliminate, factor, primes_in_range, sqrt_mod
 from triquad.classnumber import (ClassNumberReport, h2_real_quadratic,
                                  kuroda_h2K, h2_pattern_failures,
-                                 narrow_class_number, subfield_h2_map)
+                                 subfield_h2_map)
 from triquad.errors import (InternalInconsistencyError, ResourceGuardError,
                             TriquadError)
 from triquad.quadratic import fundamental_unit
@@ -24,12 +24,12 @@ def test_h2_examples():
 
 def test_narrow_class_numbers_known_values():
     # classical discriminants: h+(8) = 1, h+(40) = 2, h+(136) = 4, h+(328) = 4
-    assert narrow_class_number(8) == 1
-    assert narrow_class_number(40) == 2
-    assert narrow_class_number(136) == 4
-    assert narrow_class_number(328) == 4
-    assert narrow_class_number(5) == 1
-    assert narrow_class_number(229) == 3
+    assert enumerated_class_number(8) == 1
+    assert enumerated_class_number(40) == 2
+    assert enumerated_class_number(136) == 4
+    assert enumerated_class_number(328) == 4
+    assert enumerated_class_number(5) == 1
+    assert enumerated_class_number(229) == 3
 
 
 def test_genus_theory_lower_bound():
@@ -53,7 +53,7 @@ def test_genus_theory_lower_bound():
     for d in squarefree_numbers(150):
         D = d if d % 4 == 1 else 4 * d
         t = prime_disc_factors(D)
-        assert narrow_class_number(D) % (1 << (t - 1)) == 0, d
+        assert enumerated_class_number(D) % (1 << (t - 1)) == 0, d
 
 
 def test_resource_guard():
@@ -89,12 +89,12 @@ def test_narrow_to_wide_conversion_consistency():
     for d in (2, 5, 10, 26, 65, 85):
         assert fundamental_unit(d).norm == -1
         D = d if d % 4 == 1 else 4 * d
-        hn = narrow_class_number(D)
+        hn = enumerated_class_number(D)
         assert h2_real_quadratic(d) == hn & -hn
     for d in (7, 14, 34, 119):
         assert fundamental_unit(d).norm == 1
         D = d if d % 4 == 1 else 4 * d
-        hw = narrow_class_number(D) // 2
+        hw = enumerated_class_number(D) // 2
         assert h2_real_quadratic(d) == max(hw & -hw, 1)
 
 
@@ -112,24 +112,19 @@ def wide_two_part(d, h):
     return h & -h
 
 
-def gate_ranks(d):
-    """(t, r4, r8) of Q(sqrt d) as the gate computes them."""
-    discs = classnumber._prime_discriminants(d)
-    rows = classnumber._redei_matrix(discs)
-    basis, kernel = f2_eliminate(rows)
-    t, rank = len(discs), len(basis)
-    assert len(kernel) == t - rank
-    roots = [classnumber._root_genus(d, discs, e) for e in kernel]
-    rho = len(f2_eliminate(rows + roots)[0]) - rank
-    return t, t - 1 - rank, t - 1 - rank - rho
-
-
 def check_ranks(d, h):
-    """Genus theory, Redei and Reichardt against the narrow class number h:
-    the 2-part of h is 2^(t-1+r4) exactly when r8 = 0, and at least
-    2^(t-1+r4+r8) always."""
-    t, r4, r8 = gate_ranks(d)
+    """(t, r4, r8) of Q(sqrt d) from the level loop, checked against the
+    rank of the Redei matrix and the narrow class number h: the 2-part of h
+    is 2^(e_1 + e_2 + ...), which is 2^(t-1+r4) exactly when r8 = 0 and at
+    least 2^(t-1+r4+r8) always."""
+    discs = classnumber._prime_discriminants(d)
+    basis, kernel = f2_eliminate(classnumber._redei_matrix(discs))
+    t = len(discs)
+    ranks = classnumber._two_ranks(d)
+    r4, r8 = (ranks + [0, 0])[1:3]
+    assert ranks[0] == t - 1 and r4 == t - 1 - len(basis) == len(kernel) - 1, d
     v2 = (h & -h).bit_length() - 1
+    assert v2 == sum(ranks), d
     assert v2 >= t - 1 + r4 + r8, d
     assert (r8 == 0) == (v2 == t - 1 + r4), d
     return t, r4, r8
@@ -142,7 +137,6 @@ def test_matches_enumeration_on_small_fundamental_discriminants():
     for d in radicands:
         D = d if d % 4 == 1 else 4 * d
         h = enumerated_class_number(D)
-        assert narrow_class_number(D) == h, D
         # genus theory and Redei: the 2-part of h+ is 2^(t-1) exactly
         # when the 4-rank is 0, and at least 2^(t-1+r4) otherwise
         assert math.prod(classnumber._prime_discriminants(d)) == D
@@ -157,7 +151,6 @@ def test_matches_enumeration_near_the_radicand_bound(p, q):
     for d in PrimePair(p, q).radicands:
         D = d if d % 4 == 1 else 4 * d
         h = enumerated_class_number(D)
-        assert narrow_class_number(D) == h, D
         check_ranks(d, h)
         assert h2_real_quadratic(d) == wide_two_part(d, h), d
 
@@ -191,29 +184,98 @@ def test_redei_matrices_by_hand():
 
 
 def test_four_rank_zero_is_not_enumerated(monkeypatch):
-    # nor is eight-rank zero: only r8 >= 1 is counted
-    counted = []
+    # no square root is taken past the first zero rank: none when r4 = 0,
+    # the 1 + r4 of level 1 when r8 = 0, and 1 + e_(k+1) at each level k
+    # below the last
+    roots = []
+    sqrt_class = classnumber._sqrt_class
 
-    def counting(D):
-        counted.append(D)
-        return narrow_class_number(D)
+    def counting(d, *args):
+        roots.append(d)
+        return sqrt_class(d, *args)
 
-    monkeypatch.setattr(classnumber, "narrow_class_number", counting)
+    monkeypatch.setattr(classnumber, "_sqrt_class", counting)
     h2 = classnumber._h2_cached.__wrapped__  # past the cache
     assert (h2(10), h2(119)) == (2, 2)       # r4 = 0
+    assert roots == []
     assert h2(34) == 2                       # r4 = 1, r8 = 0: h+(136) = 4
-    assert counted == []
-    assert (h2(226), h2(3889 * 1231)) == (8, 16)  # r4 = r8 = 1
-    assert counted == [904, 4 * 3889 * 1231]
+    assert roots == [34, 34]
+    roots.clear()
+    # ranks [1, 1, 1] and [2, 1, 1, 1]: two roots at each level but the last
+    assert (h2(226), h2(3889 * 1231)) == (8, 16)
+    assert roots == [226] * 4 + [3889 * 1231] * 6
 
 
-def test_narrow_class_number_below_the_redei_bound_is_inconsistent(monkeypatch):
-    # D = 904 has t = 2 and r4 = r8 = 1, so 8 | h+; a count of 4 must be
-    # refused
-    assert gate_ranks(226) == (2, 1, 1)
-    monkeypatch.setattr(classnumber, "narrow_class_number", lambda D: 4)
-    with pytest.raises(InternalInconsistencyError, match="Redei"):
+@pytest.mark.parametrize("fault", ["drops", "inverts"])
+def test_wrong_composition_is_caught(monkeypatch, fault):
+    # forms of discriminant D in the wrong class: the exact check of each
+    # root refuses them, so no wrong 2-class number comes out
+    compose = classnumber._compose
+
+    def wrong(f, g, D):
+        return f if fault == "drops" else compose(f, (g[0], -g[1], g[2]), D)
+
+    monkeypatch.setattr(classnumber, "_compose", wrong)
+    for d in (226, 3203671):
+        with pytest.raises(InternalInconsistencyError):
+            classnumber._h2_cached.__wrapped__(d)
+
+
+def test_wrong_conic_solution_is_caught(monkeypatch):
+    solve = classnumber._legendre_solution
+
+    def off_by_one(a, a_primes, b, b_primes):
+        x, y, z = solve(a, a_primes, b, b_primes)
+        return x, y, z + 1
+
+    monkeypatch.setattr(classnumber, "_legendre_solution", off_by_one)
+    with pytest.raises(InternalInconsistencyError, match="does not solve"):
         classnumber._h2_cached.__wrapped__(226)
+
+
+def test_ranks_that_never_vanish_stop_at_the_level_bound(monkeypatch):
+    # roots forced into the principal class, of genus 0, pass every genus
+    # test, so the rank never reaches 0; the loop stops after
+    # D.bit_length() = 10 levels at D = 904
+    monkeypatch.setattr(classnumber, "_sqrt_class",
+                        lambda d, D, *_: (classnumber._form(1, D % 2, D), 0))
+    with pytest.raises(InternalInconsistencyError, match="within 10 levels"):
+        classnumber._two_ranks(226)
+
+
+def test_levels_by_hand():
+    # D = 904 = 113 * 8, Cl+ = Z/8: e_1 = e_2 = e_3 = 1
+    assert classnumber._two_ranks(226) == [1, 1, 1]
+    assert enumerated_class_number(904) == 8
+    # D = 4 * 3203671 = -967 * 3313 * -4, 2-part of Cl+ Z/2 x Z/64: e_1 = 2
+    # and e_2 = ... = e_6 = 1
+    assert classnumber._two_ranks(3313 * 967) == [2, 1, 1, 1, 1, 1]
+    assert enumerated_class_number(4 * 3313 * 967) == 128
+
+
+@pytest.mark.parametrize("d", [3203671, 4322431, 7921294])
+def test_matches_enumeration_at_narrow_class_number_128(d):
+    D = d if d % 4 == 1 else 4 * d
+    h = enumerated_class_number(D)
+    assert h == 128
+    check_ranks(d, h)
+    assert h2_real_quadratic(d) == wide_two_part(d, h) == 64
+
+
+# the radicands with r8 >= 1 of the sparse-large benchmark pairs at seed 841
+EIGHT_RANK_RADICANDS_SEED_841 = [
+    1154, 1186, 1762, 2306, 2434, 3106, 4226, 4258, 5186, 6722, 14786, 22114,
+    1012127, 1050047, 1571422, 2024254, 2765159, 2870191, 3012167, 3073591,
+    3284734, 4636927, 5530318, 5650718, 6326014, 6755326, 7424062, 7620622,
+    8686526, 9446222]
+
+
+def test_matches_enumeration_on_eight_rank_radicands():
+    for d in EIGHT_RANK_RADICANDS_SEED_841:
+        D = d if d % 4 == 1 else 4 * d
+        h = enumerated_class_number(D)
+        assert check_ranks(d, h)[2] >= 1, d
+        assert h2_real_quadratic(d) == wide_two_part(d, h), d
 
 
 def test_non_squarefree_radicands_are_rejected():
@@ -237,51 +299,13 @@ def test_wrong_modular_root_is_caught(monkeypatch):
     monkeypatch.setattr(classnumber, "sqrt_mod",
                         lambda a, l: (sqrt_mod(a, l) + (l % 8 == 1)) % l)
     with pytest.raises(InternalInconsistencyError, match="square root"):
-        narrow_class_number(4 * 3889 * 1231)
+        classnumber._h2_cached.__wrapped__(3889 * 1231)
 
 
 def test_matches_enumeration_past_the_default_bound():
-    # 2pq = 19,992,002 > 10^7: trial division needs primes up to 4,470
-    D = 8 * 4999 * 1999
-    assert narrow_class_number(D) == enumerated_class_number(D) == 8
-
-
-def test_rejects_square_and_non_discriminants():
-    for D in (0, -3, 7, 10, 1, 4, 9, 36):
-        with pytest.raises(TriquadError):
-            narrow_class_number(D)
-
-
-@pytest.mark.parametrize("broken_sign", [-1, 1])
-def test_reduction_step_off_the_reduced_set_is_inconsistent(monkeypatch, broken_sign):
-    # break the step from the forms whose first coefficient has broken_sign
-    rho = classnumber._rho
-
-    def off_by_one(form, D, rD):
-        a, b, c = rho(form, D, rD)
-        return (a, b, c + 1) if form[0] * broken_sign > 0 else (a, b, c)
-
-    monkeypatch.setattr(classnumber, "_rho", off_by_one)
-    with pytest.raises(InternalInconsistencyError):
-        narrow_class_number(40)
-
-
-def test_reduction_walk_that_misses_its_start_is_inconsistent(monkeypatch):
-    # every second step lands on one fixed form: the walk stays in the
-    # reduced set, but not on a cycle through each start
-    rho = classnumber._rho
-    landing = []
-
-    def stuck(form, D, rD):
-        nxt = rho(form, D, rD)
-        if nxt[0] > 0:
-            landing.append(nxt)
-            return landing[0]
-        return nxt
-
-    monkeypatch.setattr(classnumber, "_rho", stuck)
-    with pytest.raises(InternalInconsistencyError, match="missed its start"):
-        narrow_class_number(4 * 3889 * 1231)
+    # 2pq = 19,992,002 > 10^7
+    d = 2 * 4999 * 1999
+    assert 1 << sum(classnumber._two_ranks(d)) == enumerated_class_number(4 * d) == 8
 
 
 def test_pinned_pairs_near_the_radicand_bound():
@@ -313,9 +337,14 @@ def test_root_genus_by_hand():
     # principal, so [p_17] = g^2; its roots g, g^3 lie outside the principal
     # genus (r8 = 0). D = 904 = 113 * 8, Cl+ = Z/8: the order-2 class g^4
     # has roots g^2, g^6 inside it (r8 = 1)
-    assert [classnumber._root_genus(34, [17, 8], e) for e in (1, 2)] == [0b11, 0]
+    def root_genera(d, discs):
+        D = math.prod(discs)
+        return [classnumber._sqrt_class(d, D, discs, classnumber._ambiguous_form(d, D, A),
+                                        [A])[1] for A in (discs[0], 2)]
+
+    assert root_genera(34, [17, 8]) == [0b11, 0]
     assert classnumber._redei_matrix([113, 8]) == [0, 0]
-    assert [classnumber._root_genus(226, [113, 8], e) for e in (1, 2)] == [0, 0]
+    assert root_genera(226, [113, 8]) == [0, 0]
 
 
 def test_legendre_solution_solves_its_conic():
