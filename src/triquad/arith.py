@@ -26,6 +26,13 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
+def ratio_str(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, by one gcd: "n/d" in lowest terms, or
+    "n" when d divides n."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin with a proven witness set)."""
     if n < 2:

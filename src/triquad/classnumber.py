@@ -41,7 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .arith import PrimePair, f2_eliminate, factor, is_prime, sqrt_mod
+from .arith import PrimePair, f2_eliminate, factor, is_prime, ratio_str, sqrt_mod
 from .errors import InternalInconsistencyError, ResourceGuardError, TriquadError
 from .quadratic import fundamental_unit
 
@@ -338,10 +338,8 @@ def kuroda_h2K(pair: PrimePair, m: int, h2: dict[int, int]) -> int:
     """h2(K) = 2^(m-9) * prod of the seven subfield 2-class numbers."""
     num, den = math.prod(h2[d] for d in pair.radicands) << m, 1 << _KURODA_POWER
     if num % den or num < den:
-        g = math.gcd(num, den)
-        val = f"{num // g}/{den // g}" if den > g else num // g
         raise InternalInconsistencyError(
-            f"Kuroda formula gave non-integer 2-class number {val} "
+            f"Kuroda formula gave non-integer 2-class number {ratio_str(num, den)} "
             f"for pair ({pair.p},{pair.q})")
     return num >> _KURODA_POWER
 

@@ -12,15 +12,15 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import classnumber, octic, theorems, unit_lattice
-from .arith import PrimePair, primes_in_range
+from .arith import PrimePair, primes_in_range, ratio_str
 from .classnumber import ClassNumberReport
 from .errors import (InternalInconsistencyError, ResourceGuardError,
                      RootMissingError, TriquadError)
@@ -75,16 +75,20 @@ def _decimal(n: int) -> str:
     return _decimal(hi) + _decimal(lo).zfill(k)
 
 
-def _rat(fr: Fraction) -> str:
-    return f"{_decimal(fr.numerator)}/{_decimal(fr.denominator)}"
+def _rat(n: int, d: int) -> str:
+    """"num/den" of n/d in lowest terms, for d > 0."""
+    g = math.gcd(n, d)
+    return f"{_decimal(n // g)}/{_decimal(d // g)}"
 
 
 def _coords_json(elem: octic.OcticElem) -> dict[str, str]:
-    return {label: _rat(c) for label, c in elem.coords_by_label().items()}
+    return {label: _rat(n, elem.den)
+            for label, n in zip(octic.SUBSET_LABELS, elem.num)}
 
 
-def _fingerprint(elem: octic.OcticElem) -> str:
-    payload = ";".join(f"{k}={v}" for k, v in sorted(_coords_json(elem).items()))
+def _fingerprint(coords: dict[str, str]) -> str:
+    """Digest of the `_coords_json` of an element."""
+    payload = ";".join(f"{k}={v}" for k, v in sorted(coords.items()))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -106,11 +110,12 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
         elems = [unit_lattice.word_embed(w, pair) for w in words]
         for w, e in zip(words, elems):
             nrm = octic.rational_norm(e)
-            if nrm not in (1, -1):
-                mism.append(f"generator {w.render()} is not a unit (norm {nrm})")
-        rec.generators = [(w.render(), _coords_json(e))
-                          for w, e in zip(words, elems)]
-        rec.fingerprints = [_fingerprint(e) for e in elems]
+            if nrm not in ((1, 1), (-1, 1)):
+                mism.append(f"generator {w.render()} is not a unit "
+                            f"(norm {ratio_str(*nrm)})")
+        coords = [_coords_json(e) for e in elems]
+        rec.generators = [(w.render(), c) for w, c in zip(words, coords)]
+        rec.fingerprints = [_fingerprint(c) for c in coords]
 
         stage = "rank"
         rec.rank_ok = unit_lattice.rank_certificate(words, pair)
@@ -149,12 +154,12 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
             # h2(k5) = 2^(m5-2) h2(q) h2(2p) h2(2pq); the m5 = 1 value holds
             # in the norm -1 branch, m5 = 2 in the norm +1 branch
             m5 = unit_lattice.k5_unit_index(pair)
-            h2_k5 = Fraction((1 << m5) * h2[q] * h2[2 * p] * h2[2 * p * q], 4)
+            h2_k5 = (1 << m5) * h2[q] * h2[2 * p] * h2[2 * p * q]  # 4 h2(k5)
             expected_m5 = 1 if tag.norm_eps2p == -1 else 2
-            rec.k5_identity_ok = (m5 == expected_m5 and h2_k5 / 2 == h2_theorem)
+            rec.k5_identity_ok = (m5 == expected_m5 and h2_k5 == 8 * h2_theorem)
             if not rec.k5_identity_ok:
-                mism.append(
-                    f"intermediate-field identity failed: m5={m5}, h2(k5)={h2_k5}")
+                mism.append(f"intermediate-field identity failed: m5={m5}, "
+                            f"h2(k5)={ratio_str(h2_k5, 4)}")
     except ResourceGuardError as exc:
         rec.status = STATUS_RESOURCE
         mism.append(str(exc))

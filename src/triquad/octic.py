@@ -20,10 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .arith import PrimePair, is_prime, symbol_primes
+from .arith import PrimePair, is_prime, ratio_str, symbol_primes
 from .errors import InternalInconsistencyError, TriquadError
 from .quadratic import QuadElem
 
@@ -59,40 +57,16 @@ def _radicals(pair: tuple[int, int]) -> tuple[int, ...]:
 _MUL_TABLE = tuple(tuple((t, s ^ t, s & t) for t in range(8)) for s in range(8))
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """Sign action on (sqrt2, sqrtp, sqrtq); the 8 of them form (Z/2)^3."""
-
-    signs: tuple[int, int, int]
-
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
-            raise TriquadError("automorphism signs must be +-1")
-
-    def __mul__(self, other: "Automorphism") -> "Automorphism":
-        return Automorphism(tuple(a * b for a, b in zip(self.signs, other.signs)))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.signs == (1, 1, 1)
-
-    @property
-    def mask(self) -> int:
-        """Flip mask: bit i set when the i-th radical changes sign."""
-        return sum(1 << i for i, s in enumerate(self.signs) if s < 0)
-
-
-TAU1 = Automorphism((-1, 1, 1))
-TAU2 = Automorphism((1, -1, 1))
-TAU3 = Automorphism((1, 1, -1))
+# the flip masks of sqrt2, sqrtp and sqrtq; they compose by XOR
+TAU1, TAU2, TAU3 = 1, 2, 4
 
 
 class OcticElem:
     """An element of K for one pair: integer coordinates `num` over `den`.
 
-    `OcticElem(pair, coords)` takes 8 rationals; `.coords` gives them back
-    as Fractions. Instances are immutable, and equal elements have equal
-    (pair, num, den), which equality and hashing compare.
+    `OcticElem(pair, coords)` takes 8 ints or Fractions, read through their
+    `.numerator` and `.denominator`. Instances are immutable, and equal
+    elements have equal (pair, num, den), which equality and hashing compare.
     """
 
     __slots__ = ("pair", "num", "den")
@@ -100,11 +74,10 @@ class OcticElem:
     def __init__(self, pair, coords):
         if len(coords) != 8:
             raise TriquadError("octic element needs exactly 8 coordinates")
-        fr = [Fraction(c) for c in coords]
         # over the lcm of the reduced denominators the form is canonical
-        den = math.lcm(*(c.denominator for c in fr))
+        den = math.lcm(*(c.denominator for c in coords))
         _set_pair(self, _normalize_pair(pair))
-        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in fr))
+        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coords))
         _set_den(self, den)
 
     def __setattr__(self, name, value):
@@ -126,12 +99,12 @@ class OcticElem:
         return hash((self.pair, self.num, self.den))
 
     def __repr__(self) -> str:
-        return f"OcticElem({self.pair!r}, {self.coords!r})"
+        return f"OcticElem({self.pair!r}, [{', '.join(self._texts())}])"
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_dict(pair, d: dict[int, Fraction | int]) -> "OcticElem":
+    def from_dict(pair, d: dict) -> "OcticElem":
         c = [0] * 8
         for mask, v in d.items():
             c[mask] = v
@@ -151,10 +124,6 @@ class OcticElem:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.num)
-
     def radical_product(self, mask: int) -> int:
         return _radicals(self.pair)[mask]
 
@@ -168,9 +137,6 @@ class OcticElem:
 
     def support(self) -> frozenset[int]:
         return frozenset(m for m, n in enumerate(self.num) if n)
-
-    def coords_by_label(self) -> dict[str, Fraction]:
-        return dict(zip(SUBSET_LABELS, self.coords))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -205,11 +171,12 @@ class OcticElem:
         if self.pair != other.pair:
             raise TriquadError(f"pair mismatch: {self.pair} vs {other.pair}")
 
+    def _texts(self) -> list[str]:
+        return [ratio_str(n, self.den) for n in self.num]
+
     def __str__(self) -> str:
-        parts = []
-        for lbl, c in zip(SUBSET_LABELS, self.coords):
-            if c != 0:
-                parts.append(str(c) + (f"*sqrt({lbl})" if lbl else ""))
+        parts = [t + (f"*sqrt({lbl})" if lbl else "")
+                 for lbl, t, n in zip(SUBSET_LABELS, self._texts(), self.num) if n]
         return " + ".join(parts) if parts else "0"
 
 
@@ -264,21 +231,18 @@ def octic_mul(x: OcticElem, y: OcticElem) -> OcticElem:
     return _reduced(x.pair, c, x.den * y.den)
 
 
-def _conj(x: OcticElem, flips: int) -> OcticElem:
+def apply_automorphism(flips: int, x: OcticElem) -> OcticElem:
     """Image of x under the automorphism with flip mask `flips`."""
     return _new(x.pair, tuple(-n if (flips & m).bit_count() & 1 else n
                               for m, n in enumerate(x.num)), x.den)
 
 
-def apply_automorphism(sigma: Automorphism, x: OcticElem) -> OcticElem:
-    return _conj(x, sigma.mask)
-
-
-def norm_to_subfield(sigma: Automorphism, x: OcticElem) -> OcticElem:
-    """Relative norm x * sigma(x); the result is fixed by sigma."""
-    if sigma.is_identity:
+def norm_to_subfield(flips: int, x: OcticElem) -> OcticElem:
+    """Relative norm x * sigma(x) for sigma the flip mask `flips`; the
+    result is fixed by sigma."""
+    if not flips:
         raise TriquadError("norm_to_subfield needs an automorphism of order 2")
-    return octic_mul(x, apply_automorphism(sigma, x))
+    return octic_mul(x, apply_automorphism(flips, x))
 
 
 def _tower_norm(x: OcticElem) -> tuple[OcticElem, OcticElem, int]:
@@ -292,19 +256,21 @@ def _tower_norm(x: OcticElem) -> tuple[OcticElem, OcticElem, int]:
     y, acc, k = x, OcticElem.one(x.pair), 0
     for bit in range(3):
         if any(n for m, n in enumerate(y.num) if m >> bit & 1):
-            c = _conj(y, 1 << bit)
+            c = apply_automorphism(1 << bit, y)
             acc = octic_mul(acc, c) if k else c
             y = octic_mul(y, c)
             k += 1
     return acc, y, k
 
 
-def rational_norm(x: OcticElem) -> Fraction:
-    """Product of all 8 conjugates, by the tower of relative norms."""
+def rational_norm(x: OcticElem) -> tuple[int, int]:
+    """Product of all 8 conjugates as (num, den) in lowest terms with den > 0,
+    by the tower of relative norms. The rational y is canonical, so
+    num[0]/den is in lowest terms, and so are its powers."""
     _, y, k = _tower_norm(x)
     if not y.is_rational:
         raise InternalInconsistencyError("full conjugate product is not rational")
-    return Fraction(y.num[0], y.den) ** (8 >> k)
+    return y.num[0] ** (8 >> k), y.den ** (8 >> k)
 
 
 def octic_inv(x: OcticElem) -> OcticElem:
@@ -331,8 +297,9 @@ def embed_quadratic(x: QuadElem, pair) -> OcticElem:
     if d != 1 or mask == 0:
         raise TriquadError(
             f"radicand {x.d} is not a subfield radicand for pair ({p}, {q})")
-    return OcticElem.from_dict((p, q), {0: Fraction(x.a, x.denom),
-                                        mask: Fraction(x.b, x.denom)})
+    num = [0] * 8
+    num[0], num[mask] = x.a, x.b
+    return _reduced((p, q), num, x.denom)
 
 
 # -- exact embedding signs ------------------------------------------------

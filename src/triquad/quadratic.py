@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import factor
 from .errors import InternalInconsistencyError, TriquadError
@@ -56,9 +55,6 @@ class QuadElem:
             n >>= 1
         return r
 
-    def norm(self) -> Fraction:
-        return quad_norm(self)
-
     def __str__(self) -> str:
         s = f"{self.a}+{self.b}*sqrt({self.d})"
         return s if self.denom == 1 else f"({s})/2"
@@ -79,9 +75,13 @@ def quad_mul(x: QuadElem, y: QuadElem) -> QuadElem:
     return QuadElem(x.d, a, b, den)
 
 
-def quad_norm(x: QuadElem) -> Fraction:
-    """x times its conjugate: (a^2 - d b^2)/denom^2, exact."""
-    return Fraction(x.a * x.a - x.d * x.b * x.b, x.denom * x.denom)
+def quad_norm(x: QuadElem) -> int:
+    """x times its conjugate: (a^2 - d b^2)/denom^2, an integer for an
+    element of the ring of integers."""
+    n, r = divmod(x.a * x.a - x.d * x.b * x.b, x.denom * x.denom)
+    if r:
+        raise InternalInconsistencyError(f"norm of {x} is not an integer")
+    return n
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .arith import PrimePair, is_perfect_square
+from .arith import PrimePair, is_perfect_square, ratio_str
 from .errors import InternalInconsistencyError, TriquadError
-from .octic import TAU1, TAU2, TAU3, OcticElem, norm_to_subfield, octic_mul
+from .octic import (TAU1, TAU2, TAU3, OcticElem, _reduced, norm_to_subfield,
+                    octic_mul)
 from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord,
                            unit_context)
 
@@ -47,7 +47,7 @@ class SqrtDecomposition:
     u_bit: int | None = None
 
 
-def _land_kind(t: int, d: int, factor_plus: int, factor_minus: int) -> tuple[int, int] | None:
+def _land_kind(t: int, factor_plus: int, factor_minus: int) -> tuple[int, int] | None:
     """Test the system t+1 = factor_plus * c1^2, t-1 = factor_minus * c2^2."""
     if (t + 1) % factor_plus or (t - 1) % factor_minus:
         return None
@@ -72,7 +72,7 @@ def decompose_sqrt_data(pair: PrimePair) -> dict[int, SqrtDecomposition]:
         # these radicands are 2 or 3 mod 4, so the unit coordinates are integers
         landed = []
         for kind, fplus, fminus in systems:
-            r = _land_kind(t, radicand, fplus, fminus)
+            r = _land_kind(t, fplus, fminus)
             if r is not None:
                 landed.append((kind, r))
         if len(landed) != 1:
@@ -107,7 +107,7 @@ def decompose_sqrt_data(pair: PrimePair) -> dict[int, SqrtDecomposition]:
     fu = ctx.quad["e2p"]
     if fu.norm == 1:
         t, y = fu.elem.a, fu.elem.b
-        c = _land_kind(t, 2 * p, 1, 2 * p)
+        c = _land_kind(t, 1, 2 * p)
         if c is not None:
             u = 0
             c1, c2 = c
@@ -128,28 +128,31 @@ def decompose_sqrt_data(pair: PrimePair) -> dict[int, SqrtDecomposition]:
 
 
 def root_from_decomposition(dec: SqrtDecomposition, pair: PrimePair) -> OcticElem:
-    """The canonical square root in K encoded by a decomposition."""
+    """The canonical square root in K encoded by a decomposition, from
+    numerators over the denominator 2."""
     p, q = pair.p, pair.q
     c1, c2 = dec.cofactors
     d = dec.radicand
-    h = Fraction(1, 2)
     if d == q:
-        coords = {1: c1 * h, 5: c2 * h}
+        coords = {1: c1, 5: c2}
     elif d == 2 * q:
-        coords = {1: c1 * h, 4: Fraction(c2)}
+        coords = {1: c1, 4: 2 * c2}
     elif d == 2 * p:
-        coords = {1: c1 * h, 2: Fraction(c2)}
+        coords = {1: c1, 2: 2 * c2}
     elif d == p * q:
-        coords = {KIND_UNIT: {1: c1 * h, 7: c2 * h},
-                  KIND_P: {3: c1 * h, 5: c2 * h},
-                  KIND_2P: {2: Fraction(c1), 4: Fraction(c2)}}[dec.kind]
+        coords = {KIND_UNIT: {1: c1, 7: c2},
+                  KIND_P: {3: c1, 5: c2},
+                  KIND_2P: {2: 2 * c1, 4: 2 * c2}}[dec.kind]
     elif d == 2 * p * q:
-        coords = {KIND_UNIT: {1: c1 * h, 6: Fraction(c2)},
-                  KIND_P: {3: c1 * h, 4: Fraction(c2)},
-                  KIND_2P: {2: Fraction(c1), 5: c2 * h}}[dec.kind]
+        coords = {KIND_UNIT: {1: c1, 6: 2 * c2},
+                  KIND_P: {3: c1, 4: 2 * c2},
+                  KIND_2P: {2: 2 * c1, 5: c2}}[dec.kind]
     else:
         raise TriquadError(f"no root template for radicand {d}")
-    return OcticElem.from_dict((p, q), coords)
+    num = [0] * 8
+    for mask, n in coords.items():
+        num[mask] = n
+    return _reduced((p, q), num, 2)
 
 
 class ClassificationContext:
@@ -346,11 +349,11 @@ def classify_pair(pair: PrimePair) -> CaseTag:
 
 
 def _word_from_root(uid: str, cc: ClassificationContext) -> UnitWord:
-    return UnitWord({uid: Fraction(1, 2)}, embedding=cc.roots[uid])
+    return UnitWord(quarters={uid: 2}, embedding=cc.roots[uid])
 
 
 def _word_unit(uid: str, cc: ClassificationContext) -> UnitWord:
-    return UnitWord({uid: 1}, embedding=cc.ctx.units[uid])
+    return UnitWord(quarters={uid: 4}, embedding=cc.ctx.units[uid])
 
 
 def _deep_root_word(cc: ClassificationContext, half_ids: tuple[str, ...],
@@ -358,20 +361,17 @@ def _deep_root_word(cc: ClassificationContext, half_ids: tuple[str, ...],
     """Word for sqrt(e2^A ep^B * prod of sqrt(unit) factors), with its exact
     embedding; raises when the root does not exist in K."""
     elem = cc.tail_element(half_ids)
-    exps: dict[str, Fraction] = {uid: Fraction(1, 4) for uid in half_ids}
+    quarters = {uid: 1 for uid in half_ids}
     if prefix is not None:
         a_exp, b_exp = prefix
         elem = cc.prefixed(elem, a_exp, b_exp)
-        if a_exp:
-            exps["e2"] = Fraction(a_exp, 2)
-        if b_exp:
-            exps["ep"] = Fraction(b_exp, 2)
+        quarters.update(e2=2 * a_exp, ep=2 * b_exp)
     xi = cc.ctx.sqrt(elem)
     if xi is None:
         raise InternalInconsistencyError(
             "theorem-prescribed generator is not a square in K: "
-            + UnitWord(exps).render())
-    return UnitWord(exps, embedding=xi)
+            + UnitWord(quarters=quarters).render())
+    return UnitWord(quarters=quarters, embedding=xi)
 
 
 def unit_generators(tag: CaseTag, pair: PrimePair) -> list[UnitWord]:
@@ -385,8 +385,8 @@ def unit_generators(tag: CaseTag, pair: PrimePair) -> list[UnitWord]:
 
     def k1_root() -> UnitWord:
         if tag.norm_eps2p == -1:
-            return UnitWord({"e2": Fraction(1, 2), "ep": Fraction(1, 2),
-                             "e2p": Fraction(1, 2)}, embedding=cc.roots["e2ep2p"])
+            return UnitWord(quarters={"e2": 2, "ep": 2, "e2p": 2},
+                            embedding=cc.roots["e2ep2p"])
         return half["e2p"]
 
     if case == "C0":
@@ -432,21 +432,20 @@ def predict_h2K(tag: CaseTag, h2_subfields: dict[int, int]) -> int:
     p, q = tag.pair.p, tag.pair.q
     h2p = h2_subfields[2 * p]
     if tag.case == "C0":
-        val = Fraction(h2p, 2) if tag.norm_eps2p == -1 else Fraction(h2p)
+        num, shift = h2p, 1 if tag.norm_eps2p == -1 else 0
     else:
-        e = tag.class_number_exponent
-        val = Fraction(h2p * h2_subfields[p * q] * h2_subfields[2 * p * q],
-                       1 << (4 - e))
-    if val.denominator != 1:
+        num = h2p * h2_subfields[p * q] * h2_subfields[2 * p * q]
+        shift = 4 - tag.class_number_exponent
+    if num % (1 << shift):
         raise InternalInconsistencyError(
-            f"theorem class number {val} is not an integer")
-    return val.numerator
+            f"theorem class number {ratio_str(num, 1 << shift)} is not an integer")
+    return num >> shift
 
 
 # -- exact verification of the relative-norm tables --------------------------
 
-_SIGMAS = (("1+tau2", TAU2), ("1+tau1tau2", TAU1 * TAU2),
-           ("1+tau1tau3", TAU1 * TAU3), ("1+tau2tau3", TAU2 * TAU3),
+_SIGMAS = (("1+tau2", TAU2), ("1+tau1tau2", TAU1 ^ TAU2),
+           ("1+tau1tau3", TAU1 ^ TAU3), ("1+tau2tau3", TAU2 ^ TAU3),
            ("1+tau1", TAU1))
 
 # rows keyed by square class of x+1 resp. v+1; entries are symbols:
@@ -461,8 +460,8 @@ _TABLE_PQ = {KIND_UNIT: (1, -1, -1, "E", "-E"),
 # six relative norms of e2, ep, sqrt(eq), sqrt(e2q) in the fixed order
 # 1+tau1, 1+tau2, 1+tau3, 1+tau1tau2, 1+tau1tau3, 1+tau2tau3
 _SIGMAS_6 = (("1+tau1", TAU1), ("1+tau2", TAU2), ("1+tau3", TAU3),
-             ("1+tau1tau2", TAU1 * TAU2), ("1+tau1tau3", TAU1 * TAU3),
-             ("1+tau2tau3", TAU2 * TAU3))
+             ("1+tau1tau2", TAU1 ^ TAU2), ("1+tau1tau3", TAU1 ^ TAU3),
+             ("1+tau2tau3", TAU2 ^ TAU3))
 _TABLE_BASE = {"e2": (-1, "E2", "E2", -1, -1, "E2"),
                "ep": ("E2", -1, "E2", -1, "E2", -1),
                "eq": ("-E", "E", 1, "-E", -1, 1),

@@ -14,18 +14,19 @@ to their quadratic subfields, it gives E_K^4 in E_0, the group of -1 and the
 seven subfield units. So the index [E_K : E_0] divides
 [E_K : E_K^4 <-1>] = 4^7 = 2^14, and as each step doubles the index,
 m <= SATURATION_GUARD = 14. And u^4 in E_0 puts every exponent of a word in
-(1/4)Z: no word has depth above MAX_WORD_DEPTH = 2. The 144-pair range
-p <= 300, q <= 200 reaches depth 2 and m = 7.
+(1/4)Z, so words count their exponents in quarters: no word has depth above
+MAX_WORD_DEPTH = 2, and halving an odd count is the error that a depth-3
+word would raise. The 144-pair range p <= 300, q <= 200 reaches depth 2 and
+m = 7.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import octic
-from .arith import PrimePair, f2_eliminate, symbol_primes
+from .arith import PrimePair, f2_eliminate, ratio_str, symbol_primes
 from .errors import InternalInconsistencyError, RootMissingError, TriquadError
 from .octic import OcticElem, embed_quadratic, octic_mul, sqrt_exact
 from .quadratic import fundamental_unit
@@ -44,71 +45,74 @@ SPLIT_PRIMES = 6
 
 
 class UnitWord:
-    """A formal product of base units with dyadic-rational exponents.
+    """A formal product of base units, each exponent held as an int count of
+    quarters (the module docstring proves every exponent lies in (1/4)Z).
 
-    The torsion exponent (key "-1") is kept in {0, 1}. An exact embedding
-    into K may be attached; saturation attaches the witnessed root directly
-    so that words produced from torsion-carrying squares stay representable.
+    The torsion count (key "-1") is kept in {0, 4}. An exact embedding into
+    K may be attached; saturation attaches the witnessed root directly so
+    that words produced from torsion-carrying squares stay representable.
     """
 
-    __slots__ = ("exponents", "_embedding")
+    __slots__ = ("quarters", "_embedding")
 
-    def __init__(self, exponents: dict[str, Fraction | int],
+    def __init__(self, *, quarters: dict[str, int],
                  embedding: OcticElem | None = None):
-        exps: dict[str, Fraction] = {}
-        for uid, e in exponents.items():
+        counts: dict[str, int] = {}
+        for uid, c in quarters.items():
             if uid not in BASE_UNIT_IDS:
                 raise TriquadError(f"unknown base unit id {uid!r}")
-            e = Fraction(e)
+            if type(c) is not int:
+                raise TriquadError(f"quarter count {c!r} is not an int")
             if uid == TORSION_ID:
-                if e.denominator != 1:
+                if c % 4:
                     raise TriquadError("torsion exponent must be an integer")
-                e = Fraction(e.numerator % 2)
-            if e != 0:
-                if e.denominator & (e.denominator - 1):
-                    raise TriquadError(f"exponent {e} is not dyadic")
-                exps[uid] = e
-        self.exponents = exps
+                c %= 8
+            if c:
+                counts[uid] = c
+        self.quarters = counts
         self._embedding = embedding
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UnitWord) and self.exponents == other.exponents
+        return isinstance(other, UnitWord) and self.quarters == other.quarters
 
     def __hash__(self):
-        return hash(tuple(sorted(self.exponents.items())))
+        return hash(tuple(sorted(self.quarters.items())))
 
     def __mul__(self, other: "UnitWord") -> "UnitWord":
-        exps = dict(self.exponents)
-        for uid, e in other.exponents.items():
-            exps[uid] = exps.get(uid, Fraction(0)) + e
-        return UnitWord(exps)
+        counts = dict(self.quarters)
+        for uid, c in other.quarters.items():
+            counts[uid] = counts.get(uid, 0) + c
+        return UnitWord(quarters=counts)
 
     def sqrt_word(self) -> "UnitWord":
         """Half every non-torsion exponent; the torsion bit is dropped (the
-        witnessed root carries the sign information exactly)."""
-        return UnitWord({uid: e / 2 for uid, e in self.exponents.items()
-                         if uid != TORSION_ID})
+        witnessed root carries the sign information exactly). An odd count
+        would need eighths: a word of depth 3, which E_K^4 in E_0 excludes."""
+        if any(c & 1 for c in self.quarters.values()):
+            raise InternalInconsistencyError(
+                f"square root of unit word {self.render()} has depth above "
+                f"{MAX_WORD_DEPTH}")
+        return UnitWord(quarters={uid: c >> 1 for uid, c in self.quarters.items()
+                                  if uid != TORSION_ID})
 
     @property
     def depth(self) -> int:
-        """Largest halving depth: log2 of the common exponent denominator."""
-        d = 1
-        for e in self.exponents.values():
-            d = max(d, e.denominator)
-        return d.bit_length() - 1
-
-    def exponent(self, uid: str) -> Fraction:
-        return self.exponents.get(uid, Fraction(0))
+        """Largest halving depth: 0, 1 or 2 as 4, 2 or only 1 divides every
+        count."""
+        low = 4
+        for c in self.quarters.values():
+            low |= c
+        return 3 - (low & -low).bit_length()
 
     def render(self) -> str:
-        if not self.exponents:
+        if not self.quarters:
             return "1"
         parts = []
         for uid in BASE_UNIT_IDS:
-            e = self.exponents.get(uid)
-            if e is None:
+            c = self.quarters.get(uid)
+            if c is None:
                 continue
-            parts.append(uid if e == 1 else f"{uid}^{e}")
+            parts.append(uid if c == 4 else f"{uid}^{ratio_str(c, 4)}")
         return " * ".join(parts)
 
     def __repr__(self):
@@ -131,7 +135,7 @@ class UnitContext:
         self.pair = pair
         self.key = (pair.p, pair.q)
         self.units: dict[str, OcticElem] = {
-            TORSION_ID: OcticElem.rational(self.key, -1)}
+            TORSION_ID: -OcticElem.one(self.key)}
         self.norms: dict[str, int] = {}
         self.quad = {}
         for uid, d in zip(NONTORSION_IDS, pair.radicands):
@@ -165,7 +169,7 @@ def base_unit_words(pair: PrimePair) -> list[UnitWord]:
     ctx = unit_context(pair)
     out = []
     for uid in BASE_UNIT_IDS:
-        out.append(UnitWord({uid: 1}, embedding=ctx.units[uid]))
+        out.append(UnitWord(quarters={uid: 4}, embedding=ctx.units[uid]))
     return out
 
 
@@ -173,11 +177,11 @@ def _integral_power(word: UnitWord, ctx: UnitContext, k: int) -> OcticElem:
     """word^(2^k) = prod eps_uid^(e*2^k) by exact multiplication, for k at
     least the word's depth; a negative power goes through octic_inv."""
     z = OcticElem.one(ctx.key)
-    for uid, e in word.exponents.items():
-        e = e * (1 << k)
-        if e.denominator != 1:
+    for uid, c in word.quarters.items():
+        e, r = divmod(c << k, 4)
+        if r:
             raise InternalInconsistencyError("scaled exponent not integral")
-        z = octic_mul(z, ctx.units[uid] ** int(e))
+        z = octic_mul(z, ctx.units[uid] ** e)
     return z
 
 
@@ -196,8 +200,8 @@ def word_embed(word: UnitWord, pair: PrimePair) -> OcticElem:
     for level in range(depth):
         xi = ctx.sqrt(z)
         if xi is None:
-            sub = UnitWord({uid: e * (1 << level)
-                            for uid, e in word.exponents.items()})
+            sub = UnitWord(quarters={uid: c << level
+                                     for uid, c in word.quarters.items()})
             raise RootMissingError(sub.render())
         z = xi
     word._embedding = z
@@ -277,12 +281,10 @@ def saturate(pair: PrimePair,
     computes the unit index of an intermediate field such as Q(sqrtq, sqrt2p).
     """
     ctx = unit_context(pair)
-    if generators is None:
-        gens = base_unit_words(pair)
-    else:
-        gens = list(generators)
-        if not any(w.exponents == {TORSION_ID: Fraction(1)} for w in gens):
-            gens = [UnitWord({TORSION_ID: 1}, embedding=ctx.units[TORSION_ID])] + gens
+    torsion = UnitWord(quarters={TORSION_ID: 4}, embedding=ctx.units[TORSION_ID])
+    words = base_unit_words(pair) if generators is None else generators
+    # -1 first, at bit 0 of every exponent vector; it is never replaced
+    gens = [torsion] + [w for w in words if w != torsion]
     elems = [word_embed(w, pair) for w in gens]
     rows = [ctx.row(e) for e in elems]
     m = 0
@@ -297,27 +299,18 @@ def saturate(pair: PrimePair,
             hit = (v, xi)
             break
         if hit is None:
-            non_torsion = [(w, e) for w, e in zip(gens, elems)
-                           if w.exponents != {TORSION_ID: Fraction(1)}]
-            return SaturationResult(m, [w for w, _ in non_torsion],
-                                    [e for _, e in non_torsion])
+            return SaturationResult(m, gens[1:], elems[1:])
         v, xi = hit
-        combined = UnitWord({})
+        combined = UnitWord(quarters={})
         for i, w in enumerate(gens):
             if v >> i & 1:
                 combined = combined * w
         word = combined.sqrt_word()
-        if word.depth > MAX_WORD_DEPTH:
-            raise InternalInconsistencyError(
-                f"unit word {word.render()} has depth above {MAX_WORD_DEPTH}")
         word._embedding = xi
-        idx = None
-        for i, w in enumerate(gens):
-            if v >> i & 1 and w.exponents != {TORSION_ID: Fraction(1)}:
-                idx = i
-                break
-        if idx is None:
+        rest = v & ~1
+        if not rest:
             raise InternalInconsistencyError("-1 alone reported as a square")
+        idx = (rest & -rest).bit_length() - 1
         gens[idx] = word
         elems[idx] = xi
         rows[idx] = ctx.row(xi)
@@ -332,34 +325,24 @@ def k5_unit_index(pair: PrimePair) -> int:
     returns m5 with q(k5) = 2^m5. Basis masks allowed: 1, sqrtq, sqrt2p,
     sqrt2pq, i.e. {0, 0b100, 0b011, 0b111}."""
     ctx = unit_context(pair)
-    words = [UnitWord({uid: 1}, embedding=ctx.units[uid])
+    words = [UnitWord(quarters={uid: 4}, embedding=ctx.units[uid])
              for uid in ("eq", "e2p", "e2pq")]
     res = saturate(pair, words, restrict_support=frozenset({0, 0b100, 0b011, 0b111}))
     return res.m
 
 
-def _exact_exponent_det(words: list[UnitWord]) -> Fraction:
-    mat = [[w.exponent(uid) for uid in NONTORSION_IDS] for w in words]
-    det = Fraction(1)
-    n = len(mat)
-    for col in range(n):
-        piv = None
-        for row in range(col, n):
-            if mat[row][col] != 0:
-                piv = row
-                break
+def _exponents_nonsingular(words: list[UnitWord]) -> bool:
+    """Whether the quarter counts of the words over NONTORSION_IDS form a
+    nonsingular matrix, by integer elimination: each other row r becomes
+    piv[0]*r - r[0]*piv on the remaining columns, which keeps the rank."""
+    rows = [[w.quarters.get(uid, 0) for uid in NONTORSION_IDS] for w in words]
+    while rows:
+        piv = next((r for r in rows if r[0]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for row in range(col + 1, n):
-            f = mat[row][col] * inv
-            if f:
-                mat[row] = [a - f * b for a, b in zip(mat[row], mat[col])]
-    return det
+            return False
+        rows = [[piv[0] * a - r[0] * b for a, b in zip(r[1:], piv[1:])]
+                for r in rows if r is not piv]
+    return True
 
 
 def rank_certificate(words: list[UnitWord], pair: PrimePair) -> bool:
@@ -374,7 +357,7 @@ def rank_certificate(words: list[UnitWord], pair: PrimePair) -> bool:
     """
     if len(words) != 7:
         raise TriquadError("rank certificate expects exactly 7 words")
-    if _exact_exponent_det(words) == 0:
+    if not _exponents_nonsingular(words):
         return False
     ctx = unit_context(pair)
     for w in words:

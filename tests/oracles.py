@@ -27,8 +27,8 @@ it: every divisor of (D - b^2)/4 by trial division by all odd numbers, each
 sign of a tested by the real-number reduction condition, and the walk by
 single reduction steps over all reduced forms.
 
-IDENTITY, scale, coord_bit_size and report_consistent are test helpers
-that the library itself has no use for.
+IDENTITY, coords, scale, coord_bit_size and report_consistent are test
+helpers that the library itself has no use for.
 """
 
 import logging
@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 
 from triquad.errors import InternalInconsistencyError, TriquadError
-from triquad.octic import (_EMB_FLIPS, Automorphism, OcticElem, _scaled,
+from triquad.octic import (_EMB_FLIPS, OcticElem, _scaled,
                            octic_mul, sign_vector, sqrt_exact)
 from triquad.unit_lattice import (TORSION_ID, UnitWord, base_unit_words,
                                   unit_context, word_embed)
@@ -47,7 +47,12 @@ DEFAULT_PRECISION = 256
 MAX_PRECISION = 4096
 ROOT_DENOM_BOUND = 16
 
-IDENTITY = Automorphism((1, 1, 1))
+IDENTITY = 0  # the flip mask of the identity automorphism
+
+
+def coords(x: OcticElem) -> tuple[Fraction, ...]:
+    """The 8 coordinates of x as Fractions."""
+    return tuple(Fraction(n, x.den) for n in x.num)
 
 
 def scale(x: OcticElem, v) -> OcticElem:
@@ -266,10 +271,10 @@ def unsieved_saturation(pair, generators=None, restrict_support=None):
     """Reference 2-saturation with the sign screen only; returns
     (m, non-torsion words, their embeddings) as saturate does."""
     ctx = unit_context(pair)
-    torsion = {TORSION_ID: Fraction(1)}
+    torsion = {TORSION_ID: 4}
     gens = base_unit_words(pair) if generators is None else list(generators)
-    if not any(w.exponents == torsion for w in gens):
-        gens = [UnitWord(torsion, embedding=ctx.units[TORSION_ID])] + gens
+    if not any(w.quarters == torsion for w in gens):
+        gens = [UnitWord(quarters=torsion, embedding=ctx.units[TORSION_ID])] + gens
     elems = [word_embed(w, pair) for w in gens]
     order = sorted(range(1, 1 << len(gens)), key=lambda v: (bin(v).count("1"), v))
     m = 0
@@ -291,14 +296,14 @@ def unsieved_saturation(pair, generators=None, restrict_support=None):
                                      or root.support() <= restrict_support):
                 break
         else:
-            kept = [i for i, w in enumerate(gens) if w.exponents != torsion]
+            kept = [i for i, w in enumerate(gens) if w.quarters != torsion]
             return m, [gens[i] for i in kept], [elems[i] for i in kept]
-        combined = UnitWord({})
+        combined = UnitWord(quarters={})
         for i in chosen:
             combined = combined * gens[i]
         word = combined.sqrt_word()
         word._embedding = root
-        idx = next(i for i in chosen if gens[i].exponents != torsion)
+        idx = next(i for i in chosen if gens[i].quarters != torsion)
         gens[idx], elems[idx] = word, root
         m += 1
 
@@ -338,7 +343,7 @@ def conjugate_product_norm(x: OcticElem) -> Fraction:
     """Product of all 8 conjugates of x."""
     acc = (Fraction(1),) + (Fraction(0),) * 7
     for signs in _ALL_SIGNS:
-        acc = fraction_mul(x.pair, acc, _conjugate(x.coords, signs))
+        acc = fraction_mul(x.pair, acc, _conjugate(coords(x), signs))
     assert all(c == 0 for c in acc[1:]), acc
     return acc[0]
 
@@ -347,8 +352,8 @@ def conjugate_product_inverse(x: OcticElem) -> tuple:
     """Coordinates of 1/x: the 7 nontrivial conjugates over the norm."""
     acc = (Fraction(1),) + (Fraction(0),) * 7
     for signs in _ALL_SIGNS[1:]:
-        acc = fraction_mul(x.pair, acc, _conjugate(x.coords, signs))
-    norm = fraction_mul(x.pair, x.coords, acc)[0]
+        acc = fraction_mul(x.pair, acc, _conjugate(coords(x), signs))
+    norm = fraction_mul(x.pair, coords(x), acc)[0]
     return tuple(c / norm for c in acc)
 
 
@@ -365,7 +370,7 @@ def fraction_embedding_interval(x: OcticElem, emb: int, bits: int) -> tuple[int,
     [isqrt(r 4^bits), isqrt(r 4^bits) + 1]."""
     signs = _ALL_SIGNS[emb]
     lo_acc = hi_acc = 0
-    for mask, c in enumerate(_conjugate(x.coords, signs)):
+    for mask, c in enumerate(_conjugate(coords(x), signs)):
         if c == 0:
             continue
         rl, rh = _sqrt_enclosure(_radical(x.pair, mask), bits)

@@ -192,7 +192,7 @@ def _half_e2_for(bad_pair, monkeypatch):
     def unit_generators(tag, pair):
         words = list(real(tag, pair))
         if (pair.p, pair.q) == bad_pair:
-            words[0] = UnitWord({"e2": Fraction(1, 2)})
+            words[0] = UnitWord(quarters={"e2": 2})
         return words
 
     monkeypatch.setattr(theorems, "unit_generators", unit_generators)
@@ -280,10 +280,10 @@ def test_coordinates_past_the_str_digit_limit_serialise():
     # str(int) refuses more than 4,300 digits by default; 7 * 10^4999 + 123
     # has 5,000, and 3^10480 has 5,001 with no digit pattern
     big = 7 * 10 ** 4999 + 123
-    assert harness._rat(Fraction(-big, 11)) == (
+    assert harness._rat(-big, 11) == (
         "-7" + "0" * 4996 + "123/11")
     other = 3 ** 10480
-    text = harness._rat(Fraction(1, other)).split("/")[1]
+    text = harness._rat(1, other).split("/")[1]
     assert len(text) == 5001 and text[0] != "0"
     value = 0
     for i in range(0, len(text), 500):  # int() of 500 digits is allowed

@@ -15,8 +15,8 @@ from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
 from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
 from triquad.unit_lattice import unit_context
 
-from oracles import (IDENTITY, legendre_by_enumeration, real_embeddings,
-                     sqrt_in_field)
+from oracles import (IDENTITY, coords, legendre_by_enumeration,
+                     real_embeddings, sqrt_in_field)
 
 PAIR = PrimePair(17, 7)
 KEY = (17, 7)
@@ -35,8 +35,8 @@ def test_embed_quadratic_examples():
     assert embed_quadratic(QuadElem(2, 1, 1), PAIR) == O({0: 1, 1: 1})
     assert embed_quadratic(QuadElem(34, 35, 6), PAIR) == O({0: 35, 3: 6})
     golden = embed_quadratic(QuadElem(5, 1, 1, 2), (5, 7))
-    assert golden.coords[0] == Fraction(1, 2)
-    assert golden.coords[2] == Fraction(1, 2)
+    assert coords(golden)[0] == Fraction(1, 2)
+    assert coords(golden)[2] == Fraction(1, 2)
 
 
 def test_embed_quadratic_rejects_foreign_radicand():
@@ -61,7 +61,7 @@ def test_apply_automorphism_examples():
     r2q = O({5: 1})
     assert apply_automorphism(TAU1, r2q) == O({5: -1})
     rpq = O({6: 1})
-    assert apply_automorphism(TAU2 * TAU3, rpq) == O({6: 1})
+    assert apply_automorphism(TAU2 ^ TAU3, rpq) == O({6: 1})
     x = O({0: 3, 5: Fraction(1, 2), 7: -2})
     assert apply_automorphism(IDENTITY, x) == x
 
@@ -81,17 +81,28 @@ def test_mul_associative_distributive(x, y, z):
 
 @settings(max_examples=40)
 @given(coords_strategy(), coords_strategy(),
-       st.sampled_from([TAU1, TAU2, TAU3, TAU1 * TAU2, TAU2 * TAU3, TAU1 * TAU3]))
+       st.sampled_from([TAU1, TAU2, TAU3, TAU1 ^ TAU2, TAU2 ^ TAU3, TAU1 ^ TAU3]))
 def test_automorphism_ring_homomorphism(x, y, sigma):
     assert (apply_automorphism(sigma, octic_mul(x, y))
             == octic_mul(apply_automorphism(sigma, x), apply_automorphism(sigma, y)))
 
 
 def test_automorphism_group_structure():
-    sigmas = {(s2, sp, sq) for s2 in (1, -1) for sp in (1, -1) for sq in (1, -1)}
+    sigmas = {a ^ b ^ c for a in (IDENTITY, TAU1) for b in (IDENTITY, TAU2)
+              for c in (IDENTITY, TAU3)}
     assert len(sigmas) == 8
-    assert (TAU1 * TAU1).is_identity
-    assert (TAU1 * TAU2 * TAU3).signs == (-1, -1, -1)
+    assert TAU1 ^ TAU1 == IDENTITY
+    radicals = O({1: 1, 2: 1, 4: 1})
+    assert apply_automorphism(TAU1 ^ TAU2 ^ TAU3, radicals) == -radicals
+
+
+def test_str_and_repr_render_coordinates_in_lowest_terms():
+    root = sqrt_exact(unit_context(PAIR).units["eq"])  # the README example
+    assert str(root) == "3/2*sqrt(2) + 1/2*sqrt(2q)"
+    assert repr(root) == "OcticElem((17, 7), [0, 3/2, 0, 0, 0, 1/2, 0, 0])"
+    x = O({0: Fraction(-6, 4), 3: 2, 7: Fraction(5, 6)})
+    assert str(x) == "-3/2 + 2*sqrt(2p) + 5/6*sqrt(2pq)"
+    assert str(OcticElem.zero(KEY)) == "0"
 
 
 def test_norm_to_subfield_examples():
@@ -105,7 +116,7 @@ def test_norm_to_subfield_examples():
 
 
 @settings(max_examples=30)
-@given(coords_strategy(), st.sampled_from([TAU1, TAU2, TAU3, TAU1 * TAU3]))
+@given(coords_strategy(), st.sampled_from([TAU1, TAU2, TAU3, TAU1 ^ TAU3]))
 def test_norm_to_subfield_fixed_by_sigma(x, sigma):
     n = norm_to_subfield(sigma, x)
     assert apply_automorphism(sigma, n) == n
@@ -140,7 +151,7 @@ def test_sign_vector_and_rational_norm():
     sv = sign_vector(ctx.units["e2"])
     assert sv[0] == 1 and -1 in sv
     for uid in ("e2", "ep", "eq", "e2pq"):
-        assert rational_norm(ctx.units[uid]) in (1, -1)
+        assert rational_norm(ctx.units[uid]) in ((1, 1), (-1, 1))
 
 
 def test_octic_inv():
@@ -225,7 +236,7 @@ def test_octic_norm_is_fourth_power_of_quad_norm(d, a, b):
     x = QuadElem(d, a, b)
     if quad_norm(x) == 0:
         return
-    assert rational_norm(embed_quadratic(x, PAIR)) == quad_norm(x) ** 4
+    assert rational_norm(embed_quadratic(x, PAIR)) == (quad_norm(x) ** 4, 1)
 
 
 # -- the character-chosen branch of the tower descent ------------------------

@@ -56,6 +56,7 @@ def test_quad_norm_examples():
     assert quad_norm(QuadElem(2, 1, 1)) == -1
     assert quad_norm(QuadElem(7, 8, 3)) == 1
     assert quad_norm(QuadElem(5, 1, 1, 2)) == -1
+    assert type(quad_norm(QuadElem(5, 3, 1, 2))) is int  # (9 - 5)/4 = 1
 
 
 def test_half_integer_representation_canonical():

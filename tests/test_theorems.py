@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 
 from triquad.arith import PrimePair
-from triquad.errors import TriquadError
+from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.octic import octic_mul
 from triquad.theorems import (classify_pair, decompose_sqrt_data,
                               predict_h2K, root_from_decomposition,
@@ -77,11 +75,10 @@ def test_classify_forces_unit_classes_for_legendre_minus():
 def test_unit_generators_41_7_match_prescription():
     tag = classify_pair(P41)
     words = unit_generators(tag, P41)
-    exps = [w.exponents for w in words]
-    h = Fraction(1, 2)
-    quarter = Fraction(1, 4)
+    exps = [w.quarters for w in words]
+    one, h, quarter = 4, 2, 1  # exponents 1, 1/2 and 1/4 in quarters
     assert exps == [
-        {"e2": 1}, {"ep": 1}, {"eq": h}, {"e2q": h}, {"epq": h},
+        {"e2": one}, {"ep": one}, {"eq": h}, {"e2q": h}, {"epq": h},
         {"e2": h, "ep": h, "e2p": h},
         {"eq": quarter, "e2q": quarter, "epq": quarter, "e2pq": quarter},
     ]
@@ -90,13 +87,13 @@ def test_unit_generators_41_7_match_prescription():
 def test_unit_generators_17_7_substituted_bits():
     tag = classify_pair(P17)
     words = unit_generators(tag, P17)
-    h = Fraction(1, 2)
-    quarter = Fraction(1, 4)
+    h, quarter = 2, 1  # exponents 1/2 and 1/4 in quarters
     # witnessed exponents: e2^a with a = 1, ep^u with u = 0
-    assert words[5].exponents == {"e2": h, "eq": quarter, "epq": quarter,
-                                  "e2p": quarter}
-    assert words[6].exponents == {"e2": h, "e2q": quarter, "e2pq": quarter,
-                                  "e2p": quarter}
+    assert words[5].quarters == {"e2": h, "eq": quarter, "epq": quarter,
+                                 "e2p": quarter}
+    assert words[6].quarters == {"e2": h, "e2q": quarter, "e2pq": quarter,
+                                 "e2p": quarter}
+    assert words[5].render() == "e2^1/2 * eq^1/4 * e2p^1/4 * epq^1/4"
 
 
 def test_unit_generators_embed_and_are_fundamental():
@@ -123,6 +120,16 @@ def test_predict_h2K_case_formula():
     assert tag.resolution["alpha"] == 1
     h2 = {2: 1, 17: 1, 47: 1, 34: 2, 94: 1, 17 * 47: 4, 2 * 17 * 47: 4}
     assert predict_h2K(tag, h2) == 2 * 4 * 4 // 8
+
+
+def test_predict_h2K_rejects_non_integer():
+    # C0 with N(eps_82) = -1 gives h2(K) = h2(82)/2, so h2(82) = 1 leaves 1/2
+    tag = classify_pair(P41)
+    assert tag.case == "C0" and tag.norm_eps2p == -1
+    h2 = {2: 1, 41: 1, 7: 1, 82: 1, 14: 1, 287: 2, 574: 2}
+    with pytest.raises(InternalInconsistencyError,
+                       match="theorem class number 1/2 is not an integer"):
+        predict_h2K(tag, h2)
 
 
 def test_norm_tables_all_rows_pass():

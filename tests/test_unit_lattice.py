@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import triquad
-from oracles import legendre_by_enumeration, sqrt_in_field, unsieved_saturation
+from oracles import (coords, legendre_by_enumeration, sqrt_in_field,
+                     unsieved_saturation)
 from triquad import unit_lattice
 from triquad.arith import PrimePair
 from triquad.harness import record_json, verify_pair
@@ -31,32 +32,62 @@ K5_SUPPORT = frozenset({0, 0b100, 0b011, 0b111})
 
 
 def test_word_canonicalization():
-    w = UnitWord({"-1": 3, "e2": Fraction(1, 2), "eq": 0})
-    assert w.exponents == {"-1": Fraction(1), "e2": Fraction(1, 2)}
+    w = UnitWord(quarters={"-1": 12, "e2": 2, "eq": 0})
+    assert w.quarters == {"-1": 4, "e2": 2}
+    assert UnitWord(quarters={"-1": -4}).quarters == {"-1": 4}
     with pytest.raises(TriquadError):
-        UnitWord({"e2": Fraction(1, 3)})
+        UnitWord(quarters={"-1": 2})
     with pytest.raises(TriquadError):
-        UnitWord({"bogus": 1})
+        UnitWord(quarters={"e2": Fraction(1, 2)})
+    with pytest.raises(TriquadError):
+        UnitWord(quarters={"bogus": 4})
+    with pytest.raises(TypeError):
+        UnitWord({"e2": 4})  # exponents, not quarter counts
+
+
+RENDERED = {-6: "e2^-3/2", -5: "e2^-5/4", -4: "e2^-1", -3: "e2^-3/4",
+            -2: "e2^-1/2", -1: "e2^-1/4", 0: "1", 1: "e2^1/4", 2: "e2^1/2",
+            3: "e2^3/4", 4: "e2", 5: "e2^5/4", 6: "e2^3/2", 7: "e2^7/4",
+            8: "e2^2"}
+
+
+@pytest.mark.parametrize("count", range(-6, 9))
+def test_render_writes_exponents_as_fractions(count):
+    assert UnitWord(quarters={"e2": count}).render() == RENDERED[count]
+
+
+def test_render_orders_the_base_units():
+    w = UnitWord(quarters={"e2pq": 1, "-1": 4, "ep": -2, "eq": 8})
+    assert w.render() == "-1 * ep^-1/2 * eq^2 * e2pq^1/4"
+
+
+def test_depth_counts_the_halvings():
+    for counts, depth in (({}, 0), ({"-1": 4, "e2": -8}, 0), ({"e2": 6}, 1),
+                          ({"e2": 4, "ep": 2}, 1), ({"e2": -3, "ep": 2}, 2)):
+        assert UnitWord(quarters=counts).depth == depth
+    assert UnitWord(quarters={"-1": 4, "e2": 4, "ep": -2}).sqrt_word().quarters == {
+        "e2": 2, "ep": -1}
 
 
 def test_word_embed_examples():
-    assert word_embed(UnitWord({"e2": 1}), P17) == OcticElem.from_dict((17, 7), {0: 1, 1: 1})
-    half_q = word_embed(UnitWord({"eq": Fraction(1, 2)}), P17)
+    assert word_embed(UnitWord(quarters={"e2": 4}), P17) == OcticElem.from_dict(
+        (17, 7), {0: 1, 1: 1})
+    half_q = word_embed(UnitWord(quarters={"eq": 2}), P17)
     assert half_q == OcticElem.from_dict((17, 7), {1: Fraction(3, 2), 5: Fraction(1, 2)})
-    torsion = word_embed(UnitWord({"-1": 1, "e2": 1}), P17)
+    torsion = word_embed(UnitWord(quarters={"-1": 4, "e2": 4}), P17)
     assert torsion == OcticElem.from_dict((17, 7), {0: -1, 1: -1})
 
 
 def test_word_embed_missing_root():
     with pytest.raises(RootMissingError):
-        word_embed(UnitWord({"e2": Fraction(1, 2)}), P17)
+        word_embed(UnitWord(quarters={"e2": 2}), P17)
 
 
 def test_word_embed_unit_invariant():
-    for word in (UnitWord({"eq": Fraction(1, 2), "e2q": Fraction(1, 2)}),
-                 UnitWord({"epq": Fraction(1, 2), "e2": 2})):
+    for word in (UnitWord(quarters={"eq": 2, "e2q": 2}),
+                 UnitWord(quarters={"epq": 2, "e2": 8})):
         e = word_embed(word, P17)
-        assert rational_norm(e) in (1, -1)
+        assert rational_norm(e) in ((1, 1), (-1, 1))
 
 
 def _base_unit_squares(pair):
@@ -98,22 +129,22 @@ def test_saturation_word_deeper_than_two_is_inconsistent():
     # would make saturation take eps_2^(1/8)
     square = unit_context(P17).units["e2"] ** 2
     with pytest.raises(InternalInconsistencyError, match="depth above 2"):
-        saturate(P17, [UnitWord({"e2": Fraction(1, 4)}, embedding=square)])
+        saturate(P17, [UnitWord(quarters={"e2": 1}, embedding=square)])
 
 
 def test_saturate_returns_seven_verified_words():
     res = saturate(P17)
     assert len(res.words) == 7
     for w, e in zip(res.words, res.elements):
-        assert rational_norm(e) in (1, -1)
-        assert w.exponents  # non-trivial
+        assert rational_norm(e) in ((1, 1), (-1, 1))
+        assert w.quarters  # non-trivial
 
 
 def test_saturate_deterministic():
     a = saturate(P17)
     b = saturate(P17)
     assert a.m == b.m
-    assert [w.exponents for w in a.words] == [w.exponents for w in b.words]
+    assert [w.quarters for w in a.words] == [w.quarters for w in b.words]
     assert a.elements == b.elements
 
 
@@ -144,13 +175,14 @@ def test_rank_certificate_rejects_a_wrong_element_on_a_right_word():
     assert rank_certificate(words, P17)
     w0 = words[0]
     wrong = octic_mul(word_embed(w0, P17), unit_context(P17).units["e2"])
-    corrupted = UnitWord(w0.exponents, embedding=wrong)
+    corrupted = UnitWord(quarters=w0.quarters, embedding=wrong)
     assert not rank_certificate([corrupted] + words[1:], P17)
 
 
 def test_rank_certificate_rejects_dependent_elements_on_independent_words():
     words = unit_generators(classify_pair(P17), P17)
-    borrowed = UnitWord(words[0].exponents, embedding=word_embed(words[1], P17))
+    borrowed = UnitWord(quarters=words[0].quarters,
+                        embedding=word_embed(words[1], P17))
     assert not rank_certificate([borrowed] + words[1:], P17)
 
 
@@ -161,6 +193,21 @@ def test_verify_pair_does_not_import_mpmath():
             "print('mpmath' in sys.modules)\n")
     src = str(Path(triquad.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+def test_library_runs_without_importing_fractions():
+    # without site-packages, so no third-party module can load it either
+    code = ("import sys\n"
+            "import triquad\n"
+            "from triquad.harness import scan_json, scan_pairs, verify_pair\n"
+            "assert verify_pair(17, 7).status == 'verified'\n"
+            "assert scan_json(scan_pairs(41, 8))\n"
+            "print('fractions' in sys.modules)\n")
+    src = str(Path(triquad.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
@@ -180,7 +227,7 @@ def test_sieved_saturation_matches_unsieved_reference(pair):
 
 def test_sieved_k5_saturation_matches_unsieved_reference():
     ctx = unit_context(P89)
-    words = [UnitWord({uid: 1}, embedding=ctx.units[uid])
+    words = [UnitWord(quarters={uid: 4}, embedding=ctx.units[uid])
              for uid in ("eq", "e2p", "e2pq")]
     reference = unsieved_saturation(P89, words, K5_SUPPORT)
     _assert_same_saturation(saturate(P89, words, K5_SUPPORT), reference)
@@ -221,7 +268,7 @@ def test_character_row_bits_are_legendre_symbols_at_each_root_choice():
             for i in range(8):
                 signs = (1 - 2 * (i >> 2 & 1), 1 - 2 * (i >> 1 & 1), 1 - 2 * (i & 1))
                 v = 0
-                for mask, c in enumerate(x.coords):
+                for mask, c in enumerate(coords(x)):
                     s = 1
                     for b in range(3):
                         if mask >> b & 1:
