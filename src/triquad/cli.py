@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -17,8 +18,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="triquad",
         description="Unit groups and 2-class numbers of Q(sqrt2, sqrtp, sqrtq) "
                     "for primes p = 1 mod 8, q = 7 mod 8, by exact arithmetic.")
-    # removed: the rank certificate is exact; kept only to reject it clearly
-    ap.add_argument("--precision-bits", help=argparse.SUPPRESS)
     ap.add_argument("--quad-bound", type=int, default=classnumber.DEFAULT_QUAD_BOUND,
                     help="resource guard for quadratic class-number radicands")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -40,12 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _print_json(doc: dict):
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,9 +50,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        if ns.precision_bits is not None:
-            raise TriquadError(
-                "precision-bits was removed: the rank certificate is exact")
         config = Config(quad_bound=ns.quad_bound, jobs=getattr(ns, "jobs", 1))
         if ns.command in ("classify", "units", "h2"):
             # verify_pair makes the same check and reports it in its record
@@ -65,7 +57,7 @@ def main(argv: list[str] | None = None) -> int:
             classnumber.check_radicand(max(pair.radicands), config.quad_bound)
         if ns.command == "classify":
             tag = theorems.classify_pair(pair)
-            _emit(json.dumps(harness.case_tag_json(tag), indent=2) + "\n", None)
+            _print_json(harness.case_tag_json(tag))
             return 0
         if ns.command == "units":
             tag = theorems.classify_pair(pair)
@@ -73,37 +65,35 @@ def main(argv: list[str] | None = None) -> int:
             gens = [{"word": w.render(),
                      "coords": harness._coords_json(unit_lattice.word_embed(w, pair))}
                     for w in words]
-            _emit(json.dumps({"pair": {"p": ns.p, "q": ns.q},
-                              "generators": gens}, indent=2) + "\n", None)
+            _print_json({"pair": {"p": ns.p, "q": ns.q}, "generators": gens})
             return 0
         if ns.command == "h2":
             tag = theorems.classify_pair(pair)
             sat = unit_lattice.saturate(pair)
             h2 = classnumber.subfield_h2_map(pair, config.quad_bound)
-            doc = {"pair": {"p": ns.p, "q": ns.q},
-                   "h2": {**{str(d): v for d, v in sorted(h2.items())},
-                          "K": theorems.predict_h2K(tag, h2)},
-                   "m": sat.m,
-                   "h2K_kuroda": classnumber.kuroda_h2K(pair, sat.m, h2)}
-            _emit(json.dumps(doc, indent=2) + "\n", None)
+            _print_json({"pair": {"p": ns.p, "q": ns.q},
+                         "h2": harness.h2_json(h2, theorems.predict_h2K(tag, h2)),
+                         "m": sat.m,
+                         "h2K_kuroda": classnumber.kuroda_h2K(pair, sat.m, h2)})
             return 0
         if ns.command == "verify":
             rec = harness.verify_pair(ns.p, ns.q, config)
-            _emit(json.dumps(harness.record_json(rec), indent=2) + "\n", None)
+            _print_json(harness.record_json(rec))
             return {harness.STATUS_VERIFIED: 0,
                     harness.STATUS_MISMATCH: 2,
                     harness.STATUS_RESOURCE: 3,
                     harness.STATUS_INTERNAL: 4}[rec.status]
         if ns.command == "scan":
-            result = harness.scan_pairs(ns.pmax, ns.qmax, config)
-            text = (harness.scan_json(result) if ns.format == "json"
-                    else harness.scan_csv(result))
-            _emit(text, ns.out)
+            # the output file is opened first, so a bad path costs no scan
+            with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
+                result = harness.scan_pairs(ns.pmax, ns.qmax, config)
+                fh.write(harness.scan_json(result) if ns.format == "json"
+                         else harness.scan_csv(result))
             return 0
     except ResourceGuardError as exc:
         print(f"limit reached: {exc}", file=sys.stderr)
         return 3
-    except (TriquadError, ValueError) as exc:
+    except (TriquadError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

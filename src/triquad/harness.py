@@ -241,13 +241,17 @@ def case_tag_json(tag: CaseTag) -> dict:
     }
 
 
+def h2_json(h2: dict[int, int], h2K: int) -> dict:
+    """The 2-class numbers of the subfields keyed by radicand, then of K."""
+    return {**{str(d): v for d, v in sorted(h2.items())}, "K": h2K}
+
+
 def record_json(rec: VerificationRecord, include_wall_time: bool = True) -> dict:
     out = {
         "pair": {"p": rec.pair[0], "q": rec.pair[1]},
         "case": case_tag_json(rec.case_tag) if rec.case_tag else None,
         "generators": [{"word": w, "coords": c} for w, c in rec.generators],
-        "h2": ({**{str(d): v for d, v in sorted(rec.report.h2.items())},
-                "K": rec.report.h2K_theorem} if rec.report else None),
+        "h2": h2_json(rec.report.h2, rec.report.h2K_theorem) if rec.report else None,
         "m": rec.report.m if rec.report else None,
         "status": rec.status,
         "fingerprints": rec.fingerprints,

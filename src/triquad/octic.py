@@ -21,7 +21,8 @@ import functools
 import math
 from collections.abc import Sequence
 
-from .arith import PrimePair, is_prime, ratio_str, symbol_primes
+from .arith import (PrimePair, is_perfect_square, is_prime, ratio_str,
+                    symbol_primes)
 from .errors import InternalInconsistencyError, TriquadError
 from .quadratic import QuadElem
 
@@ -285,21 +286,35 @@ def octic_inv(x: OcticElem) -> OcticElem:
     return _scaled(acc, y.den, n) if n > 0 else _scaled(acc, -y.den, -n)
 
 
+def radical_mask(n: int, pair) -> tuple[int, int]:
+    """(s, mask) with sqrt(n) = s * sqrt(prod mask), for n > 0 a square
+    times a product of 2, p and q."""
+    p, q = _normalize_pair(pair)
+    if n < 1:
+        raise TriquadError(f"sqrt({n}) is not a positive real radical")
+    s, mask, rest = 1, 0, n
+    for bit, r in enumerate((2, p, q)):
+        while rest % (r * r) == 0:
+            rest //= r * r
+            s *= r
+        if rest % r == 0:
+            rest //= r
+            mask |= 1 << bit
+    root = is_perfect_square(rest)
+    if root is None:
+        raise TriquadError(f"sqrt({n}) does not lie in K for pair ({p}, {q})")
+    return s * root, mask
+
+
 def embed_quadratic(x: QuadElem, pair) -> OcticElem:
     """Place (a + b sqrt d)/denom on the basis slots of K."""
-    p, q = _normalize_pair(pair)
-    mask = 0
-    d = x.d
-    for bit, r in enumerate((2, p, q)):
-        if d % r == 0:
-            mask |= 1 << bit
-            d //= r
-    if d != 1 or mask == 0:
-        raise TriquadError(
-            f"radicand {x.d} is not a subfield radicand for pair ({p}, {q})")
+    pair = _normalize_pair(pair)
+    s, mask = radical_mask(x.d, pair)
+    if not mask:
+        raise TriquadError(f"radicand {x.d} is a square")
     num = [0] * 8
-    num[0], num[mask] = x.a, x.b
-    return _reduced((p, q), num, x.denom)
+    num[0], num[mask] = x.a, s * x.b
+    return _reduced(pair, num, x.denom)
 
 
 # -- exact embedding signs ------------------------------------------------

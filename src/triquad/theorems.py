@@ -11,12 +11,13 @@ number of K follow from the case.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 from .arith import PrimePair, is_perfect_square, ratio_str
 from .errors import InternalInconsistencyError, TriquadError
 from .octic import (TAU1, TAU2, TAU3, OcticElem, _reduced, norm_to_subfield,
-                    octic_mul)
+                    octic_mul, radical_mask)
 from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord,
                            unit_context)
 
@@ -33,126 +34,76 @@ CASE_GRID = {(KIND_UNIT, KIND_UNIT): "C1", (KIND_UNIT, KIND_P): "C2",
 
 @dataclass(frozen=True)
 class SqrtDecomposition:
-    """Exact data of the square root of a base unit.
+    """Exact data of the square root of a norm +1 unit t + y sqrt(d).
 
-    kind records which of t+1, p(t+1), 2p(t+1) is the perfect square for the
-    unit t + y sqrt(d); the cofactors (c1, c2) satisfy the corresponding
-    two-term identity such as 2 = c1^2 - 2pq c2^2. For d = 2p the u_bit is
-    set instead: (alpha1^2 - 2p alpha2^2)/2 = (-1)^u.
+    Exactly one system t + 1 = f+ c+^2, t - 1 = f- c-^2 of the unit's table
+    holds, with factors (f+, f-) and cofactors (c+, c-). Then f+ f- = d k^2,
+    y = c+ c- k, and sqrt(2 eps) = c+ sqrt(f+) + c- sqrt(f-). kind names the
+    factor pair; for d = 2p the u_bit is set instead: the system (1, 2p)
+    gives u = 0 and (2p, 1) gives u = 1, so that for sqrt(2 eps_2p) =
+    alpha1 + alpha2 sqrt(2p), (alpha1^2 - 2p alpha2^2)/2 = (-1)^u.
     """
 
     radicand: int
     kind: str
+    factors: tuple[int, int]
     cofactors: tuple[int, int]
     u_bit: int | None = None
 
 
-def _land_kind(t: int, factor_plus: int, factor_minus: int) -> tuple[int, int] | None:
-    """Test the system t+1 = factor_plus * c1^2, t-1 = factor_minus * c2^2."""
-    if (t + 1) % factor_plus or (t - 1) % factor_minus:
-        return None
-    c1 = is_perfect_square((t + 1) // factor_plus)
-    if c1 is None:
-        return None
-    c2 = is_perfect_square((t - 1) // factor_minus)
-    if c2 is None:
-        return None
-    return c1, c2
+def _half_unit_systems(p: int, q: int, norm_eps2p: int) -> dict:
+    """The systems (kind, f+, f-, u) of each templated unit, by unit id."""
+    systems = {
+        "eq": ((KIND_UNIT, 1, q, None),),
+        "e2q": ((KIND_UNIT, 1, 2 * q, None),),
+        "epq": ((KIND_UNIT, 1, p * q, None), (KIND_P, p, q, None),
+                (KIND_2P, 2 * p, 2 * q, None)),
+        "e2pq": ((KIND_UNIT, 1, 2 * p * q, None), (KIND_P, p, 2 * q, None),
+                 (KIND_2P, 2 * p, q, None))}
+    if norm_eps2p == 1:
+        systems["e2p"] = ((KIND_UNIT, 1, 2 * p, 0), (KIND_UNIT, 2 * p, 1, 1))
+    return systems
 
 
 def decompose_sqrt_data(pair: PrimePair) -> dict[int, SqrtDecomposition]:
     """Square-root decompositions of eps_q, eps_2q, eps_pq, eps_2pq and,
-    when N(eps_2p) = +1, of eps_2p. Exactly one kind must land for each."""
-    p, q = pair.p, pair.q
+    when N(eps_2p) = +1, of eps_2p, keyed by radicand. Exactly one system
+    must land for each."""
     ctx = unit_context(pair)
     out: dict[int, SqrtDecomposition] = {}
-
-    def unique(radicand: int, systems: list[tuple[str, int, int]],
-               t: int, y: int, y_factor: dict[str, int]):
+    for uid, systems in _half_unit_systems(pair.p, pair.q, ctx.norms["e2p"]).items():
+        fu = ctx.quad[uid]
         # these radicands are 2 or 3 mod 4, so the unit coordinates are integers
+        if fu.norm != 1 or fu.elem.denom != 1:
+            raise InternalInconsistencyError(f"{uid} is not an integral unit of norm +1")
+        d, t, y = fu.elem.d, fu.elem.a, fu.elem.b
         landed = []
-        for kind, fplus, fminus in systems:
-            r = _land_kind(t, fplus, fminus)
-            if r is not None:
-                landed.append((kind, r))
+        for kind, fplus, fminus, u in systems:
+            if (t + 1) % fplus or (t - 1) % fminus:
+                continue
+            cofactors = (is_perfect_square((t + 1) // fplus),
+                         is_perfect_square((t - 1) // fminus))
+            if None not in cofactors:
+                landed.append(SqrtDecomposition(d, kind, (fplus, fminus), cofactors, u))
         if len(landed) != 1:
             raise InternalInconsistencyError(
-                f"{len(landed)} square-class kinds landed for radicand "
-                f"{radicand} of pair ({p},{q}); expected exactly one")
-        kind, (c1, c2) = landed[0]
-        if c1 * c2 * y_factor[kind] != y:
+                f"{len(landed)} systems landed for radicand {d} of pair "
+                f"({pair.p},{pair.q}); expected exactly one")
+        dec = landed[0]
+        if math.prod(dec.cofactors) * math.isqrt(math.prod(dec.factors) // d) != y:
             raise InternalInconsistencyError(
-                f"cofactor product mismatch for radicand {radicand}")
-        out[radicand] = SqrtDecomposition(radicand, kind, (c1, c2))
-
-    for uid, radicand in (("eq", q), ("e2q", 2 * q)):
-        fu = ctx.quad[uid]
-        if fu.norm != 1 or fu.elem.denom != 1:
-            raise InternalInconsistencyError(f"N(eps_{radicand}) is not +1")
-        unique(radicand, [(KIND_UNIT, 1, radicand)],
-               fu.elem.a, fu.elem.b, {KIND_UNIT: 1})
-
-    fu = ctx.quad["epq"]
-    if fu.norm != 1 or fu.elem.denom != 1:
-        raise InternalInconsistencyError("N(eps_pq) is not +1")
-    unique(p * q, [(KIND_UNIT, 1, p * q), (KIND_P, p, q), (KIND_2P, 2 * p, 2 * q)],
-           fu.elem.a, fu.elem.b, {KIND_UNIT: 1, KIND_P: 1, KIND_2P: 2})
-
-    fu = ctx.quad["e2pq"]
-    if fu.norm != 1 or fu.elem.denom != 1:
-        raise InternalInconsistencyError("N(eps_2pq) is not +1")
-    unique(2 * p * q, [(KIND_UNIT, 1, 2 * p * q), (KIND_P, p, 2 * q), (KIND_2P, 2 * p, q)],
-           fu.elem.a, fu.elem.b, {KIND_UNIT: 1, KIND_P: 1, KIND_2P: 1})
-
-    fu = ctx.quad["e2p"]
-    if fu.norm == 1:
-        t, y = fu.elem.a, fu.elem.b
-        c = _land_kind(t, 1, 2 * p)
-        if c is not None:
-            u = 0
-            c1, c2 = c
-        else:
-            if (t - 1) < 0 or (t + 1) % (2 * p):
-                raise InternalInconsistencyError("no u-decomposition for eps_2p")
-            c1 = is_perfect_square(t - 1)
-            c2 = is_perfect_square((t + 1) // (2 * p))
-            if c1 is None or c2 is None:
-                raise InternalInconsistencyError("no u-decomposition for eps_2p")
-            u = 1
-        if c1 * c2 != y:
-            raise InternalInconsistencyError("cofactor product mismatch for eps_2p")
-        if (c1 * c1 - 2 * p * c2 * c2) != 2 * (-1) ** u:
-            raise InternalInconsistencyError("u identity failed for eps_2p")
-        out[2 * p] = SqrtDecomposition(2 * p, KIND_UNIT, (c1, c2), u_bit=u)
+                f"cofactor product mismatch for radicand {d}")
+        out[d] = dec
     return out
 
 
 def root_from_decomposition(dec: SqrtDecomposition, pair: PrimePair) -> OcticElem:
-    """The canonical square root in K encoded by a decomposition, from
-    numerators over the denominator 2."""
-    p, q = pair.p, pair.q
-    c1, c2 = dec.cofactors
-    d = dec.radicand
-    if d == q:
-        coords = {1: c1, 5: c2}
-    elif d == 2 * q:
-        coords = {1: c1, 4: 2 * c2}
-    elif d == 2 * p:
-        coords = {1: c1, 2: 2 * c2}
-    elif d == p * q:
-        coords = {KIND_UNIT: {1: c1, 7: c2},
-                  KIND_P: {3: c1, 5: c2},
-                  KIND_2P: {2: 2 * c1, 4: 2 * c2}}[dec.kind]
-    elif d == 2 * p * q:
-        coords = {KIND_UNIT: {1: c1, 6: 2 * c2},
-                  KIND_P: {3: c1, 4: 2 * c2},
-                  KIND_2P: {2: 2 * c1, 5: c2}}[dec.kind]
-    else:
-        raise TriquadError(f"no root template for radicand {d}")
+    """sqrt(eps) = (c+ sqrt(2 f+) + c- sqrt(2 f-))/2 on the basis of K."""
     num = [0] * 8
-    for mask, n in coords.items():
-        num[mask] = n
-    return _reduced((p, q), num, 2)
+    for c, f in zip(dec.cofactors, dec.factors):
+        s, mask = radical_mask(2 * f, pair)
+        num[mask] += s * c
+    return _reduced((pair.p, pair.q), num, 2)
 
 
 class ClassificationContext:
@@ -162,10 +113,10 @@ class ClassificationContext:
         self.pair = pair
         self.ctx: UnitContext = unit_context(pair)
         self.decompositions = decompose_sqrt_data(pair)
-        p, q = pair.p, pair.q
+        uid_of = dict(zip(pair.radicands, NONTORSION_IDS))
         self.roots: dict[str, OcticElem] = {}
-        for uid, d in (("eq", q), ("e2q", 2 * q), ("epq", p * q), ("e2pq", 2 * p * q)):
-            r = root_from_decomposition(self.decompositions[d], pair)
+        for d, dec in self.decompositions.items():
+            uid, r = uid_of[d], root_from_decomposition(dec, pair)
             if octic_mul(r, r) != self.ctx.units[uid]:
                 raise InternalInconsistencyError(f"root template failed for {uid}")
             self.roots[uid] = r
@@ -173,11 +124,7 @@ class ClassificationContext:
         self.u_bit = None
         self.v_sign = None
         if self.norm_eps2p == 1:
-            self.u_bit = self.decompositions[2 * p].u_bit
-            r = root_from_decomposition(self.decompositions[2 * p], pair)
-            if octic_mul(r, r) != self.ctx.units["e2p"]:
-                raise InternalInconsistencyError("root template failed for e2p")
-            self.roots["e2p"] = r
+            self.u_bit = self.decompositions[2 * pair.p].u_bit
         else:
             prod = octic_mul(octic_mul(self.ctx.units["e2"], self.ctx.units["ep"]),
                              self.ctx.units["e2p"])
@@ -444,9 +391,7 @@ def predict_h2K(tag: CaseTag, h2_subfields: dict[int, int]) -> int:
 
 # -- exact verification of the relative-norm tables --------------------------
 
-_SIGMAS = (("1+tau2", TAU2), ("1+tau1tau2", TAU1 ^ TAU2),
-           ("1+tau1tau3", TAU1 ^ TAU3), ("1+tau2tau3", TAU2 ^ TAU3),
-           ("1+tau1", TAU1))
+_SIGMAS = (TAU2, TAU1 ^ TAU2, TAU1 ^ TAU3, TAU2 ^ TAU3, TAU1)
 
 # rows keyed by square class of x+1 resp. v+1; entries are symbols:
 # integers stand for themselves, "E" for the unit, "-E" for its negative
@@ -459,9 +404,7 @@ _TABLE_PQ = {KIND_UNIT: (1, -1, -1, "E", "-E"),
 
 # six relative norms of e2, ep, sqrt(eq), sqrt(e2q) in the fixed order
 # 1+tau1, 1+tau2, 1+tau3, 1+tau1tau2, 1+tau1tau3, 1+tau2tau3
-_SIGMAS_6 = (("1+tau1", TAU1), ("1+tau2", TAU2), ("1+tau3", TAU3),
-             ("1+tau1tau2", TAU1 ^ TAU2), ("1+tau1tau3", TAU1 ^ TAU3),
-             ("1+tau2tau3", TAU2 ^ TAU3))
+_SIGMAS_6 = (TAU1, TAU2, TAU3, TAU1 ^ TAU2, TAU1 ^ TAU3, TAU2 ^ TAU3)
 _TABLE_BASE = {"e2": (-1, "E2", "E2", -1, -1, "E2"),
                "ep": ("E2", -1, "E2", -1, "E2", -1),
                "eq": ("-E", "E", 1, "-E", -1, 1),
@@ -477,6 +420,11 @@ class TableCheck:
     ok: bool
 
 
+def _sigma_name(flips: int) -> str:
+    """Name of the relative norm of a flip mask: TAU1 ^ TAU2 gives "1+tau1tau2"."""
+    return "1+" + "".join(f"tau{b + 1}" for b in range(3) if flips >> b & 1)
+
+
 def _expected_elem(symbol, unit: OcticElem, pair_key) -> OcticElem:
     if symbol == "E":
         return unit
@@ -490,32 +438,20 @@ def _expected_elem(symbol, unit: OcticElem, pair_key) -> OcticElem:
 def verify_norm_tables(pair: PrimePair) -> list[TableCheck]:
     """Check every applicable row of the three relative-norm tables exactly."""
     cc = classification_context(pair)
-    key = cc.ctx.key
-    checks: list[TableCheck] = []
-
-    for uid, row in _TABLE_BASE.items():
-        elem = cc.ctx.units[uid] if uid in ("e2", "ep") else cc.roots[uid]
-        unit = cc.ctx.units[uid]
-        for (name, sigma), symbol in zip(_SIGMAS_6, row):
-            got = norm_to_subfield(sigma, elem)
-            checks.append(TableCheck("base-units", uid, name, str(symbol),
-                                     got == _expected_elem(symbol, unit, key)))
-
-    for uid, table, kind in (("e2pq", _TABLE_2PQ, cc.decompositions[2 * pair.p * pair.q].kind),
-                             ("epq", _TABLE_PQ, cc.decompositions[pair.p * pair.q].kind)):
-        row = table[kind]
-        unit = cc.ctx.units[uid]
-        for (name, sigma), symbol in zip(_SIGMAS, row):
-            got = norm_to_subfield(sigma, cc.roots[uid])
-            checks.append(TableCheck("product-units", uid, name, str(symbol),
-                                     got == _expected_elem(symbol, unit, key)))
-
+    units, dec = cc.ctx.units, cc.decompositions
+    rows = [("base-units", uid,
+             units[uid] if uid in ("e2", "ep") else cc.roots[uid], _SIGMAS_6, row)
+            for uid, row in _TABLE_BASE.items()]
+    rows += [("product-units", "e2pq", cc.roots["e2pq"], _SIGMAS,
+              _TABLE_2PQ[dec[2 * pair.p * pair.q].kind]),
+             ("product-units", "epq", cc.roots["epq"], _SIGMAS,
+              _TABLE_PQ[dec[pair.p * pair.q].kind])]
     if cc.norm_eps2p == 1:
         u = cc.u_bit
-        row = ((-1) ** u, "-E", (-1) ** (u + 1), (-1) ** u, (-1) ** (u + 1))
-        unit = cc.ctx.units["e2p"]
-        for (name, sigma), symbol in zip(_SIGMAS, row):
-            got = norm_to_subfield(sigma, cc.roots["e2p"])
-            checks.append(TableCheck("half-2p-unit", "e2p", name, str(symbol),
-                                     got == _expected_elem(symbol, unit, key)))
-    return checks
+        rows.append(("half-2p-unit", "e2p", cc.roots["e2p"], _SIGMAS,
+                     ((-1) ** u, "-E", (-1) ** (u + 1), (-1) ** u, (-1) ** (u + 1))))
+    return [TableCheck(table, uid, _sigma_name(sigma), str(symbol),
+                       norm_to_subfield(sigma, elem)
+                       == _expected_elem(symbol, units[uid], cc.ctx.key))
+            for table, uid, elem, sigmas, row in rows
+            for sigma, symbol in zip(sigmas, row)]

@@ -106,8 +106,8 @@ def test_cli_units_and_h2(capsys):
 def test_cli_usage_errors(capsys):
     assert cli_main(["verify", "7", "17"]) == 1
     assert cli_main(["classify", "15", "7"]) == 1
-    assert cli_main(["--precision-bits", "10", "verify", "17", "7"]) == 1
-    assert "error: precision-bits" in capsys.readouterr().err
+    assert cli_main(["--precision-bits=10", "verify", "17", "7"]) == 1
+    assert "unrecognized arguments: --precision-bits" in capsys.readouterr().err
     for jobs in ("0", "-3"):
         assert cli_main(["scan", "--pmax", "50", "--qmax", "32", "--jobs", jobs]) == 1
         assert "error: jobs" in capsys.readouterr().err
@@ -174,6 +174,18 @@ def test_every_case_and_norm_branch_verifies(p, q, case, norm):
     assert rec.case_tag.case == case
     assert rec.case_tag.norm_eps2p == norm
     assert rec.rank_ok and rec.resaturation_m == 0
+
+
+def test_cli_scan_unwritable_out_fails_before_scanning(tmp_path, monkeypatch, capsys):
+    def no_scan(*args):
+        raise AssertionError("scan ran although --out cannot be opened")
+
+    monkeypatch.setattr(harness, "scan_pairs", no_scan)
+    out = tmp_path / "missing" / "x.json"
+    assert cli_main(["scan", "--pmax", "20", "--qmax", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
 
 
 def test_cli_scan_rerun_byte_identical(tmp_path):

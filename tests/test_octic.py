@@ -11,7 +11,7 @@ from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
                            _non_residue, apply_automorphism, embed_quadratic,
                            norm_to_subfield, octic_inv, octic_mul,
-                           rational_norm, sign_vector, sqrt_exact)
+                           radical_mask, rational_norm, sign_vector, sqrt_exact)
 from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
 from triquad.unit_lattice import unit_context
 
@@ -37,6 +37,10 @@ def test_embed_quadratic_examples():
     golden = embed_quadratic(QuadElem(5, 1, 1, 2), (5, 7))
     assert coords(golden)[0] == Fraction(1, 2)
     assert coords(golden)[2] == Fraction(1, 2)
+    # sqrt(n) = s * sqrt(prod mask): sqrt(4 * 17 * 7 * 9) = 6 sqrt(pq)
+    assert radical_mask(2, PAIR) == (1, 1)
+    assert radical_mask(4 * 17 * 7 * 9, PAIR) == (6, 6)
+    assert radical_mask(8 * 17 ** 3, PAIR) == (34, 3)
 
 
 def test_embed_quadratic_rejects_foreign_radicand():
@@ -44,6 +48,9 @@ def test_embed_quadratic_rejects_foreign_radicand():
         embed_quadratic(QuadElem(34, 35, 6), (5, 7))
     with pytest.raises(TriquadError):
         embed_quadratic(QuadElem(3, 2, 1), PAIR)
+    for n in (0, -2, 3 * 17, 2 * 7 * 5):
+        with pytest.raises(TriquadError):
+            radical_mask(n, PAIR)
 
 
 def test_octic_mul_examples():

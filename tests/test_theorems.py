@@ -11,6 +11,7 @@ from triquad.unit_lattice import rank_certificate, saturate, unit_context, word_
 P17 = PrimePair(17, 7)
 P41 = PrimePair(41, 7)
 P113 = PrimePair(113, 7)
+P73 = PrimePair(73, 7)
 
 
 def test_decompose_17_7():
@@ -21,10 +22,15 @@ def test_decompose_17_7():
     assert 3 * 3 - 7 == 2
     assert dec[34].u_bit == 0 and dec[34].cofactors == (6, 1)
     assert (6 * 6 - 34) // 2 == 1  # (-1)^u with u = 0
+    # eps_146 = 145 + 12 sqrt146: t - 1 = 12^2 and t + 1 = 146 * 1^2, so u = 1
+    dec = decompose_sqrt_data(P73)
+    assert dec[146].u_bit == 1 and dec[146].cofactors == (1, 12)
+    assert dec[146].factors == (146, 1)
+    assert (12 * 12 - 146 * 1 * 1) // 2 == -1  # (-1)^u with u = 1
 
 
 def test_decompose_roots_square_back():
-    for pair in (P17, P41, P113, PrimePair(97, 31)):
+    for pair in (P17, P41, P113, P73, PrimePair(97, 31)):
         ctx = unit_context(pair)
         dec = decompose_sqrt_data(pair)
         uid_of = {pair.q: "eq", 2 * pair.q: "e2q", pair.p * pair.q: "epq",
@@ -139,7 +145,25 @@ def test_norm_tables_all_rows_pass():
 
 
 def test_norm_table_u_dependence():
-    # u = 0 at (17,7): (1+tau2)-norm of sqrt(eps_2p) equals +1
+    # the (1+tau2)-norm of sqrt(eps_2p) is (-1)^u: u = 0 at (17,7), u = 1 at (73,7)
+    for pair, expected in ((P17, "1"), (P73, "-1")):
+        checks = verify_norm_tables(pair)
+        row = [c for c in checks if c.table == "half-2p-unit" and c.sigma == "1+tau2"]
+        assert row and row[0].expected == expected and row[0].ok, pair
+
+
+def test_norm_table_names_17_7():
+    # sigma names derived from the flip masks, in table order
+    base = {"e2": "-1 E2 E2 -1 -1 E2", "ep": "E2 -1 E2 -1 E2 -1",
+            "eq": "-E E 1 -E -1 1", "e2q": "-1 E 1 -1 -E 1"}
+    six = ("1+tau1", "1+tau2", "1+tau3", "1+tau1tau2", "1+tau1tau3", "1+tau2tau3")
+    five = ("1+tau2", "1+tau1tau2", "1+tau1tau3", "1+tau2tau3", "1+tau1")
+    expected = [("base-units", uid, sigma, symbol)
+                for uid, row in base.items() for sigma, symbol in zip(six, row.split())]
+    for table, uid, row in (("product-units", "e2pq", "1 -E -E E -1"),
+                            ("product-units", "epq", "1 -1 -1 E -E"),
+                            ("half-2p-unit", "e2p", "1 -E -1 1 -1")):
+        expected += [(table, uid, sigma, symbol)
+                     for sigma, symbol in zip(five, row.split())]
     checks = verify_norm_tables(P17)
-    row = [c for c in checks if c.table == "half-2p-unit" and c.sigma == "1+tau2"]
-    assert row and row[0].expected == "1" and row[0].ok
+    assert [(c.table, c.unit, c.sigma, c.expected) for c in checks] == expected
