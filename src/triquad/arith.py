@@ -1,9 +1,10 @@
-"""Big-integer primitives: primality, perfect squares, quadratic residues,
-modular square roots, primes with prescribed Legendre symbols, factoring by
-trial division and F2 elimination."""
+"""Big-integer primitives: decimal strings of any length, primality, perfect
+squares, quadratic residues, modular square roots, primes with prescribed
+Legendre symbols, factoring by trial division and F2 elimination."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,11 +27,29 @@ def is_perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
+# 2^2000 < 10^603, below the least digit limit str(int) can be set to (640)
+_STR_BITS = 2000
+
+
+def decimal_str(n: int) -> str:
+    """str(n) for an int of any length: str(int) refuses more digits than
+    the interpreter's limit (4,300 by default), so long values are split by
+    a power of ten and converted piece by piece."""
+    if n < 0:
+        return "-" + decimal_str(-n)
+    if n.bit_length() < _STR_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
+    hi, lo = divmod(n, 10 ** k)
+    return decimal_str(hi) + decimal_str(lo).zfill(k)
+
+
 def ratio_str(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, by one gcd: "n/d" in lowest terms, or
-    "n" when d divides n."""
+    "n" when d divides n; of any length."""
     g = math.gcd(n, d)
-    return str(n // g) if d == g else f"{n // g}/{d // g}"
+    num = decimal_str(n // g)
+    return num if d == g else f"{num}/{decimal_str(d // g)}"
 
 
 def is_prime(n: int) -> bool:
@@ -67,6 +86,18 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else 1
+
+
+@functools.lru_cache(maxsize=128)
+def residue_table(l: int) -> bytes:
+    """For an odd prime l, the bytes t of length l with t[v] = 1 when v is a
+    non-residue mod l, and 0 when v is 0 or a nonzero square: the Legendre
+    symbol (v/l) of v prime to l is 1 - 2*t[v]."""
+    t = bytearray([1]) * l
+    t[0] = 0
+    for i in range(1, l // 2 + 1):
+        t[i * i % l] = 0
+    return bytes(t)
 
 
 def sqrt_mod(a: int, l: int) -> int:

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import classnumber, octic, theorems, unit_lattice
-from .arith import PrimePair, primes_in_range, ratio_str
+from .arith import PrimePair, decimal_str, primes_in_range, ratio_str
 from .classnumber import ClassNumberReport
 from .errors import (InternalInconsistencyError, ResourceGuardError,
                      RootMissingError, TriquadError)
@@ -58,27 +58,10 @@ class VerificationRecord:
     wall_time: float = 0.0
 
 
-# 2^2000 < 10^603, below the least digit limit str(int) can be set to (640)
-_STR_BITS = 2000
-
-
-def _decimal(n: int) -> str:
-    """str(n) for an int of any length: str(int) refuses more digits than
-    the interpreter's limit (4,300 by default), so long values are split by
-    a power of ten and converted piece by piece."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    if n.bit_length() < _STR_BITS:
-        return str(n)
-    k = n.bit_length() * 3 // 20  # about half the digits, as log10(2) > 0.3
-    hi, lo = divmod(n, 10 ** k)
-    return _decimal(hi) + _decimal(lo).zfill(k)
-
-
 def _rat(n: int, d: int) -> str:
     """"num/den" of n/d in lowest terms, for d > 0."""
     g = math.gcd(n, d)
-    return f"{_decimal(n // g)}/{_decimal(d // g)}"
+    return f"{decimal_str(n // g)}/{decimal_str(d // g)}"
 
 
 def _coords_json(elem: octic.OcticElem) -> dict[str, str]:

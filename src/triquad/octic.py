@@ -22,7 +22,7 @@ import math
 from collections.abc import Sequence
 
 from .arith import (PrimePair, is_perfect_square, is_prime, ratio_str,
-                    symbol_primes)
+                    residue_table, symbol_primes)
 from .errors import InternalInconsistencyError, TriquadError
 from .quadratic import QuadElem
 
@@ -32,7 +32,8 @@ SUBSET_LABELS = ("", "2", "p", "2p", "q", "2q", "pq", "2pq")
 _EMB_FLIPS = (0, 4, 2, 6, 1, 5, 3, 7)
 
 
-@functools.lru_cache(maxsize=None)
+# the pair-keyed caches keep the last 64 pairs, as unit_lattice.unit_context
+@functools.lru_cache(maxsize=64)
 def _validate_pair(p: int, q: int) -> None:
     if p == q or p <= 2 or q <= 2 or not is_prime(p) or not is_prime(q):
         raise TriquadError(f"need two distinct odd primes, got ({p}, {q})")
@@ -46,16 +47,12 @@ def _normalize_pair(pair) -> tuple[int, int]:
     return p, q
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _radicals(pair: tuple[int, int]) -> tuple[int, ...]:
     """prod(S) for each mask S."""
     p, q = pair
     return tuple((2 if m & 1 else 1) * (p if m & 2 else 1) * (q if m & 4 else 1)
                  for m in range(8))
-
-
-# row s lists (t, s^t, s&t): sqrt(prod s)*sqrt(prod t) = prod(s&t)*sqrt(prod(s^t))
-_MUL_TABLE = tuple(tuple((t, s ^ t, s & t) for t in range(8)) for s in range(8))
 
 
 # the flip masks of sqrt2, sqrtp and sqrtq; they compose by XOR
@@ -125,16 +122,9 @@ class OcticElem:
 
     # -- structure ---------------------------------------------------------
 
-    def radical_product(self, mask: int) -> int:
-        return _radicals(self.pair)[mask]
-
     @property
     def is_zero(self) -> bool:
         return not any(self.num)
-
-    @property
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     def support(self) -> frozenset[int]:
         return frozenset(m for m, n in enumerate(self.num) if n)
@@ -203,11 +193,6 @@ def _reduced(pair: tuple[int, int], num: list[int], den: int) -> OcticElem:
     return _new(pair, tuple(num), den)
 
 
-def _scaled(x: OcticElem, n: int, d: int) -> OcticElem:
-    """x * n/d for d > 0."""
-    return _reduced(x.pair, [c * n for c in x.num], x.den * d)
-
-
 def _common(x: OcticElem, y: OcticElem) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Numerators of x and y over their least common denominator."""
     dx, dy = x.den, y.den
@@ -218,18 +203,68 @@ def _common(x: OcticElem, y: OcticElem) -> tuple[tuple[int, ...], tuple[int, ...
     return (tuple(n * fx for n in x.num), tuple(n * fy for n in y.num), dx * fx)
 
 
+# -- integer-list kernels ---------------------------------------------------
+#
+# An element of a subfield of K as an int list of numerators on the masks
+# below its length, with rad[m] the radical product of mask m. At t = rad[1]
+# it is a + b*sqrt(t) with a = x[0::2], b = x[1::2] on the radicals rad[0::2].
+
+# row s of _MUL_TABLES[h] lists (t, s^t, s&t) for t < h
+_MUL_TABLES = {h: tuple(tuple((t, s ^ t, s & t) for t in range(h)) for s in range(h))
+               for h in (1, 2, 4, 8)}
+
+
+def _mul(x: Sequence[int], y: Sequence[int], rad: Sequence[int]) -> list[int]:
+    """Product of x and y: sqrt(rad[s]) * sqrt(rad[t]) = rad[s&t] * sqrt(rad[s^t])."""
+    table = _MUL_TABLES[len(x)]
+    c = [0] * len(x)
+    for s, a in enumerate(x):
+        if a:
+            for t, u, st in table[s]:
+                if y[t]:
+                    c[u] += a * y[t] * rad[st]
+    return c
+
+
+def _square_minus(a: Sequence[int], b: Sequence[int], t: int,
+                  rad: Sequence[int]) -> list[int]:
+    """a^2 - t*b^2 for a, b on the masks below len(a)."""
+    h = len(a)
+    c = [0] * h
+    for x, w in ((a, 1), (b, -t)):
+        for s, xs in enumerate(x):
+            if xs:
+                c[0] += w * xs * xs * rad[s]
+                w2 = 2 * w * xs
+                for u in range(s + 1, h):
+                    if x[u]:
+                        c[s ^ u] += w2 * x[u] * rad[s & u]
+    return c
+
+
+def _tower_norm(num: Sequence[int],
+                rad: Sequence[int]) -> tuple[list[int], int, int]:
+    """(acc, n, k) with num * acc = n, an int, by k relative norms: where
+    x = a + b*sqrt(t) has b != 0, x * (a - b*sqrt(t)) = a^2 - t*b^2 takes it
+    one level down; where b = 0, x is a. The levels skipped are those where
+    x already lay in the subfield, so the norm of x is n^(len(num) >> k)."""
+    if len(num) == 1:
+        return [1], num[0], 0
+    a, b, sub = num[0::2], num[1::2], rad[0::2]
+    acc = [0] * len(num)
+    if not any(b):
+        acc[0::2], n, k = _tower_norm(a, sub)
+        return acc, n, k
+    e, n, k = _tower_norm(_square_minus(a, b, rad[1], sub), sub)
+    acc[0::2] = _mul(a, e, sub)
+    acc[1::2] = [-v for v in _mul(b, e, sub)]
+    return acc, n, k + 1
+
+
 def octic_mul(x: OcticElem, y: OcticElem) -> OcticElem:
     """Bilinear product: sqrt(prod S) * sqrt(prod T) = prod(S&T) * sqrt(prod(S^T))."""
     x._check(y)
-    c = [0, 0, 0, 0, 0, 0, 0, 0]
-    rad = _radicals(x.pair)
-    b = y.num
-    for s, a in enumerate(x.num):
-        if a:
-            for t, u, st in _MUL_TABLE[s]:
-                if b[t]:
-                    c[u] += a * b[t] * rad[st]
-    return _reduced(x.pair, c, x.den * y.den)
+    return _reduced(x.pair, _mul(x.num, y.num, _radicals(x.pair)), x.den * y.den)
 
 
 def apply_automorphism(flips: int, x: OcticElem) -> OcticElem:
@@ -246,44 +281,26 @@ def norm_to_subfield(flips: int, x: OcticElem) -> OcticElem:
     return octic_mul(x, apply_automorphism(flips, x))
 
 
-def _tower_norm(x: OcticElem) -> tuple[OcticElem, OcticElem, int]:
-    """(acc, y, k) with y = x * acc rational, by k relative norms.
-
-    For each radical that y still involves, y is replaced by y * sigma(y),
-    sigma the flip of that radical, and the conjugate joins acc. After the
-    step for bit b, y is fixed by the flips of bits 0..b, so the loop ends
-    on a rational; the steps skipped are those where y already lay in the
-    fixed field, so N(x) = y^(2^(3-k))."""
-    y, acc, k = x, OcticElem.one(x.pair), 0
-    for bit in range(3):
-        if any(n for m, n in enumerate(y.num) if m >> bit & 1):
-            c = apply_automorphism(1 << bit, y)
-            acc = octic_mul(acc, c) if k else c
-            y = octic_mul(y, c)
-            k += 1
-    return acc, y, k
-
-
 def rational_norm(x: OcticElem) -> tuple[int, int]:
     """Product of all 8 conjugates as (num, den) in lowest terms with den > 0,
-    by the tower of relative norms. The rational y is canonical, so
-    num[0]/den is in lowest terms, and so are its powers."""
-    _, y, k = _tower_norm(x)
-    if not y.is_rational:
-        raise InternalInconsistencyError("full conjugate product is not rational")
-    return y.num[0] ** (8 >> k), y.den ** (8 >> k)
+    by the tower of relative norms: x times its 2^k - 1 conjugates there is
+    n / den^(2^k), and the norm is that to the power 8 >> k."""
+    _, n, k = _tower_norm(x.num, _radicals(x.pair))
+    d = x.den ** (1 << k)
+    g = math.gcd(n, d)
+    return (n // g) ** (8 >> k), (d // g) ** (8 >> k)
 
 
 def octic_inv(x: OcticElem) -> OcticElem:
-    """Inverse via the tower of relative norms: x * acc = y is rational, so
-    x^-1 = acc / y, from at most 3 conjugates."""
+    """Inverse by the tower of relative norms: num * acc = n, an int, so
+    x^-1 = acc * den / n."""
     if x.is_zero:
         raise ZeroDivisionError("octic element is zero")
-    acc, y, _ = _tower_norm(x)
-    n = y.num[0]
-    if not y.is_rational or n == 0:
+    acc, n, _ = _tower_norm(x.num, _radicals(x.pair))
+    if n == 0:
         raise InternalInconsistencyError("norm of nonzero element vanished")
-    return _scaled(acc, y.den, n) if n > 0 else _scaled(acc, -y.den, -n)
+    den = x.den if n > 0 else -x.den
+    return _reduced(x.pair, [c * den for c in acc], abs(n))
 
 
 def radical_mask(n: int, pair) -> tuple[int, int]:
@@ -318,22 +335,6 @@ def embed_quadratic(x: QuadElem, pair) -> OcticElem:
 
 
 # -- exact embedding signs ------------------------------------------------
-
-def _square_minus(a: Sequence[int], b: Sequence[int], t: int,
-                  rad: tuple[int, ...]) -> list[int]:
-    """a^2 - t*b^2 for a, b on the masks below len(a)."""
-    h = len(a)
-    c = [0] * h
-    for x, w in ((a, 1), (b, -t)):
-        for s, xs in enumerate(x):
-            if xs:
-                c[0] += w * xs * xs * rad[s]
-                w2 = 2 * w * xs
-                for u in range(s + 1, h):
-                    if x[u]:
-                        c[s ^ u] += w2 * x[u] * rad[s & u]
-    return c
-
 
 def _signs(num: Sequence[int], rad: tuple[int, ...]) -> list[int]:
     """Signs of sum num[m]*sqrt(rad[m]) under each flip mask f < len(num),
@@ -386,44 +387,6 @@ def embedding_sign(x: OcticElem, emb: int) -> int:
 
 # -- exact square roots ----------------------------------------------------
 
-def _rational_sqrt(x: OcticElem) -> OcticElem | None:
-    """Rational square root of a rational element, or None. In canonical
-    form num[0]/den is already in lowest terms."""
-    n = x.num[0]
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    if r * r != n:
-        return None
-    s = math.isqrt(x.den)
-    if s * s != x.den:
-        return None
-    return _new(x.pair, (r, 0, 0, 0, 0, 0, 0, 0), s)
-
-
-def _split(x: OcticElem, bit: int) -> tuple[OcticElem, OcticElem]:
-    """x = a + b*sqrt(r_bit) with a, b supported away from bit."""
-    a = [0] * 8
-    b = [0] * 8
-    for m, n in enumerate(x.num):
-        if m >> bit & 1:
-            b[m ^ (1 << bit)] = n
-        else:
-            a[m] = n
-    return _reduced(x.pair, a, x.den), _reduced(x.pair, b, x.den)
-
-
-def _join(a: OcticElem, b: OcticElem, bit: int) -> OcticElem:
-    """a + b*sqrt(r_bit) for a, b supported away from bit."""
-    an, bn, den = _common(a, b)
-    c = list(an)
-    for m, n in enumerate(bn):
-        if n:
-            c[m ^ (1 << bit)] += n
-    return _reduced(a.pair, c, den)
-
-
-@functools.lru_cache(maxsize=None)
 def _branch_prime(pair: tuple[int, int], bit: int) -> tuple[int, tuple[int | None, ...]]:
     """The first odd prime l prime to pq at which the radical of `bit` is a
     non-residue and the radicals of the higher bits are residues, with
@@ -432,49 +395,81 @@ def _branch_prime(pair: tuple[int, int], bit: int) -> tuple[int, tuple[int | Non
     return symbol_primes((2, *pair), symbols, 1)[0]
 
 
-def _non_residue(z: OcticElem, bit: int) -> bool:
-    """True when z, in the subfield of the radicals above `bit`, maps to a
-    nonzero non-residue at the branch prime of `bit`, so is no square. z/den
-    has the character of num*den, which is 0 mod l where l divides den."""
-    l, roots = _branch_prime(z.pair, bit)
-    v = sum(n * roots[m] for m, n in enumerate(z.num) if n) * z.den % l
-    return v != 0 and pow(v, (l - 1) // 2, l) != 1
+@functools.lru_cache(maxsize=64)
+def _tower_levels(pair: tuple[int, int]) -> tuple[tuple, ...]:
+    """The levels of the descent, for the radicals of bits 0, 1, 2 in turn:
+    (t, sub, l, roots, table) with t the level's radical, sub the radicals
+    of the subfield below it (every (2 << bit)-th), l its branch prime, roots
+    the images of their square roots in F_l and table the residue table of l."""
+    rad = _radicals(pair)
+    levels = []
+    for bit in range(3):
+        l, roots = _branch_prime(pair, bit)
+        step = 2 << bit
+        levels.append((rad[1 << bit], rad[::step], l, roots[::step], residue_table(l)))
+    return tuple(levels)
 
 
-def _sqrt_tower(x: OcticElem, bits: tuple[int, ...]) -> OcticElem | None:
-    """Exact square root of x within the subfield generated by the radicals
-    in `bits`, or None. Complete: descends the quadratic tower, solving
-    (c + d sqrt t)^2 = a + b sqrt t by c^2 = (a +- sqrt(a^2 - t b^2))/2, or
-    for b = 0 by c^2 = a or d^2 = a/t.
+def _no_square(num: Sequence[int], den: int, level: tuple) -> bool:
+    """True when num/den, in the subfield below `level`, maps to a nonzero
+    non-residue at the level's branch prime l, so is no square. num/den has
+    the character of num*den, which is 0 where l divides den."""
+    _, _, l, roots, table = level
+    return table[sum(n % l * r for n, r in zip(num, roots)) * den % l] == 1
+
+
+def _sqrt_tower(num: Sequence[int], den: int,
+                levels: tuple[tuple, ...]) -> tuple[list[int], int] | None:
+    """Exact square root of num/den, for den > 0 and num on the subfield
+    that `levels` descend, as (root, rden) in lowest terms with rden > 0; or
+    None. Complete: at x = a + b sqrt t it solves (c + d sqrt t)^2 = x by
+    c^2 = (a +- sqrt(a^2 - t b^2))/2 and d = b/(2c), or for b = 0 by c^2 = a
+    or d^2 = a/t. Candidates keep a tracked denominator; each root takes
+    one gcd.
 
     A candidate that is a nonzero non-residue at the branch prime of the
-    level (`_non_residue`) is no square and is not descended. (a + m)/2 and
+    level (`_no_square`) is no square and is not descended. (a + m)/2 and
     (a - m)/2 multiply to t (b/2)^2, and a and a/t differ by the factor t,
     a non-residue there: so where both images are nonzero and defined,
     exactly one candidate is descended, and otherwise both are, in turn."""
-    if not bits:
-        if not x.is_rational:
+    if not levels:
+        s = num[0] * den  # num/den = s/den^2
+        r = math.isqrt(s) if s >= 0 else -1
+        if r * r != s:
             return None
-        return _rational_sqrt(x)
-    bit, rest = bits[0], bits[1:]
-    t = x.radical_product(1 << bit)
-    a, b = _split(x, bit)
-    if b.is_zero:
-        for z, lifted in ((a, False), (_scaled(a, 1, t), True)):
-            y = None if _non_residue(z, bit) else _sqrt_tower(z, rest)
+        g = math.gcd(r, den)
+        return [r // g], den // g
+    level, rest = levels[0], levels[1:]
+    t, sub = level[0], level[1]
+    a, b = num[0::2], num[1::2]
+    root = [0] * len(num)
+    if not any(b):
+        for zden, slot in ((den, 0), (den * t, 1)):
+            y = None if _no_square(a, zden, level) else _sqrt_tower(a, zden, rest)
             if y is not None:
-                return _join(OcticElem.zero(x.pair), y, bit) if lifted else y
+                root[slot::2] = y[0]
+                return root, y[1]
         return None
-    n = octic_mul(a, a) - _scaled(octic_mul(b, b), t, 1)
-    m = _sqrt_tower(n, rest)
+    m = _sqrt_tower(_square_minus(a, b, t, sub), den * den, rest)
     if m is None:
         return None
-    for mm in (m, -m):
-        h = _scaled(a + mm, 1, 2)
-        c = None if _non_residue(h, bit) else _sqrt_tower(h, rest)
-        if c is not None and not c.is_zero:
-            d = octic_mul(b, octic_inv(_scaled(c, 2, 1)))
-            return _join(c, d, bit)
+    mn, mden = m
+    hden = 2 * den * mden
+    for sign in (1, -1):
+        h = [u * mden + sign * v * den for u, v in zip(a, mn)]
+        c = None if _no_square(h, hden, level) else _sqrt_tower(h, hden, rest)
+        if c is not None and any(c[0]):
+            cn, cden = c
+            # d = b/(2c) with 1/c = acc * cden / n; both over cden * dd
+            acc, n, _ = _tower_norm(cn, sub)
+            dd = 2 * den * n
+            root[0::2] = [u * dd for u in cn]
+            root[1::2] = [v * cden * cden for v in _mul(b, acc, sub)]
+            rden = cden * dd
+            g = math.gcd(rden, *root)
+            if rden < 0:
+                g = -g
+            return [v // g for v in root], rden // g
     return None
 
 
@@ -486,12 +481,12 @@ def sqrt_exact(x: OcticElem) -> OcticElem | None:
     """
     if x.is_zero:
         return OcticElem.zero(x.pair)
-    y = _sqrt_tower(x, (0, 1, 2))
-    if y is None:
+    root = _sqrt_tower(x.num, x.den, _tower_levels(x.pair))
+    if root is None:
         return None
+    y = _new(x.pair, tuple(root[0]), root[1])
     if octic_mul(y, y) != x:
         raise InternalInconsistencyError("tower descent returned a non-root")
     if embedding_sign(y, 0) < 0:
         y = -y
     return y
-

@@ -26,7 +26,8 @@ import functools
 from dataclasses import dataclass
 
 from . import octic
-from .arith import PrimePair, f2_eliminate, ratio_str, symbol_primes
+from .arith import (PrimePair, f2_eliminate, ratio_str, residue_table,
+                    symbol_primes)
 from .errors import InternalInconsistencyError, RootMissingError, TriquadError
 from .octic import OcticElem, embed_quadratic, octic_mul, sqrt_exact
 from .quadratic import fundamental_unit
@@ -236,22 +237,26 @@ def _character_row(ctx: UnitContext, x: OcticElem) -> tuple[int, int]:
     for k, (l, roots) in enumerate(ctx.primes):
         shift = 8 + 8 * k
         # in canonical form den is the lcm of the coordinate denominators
-        if x.den % l == 0:
+        den = x.den % l
+        if not den:
             undefined |= 0xFF << shift
             continue
-        inv = pow(x.den, -1, l)
-        vals = [n * inv * r % l for n, r in zip(x.num, roots)]
-        # Walsh-Hadamard butterflies: vals[f] becomes the image under the
-        # root choice with flip mask f, the sum of the terms signed by
-        # popcount(f & m)
-        for b in (1, 2, 4):
-            vals = [vals[m] + vals[m | b] if not m & b else vals[m ^ b] - vals[m]
-                    for m in range(8)]
+        table = residue_table(l)
+        v0, v1, v2, v3, v4, v5, v6, v7 = (n % l * r for n, r in zip(x.num, roots))
+        # Walsh-Hadamard butterflies on bits 0, 1, 2: vals[f] becomes the
+        # image under the root choice with flip mask f, the sum of the terms
+        # signed by popcount(f & m)
+        v0, v1, v2, v3, v4, v5, v6, v7 = (v0 + v1, v0 - v1, v2 + v3, v2 - v3,
+                                          v4 + v5, v4 - v5, v6 + v7, v6 - v7)
+        v0, v1, v2, v3, v4, v5, v6, v7 = (v0 + v2, v1 + v3, v0 - v2, v1 - v3,
+                                          v4 + v6, v5 + v7, v4 - v6, v5 - v7)
+        vals = (v0 + v4, v1 + v5, v2 + v6, v3 + v7, v0 - v4, v1 - v5, v2 - v6, v3 - v7)
         for i, flips in enumerate(octic._EMB_FLIPS):
-            v = vals[flips] % l
+            # num/den has the character of num*den, which differs by den^2
+            v = vals[flips] * den % l
             if v == 0:
                 undefined |= 1 << (shift + i)
-            elif pow(v, (l - 1) // 2, l) != 1:
+            elif table[v]:
                 bits |= 1 << (shift + i)
     return bits, undefined
 

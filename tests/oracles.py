@@ -9,6 +9,9 @@ solution is astronomically large: the minimal coefficient for d = 199 is
 
 The unsieved saturation is the 2-saturation loop without the character
 sieve: every product that passes the sign screen goes to sqrt_exact.
+character_row_by_euler is the sieve's row as the library first computed it:
+the inverse of the denominator mod each split prime, and Euler's criterion,
+one modular power per embedding, where the library reads residue tables.
 
 The conjugate-product inverse and norm, and the embedding enclosure, are the
 textbook formulas on Fraction coordinates: all 7 (or 8) conjugates multiplied
@@ -36,7 +39,7 @@ import math
 from fractions import Fraction
 
 from triquad.errors import InternalInconsistencyError, TriquadError
-from triquad.octic import (_EMB_FLIPS, OcticElem, _scaled,
+from triquad.octic import (_EMB_FLIPS, OcticElem, _reduced,
                            octic_mul, sign_vector, sqrt_exact)
 from triquad.unit_lattice import (TORSION_ID, UnitWord, base_unit_words,
                                   unit_context, word_embed)
@@ -56,9 +59,9 @@ def coords(x: OcticElem) -> tuple[Fraction, ...]:
 
 
 def scale(x: OcticElem, v) -> OcticElem:
-    """x times the rational v, through the library's canonical scaling."""
+    """x times the rational v, through the library's canonical reduction."""
     f = Fraction(v)
-    return _scaled(x, f.numerator, f.denominator)
+    return _reduced(x.pair, [c * f.numerator for c in x.num], x.den * f.denominator)
 
 
 def coord_bit_size(x: OcticElem) -> int:
@@ -85,6 +88,29 @@ def legendre_by_enumeration(a: int, p: int) -> int:
     if a == 0:
         return 0
     return 1 if a in residues else -1
+
+
+def character_row_by_euler(ctx, x: OcticElem) -> tuple[int, int]:
+    """(bits, undefined) of unit_lattice._character_row, by Euler's criterion."""
+    bits = sum(1 << i for i, s in enumerate(sign_vector(x)) if s < 0)
+    undefined = 0
+    for k, (l, roots) in enumerate(ctx.primes):
+        shift = 8 + 8 * k
+        if x.den % l == 0:
+            undefined |= 0xFF << shift
+            continue
+        inv = pow(x.den, -1, l)
+        vals = [n * inv * r % l for n, r in zip(x.num, roots)]
+        for b in (1, 2, 4):
+            vals = [vals[m] + vals[m | b] if not m & b else vals[m ^ b] - vals[m]
+                    for m in range(8)]
+        for i, flips in enumerate(_EMB_FLIPS):
+            v = vals[flips] % l
+            if v == 0:
+                undefined |= 1 << (shift + i)
+            elif pow(v, (l - 1) // 2, l) != 1:
+                bits |= 1 << (shift + i)
+    return bits, undefined
 
 
 def squarefree_numbers(limit: int) -> list[int]:
@@ -433,7 +459,7 @@ def sqrt_in_field(x: OcticElem, precision: int = DEFAULT_PRECISION,
             undecided = False
             roots = [(math.isqrt(lo << bits), math.isqrt(hi << bits) + 1)
                      for lo, hi in embs]
-            rads = {m: _sqrt_enclosure(x.radical_product(m), bits) for m in range(8)}
+            rads = {m: _sqrt_enclosure(_radical(x.pair, m), bits) for m in range(8)}
             for pattern in range(128):
                 signs = [1] + [1 - 2 * (pattern >> k & 1) for k in range(7)]
                 cand_coords = []

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from triquad.arith import (PrimePair, f2_eliminate, is_perfect_square, is_prime,
-                           legendre_symbol, primes_in_range)
+                           legendre_symbol, primes_in_range, ratio_str,
+                           residue_table)
 from triquad.errors import TriquadError
 
 from oracles import legendre_by_enumeration
@@ -60,6 +61,21 @@ def test_legendre_matches_enumeration_small_primes():
        st.sampled_from(primes_in_range(500, 1, 2)[1:]))
 def test_legendre_multiplicative(a, b, p):
     assert legendre_symbol(a * b, p) == legendre_symbol(a, p) * legendre_symbol(b, p)
+
+
+def test_residue_table_is_eulers_criterion_below_1000():
+    for l in primes_in_range(1000, 1, 2):
+        table = residue_table(l)
+        assert len(table) == l
+        assert list(table) == [int(pow(v, (l - 1) // 2, l) == l - 1) for v in range(l)]
+
+
+def test_ratio_str_renders_past_the_str_digit_limit():
+    # str(int) refuses more than 4,300 digits by default
+    n = 10 ** 5000 + 1  # 2 mod 3, so n/3 is in lowest terms
+    assert ratio_str(n, 3) == "1" + "0" * 4999 + "1/3"
+    assert ratio_str(-3 * n, 3) == "-1" + "0" * 4999 + "1"
+    assert ratio_str(7, 10 ** 5000) == "7/1" + "0" * 5000
 
 
 def test_is_prime_examples():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from triquad import classnumber, harness, theorems
+from triquad import classnumber, harness, octic, theorems, unit_lattice
+from triquad.arith import primes_in_range
 from triquad.errors import TriquadError
 from triquad.harness import (Config, record_json, scan_csv, scan_json,
                              scan_pairs, valid_pairs, verify_pair)
@@ -286,6 +287,33 @@ def test_radicand_past_the_bound_is_refused_before_any_work(capsys):
     # the bound is the pair's largest radicand, 2pq = 238 for (17, 7)
     assert verify_pair(17, 7, Config(quad_bound=237)).status == "resource-guard"
     assert verify_pair(17, 7, Config(quad_bound=238)).status == "verified"
+
+
+def test_non_unit_with_a_norm_past_the_str_digit_limit_is_a_mismatch(monkeypatch):
+    # a generator whose attached element is 10^700 has norm 10^5600, whose
+    # 5,601 digits str(int) refuses
+    real = theorems.unit_generators
+    big = OcticElem.rational((17, 7), 10 ** 700)
+
+    def unit_generators(tag, pair):
+        words = list(real(tag, pair))
+        words[0] = UnitWord(quarters=words[0].quarters, embedding=big)
+        return words
+
+    monkeypatch.setattr(theorems, "unit_generators", unit_generators)
+    rec = verify_pair(17, 7)
+    assert rec.status == "theorem-mismatch"
+    assert rec.mismatches[0].endswith(f"is not a unit (norm 1{'0' * 5600})")
+
+
+def test_pair_keyed_caches_keep_at_most_64_pairs():
+    pairs = [(p, q) for p in primes_in_range(300, 1, 8)
+             for q in primes_in_range(200, 7, 8)][:70]
+    for p, q in pairs:
+        assert verify_pair(p, q).status == "verified"
+    for cache in (octic._validate_pair, octic._radicals, octic._tower_levels,
+                  unit_lattice.unit_context):
+        assert cache.cache_info().currsize <= 64
 
 
 def test_coordinates_past_the_str_digit_limit_serialise():

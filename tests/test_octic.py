@@ -9,7 +9,7 @@ from triquad import octic
 from triquad.arith import PrimePair, is_prime
 from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
-                           _non_residue, apply_automorphism, embed_quadratic,
+                           apply_automorphism, embed_quadratic,
                            norm_to_subfield, octic_inv, octic_mul,
                            radical_mask, rational_norm, sign_vector, sqrt_exact)
 from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
@@ -310,7 +310,14 @@ def test_sqrt_exact_b_zero_branch_takes_a_or_a_over_t():
     c2 = octic_mul(c, c)
     two_c2 = octic_mul(O({0: 2}), c2)
     # a and a/t = a/2 have opposite characters at the branch prime of sqrt2
-    assert _non_residue(two_c2, 0) and not _non_residue(c2, 0)
+    l, roots = _branch_prime(KEY, 0)
+
+    def symbol(z):
+        image = sum(f.numerator * roots[m] * pow(f.denominator, -1, l)
+                    for m, f in enumerate(coords(z)) if f)
+        return legendre_by_enumeration(image, l)
+
+    assert symbol(two_c2) == -1 and symbol(c2) == 1
     assert sqrt_exact(c2) in (c, -c)               # c^2 = a
     r2c = octic_mul(O({1: 1}), c)                  # d^2 = a/2, root sqrt2 * c
     assert sqrt_exact(two_c2) in (r2c, -r2c)
@@ -324,9 +331,9 @@ def test_sqrt_tower_descends_one_candidate_per_level(monkeypatch):
     calls = []
     descend = octic._sqrt_tower
 
-    def counted(x, bits):
-        calls.append(bits)
-        return descend(x, bits)
+    def counted(num, den, levels):
+        calls.append(len(levels))
+        return descend(num, den, levels)
 
     monkeypatch.setattr(octic, "_sqrt_tower", counted)
     for coords in ((1,) * 8, (3, 1, -2, 1, 1, 5, 1, 2)):

@@ -5,11 +5,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import triquad
-from oracles import (coords, legendre_by_enumeration, sqrt_in_field,
-                     unsieved_saturation)
+from oracles import (character_row_by_euler, coords, legendre_by_enumeration,
+                     sqrt_in_field, unsieved_saturation)
 from triquad import unit_lattice
 from triquad.arith import PrimePair
 from triquad.harness import record_json, verify_pair
@@ -276,6 +276,28 @@ def test_character_row_bits_are_legendre_symbols_at_each_root_choice():
                     v += s * c.numerator * roots[mask] * pow(c.denominator, -1, l)
                 expected = legendre_by_enumeration(v, l) == -1
                 assert bool(bits >> (8 + 8 * k + i) & 1) == expected, (x, k, i)
+
+
+def split_prime_elements():
+    # over the split primes 47, 103, 137, 223, 271 and 281 of (17, 7)
+    num = st.one_of(st.integers(-60, 60), st.sampled_from((47, -94, 103, 137 * 5)))
+    den = st.sampled_from((1, 2, 3, 47, 2 * 103, 137 * 223, 271 ** 2, 281 * 47))
+    return st.tuples(*[st.builds(Fraction, num, den)] * 8).map(
+        lambda t: OcticElem((17, 7), t))
+
+
+@settings(max_examples=150)
+@given(split_prime_elements())
+# a whole column undefined (47 divides the denominator), single embeddings
+# undefined (the image is 0 mod 47), and both at once
+@example(OcticElem.rational((17, 7), Fraction(3, 47)))
+@example(OcticElem.rational((17, 7), 47))
+@example(OcticElem((17, 7), [47, 47, 0, 0, 0, 0, 0, Fraction(1, 103)]))
+def test_character_row_matches_eulers_criterion(x):
+    assume(not x.is_zero)
+    ctx = unit_context(P17)
+    assert [l for l, _ in ctx.primes] == [47, 103, 137, 223, 271, 281]
+    assert _character_row(ctx, x) == character_row_by_euler(ctx, x)
 
 
 def test_undefined_character_column_is_dropped_not_zeroed():
