@@ -150,13 +150,14 @@ class OcticElem:
     def __pow__(self, n: int) -> "OcticElem":
         base = self if n >= 0 else octic_inv(self)
         n = abs(n)
-        r = OcticElem.one(self.pair)
+        factors = []
         while n:
             if n & 1:
-                r = octic_mul(r, base)
-            base = octic_mul(base, base)
+                factors.append(base)
             n >>= 1
-        return r
+            if n:
+                base = octic_mul(base, base)
+        return octic_prod(self.pair, factors)
 
     def _check(self, other: "OcticElem"):
         if self.pair != other.pair:
@@ -265,6 +266,14 @@ def octic_mul(x: OcticElem, y: OcticElem) -> OcticElem:
     """Bilinear product: sqrt(prod S) * sqrt(prod T) = prod(S&T) * sqrt(prod(S^T))."""
     x._check(y)
     return _reduced(x.pair, _mul(x.num, y.num, _radicals(x.pair)), x.den * y.den)
+
+
+def octic_prod(pair, factors) -> OcticElem:
+    """Product of the factors from the first one on; one only when empty."""
+    prod = None
+    for x in factors:
+        prod = x if prod is None else octic_mul(prod, x)
+    return OcticElem.one(pair) if prod is None else prod
 
 
 def apply_automorphism(flips: int, x: OcticElem) -> OcticElem:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .arith import PrimePair, is_perfect_square, ratio_str
 from .errors import InternalInconsistencyError, TriquadError
 from .octic import (TAU1, TAU2, TAU3, OcticElem, _reduced, norm_to_subfield,
-                    octic_mul, radical_mask)
+                    octic_mul, octic_prod, radical_mask)
 from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord,
                            unit_context)
 
@@ -126,9 +126,9 @@ class ClassificationContext:
         if self.norm_eps2p == 1:
             self.u_bit = self.decompositions[2 * pair.p].u_bit
         else:
-            prod = octic_mul(octic_mul(self.ctx.units["e2"], self.ctx.units["ep"]),
-                             self.ctx.units["e2p"])
-            r = self.ctx.sqrt(prod)
+            units = self.ctx.units
+            r = self.ctx.sqrt(octic_prod(self.ctx.key,
+                                         [units["e2"], units["ep"], units["e2p"]]))
             if r is None:
                 raise InternalInconsistencyError(
                     "sqrt(e2 ep e2p) missing although N(eps_2p) = -1")
@@ -143,18 +143,13 @@ class ClassificationContext:
                 raise InternalInconsistencyError(
                     "(1+tau2)-norm of sqrt(e2 ep e2p) is not +-e2")
 
-    def tail_element(self, ids: tuple[str, ...]) -> OcticElem:
-        prod = OcticElem.one(self.ctx.key)
-        for uid in ids:
-            prod = octic_mul(prod, self.roots[uid])
-        return prod
-
-    def prefixed(self, elem: OcticElem, a_exp: int, b_exp: int) -> OcticElem:
-        if a_exp:
-            elem = octic_mul(elem, self.ctx.units["e2"])
-        if b_exp:
-            elem = octic_mul(elem, self.ctx.units["ep"])
-        return elem
+    def equation_elem(self, tail: tuple[str, ...],
+                      prefix: tuple[int, int]) -> OcticElem:
+        """e2^A ep^B times the half-roots of the tail, for prefix (A, B)."""
+        a_exp, b_exp = prefix
+        units = self.ctx.units
+        return octic_prod(self.ctx.key, [units["e2"]] * a_exp + [units["ep"]] * b_exp
+                          + [self.roots[uid] for uid in tail])
 
 
 @functools.lru_cache(maxsize=64)
@@ -179,115 +174,102 @@ class CaseTag:
 
     @property
     def class_number_exponent(self) -> int:
-        """e in h2(K) = 2^(e-4) h2(2p) h2(pq) h2(2pq) for the C1..C9 cases."""
+        """e in h2(K) = 2^(e-4) h2(2p) h2(pq) h2(2pq) for the C1..C9 cases:
+        the number of resolved square equations of the case plan with a root."""
         if self.case == "C0":
             raise TriquadError("exponent only defined for the C1..C9 cases")
-        if self.case == "C1":
-            if self.norm_eps2p == -1:
-                return self.resolution["a"]
-            return self.resolution["r"] + self.resolution["r_prime"]
-        if "alpha" in self.resolution:
-            return self.resolution["alpha"]
-        return 0
+        plan = CASE_PLANS[self.case, self.norm_eps2p]
+        return sum(self.resolution[eq.keys[0]] for eq in plan
+                   if not isinstance(eq, str) and eq.keys)
 
 
-# tail ids per case for the resolved 8th generator, N(eps_2p) = +1
-_PREFIXED_TAILS = {
-    "C2": ("e2q", "e2pq", "e2p"),
-    "C3": ("e2q", "e2pq", "e2p"),
-    "C4": ("eq", "epq", "e2p"),
-    "C7": ("eq", "epq", "e2p"),
-    "C5": ("eq", "e2q", "epq", "e2pq", "e2p"),
-    "C9": ("epq", "e2pq", "e2p"),
+@dataclass(frozen=True)
+class SquareEquation:
+    """The generator sqrt(e2^A ep^B * prod of sqrt(eps_uid), uid in tail).
+
+    witness keys the tag's prefix witness; None leaves the equation untested
+    by classify_pair, and its root must exist. When prefixed, the two
+    designated prefixes (A, B) = (a, u), (a, a) with a = u + 1 mod 2 are
+    tried (the proof form and the statement form of the iff-clause), else
+    only (0, 0). keys names the resolution bits (hit, miss), None where the
+    root must exist; on a miss the half-root of fallback takes its place.
+    """
+
+    witness: str | None
+    tail: tuple[str, ...]
+    prefixed: bool = False
+    keys: tuple[str, str] | None = None
+    fallback: str | None = None
+
+
+_HALVES = ("eq", "e2q", "epq")
+_Q_PQ_2P = ("eq", "epq", "e2p")
+_2Q_2PQ_2P = ("e2q", "e2pq", "e2p")
+_ALL_FOUR = ("eq", "e2q", "epq", "e2pq")
+# tails of the prefixed equation of C2..C5, C7, C9 when N(eps_2p) = +1
+_PREFIXED_TAILS = {"C2": _2Q_2PQ_2P, "C3": _2Q_2PQ_2P, "C4": _Q_PQ_2P,
+                   "C7": _Q_PQ_2P, "C5": _ALL_FOUR + ("e2p",),
+                   "C9": ("epq", "e2pq", "e2p")}
+# C6 and C8: one of sqrt(eps_q), sqrt(eps_2q) is kept and the other is
+# carried by the resolved root, as (kept, carried)
+_BARE_HALVES = {"C6": ("eq", "e2q"), "C8": ("e2q", "eq")}
+
+# The generators after e2 and ep for each (case, N(eps_2p)), in the theorem's
+# order: a half-root id, "k1" (sqrt(e2 ep e2p) when N(eps_2p) = -1, else
+# sqrt(e2p)), or a square equation.
+CASE_PLANS = {
+    ("C0", 1): _HALVES + (SquareEquation("q_pq_2p", _Q_PQ_2P, True),
+                          SquareEquation("2q_2pq_2p", _2Q_2PQ_2P, True)),
+    ("C0", -1): _HALVES + ("k1", SquareEquation(None, _ALL_FOUR)),
+    ("C1", 1): _HALVES + (
+        SquareEquation("q_pq_2p", _Q_PQ_2P, True, ("r_prime", "s_prime"), "e2p"),
+        SquareEquation("2q_2pq_2p", _2Q_2PQ_2P, True, ("r", "s"), "e2pq")),
+    ("C1", -1): _HALVES + ("k1", SquareEquation("q_2q_pq_2pq", _ALL_FOUR, False,
+                                                ("a", "b"), "e2pq")),
+    **{(case, 1): _HALVES + ("e2pq", SquareEquation("prefixed", tail, True,
+                                                    ("alpha", "gamma"), "e2p"))
+       for case, tail in _PREFIXED_TAILS.items()},
+    **{(case, -1): _HALVES + ("e2pq", "k1") for case in _PREFIXED_TAILS},
+    **{(case, norm): (kept, "epq", "e2pq", "k1",
+                      SquareEquation("bare", (carried, "epq", "e2pq"), False,
+                                     ("alpha", "gamma"), carried))
+       for case, (kept, carried) in _BARE_HALVES.items() for norm in (1, -1)},
 }
-_BARE_TAILS = {"C6": ("e2q", "epq", "e2pq"), "C8": ("eq", "epq", "e2pq")}
-
-
-def _designated_candidates(cc: ClassificationContext) -> list[tuple[int, int]]:
-    """The two exponent readings of the iff-clause prefix: the proof form
-    (a, u) and the statement form (a, a), where a = u + 1 mod 2."""
-    u = cc.u_bit
-    a = (u + 1) % 2
-    return [(a, u), (a, a)]
-
-
-def _test_candidates(cc: ClassificationContext, tail: OcticElem,
-                     candidates: list[tuple[int, int]]) -> tuple[tuple[int, int] | None, int]:
-    """Try each (e2, ep) prefix; returns (witness, hit count)."""
-    witness = None
-    hits = 0
-    for a_exp, b_exp in candidates:
-        xi = cc.ctx.sqrt(cc.prefixed(tail, a_exp, b_exp))
-        if xi is not None:
-            hits += 1
-            if witness is None:
-                witness = (a_exp, b_exp)
-    return witness, hits
 
 
 def classify_pair(pair: PrimePair) -> CaseTag:
-    """Complete CaseTag with exact K-squareness resolution of every bit."""
+    """Complete CaseTag with exact K-squareness resolution of every bit.
+
+    Each tested square equation of the case plan has at most one root among
+    its prefixes (two would make eps_p totally positive), and exactly one
+    where the plan gives it no resolution bits."""
     cc = classification_context(pair)
-    p, q = pair.p, pair.q
     leg = pair.legendre_pq
-    x_class = cc.decompositions[2 * p * q].kind
-    v_class = cc.decompositions[p * q].kind
+    x_class = cc.decompositions[2 * pair.p * pair.q].kind
+    v_class = cc.decompositions[pair.p * pair.q].kind
     if leg == -1 and (x_class != KIND_UNIT or v_class != KIND_UNIT):
         raise InternalInconsistencyError(
             f"(p/q) = -1 forces the unit square classes, got ({x_class}, {v_class})")
     case = "C0" if leg == -1 else CASE_GRID[(x_class, v_class)]
     resolution: dict[str, int] = {}
     witnesses: dict[str, tuple[int, int] | None] = {}
-
-    if case == "C0":
-        if cc.norm_eps2p == 1:
-            cands = _designated_candidates(cc)
-            w1, h1 = _test_candidates(cc, cc.tail_element(("eq", "epq", "e2p")), cands)
-            w2, h2 = _test_candidates(cc, cc.tail_element(("e2q", "e2pq", "e2p")), cands)
-            witnesses["q_pq_2p"] = w1
-            witnesses["2q_2pq_2p"] = w2
-            if w1 is None or w2 is None or h1 != 1 or h2 != 1:
-                raise InternalInconsistencyError(
-                    "the two unconditional square equations did not resolve "
-                    f"uniquely for ({p},{q}): hits {h1}, {h2}")
-            resolution["a"] = w1[0]
-    elif case == "C1":
-        if cc.norm_eps2p == -1:
-            tail = cc.tail_element(("eq", "e2q", "epq", "e2pq"))
-            w, h = _test_candidates(cc, tail, [(0, 0)])
-            witnesses["q_2q_pq_2pq"] = w
-            resolution["a"] = 1 if h else 0
-            resolution["b"] = 1 - resolution["a"]
-        else:
-            cands = _designated_candidates(cc)
-            w_r, h_r = _test_candidates(cc, cc.tail_element(("e2q", "e2pq", "e2p")), cands)
-            w_rp, h_rp = _test_candidates(cc, cc.tail_element(("eq", "epq", "e2p")), cands)
-            witnesses["2q_2pq_2p"] = w_r
-            witnesses["q_pq_2p"] = w_rp
-            if h_r > 1 or h_rp > 1:
-                raise InternalInconsistencyError(
-                    "both prefix candidates squared; impossible since eps_p "
-                    "is not totally positive")
-            resolution.update(r=1 if h_r else 0, s=0 if h_r else 1,
-                              r_prime=1 if h_rp else 0, s_prime=0 if h_rp else 1,
-                              a=(cc.u_bit + 1) % 2)
-    elif case in _BARE_TAILS:
-        tail = cc.tail_element(_BARE_TAILS[case])
-        w, h = _test_candidates(cc, tail, [(0, 0)])
-        witnesses["bare"] = w
-        resolution["alpha"] = 1 if h else 0
-        resolution["gamma"] = 1 - resolution["alpha"]
-    elif cc.norm_eps2p == 1:
-        cands = _designated_candidates(cc)
-        w, h = _test_candidates(cc, cc.tail_element(_PREFIXED_TAILS[case]), cands)
-        witnesses["prefixed"] = w
-        if h > 1:
+    for eq in CASE_PLANS[case, cc.norm_eps2p]:
+        if isinstance(eq, str) or eq.witness is None:
+            continue
+        prefixes = [(0, 0)]
+        if eq.prefixed:
+            a = resolution["a"] = (cc.u_bit + 1) % 2
+            prefixes = [(a, cc.u_bit), (a, a)]
+        hits = [ab for ab in prefixes
+                if cc.ctx.sqrt(cc.equation_elem(eq.tail, ab)) is not None]
+        if len(hits) > 1 or not (hits or eq.keys):
             raise InternalInconsistencyError(
-                "both prefix candidates squared; impossible since eps_p "
-                "is not totally positive")
-        resolution["alpha"] = 1 if h else 0
-        resolution["gamma"] = 1 - resolution["alpha"]
-        resolution["a"] = (cc.u_bit + 1) % 2
+                f"square equation {eq.witness} of ({pair.p},{pair.q}) has "
+                f"{len(hits)} roots; expected {'at most' if eq.keys else 'exactly'} one")
+        witnesses[eq.witness] = hits[0] if hits else None
+        if eq.keys:
+            hit, miss = eq.keys
+            resolution[hit], resolution[miss] = len(hits), 1 - len(hits)
 
     return CaseTag(pair=pair, legendre_pq=leg, norm_eps2p=cc.norm_eps2p,
                    x_class=x_class, v_class=v_class, case=case,
@@ -295,83 +277,34 @@ def classify_pair(pair: PrimePair) -> CaseTag:
                    prefix_witnesses=witnesses)
 
 
-def _word_from_root(uid: str, cc: ClassificationContext) -> UnitWord:
-    return UnitWord(quarters={uid: 2}, embedding=cc.roots[uid])
-
-
-def _word_unit(uid: str, cc: ClassificationContext) -> UnitWord:
-    return UnitWord(quarters={uid: 4}, embedding=cc.ctx.units[uid])
-
-
-def _deep_root_word(cc: ClassificationContext, half_ids: tuple[str, ...],
-                    prefix: tuple[int, int] | None) -> UnitWord:
-    """Word for sqrt(e2^A ep^B * prod of sqrt(unit) factors), with its exact
-    embedding; raises when the root does not exist in K."""
-    elem = cc.tail_element(half_ids)
-    quarters = {uid: 1 for uid in half_ids}
-    if prefix is not None:
-        a_exp, b_exp = prefix
-        elem = cc.prefixed(elem, a_exp, b_exp)
-        quarters.update(e2=2 * a_exp, ep=2 * b_exp)
-    xi = cc.ctx.sqrt(elem)
-    if xi is None:
-        raise InternalInconsistencyError(
-            "theorem-prescribed generator is not a square in K: "
-            + UnitWord(quarters=quarters).render())
-    return UnitWord(quarters=quarters, embedding=xi)
-
-
 def unit_generators(tag: CaseTag, pair: PrimePair) -> list[UnitWord]:
     """The 7 non-torsion generators prescribed by the applicable theorem,
-    each with its exact embedding (torsion -1 is implicit)."""
+    each with its exact embedding (torsion -1 is implicit): e2, ep, then the
+    case plan, where an equation whose hit bit is 0 gives its fallback."""
     cc = classification_context(pair)
-    case, res, wit = tag.case, tag.resolution, tag.prefix_witnesses
-    e2, ep = _word_unit("e2", cc), _word_unit("ep", cc)
-    half = {uid: _word_from_root(uid, cc) for uid in cc.roots
-            if uid in NONTORSION_IDS}
-
-    def k1_root() -> UnitWord:
-        if tag.norm_eps2p == -1:
-            return UnitWord(quarters={"e2": 2, "ep": 2, "e2p": 2},
-                            embedding=cc.roots["e2ep2p"])
-        return half["e2p"]
-
-    if case == "C0":
-        base = [e2, ep, half["eq"], half["e2q"], half["epq"]]
-        if tag.norm_eps2p == -1:
-            return base + [k1_root(),
-                           _deep_root_word(cc, ("eq", "e2q", "epq", "e2pq"), None)]
-        return base + [
-            _deep_root_word(cc, ("eq", "epq", "e2p"), wit["q_pq_2p"]),
-            _deep_root_word(cc, ("e2q", "e2pq", "e2p"), wit["2q_2pq_2p"])]
-
-    if case == "C1":
-        base = [e2, ep, half["eq"], half["e2q"], half["epq"]]
-        if tag.norm_eps2p == -1:
-            last = (_deep_root_word(cc, ("eq", "e2q", "epq", "e2pq"), None)
-                    if res["a"] == 1 else half["e2pq"])
-            return base + [k1_root(), last]
-        g_r = (_deep_root_word(cc, ("e2q", "e2pq", "e2p"), wit["2q_2pq_2p"])
-               if res["r"] == 1 else half["e2pq"])
-        g_rp = (_deep_root_word(cc, ("eq", "epq", "e2p"), wit["q_pq_2p"])
-                if res["r_prime"] == 1 else half["e2p"])
-        return base + [g_rp, g_r]
-
-    if case in ("C2", "C3", "C4", "C5", "C7", "C9"):
-        base = [e2, ep, half["eq"], half["e2q"], half["epq"], half["e2pq"]]
-        if tag.norm_eps2p == -1:
-            return base + [k1_root()]
-        last = (_deep_root_word(cc, _PREFIXED_TAILS[case], wit["prefixed"])
-                if res["alpha"] == 1 else half["e2p"])
-        return base + [last]
-
-    # C6 and C8: one of sqrt(eps_q), sqrt(eps_2q) is carried by the resolved root
-    other = "eq" if case == "C6" else "e2q"
-    carried = "e2q" if case == "C6" else "eq"
-    base = [e2, ep, half[other], half["epq"], half["e2pq"], k1_root()]
-    last = (_deep_root_word(cc, _BARE_TAILS[case], None)
-            if res["alpha"] == 1 else half[carried])
-    return base + [last]
+    half = {uid: UnitWord(quarters={uid: 2}, embedding=r)
+            for uid, r in cc.roots.items() if uid in NONTORSION_IDS}
+    half["k1"] = (UnitWord(quarters={"e2": 2, "ep": 2, "e2p": 2},
+                           embedding=cc.roots["e2ep2p"])
+                  if tag.norm_eps2p == -1 else half["e2p"])
+    words = [UnitWord(quarters={uid: 4}, embedding=cc.ctx.units[uid])
+             for uid in ("e2", "ep")]
+    for entry in CASE_PLANS[tag.case, tag.norm_eps2p]:
+        if isinstance(entry, str):
+            words.append(half[entry])
+        elif entry.keys is None or tag.resolution[entry.keys[0]]:
+            prefix = tag.prefix_witnesses.get(entry.witness) or (0, 0)
+            quarters = {**dict.fromkeys(entry.tail, 1),
+                        "e2": 2 * prefix[0], "ep": 2 * prefix[1]}
+            xi = cc.ctx.sqrt(cc.equation_elem(entry.tail, prefix))
+            if xi is None:
+                raise InternalInconsistencyError(
+                    "theorem-prescribed generator is not a square in K: "
+                    + UnitWord(quarters=quarters).render())
+            words.append(UnitWord(quarters=quarters, embedding=xi))
+        else:
+            words.append(half[entry.fallback])
+    return words
 
 
 def predict_h2K(tag: CaseTag, h2_subfields: dict[int, int]) -> int:

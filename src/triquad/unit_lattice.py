@@ -29,7 +29,7 @@ from . import octic
 from .arith import (PrimePair, f2_eliminate, ratio_str, residue_table,
                     symbol_primes)
 from .errors import InternalInconsistencyError, RootMissingError, TriquadError
-from .octic import OcticElem, embed_quadratic, octic_mul, sqrt_exact
+from .octic import OcticElem, embed_quadratic, octic_prod, sqrt_exact
 from .quadratic import fundamental_unit
 
 TORSION_ID = "-1"
@@ -177,13 +177,13 @@ def base_unit_words(pair: PrimePair) -> list[UnitWord]:
 def _integral_power(word: UnitWord, ctx: UnitContext, k: int) -> OcticElem:
     """word^(2^k) = prod eps_uid^(e*2^k) by exact multiplication, for k at
     least the word's depth; a negative power goes through octic_inv."""
-    z = OcticElem.one(ctx.key)
+    factors = []
     for uid, c in word.quarters.items():
         e, r = divmod(c << k, 4)
         if r:
             raise InternalInconsistencyError("scaled exponent not integral")
-        z = octic_mul(z, ctx.units[uid] ** e)
-    return z
+        factors.append(ctx.units[uid] ** e)
+    return octic_prod(ctx.key, factors)
 
 
 def word_embed(word: UnitWord, pair: PrimePair) -> OcticElem:
@@ -210,11 +210,7 @@ def word_embed(word: UnitWord, pair: PrimePair) -> OcticElem:
 
 
 def _product_of(gens_elems: list[OcticElem], vector: int, pair_key) -> OcticElem:
-    prod = OcticElem.one(pair_key)
-    for i, g in enumerate(gens_elems):
-        if vector >> i & 1:
-            prod = octic_mul(prod, g)
-    return prod
+    return octic_prod(pair_key, [g for i, g in enumerate(gens_elems) if vector >> i & 1])
 
 
 # -- the quadratic-character sieve --------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -175,6 +176,39 @@ def test_every_case_and_norm_branch_verifies(p, q, case, norm):
     assert rec.case_tag.case == case
     assert rec.case_tag.norm_eps2p == norm
     assert rec.rank_ok and rec.resaturation_m == 0
+
+
+# sha256 of each representative's record (no wall time, sorted keys): pins
+# every branch's generators, witnesses and resolution bits byte for byte
+CASE_RECORD_SHA256 = {
+    (41, 7): "04975e8e48c6268184fa817e225a4501ac434f559846b179fccd1c7b7b71a96f",
+    (17, 7): "0a88ea2e3bd5600d087c9041cabcdc1d4bc90fb5a6eb74d3752654cdf72610be",
+    (113, 439): "1712ffd7f59c97b9348450f5fc291fe9bc86fb40b29d4323034380891292736f",
+    (17, 191): "cb9f9f6cff0582232a1d18a42955095d7b5bfc1e78bae01ee6ff5c2259a21172",
+    (41, 431): "73fbf714c0699ad2fbc92ce3961934c772dfd6709a3da9813a01b8aa5fc988ac",
+    (17, 47): "590a7a05bdd5cae2e1380019eec1f9a4af7bcfeced5208d702f14d4527a80711",
+    (41, 23): "f5c848dc34844188b45e6f49cdb041b64bf6bce5575b380dd288b5d7b0109737",
+    (17, 239): "d5c774ec62f8a8a5758626306f93404b6ae903741757faa354143a464a6b7e49",
+    (313, 463): "7bb58b68d032d1ec61001e74b3a50890c1cc96f28d51ddcbe0847ff1892f24a8",
+    (17, 223): "c2e7857e58290e5f3141217f96b2e0ae12ce22ba36fb12f5318e700d1d466d6b",
+    (41, 223): "9a2a6260ecd80db8c1a763ab1b4cc3d975782f031d9d7d3ea09addda90f2e3b1",
+    (257, 79): "93f1b9b29d8adeb6ceda11eecf43ac37a3d1ef15b9d792402d9a1b0cf2d032fa",
+    (457, 463): "3562b07cbdd5562b52580909425cad0a66e9269065270746dd313aaeaeb25172",
+    (17, 103): "eb16f52254e119042f1ab1c5ef38b9971c3cb876ceb31c83241ebbd51603779b",
+    (41, 103): "3ddb106eb1cb3c345060d4cecd6a5ef18ec45e80b11b650dea1e23b0ef8c4a89",
+    (17, 359): "bcfd4398a03856f46706368f80a48957e744c81e588211b7bf4c3b5388a7a419",
+    (313, 151): "08e2bc3b0a7c10c593ba271d0579fb5b394c3ef959418093e31c339e038046b7",
+    (17, 127): "45bc7b0e09daa73a7a333165e673abbed82dbcc1d174d72763deefd59a134fd4",
+    (113, 7): "b5a92372e31d69ea026e039dcf32037b0a7239fbcf7238ab7522a282fcd6a9d0",
+    (73, 383): "6d69c1b0810686d920ce5b9651fc3487da2252a23c97b3516e48bf8fe89e29f1",
+}
+
+
+@pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
+def test_every_case_and_norm_branch_keeps_its_record_bytes(p, q, case, norm):
+    doc = json.dumps(record_json(verify_pair(p, q), include_wall_time=False),
+                     sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == CASE_RECORD_SHA256[p, q]
 
 
 def test_cli_scan_unwritable_out_fails_before_scanning(tmp_path, monkeypatch, capsys):

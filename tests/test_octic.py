@@ -10,7 +10,7 @@ from triquad.arith import PrimePair, is_prime
 from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
                            apply_automorphism, embed_quadratic,
-                           norm_to_subfield, octic_inv, octic_mul,
+                           norm_to_subfield, octic_inv, octic_mul, octic_prod,
                            radical_mask, rational_norm, sign_vector, sqrt_exact)
 from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
 from triquad.unit_lattice import unit_context
@@ -165,6 +165,17 @@ def test_octic_inv():
     ctx = unit_context(PAIR)
     x = ctx.units["epq"]
     assert octic_mul(x, octic_inv(x)) == OcticElem.one(KEY)
+
+
+def test_powers_and_products_match_repeated_multiplication():
+    u = unit_context(PAIR).units["e2p"]
+    one = OcticElem.one(KEY)
+    assert u ** 0 == octic_prod(KEY, []) == one
+    power = one
+    for n in range(1, 7):
+        power = octic_mul(power, u)
+        assert u ** n == octic_prod(KEY, [u] * n) == power
+        assert u ** -n == octic_inv(power)
 
 
 def test_sqrt_in_field_examples():

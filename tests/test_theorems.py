@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from triquad.arith import PrimePair
@@ -100,6 +102,35 @@ def test_unit_generators_17_7_substituted_bits():
     assert words[6].quarters == {"e2": h, "e2q": quarter, "e2pq": quarter,
                                  "e2p": quarter}
     assert words[5].render() == "e2^1/2 * eq^1/4 * e2p^1/4 * epq^1/4"
+
+
+# (p, q, hit bit, generator index, half-root that replaces the missing root):
+# no pair of the acceptance range resolves these bits to 0
+FALLBACKS = [
+    (17, 47, "alpha", 6, "e2p^1/2"),     # C2, N(eps_2p) = +1
+    (457, 463, "alpha", 6, "e2q^1/2"),   # C6, N(eps_2p) = -1
+    (17, 103, "alpha", 6, "e2q^1/2"),    # C6, N(eps_2p) = +1
+    (313, 151, "alpha", 6, "eq^1/2"),    # C8, N(eps_2p) = -1
+    (113, 439, "a", 6, "e2pq^1/2"),      # C1, N(eps_2p) = -1
+    (17, 191, "r_prime", 5, "e2p^1/2"),  # C1, N(eps_2p) = +1
+    (17, 191, "r", 6, "e2pq^1/2"),
+]
+
+
+@pytest.mark.parametrize("p,q,bit,index,fallback", FALLBACKS)
+def test_unit_generators_fall_back_to_the_half_root(p, q, bit, index, fallback):
+    pair = PrimePair(p, q)
+    tag = classify_pair(pair)
+    assert tag.resolution[bit] == 1
+    words = unit_generators(tag, pair)
+    missed = unit_generators(
+        dataclasses.replace(tag, resolution={**tag.resolution, bit: 0}), pair)
+    assert words[index].render() != fallback
+    assert missed[index].render() == fallback
+    assert missed[:index] + missed[index + 1:] == words[:index] + words[index + 1:]
+    uid = fallback.split("^")[0]
+    root = word_embed(missed[index], pair)
+    assert octic_mul(root, root) == unit_context(pair).units[uid]
 
 
 def test_unit_generators_embed_and_are_fundamental():
