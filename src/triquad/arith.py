@@ -10,9 +10,12 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, TriquadError
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24
-# (Sorenson-Webster), far beyond any value this package touches.
+# Deterministic Miller-Rabin witnesses, the twelve primes 2..37: no strong
+# pseudoprime to all of them lies below psi_12 = 318665857834031151167461
+# (J. Sorenson and J. Webster, Math. Comp. 86, 2017), which is itself one
+# (399165290221 * 798330580441). Far beyond any value this package touches.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
 
 
 def is_perfect_square(n: int) -> int | None:
@@ -53,9 +56,13 @@ def ratio_str(n: int, d: int) -> str:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a proven witness set)."""
+    """Deterministic primality test (Miller-Rabin with a proven witness set),
+    for n below psi_12 = 318665857834031151167461; TriquadError above."""
     if n < 2:
         return False
+    if n >= _MR_BOUND:
+        raise TriquadError(f"primality of {n} is not proved by the witnesses "
+                           f"2..37, which hold below {_MR_BOUND}")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

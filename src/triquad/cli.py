@@ -69,12 +69,12 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if ns.command == "h2":
             tag = theorems.classify_pair(pair)
-            sat = unit_lattice.saturate(pair)
+            m = theorems.unit_index(pair)
             h2 = classnumber.subfield_h2_map(pair, config.quad_bound)
             _print_json({"pair": {"p": ns.p, "q": ns.q},
                          "h2": harness.h2_json(h2, theorems.predict_h2K(tag, h2)),
-                         "m": sat.m,
-                         "h2K_kuroda": classnumber.kuroda_h2K(pair, sat.m, h2)})
+                         "m": m,
+                         "h2K_kuroda": classnumber.kuroda_h2K(pair, m, h2)})
             return 0
         if ns.command == "verify":
             rec = harness.verify_pair(ns.p, ns.q, config)

@@ -106,7 +106,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
             mism.append("prescribed generators fail the rank certificate")
 
         stage = "saturate"
-        sat = unit_lattice.saturate(pair)
+        m = theorems.unit_index(pair)
         stage = "resaturate"
         resat = unit_lattice.saturate(pair, list(words))
         rec.resaturation_m = resat.m
@@ -118,8 +118,8 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
         for msg in classnumber.h2_pattern_failures(pair, h2):
             mism.append("quadratic 2-class pattern: " + msg)
         h2_theorem = theorems.predict_h2K(tag, h2)
-        h2_kuroda = classnumber.kuroda_h2K(pair, sat.m, h2)
-        rec.report = ClassNumberReport(pair, h2, sat.m, h2_theorem, h2_kuroda)
+        h2_kuroda = classnumber.kuroda_h2K(pair, m, h2)
+        rec.report = ClassNumberReport(pair, h2, m, h2_theorem, h2_kuroda)
         if h2_theorem != h2_kuroda:
             mism.append(f"theorem h2(K) = {h2_theorem} but Kuroda gives {h2_kuroda}")
 

@@ -389,9 +389,29 @@ def sign_vector(x: OcticElem) -> tuple[int, ...]:
     return tuple(s[f] for f in _EMB_FLIPS)
 
 
+def _sign(num: Sequence[int], rad: tuple[int, ...]) -> int:
+    """Sign of sum num[m]*sqrt(rad[m]) under the all-positive embedding: the
+    descent of `_signs` along flip mask 0 only, so the norm a^2 - t*b^2 is
+    taken only where a and b have opposite signs."""
+    h = len(num) // 2
+    if not h:
+        return (num[0] > 0) - (num[0] < 0)
+    a, b = num[:h], num[h:]
+    s = _sign(a, rad)
+    if not any(b):
+        return s
+    u = _sign(b, rad)
+    if s == u or not s:
+        return u
+    return s * _sign(_square_minus(a, b, rad[h], rad), rad)
+
+
 def embedding_sign(x: OcticElem, emb: int) -> int:
-    """Exact sign of real embedding emb of a nonzero element."""
-    return sign_vector(x)[emb]
+    """Exact sign of real embedding emb of a nonzero element: the sign of
+    its conjugate under the flip mask of emb at the all-positive embedding."""
+    if x.is_zero:
+        raise TriquadError("sign of the zero element")
+    return _sign(apply_automorphism(_EMB_FLIPS[emb], x).num, _radicals(x.pair))
 
 
 # -- exact square roots ----------------------------------------------------

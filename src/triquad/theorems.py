@@ -18,7 +18,7 @@ from .arith import PrimePair, is_perfect_square, ratio_str
 from .errors import InternalInconsistencyError, TriquadError
 from .octic import (TAU1, TAU2, TAU3, OcticElem, _reduced, norm_to_subfield,
                     octic_mul, octic_prod, radical_mask)
-from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord,
+from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord, saturate,
                            unit_context)
 
 KIND_UNIT = "1"
@@ -117,9 +117,13 @@ class ClassificationContext:
         self.roots: dict[str, OcticElem] = {}
         for d, dec in self.decompositions.items():
             uid, r = uid_of[d], root_from_decomposition(dec, pair)
-            if octic_mul(r, r) != self.ctx.units[uid]:
+            unit = self.ctx.units[uid]
+            if octic_mul(r, r) != unit:
                 raise InternalInconsistencyError(f"root template failed for {uid}")
             self.roots[uid] = r
+            # c+, c- >= 0 make r positive at the all-positive embedding, so
+            # it is the root that sqrt_exact returns: the memo takes it
+            self.ctx.sqrts[unit] = r
         self.norm_eps2p = self.ctx.norms["e2p"]
         self.u_bit = None
         self.v_sign = None
@@ -155,6 +159,19 @@ class ClassificationContext:
 @functools.lru_cache(maxsize=64)
 def classification_context(pair: PrimePair) -> ClassificationContext:
     return ClassificationContext(pair)
+
+
+def unit_index(pair: PrimePair) -> int:
+    """m with q(K) = 2^m: 2-saturation from E_0 with the k checked half-unit
+    roots in place of their units, whose index over E_0 is 2^k
+    (unit_lattice module docstring), so m is k plus the steps from there.
+    The seeds come from the square-class decompositions, not the case plan."""
+    cc = classification_context(pair)
+    seeds = [UnitWord(quarters={uid: 2}, embedding=cc.roots[uid]) if uid in cc.roots
+             else UnitWord(quarters={uid: 4}, embedding=cc.ctx.units[uid])
+             for uid in NONTORSION_IDS]
+    k = sum(uid in cc.roots for uid in NONTORSION_IDS)
+    return k + saturate(pair, seeds, seed_index=k).m
 
 
 @dataclass(frozen=True)
@@ -358,14 +375,16 @@ def _sigma_name(flips: int) -> str:
     return "1+" + "".join(f"tau{b + 1}" for b in range(3) if flips >> b & 1)
 
 
-def _expected_elem(symbol, unit: OcticElem, pair_key) -> OcticElem:
+def _expected_elem(symbol, unit: OcticElem, square: OcticElem | None,
+                   one: OcticElem) -> OcticElem:
+    """The element a table symbol stands for; the integers are +-1."""
     if symbol == "E":
         return unit
     if symbol == "-E":
         return -unit
     if symbol == "E2":
-        return octic_mul(unit, unit)
-    return OcticElem.rational(pair_key, symbol)
+        return square
+    return {1: one, -1: -one}[symbol]
 
 
 def verify_norm_tables(pair: PrimePair) -> list[TableCheck]:
@@ -383,8 +402,11 @@ def verify_norm_tables(pair: PrimePair) -> list[TableCheck]:
         u = cc.u_bit
         rows.append(("half-2p-unit", "e2p", cc.roots["e2p"], _SIGMAS,
                      ((-1) ** u, "-E", (-1) ** (u + 1), (-1) ** u, (-1) ** (u + 1))))
+    # "E2" stands only in the rows of e2 and ep
+    squares = {uid: octic_mul(units[uid], units[uid]) for uid in ("e2", "ep")}
+    one = OcticElem.one(cc.ctx.key)
     return [TableCheck(table, uid, _sigma_name(sigma), str(symbol),
                        norm_to_subfield(sigma, elem)
-                       == _expected_elem(symbol, units[uid], cc.ctx.key))
+                       == _expected_elem(symbol, units[uid], squares.get(uid), one))
             for table, uid, elem, sigmas, row in rows
             for sigma, symbol in zip(sigmas, row)]

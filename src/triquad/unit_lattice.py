@@ -5,6 +5,16 @@ fundamental units (with -1) is saturated by repeatedly replacing a generator
 with the square root of a product that turns out to be a square in K; the
 number of replacement steps m gives the unit index q(K) = 2^m.
 
+Saturation may start from any set S of units of K with E_0 in <S, -1>.
+Then [E_K : <S, -1>] is a power of 2, and while it is not 1 some u outside
+has u^2 in <S, -1>, a product with an odd exponent on some non-torsion
+generator (else u would be +-1 times a product of generators): so
+saturation from S ends at E_K, and q(K) = 2^(k+m) for [<S, -1> : E_0] =
+2^k. theorems.unit_index seeds with the k = 4 or 5 checked half-unit roots
+sqrt(eps_uid) in place of their units. The quarter counts of S are then
+diagonal, k entries 2 and 7 - k entries 4, against 4 for each unit of E_0,
+so the index is 4^7 / (2^k 4^(7-k)) = 2^k exactly.
+
 Both guards of the saturation are proved. For commuting involutions sigma,
 tau of a field and the norms N_g(u) = u g(u) to the fixed fields,
     u^2 = N_sigma(u) N_tau(u) / sigma(N_sigma.tau(u))
@@ -13,7 +23,7 @@ fixed field. Applied twice, from K to its quartic subfields and from those
 to their quadratic subfields, it gives E_K^4 in E_0, the group of -1 and the
 seven subfield units. So the index [E_K : E_0] divides
 [E_K : E_K^4 <-1>] = 4^7 = 2^14, and as each step doubles the index,
-m <= SATURATION_GUARD = 14. And u^4 in E_0 puts every exponent of a word in
+k + m <= SATURATION_GUARD = 14. And u^4 in E_0 puts every exponent of a word in
 (1/4)Z, so words count their exponents in quarters: no word has depth above
 MAX_WORD_DEPTH = 2, and halving an odd count is the error that a depth-3
 word would raise. The 144-pair range p <= 300, q <= 200 reaches depth 2 and
@@ -272,14 +282,17 @@ def _square_candidates(rows: list[tuple[int, int]]) -> list[int]:
 
 def saturate(pair: PrimePair,
              generators: list[UnitWord] | None = None,
-             restrict_support: frozenset[int] | None = None) -> SaturationResult:
-    """2-saturate the generator set; returns m with q = 2^m.
+             restrict_support: frozenset[int] | None = None,
+             seed_index: int = 0) -> SaturationResult:
+    """2-saturate the generator set; returns the number m of steps.
 
     Deterministic: products are enumerated smallest-support-first in a fixed
     numeric order and the lowest-indexed odd-exponent non-torsion generator
     is replaced by the witnessed root. restrict_support confines the search
     to a subfield (roots must be supported on the given basis masks), which
     computes the unit index of an intermediate field such as Q(sqrtq, sqrt2p).
+    seed_index is k with [<generators, -1> : E_0] = 2^k, so that the index
+    2^(k+m) over E_0 is what the guard bounds.
     """
     ctx = unit_context(pair)
     torsion = UnitWord(quarters={TORSION_ID: 4}, embedding=ctx.units[TORSION_ID])
@@ -290,6 +303,9 @@ def saturate(pair: PrimePair,
     rows = [ctx.row(e) for e in elems]
     m = 0
     while True:
+        if seed_index + m > SATURATION_GUARD:
+            raise InternalInconsistencyError(
+                f"saturation exceeded the index guard 2^{SATURATION_GUARD}")
         hit = None
         for v in _square_candidates(rows):
             xi = ctx.sqrt(_product_of(elems, v, ctx.key))
@@ -316,9 +332,6 @@ def saturate(pair: PrimePair,
         elems[idx] = xi
         rows[idx] = ctx.row(xi)
         m += 1
-        if m > SATURATION_GUARD:
-            raise InternalInconsistencyError(
-                f"saturation exceeded the index guard 2^{SATURATION_GUARD}")
 
 
 def k5_unit_index(pair: PrimePair) -> int:

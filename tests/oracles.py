@@ -30,8 +30,8 @@ it: every divisor of (D - b^2)/4 by trial division by all odd numbers, each
 sign of a tested by the real-number reduction condition, and the walk by
 single reduction steps over all reduced forms.
 
-IDENTITY, coords, scale, coord_bit_size and report_consistent are test
-helpers that the library itself has no use for.
+IDENTITY, CASE_REPRESENTATIVES, coords, scale, coord_bit_size and
+report_consistent are test helpers that the library itself has no use for.
 """
 
 import logging
@@ -51,6 +51,21 @@ MAX_PRECISION = 4096
 ROOT_DENOM_BOUND = 16
 
 IDENTITY = 0  # the flip mask of the identity automorphism
+
+# one representative per (case, norm branch) found by scanning the
+# acceptance range; exercises every generator-construction path
+CASE_REPRESENTATIVES = [
+    (41, 7, "C0", -1), (17, 7, "C0", 1),
+    (113, 439, "C1", -1), (17, 191, "C1", 1),
+    (41, 431, "C2", -1), (17, 47, "C2", 1),
+    (41, 23, "C3", -1), (17, 239, "C3", 1),
+    (313, 463, "C4", -1), (17, 223, "C4", 1),
+    (41, 223, "C5", -1), (257, 79, "C5", 1),
+    (457, 463, "C6", -1), (17, 103, "C6", 1),
+    (41, 103, "C7", -1), (17, 359, "C7", 1),
+    (313, 151, "C8", -1), (17, 127, "C8", 1),
+    (113, 7, "C9", -1), (73, 383, "C9", 1),
+]
 
 
 def coords(x: OcticElem) -> tuple[Fraction, ...]:

@@ -94,6 +94,27 @@ def test_is_prime_against_trial_division():
         assert is_prime(n) == trial(n)
 
 
+# psi_12, the least strong pseudoprime to all twelve bases 2..37
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+PSI_12 = 318665857834031151167461
+
+
+def test_is_prime_never_reports_psi_12_prime():
+    assert PSI_12 == 399165290221 * 798330580441
+    # it passes the strong test to every one of the twelve bases
+    d, s = PSI_12 - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, PSI_12)
+        assert x in (1, PSI_12 - 1) or any(
+            pow(x, 2 ** r, PSI_12) == PSI_12 - 1 for r in range(1, s))
+    for n in (PSI_12, PSI_12 + 2, 2 ** 89 - 1):
+        with pytest.raises(TriquadError, match="not proved"):
+            is_prime(n)
+    assert not is_prime(PSI_12 - 1)  # below the bound it answers
+
+
 def test_is_prime_large_witness_cases():
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 61 + 1)

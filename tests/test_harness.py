@@ -6,13 +6,15 @@ from fractions import Fraction
 import pytest
 
 from triquad import classnumber, harness, octic, theorems, unit_lattice
-from triquad.arith import primes_in_range
+from triquad.arith import PrimePair, primes_in_range
 from triquad.errors import TriquadError
 from triquad.harness import (Config, record_json, scan_csv, scan_json,
                              scan_pairs, valid_pairs, verify_pair)
 from triquad.octic import OcticElem
 from triquad.unit_lattice import UnitWord
 from triquad.cli import main as cli_main
+
+from oracles import CASE_REPRESENTATIVES
 
 
 def test_verify_17_7():
@@ -115,6 +117,22 @@ def test_cli_usage_errors(capsys):
         assert "error: jobs" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_prime_test_past_the_proved_witness_bound(capsys):
+    psi_12 = "318665857834031151167461"  # 399165290221 * 798330580441
+    for command in ("verify", "classify", "h2"):
+        assert cli_main([command, psi_12, "7"]) == 1
+        assert "not proved" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,q", [(17, 7), (17, 191), (41, 431)])
+def test_cli_h2_reports_the_m_of_verify(p, q, capsys):
+    assert cli_main(["h2", str(p), str(q)]) == 0
+    h2 = json.loads(capsys.readouterr().out)
+    assert cli_main(["verify", str(p), str(q)]) == 0
+    assert h2["m"] == json.loads(capsys.readouterr().out)["m"]
+    assert h2["m"] == unit_lattice.saturate(PrimePair(p, q)).m
+
+
 def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
     started = []
 
@@ -153,22 +171,6 @@ def test_cli_scan_csv_to_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-# one representative per (case, norm branch) found by scanning the
-# acceptance range; exercises every generator-construction path
-CASE_REPRESENTATIVES = [
-    (41, 7, "C0", -1), (17, 7, "C0", 1),
-    (113, 439, "C1", -1), (17, 191, "C1", 1),
-    (41, 431, "C2", -1), (17, 47, "C2", 1),
-    (41, 23, "C3", -1), (17, 239, "C3", 1),
-    (313, 463, "C4", -1), (17, 223, "C4", 1),
-    (41, 223, "C5", -1), (257, 79, "C5", 1),
-    (457, 463, "C6", -1), (17, 103, "C6", 1),
-    (41, 103, "C7", -1), (17, 359, "C7", 1),
-    (313, 151, "C8", -1), (17, 127, "C8", 1),
-    (113, 7, "C9", -1), (73, 383, "C9", 1),
-]
-
-
 @pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
 def test_every_case_and_norm_branch_verifies(p, q, case, norm):
     rec = verify_pair(p, q)
@@ -176,6 +178,8 @@ def test_every_case_and_norm_branch_verifies(p, q, case, norm):
     assert rec.case_tag.case == case
     assert rec.case_tag.norm_eps2p == norm
     assert rec.rank_ok and rec.resaturation_m == 0
+    # the index from the seeded saturation is the one from E_0
+    assert rec.report.m == unit_lattice.saturate(PrimePair(p, q)).m
 
 
 # sha256 of each representative's record (no wall time, sorted keys): pins

@@ -9,14 +9,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (conjugate_product_inverse, conjugate_product_norm,
-                     coord_bit_size, coords, fraction_embedding_interval, scale)
+from oracles import (CASE_REPRESENTATIVES, conjugate_product_inverse,
+                     conjugate_product_norm, coord_bit_size, coords,
+                     fraction_embedding_interval, scale)
+from triquad.arith import PrimePair
 from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _radicals,
                            _tower_norm, apply_automorphism, embed_quadratic,
                            embedding_sign, octic_inv, octic_mul, rational_norm,
                            sign_vector, sqrt_exact)
 from triquad.quadratic import fundamental_unit
+from triquad.harness import verify_pair
+from triquad.unit_lattice import unit_context
 
 KEY = (17, 7)
 PAIRS = [(17, 7), (977, 487)]
@@ -196,6 +200,28 @@ def test_signs_agree_with_every_enclosure_that_excludes_zero(x, bits):
             assert signs[emb] == -1
 
 
+@settings(max_examples=100)
+@given(nonzero_elements())
+def test_first_embedding_sign_is_the_first_of_the_sign_vector(x):
+    assert embedding_sign(x, 0) == sign_vector(x)[0]
+    assert embedding_sign(-x, 0) == -sign_vector(x)[0]
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p, q, _, _ in CASE_REPRESENTATIVES])
+def test_first_embedding_sign_of_every_root_of_a_representative(p, q):
+    # the roots of the base units, and every root the pair's verification
+    # holds in its memo; sqrt_exact makes each positive at embedding 0
+    pair = PrimePair(p, q)
+    verify_pair(p, q)
+    ctx = unit_context(pair)
+    roots = [y for y in map(sqrt_exact, ctx.units.values()) if y is not None]
+    assert len(roots) >= 4
+    roots += [y for y in ctx.sqrts.values() if y is not None and not y.is_zero]
+    for y in roots:
+        assert embedding_sign(y, 0) == sign_vector(y)[0] == 1
+        assert embedding_sign(-y, 0) == sign_vector(-y)[0] == -1
+
+
 @settings(max_examples=60)
 @given(nonzero_elements(), nonzero_elements())
 def test_signs_are_multiplicative(x, y):
@@ -226,6 +252,7 @@ def test_signs_of_units_with_an_embedding_below_2_to_the_minus_1000(pair, mask, 
     expected = tuple(1 if (mask_automorphism(i) & mask).bit_count() & 1
                      else unit.norm ** k for i in range(8))
     assert sign_vector(x) == expected and sign_vector(-x) == tuple(-s for s in expected)
+    assert tuple(embedding_sign(x, i) for i in range(8)) == expected
     # the first precision of an interval loop started at 32 + size bits
     # cannot decide the tiny embedding
     lo, hi = fraction_embedding_interval(x, 0, 32 + coord_bit_size(x))

@@ -2,13 +2,19 @@ import dataclasses
 
 import pytest
 
+from oracles import CASE_REPRESENTATIVES
+from triquad import unit_lattice
 from triquad.arith import PrimePair
 from triquad.errors import InternalInconsistencyError, TriquadError
-from triquad.octic import octic_mul
-from triquad.theorems import (classify_pair, decompose_sqrt_data,
-                              predict_h2K, root_from_decomposition,
-                              unit_generators, verify_norm_tables)
-from triquad.unit_lattice import rank_certificate, saturate, unit_context, word_embed
+from triquad.harness import valid_pairs
+from triquad.octic import octic_mul, sqrt_exact
+from triquad.theorems import (classification_context, classify_pair,
+                              decompose_sqrt_data, predict_h2K,
+                              root_from_decomposition, unit_generators,
+                              unit_index, verify_norm_tables)
+from triquad.unit_lattice import (NONTORSION_IDS, base_unit_words,
+                                  rank_certificate, saturate, unit_context,
+                                  word_embed)
 
 P17 = PrimePair(17, 7)
 P41 = PrimePair(41, 7)
@@ -175,6 +181,14 @@ def test_norm_tables_all_rows_pass():
         assert checks and all(c.ok for c in checks), pair
 
 
+@pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
+def test_norm_tables_pass_every_row_in_every_branch(p, q, case, norm):
+    # 24 base-unit rows, 5 for each product unit, 5 for sqrt(eps_2p) if N = +1
+    checks = verify_norm_tables(PrimePair(p, q))
+    assert len(checks) == 34 + 5 * (norm == 1)
+    assert all(c.ok for c in checks)
+
+
 def test_norm_table_u_dependence():
     # the (1+tau2)-norm of sqrt(eps_2p) is (-1)^u: u = 0 at (17,7), u = 1 at (73,7)
     for pair, expected in ((P17, "1"), (P73, "-1")):
@@ -198,3 +212,47 @@ def test_norm_table_names_17_7():
                      for sigma, symbol in zip(five, row.split())]
     checks = verify_norm_tables(P17)
     assert [(c.table, c.unit, c.sigma, c.expected) for c in checks] == expected
+
+
+# -- the unit index from the checked half-unit roots ------------------------
+
+def test_seeded_unit_index_is_the_saturation_from_e0_on_the_scan_dense_range():
+    pairs = valid_pairs(300, 200)
+    assert len(pairs) == 144
+    for p, q in pairs:
+        pair = PrimePair(p, q)
+        assert unit_index(pair) == saturate(pair).m, pair
+
+
+@pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
+def test_classification_puts_the_roots_sqrt_exact_returns_in_the_memo(p, q, case, norm):
+    pair = PrimePair(p, q)
+    unit_context.cache_clear()
+    classification_context.cache_clear()
+    cc = classification_context(pair)
+    seeded = [uid for uid in NONTORSION_IDS if uid in cc.roots]
+    assert len(seeded) == (5 if norm == 1 else 4)
+    memo = dict(cc.ctx.sqrts)  # before any stage asks for a root
+    for uid in seeded:
+        unit = cc.ctx.units[uid]
+        assert memo[unit] is cc.roots[uid]
+        assert unit_context(pair).sqrt(unit) == sqrt_exact(unit)
+
+
+def test_guard_bounds_the_seeds_and_the_steps_together(monkeypatch):
+    k = sum(uid in classification_context(P17).roots for uid in NONTORSION_IDS)
+    steps = unit_index(P17) - k
+    assert (k, steps) == (5, 2)
+    # a guard of k + steps - 1 trips, though it is above the steps alone
+    monkeypatch.setattr(unit_lattice, "SATURATION_GUARD", k + steps - 1)
+    assert steps <= k + steps - 1
+    with pytest.raises(InternalInconsistencyError, match="index guard"):
+        unit_index(P17)
+    monkeypatch.setattr(unit_lattice, "SATURATION_GUARD", k + steps)
+    assert unit_index(P17) == 7
+    monkeypatch.undo()
+    # with the guard at 14, E_0 claimed at index 2^8 needs 7 steps more
+    guard = unit_lattice.SATURATION_GUARD
+    assert saturate(P17, base_unit_words(P17), seed_index=guard - 7).m == 7
+    with pytest.raises(InternalInconsistencyError, match="index guard"):
+        saturate(P17, base_unit_words(P17), seed_index=guard - 6)
