@@ -7,8 +7,7 @@ from .errors import (InternalInconsistencyError, ResourceGuardError,
                      RootMissingError, TriquadError)
 from .harness import Config, VerificationRecord, scan_pairs, verify_pair
 from .octic import (OcticElem, TAU1, TAU2, TAU3, apply_automorphism,
-                    embed_quadratic, norm_to_subfield, octic_mul, sign_vector,
-                    sqrt_exact)
+                    embed_quadratic, norm_to_subfield, octic_mul, sqrt_exact)
 from .quadratic import FundamentalUnit, QuadElem, fundamental_unit, quad_mul, quad_norm
 from .theorems import (CaseTag, SqrtDecomposition, classify_pair,
                        decompose_sqrt_data, predict_h2K, unit_generators)

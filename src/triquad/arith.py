@@ -129,6 +129,21 @@ def sqrt_mod(a: int, l: int) -> int:
     return r
 
 
+# the first bound of the prime table; each walk past its end doubles it
+_PRIME_TABLE_BOUND = 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_primes(bound: int) -> tuple[int, ...]:
+    """The odd primes below bound, by the sieve of Eratosthenes. It is
+    filled on first use, never at import, for bounds 1024 * 2^k only."""
+    sieve = bytearray([1]) * bound
+    for i in range(3, math.isqrt(bound - 1) + 1, 2):
+        if sieve[i]:
+            sieve[i * i::2 * i] = bytes(len(range(i * i, bound, 2 * i)))
+    return tuple(i for i in range(3, bound, 2) if sieve[i])
+
+
 def symbol_primes(radicals: tuple[int, ...], symbols: tuple[int | None, ...],
                   count: int) -> tuple[tuple[int, tuple[int | None, ...]], ...]:
     """The first `count` odd primes l dividing no radical at which the
@@ -136,26 +151,27 @@ def symbol_primes(radicals: tuple[int, ...], symbols: tuple[int | None, ...],
     roots[mask]: the product mod l of one fixed square root of each radical
     in mask (bit i for radicals[i]), None when mask holds a non-residue."""
     out = []
-    l = 1
+    start, bound = 0, _PRIME_TABLE_BOUND
     while len(out) < count:
-        l += 2
-        h = (l - 1) // 2
-        # Euler's criterion first: it rejects most l before the primality
-        # test; it is 0 where l divides a radical
-        for a, s in zip(radicals, symbols):
-            e = pow(a, h, l)
-            if e == 0 or s is not None and e != s % l:
-                break
-        else:
-            if not is_prime(l):
-                continue
-            roots: list[int | None] = [1]
-            for a in radicals:
-                r = sqrt_mod(a, l) if pow(a, h, l) == 1 else None
-                if r is not None and (r * r - a) % l:
-                    raise InternalInconsistencyError(f"wrong square root mod {l}")
-                roots += [None if r is None or x is None else x * r % l for x in roots]
-            out.append((l, tuple(roots)))
+        table = _odd_primes(bound)
+        for l in table[start:]:
+            h = (l - 1) // 2
+            # Euler's criterion: 0 where l divides a radical
+            for a, s in zip(radicals, symbols):
+                e = pow(a, h, l)
+                if e == 0 or s is not None and e != s % l:
+                    break
+            else:
+                roots: list[int | None] = [1]
+                for a in radicals:
+                    r = sqrt_mod(a, l) if pow(a, h, l) == 1 else None
+                    if r is not None and (r * r - a) % l:
+                        raise InternalInconsistencyError(f"wrong square root mod {l}")
+                    roots += [None if r is None or x is None else x * r % l for x in roots]
+                out.append((l, tuple(roots)))
+                if len(out) == count:
+                    break
+        start, bound = len(table), 2 * bound
     return tuple(out)
 
 

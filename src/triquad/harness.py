@@ -16,7 +16,6 @@ import math
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import classnumber, octic, theorems, unit_lattice
@@ -38,6 +37,8 @@ class Config:
     jobs: int = 1
 
     def __post_init__(self):
+        if self.quad_bound < 1:
+            raise TriquadError("quad_bound must be at least 1")
         if self.jobs < 1:
             raise TriquadError("jobs must be at least 1")
 
@@ -188,6 +189,9 @@ def scan_pairs(p_max: int, q_max: int, config: Config = Config()) -> ScanResult:
     tasks = [(p, q, config) for p, q in pairs]
     workers = min(config.jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # imported here, as only a pool scan needs it: multiprocessing is
+        # about a sixth of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_scan_worker, tasks, chunksize=1))
     else:

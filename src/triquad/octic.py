@@ -345,54 +345,15 @@ def embed_quadratic(x: QuadElem, pair) -> OcticElem:
 
 # -- exact embedding signs ------------------------------------------------
 
-def _signs(num: Sequence[int], rad: tuple[int, ...]) -> list[int]:
-    """Signs of sum num[m]*sqrt(rad[m]) under each flip mask f < len(num),
-    at index f; 0 for the zero element.
+def _sign(num: Sequence[int], rad: tuple[int, ...]) -> int:
+    """Sign of sum num[m]*sqrt(rad[m]) under the all-positive embedding, 0
+    for the zero element.
 
     At the top radical, t = rad[h], x = a + b*sqrt(t) with a and b on the
-    masks below h. In each embedding where a and b have the same sign, or
-    one of them is 0, that is the sign of x; otherwise it is
-    sign(a) * sign(a^2 - t*b^2). That norm is not 0 when b is not, since
-    sqrt(t) does not lie in the subfield of a and b (2, p and q are
-    independent modulo squares)."""
-    h = len(num) // 2
-    if not h:
-        return [(num[0] > 0) - (num[0] < 0)]
-    a, b = num[:h], num[h:]
-    sa = _signs(a, rad)
-    if not any(b):
-        return sa + sa
-    sb = _signs(b, rad)
-    sn = None
-    plus, minus = [], []
-    for f in range(h):
-        s, u = sa[f], sb[f]
-        if not s or not u:
-            plus.append(s or u)
-            minus.append(s or -u)
-            continue
-        if sn is None:
-            sn = _signs(_square_minus(a, b, rad[h], rad), rad)
-        d = s * sn[f]
-        plus.append(s if s == u else d)
-        minus.append(d if s == u else s)
-    return plus + minus
-
-
-def sign_vector(x: OcticElem) -> tuple[int, ...]:
-    """Exact signs of all 8 real embeddings of a nonzero element, by descent
-    through the quadratic tower; the screen used before square testing. The
-    denominator is positive, so the signs are those of the numerators."""
-    if x.is_zero:
-        raise TriquadError("sign of the zero element")
-    s = _signs(x.num, _radicals(x.pair))
-    return tuple(s[f] for f in _EMB_FLIPS)
-
-
-def _sign(num: Sequence[int], rad: tuple[int, ...]) -> int:
-    """Sign of sum num[m]*sqrt(rad[m]) under the all-positive embedding: the
-    descent of `_signs` along flip mask 0 only, so the norm a^2 - t*b^2 is
-    taken only where a and b have opposite signs."""
+    masks below h. Where a and b have the same sign, or one of them is 0,
+    that is the sign of x; otherwise it is sign(a) * sign(a^2 - t*b^2). That
+    norm is not 0 when b is not, since sqrt(t) does not lie in the subfield
+    of a and b (2, p and q are independent modulo squares)."""
     h = len(num) // 2
     if not h:
         return (num[0] > 0) - (num[0] < 0)

@@ -33,6 +33,7 @@ m = 7.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from . import octic
@@ -155,6 +156,14 @@ class UnitContext:
             self.units[uid] = embed_quadratic(fu.elem, self.key)
             self.norms[uid] = fu.norm
         self.primes = symbol_primes((2, pair.p, pair.q), (1, 1, 1), SPLIT_PRIMES)
+        # the character rows read every split prime from one image modulo
+        # their product: crt_roots[mask] is roots[mask] mod each prime
+        self.modulus = math.prod(l for l, _ in self.primes)
+        self.crt_roots = tuple(
+            sum(roots[m] * (self.modulus // l) * pow(self.modulus // l, -1, l)
+                for l, roots in self.primes) % self.modulus for m in range(8))
+        self.tables = tuple((8 * k, l, residue_table(l))
+                            for k, (l, _) in enumerate(self.primes))
         self.rows: dict[OcticElem, tuple[int, int]] = {}
         self.sqrts: dict[OcticElem, OcticElem | None] = {}
 
@@ -225,42 +234,40 @@ def _product_of(gens_elems: list[OcticElem], vector: int, pair_key) -> OcticElem
 
 # -- the quadratic-character sieve --------------------------------------------
 #
-# A unit square y^2 is totally positive, and stays a square under each of the
-# 8 ring maps O_K -> F_l of a split prime l. So the F2 row of a unit (its 8
-# negative-embedding bits, then per split prime 8 Legendre bits) is a
-# homomorphism that vanishes on squares: a product of generators whose rows do
-# not XOR to zero is no square, and sqrt_exact need not be asked. A bit is
-# undefined when l divides a coordinate denominator or the residue is 0; such a
-# column is dropped for the whole search, never read as 0, so no square is lost.
+# A unit square y^2 stays a nonzero square under each of the 8 ring maps
+# O_K -> F_l of a split prime l. So the F2 row of a unit (per split prime 8
+# Legendre bits) is a homomorphism that vanishes on squares: a product of
+# generators whose rows do not XOR to zero is no square, and sqrt_exact need
+# not be asked. Fewer columns only widen the left kernel, which still holds
+# every square, so the first square in the candidate order does not depend on
+# which columns are read. A bit is undefined when l divides a coordinate
+# denominator or the residue is 0; such a column is dropped for the whole
+# search, never read as 0, so no square is lost.
 
 def _character_row(ctx: UnitContext, x: OcticElem) -> tuple[int, int]:
-    """(bits, undefined) of x: bit i is a negative embedding i, bit 8+8k+i a
-    non-residue at the prime above the k-th split prime that flips the roots
-    as embedding i flips the radicals; `undefined` marks the Legendre bits
-    that do not exist for x."""
-    bits = sum(1 << i for i, s in enumerate(octic.sign_vector(x)) if s < 0)
-    undefined = 0
-    for k, (l, roots) in enumerate(ctx.primes):
-        shift = 8 + 8 * k
-        # in canonical form den is the lcm of the coordinate denominators
-        den = x.den % l
-        if not den:
-            undefined |= 0xFF << shift
-            continue
-        table = residue_table(l)
-        v0, v1, v2, v3, v4, v5, v6, v7 = (n % l * r for n, r in zip(x.num, roots))
-        # Walsh-Hadamard butterflies on bits 0, 1, 2: vals[f] becomes the
-        # image under the root choice with flip mask f, the sum of the terms
-        # signed by popcount(f & m)
-        v0, v1, v2, v3, v4, v5, v6, v7 = (v0 + v1, v0 - v1, v2 + v3, v2 - v3,
-                                          v4 + v5, v4 - v5, v6 + v7, v6 - v7)
-        v0, v1, v2, v3, v4, v5, v6, v7 = (v0 + v2, v1 + v3, v0 - v2, v1 - v3,
-                                          v4 + v6, v5 + v7, v4 - v6, v5 - v7)
-        vals = (v0 + v4, v1 + v5, v2 + v6, v3 + v7, v0 - v4, v1 - v5, v2 - v6, v3 - v7)
-        for i, flips in enumerate(octic._EMB_FLIPS):
-            # num/den has the character of num*den, which differs by den^2
-            v = vals[flips] * den % l
-            if v == 0:
+    """(bits, undefined) of x: bit 8k+i a non-residue at the prime above the
+    k-th split prime that flips the roots as embedding i flips the radicals;
+    `undefined` marks the bits that do not exist for x. All split primes are
+    evaluated at once modulo their product L, then each image is reduced."""
+    L = ctx.modulus
+    v0, v1, v2, v3, v4, v5, v6, v7 = (n % L * r for n, r in zip(x.num, ctx.crt_roots))
+    # Walsh-Hadamard butterflies on bits 0, 1, 2: vals[f] becomes the image
+    # under the root choice with flip mask f, the sum of the terms signed by
+    # popcount(f & m)
+    v0, v1, v2, v3, v4, v5, v6, v7 = (v0 + v1, v0 - v1, v2 + v3, v2 - v3,
+                                      v4 + v5, v4 - v5, v6 + v7, v6 - v7)
+    v0, v1, v2, v3, v4, v5, v6, v7 = (v0 + v2, v1 + v3, v0 - v2, v1 - v3,
+                                      v4 + v6, v5 + v7, v4 - v6, v5 - v7)
+    vals = (v0 + v4, v1 + v5, v2 + v6, v3 + v7, v0 - v4, v1 - v5, v2 - v6, v3 - v7)
+    # in canonical form den is the lcm of the coordinate denominators; num/den
+    # has the character of num*den, which is 0 mod every l dividing den
+    den = x.den % L
+    bits = undefined = 0
+    for i, flips in enumerate(octic._EMB_FLIPS):
+        w = vals[flips] * den % L
+        for shift, l, table in ctx.tables:
+            v = w % l
+            if not v:
                 undefined |= 1 << (shift + i)
             elif table[v]:
                 bits |= 1 << (shift + i)

@@ -10,8 +10,14 @@ solution is astronomically large: the minimal coefficient for d = 199 is
 The unsieved saturation is the 2-saturation loop without the character
 sieve: every product that passes the sign screen goes to sqrt_exact.
 character_row_by_euler is the sieve's row as the library first computed it:
-the inverse of the denominator mod each split prime, and Euler's criterion,
-one modular power per embedding, where the library reads residue tables.
+prime by prime, the inverse of the denominator mod each split prime, and
+Euler's criterion, one modular power per embedding, where the library
+evaluates all split primes at once modulo their product and reads residue
+tables.
+
+sign_vector gives the signs of all 8 real embeddings by one tower descent
+over every flip mask at once; it is the referee of the library's
+one-embedding descent, embedding_sign.
 
 The conjugate-product inverse and norm, and the embedding enclosure, are the
 textbook formulas on Fraction coordinates: all 7 (or 8) conjugates multiplied
@@ -39,8 +45,8 @@ import math
 from fractions import Fraction
 
 from triquad.errors import InternalInconsistencyError, TriquadError
-from triquad.octic import (_EMB_FLIPS, OcticElem, _reduced,
-                           octic_mul, sign_vector, sqrt_exact)
+from triquad.octic import (_EMB_FLIPS, OcticElem, _radicals, _reduced,
+                           _square_minus, octic_mul, sqrt_exact)
 from triquad.unit_lattice import (TORSION_ID, UnitWord, base_unit_words,
                                   unit_context, word_embed)
 
@@ -106,11 +112,11 @@ def legendre_by_enumeration(a: int, p: int) -> int:
 
 
 def character_row_by_euler(ctx, x: OcticElem) -> tuple[int, int]:
-    """(bits, undefined) of unit_lattice._character_row, by Euler's criterion."""
-    bits = sum(1 << i for i, s in enumerate(sign_vector(x)) if s < 0)
-    undefined = 0
+    """(bits, undefined) of unit_lattice._character_row, by Euler's criterion:
+    bit 8k+i for embedding i at the k-th split prime."""
+    bits = undefined = 0
     for k, (l, roots) in enumerate(ctx.primes):
-        shift = 8 + 8 * k
+        shift = 8 * k
         if x.den % l == 0:
             undefined |= 0xFF << shift
             continue
@@ -126,6 +132,45 @@ def character_row_by_euler(ctx, x: OcticElem) -> tuple[int, int]:
             elif pow(v, (l - 1) // 2, l) != 1:
                 bits |= 1 << (shift + i)
     return bits, undefined
+
+
+def _signs(num, rad: tuple[int, ...]) -> list[int]:
+    """Signs of sum num[m]*sqrt(rad[m]) under each flip mask f < len(num),
+    at index f; 0 for the zero element. Where a and b of x = a + b*sqrt(t)
+    have the same sign, or one is 0, that is the sign of x; otherwise it is
+    sign(a) * sign(a^2 - t*b^2)."""
+    h = len(num) // 2
+    if not h:
+        return [(num[0] > 0) - (num[0] < 0)]
+    a, b = num[:h], num[h:]
+    sa = _signs(a, rad)
+    if not any(b):
+        return sa + sa
+    sb = _signs(b, rad)
+    sn = None
+    plus, minus = [], []
+    for f in range(h):
+        s, u = sa[f], sb[f]
+        if not s or not u:
+            plus.append(s or u)
+            minus.append(s or -u)
+            continue
+        if sn is None:
+            sn = _signs(_square_minus(a, b, rad[h], rad), rad)
+        d = s * sn[f]
+        plus.append(s if s == u else d)
+        minus.append(d if s == u else s)
+    return plus + minus
+
+
+def sign_vector(x: OcticElem) -> tuple[int, ...]:
+    """Exact signs of all 8 real embeddings of a nonzero element, by descent
+    through the quadratic tower. The denominator is positive, so the signs
+    are those of the numerators."""
+    if x.is_zero:
+        raise TriquadError("sign of the zero element")
+    s = _signs(x.num, _radicals(x.pair))
+    return tuple(s[f] for f in _EMB_FLIPS)
 
 
 def squarefree_numbers(limit: int) -> list[int]:

@@ -11,13 +11,13 @@ from fractions import Fraction
 from triquad.arith import PrimePair, is_perfect_square, primes_in_range
 from triquad.classnumber import h2_real_quadratic, subfield_h2_map
 from triquad.harness import verify_pair
-from triquad.octic import OcticElem, octic_mul, sign_vector, sqrt_exact
+from triquad.octic import OcticElem, octic_mul, sqrt_exact
 from triquad.quadratic import QuadElem, fundamental_unit
 from triquad.theorems import classify_pair, verify_norm_tables
 
 
 from oracles import (PrecisionExhaustedError, brute_force_fundamental_unit,
-                     sqrt_in_field, squarefree_numbers)
+                     sign_vector, sqrt_in_field, squarefree_numbers)
 
 
 def test_criterion_1_fundamental_unit_oracle_equivalence():

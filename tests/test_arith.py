@@ -1,11 +1,13 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from triquad import arith
 from triquad.arith import (PrimePair, f2_eliminate, is_perfect_square, is_prime,
                            legendre_symbol, primes_in_range, ratio_str,
-                           residue_table)
+                           residue_table, symbol_primes)
 from triquad.errors import TriquadError
 
 from oracles import legendre_by_enumeration
@@ -68,6 +70,52 @@ def test_residue_table_is_eulers_criterion_below_1000():
         table = residue_table(l)
         assert len(table) == l
         assert list(table) == [int(pow(v, (l - 1) // 2, l) == l - 1) for v in range(l)]
+
+
+def _symbol_primes_by_enumeration(radicals, symbols, count):
+    """The first `count` primes, by trial division, at which the symbols of
+    the radicals, by enumeration of the squares, are the prescribed ones."""
+    out = []
+    l = 2
+    while len(out) < count:
+        l += 1
+        if any(l % k == 0 for k in range(2, math.isqrt(l) + 1)):
+            continue
+        found = [legendre_by_enumeration(a, l) for a in radicals]
+        if 0 not in found and all(s in (None, f) for s, f in zip(symbols, found)):
+            out.append(l)
+    return out
+
+
+def _assert_symbol_primes(radicals, symbols, count):
+    got = symbol_primes(radicals, symbols, count)
+    assert [l for l, _ in got] == _symbol_primes_by_enumeration(radicals, symbols, count)
+    for l, roots in got:
+        for mask in range(1 << len(radicals)):
+            chosen = [a for i, a in enumerate(radicals) if mask >> i & 1]
+            if any(legendre_by_enumeration(a, l) == -1 for a in chosen):
+                assert roots[mask] is None, (l, mask)
+            else:
+                assert (roots[mask] ** 2 - math.prod(chosen)) % l == 0, (l, mask)
+    return got
+
+
+@pytest.mark.parametrize("p,q", [(17, 7), (41, 23), (113, 439), (3313, 967)])
+def test_symbol_primes_match_a_brute_force_referee_for_every_pattern(p, q):
+    for symbols in itertools.product((1, -1, None), repeat=3):
+        _assert_symbol_primes((2, p, q), symbols, 3)
+
+
+def test_symbol_primes_past_the_first_prime_table_bound():
+    got = _assert_symbol_primes((2, 17, 7), (1, 1, 1), 40)
+    assert got[-1][0] > arith._PRIME_TABLE_BOUND
+
+
+def test_symbol_primes_skip_primes_dividing_a_radical():
+    # 3, 5, 7, 11 and 13 divide a radical, so no symbol exists there
+    for symbols in ((None, None, None), (1, -1, None), (-1, 1, 1)):
+        got = _assert_symbol_primes((2, 3 * 5 * 7, 11 * 13), symbols, 4)
+        assert all(l > 13 for l, _ in got)
 
 
 def test_ratio_str_renders_past_the_str_digit_limit():

@@ -1,10 +1,16 @@
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import triquad
 from triquad import classnumber, harness, octic, theorems, unit_lattice
 from triquad.arith import PrimePair, primes_in_range
 from triquad.errors import TriquadError
@@ -117,6 +123,33 @@ def test_cli_usage_errors(capsys):
         assert "error: jobs" in capsys.readouterr().err
 
 
+def test_quad_bound_below_one_is_a_usage_error(capsys):
+    for bound in (0, -1):
+        with pytest.raises(TriquadError, match="quad_bound"):
+            Config(quad_bound=bound)
+        # exit 1 for usage, not 3 for the resource guard
+        assert cli_main(["--quad-bound", str(bound), "h2", "17", "7"]) == 1
+        captured = capsys.readouterr()
+        assert "error: quad_bound" in captured.err and not captured.out
+    assert cli_main(["--quad-bound", "1", "h2", "17", "7"]) == 3
+    capsys.readouterr()
+
+
+def test_import_loads_no_process_pool_and_fills_no_prime_table():
+    code = ("import sys\n"
+            "import triquad\n"
+            "from triquad import arith\n"
+            "print(arith._odd_primes.cache_info().currsize,\n"
+            "      arith.residue_table.cache_info().currsize)\n"
+            "assert triquad.verify_pair(17, 7).status == 'verified'\n"
+            "print('multiprocessing' in sys.modules)\n")
+    src = str(Path(triquad.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["0", "0", "False"]
+
+
 def test_cli_refuses_a_prime_test_past_the_proved_witness_bound(capsys):
     psi_12 = "318665857834031151167461"  # 399165290221 * 798330580441
     for command in ("verify", "classify", "h2"):
@@ -149,7 +182,8 @@ def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    # scan_pairs imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     serial = scan_json(scan_pairs(41, 23, Config()))  # 4 pairs
     assert scan_json(scan_pairs(41, 23, Config(jobs=64))) == serial

@@ -11,12 +11,12 @@ from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
                            apply_automorphism, embed_quadratic,
                            norm_to_subfield, octic_inv, octic_mul, octic_prod,
-                           radical_mask, rational_norm, sign_vector, sqrt_exact)
+                           radical_mask, rational_norm, sqrt_exact)
 from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
 from triquad.unit_lattice import unit_context
 
 from oracles import (IDENTITY, coords, legendre_by_enumeration,
-                     real_embeddings, sqrt_in_field)
+                     real_embeddings, sign_vector, sqrt_in_field)
 
 PAIR = PrimePair(17, 7)
 KEY = (17, 7)

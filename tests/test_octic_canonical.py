@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (CASE_REPRESENTATIVES, conjugate_product_inverse,
                      conjugate_product_norm, coord_bit_size, coords,
-                     fraction_embedding_interval, scale)
+                     fraction_embedding_interval, scale, sign_vector)
 from triquad.arith import PrimePair
 from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _radicals,
                            _tower_norm, apply_automorphism, embed_quadratic,
                            embedding_sign, octic_inv, octic_mul, rational_norm,
-                           sign_vector, sqrt_exact)
+                           sqrt_exact)
 from triquad.quadratic import fundamental_unit
 from triquad.harness import verify_pair
 from triquad.unit_lattice import unit_context

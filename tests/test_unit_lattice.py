@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import triquad
-from oracles import (character_row_by_euler, coords, legendre_by_enumeration,
-                     sqrt_in_field, unsieved_saturation)
+from oracles import (CASE_REPRESENTATIVES, character_row_by_euler, coords,
+                     legendre_by_enumeration, sqrt_in_field,
+                     unsieved_saturation)
 from triquad import unit_lattice
 from triquad.arith import PrimePair
 from triquad.harness import record_json, verify_pair
@@ -17,7 +19,7 @@ from triquad.errors import (InternalInconsistencyError, RootMissingError,
                             TriquadError)
 from triquad.octic import OcticElem, octic_mul, rational_norm, sqrt_exact
 from triquad.theorems import (classification_context, classify_pair,
-                              unit_generators)
+                              unit_generators, unit_index)
 from triquad.unit_lattice import (BASE_UNIT_IDS, UnitWord, _character_row,
                                   _product_of, _square_candidates,
                                   base_unit_words, k5_unit_index,
@@ -29,6 +31,8 @@ P41 = PrimePair(41, 7)
 P89 = PrimePair(89, 7)     # (p/q) = -1, as are 17 and 41 over 7
 P17_191 = PrimePair(17, 191)  # (p/q) = +1
 K5_SUPPORT = frozenset({0, 0b100, 0b011, 0b111})
+# one pair per case and norm branch
+REPRESENTATIVES = [PrimePair(p, q) for p, q, _, _ in CASE_REPRESENTATIVES]
 
 
 def test_word_canonicalization():
@@ -226,20 +230,45 @@ def test_sieved_saturation_matches_unsieved_reference(pair):
 
 
 def test_sieved_k5_saturation_matches_unsieved_reference():
-    ctx = unit_context(P89)
-    words = [UnitWord(quarters={uid: 4}, embedding=ctx.units[uid])
-             for uid in ("eq", "e2p", "e2pq")]
-    reference = unsieved_saturation(P89, words, K5_SUPPORT)
-    _assert_same_saturation(saturate(P89, words, K5_SUPPORT), reference)
-    assert k5_unit_index(P89) == reference[0]
+    for pair in [P89] + REPRESENTATIVES:
+        ctx = unit_context(pair)
+        words = [UnitWord(quarters={uid: 4}, embedding=ctx.units[uid])
+                 for uid in ("eq", "e2p", "e2pq")]
+        reference = unsieved_saturation(pair, words, K5_SUPPORT)
+        _assert_same_saturation(saturate(pair, words, K5_SUPPORT), reference)
+        assert k5_unit_index(pair) == reference[0]
 
 
-@pytest.mark.parametrize("pair", [P17, P17_191])
+@pytest.mark.parametrize("pair", REPRESENTATIVES)
+def test_sieved_seeded_saturation_matches_unsieved_reference(pair):
+    # the generators of theorems.unit_index: the checked half-unit roots in
+    # place of their units
+    cc = classification_context(pair)
+    seeds = [UnitWord(quarters={uid: 2}, embedding=cc.roots[uid]) if uid in cc.roots
+             else UnitWord(quarters={uid: 4}, embedding=cc.ctx.units[uid])
+             for uid in unit_lattice.NONTORSION_IDS]
+    k = sum(uid in cc.roots for uid in unit_lattice.NONTORSION_IDS)
+    reference = unsieved_saturation(pair, seeds)
+    _assert_same_saturation(saturate(pair, seeds, seed_index=k), reference)
+    assert unit_index(pair) == k + reference[0]
+
+
+@pytest.mark.parametrize("pair", REPRESENTATIVES)
 def test_sieved_resaturation_matches_unsieved_reference(pair):
     words = unit_generators(classify_pair(pair), pair)
     reference = unsieved_saturation(pair, words)
     assert reference[0] == 0
     _assert_same_saturation(saturate(pair, words), reference)
+
+
+@pytest.mark.parametrize("pair", [P17, P17_191])
+def test_crt_roots_reduce_to_the_roots_of_each_split_prime(pair):
+    ctx = unit_context(pair)
+    assert ctx.modulus == math.prod(l for l, _ in ctx.primes)
+    for l, roots in ctx.primes:
+        assert [r % l for r in ctx.crt_roots] == list(roots)
+    assert [(shift, l) for shift, l, _ in ctx.tables] == [
+        (8 * k, l) for k, (l, _) in enumerate(ctx.primes)]
 
 
 def test_character_row_is_a_homomorphism_that_kills_squares():
@@ -257,8 +286,9 @@ def test_character_row_is_a_homomorphism_that_kills_squares():
 
 
 def test_character_row_bits_are_legendre_symbols_at_each_root_choice():
-    # bit 8+8k+i: the image of x when the roots of 2, p, q mod the k-th split
-    # prime are negated as embedding i negates sqrt2, sqrtp, sqrtq
+    # bit 8k+i: the image of x when the roots of 2, p, q mod the k-th split
+    # prime are negated as embedding i negates sqrt2, sqrtp, sqrtq; no other
+    # bit is set
     ctx = unit_context(P17)
     units = list(ctx.units.values()) + saturate(P17).elements
     for x in units:
@@ -275,7 +305,8 @@ def test_character_row_bits_are_legendre_symbols_at_each_root_choice():
                             s *= signs[b]
                     v += s * c.numerator * roots[mask] * pow(c.denominator, -1, l)
                 expected = legendre_by_enumeration(v, l) == -1
-                assert bool(bits >> (8 + 8 * k + i) & 1) == expected, (x, k, i)
+                assert bool(bits >> (8 * k + i) & 1) == expected, (x, k, i)
+        assert bits >> 8 * len(ctx.primes) == 0
 
 
 def split_prime_elements():
@@ -303,7 +334,7 @@ def test_character_row_matches_eulers_criterion(x):
 def test_undefined_character_column_is_dropped_not_zeroed():
     ctx = unit_context(P17)
     l = ctx.primes[0][0]
-    column = 0xFF << 8  # the characters of the first split prime
+    column = 0xFF  # the characters of the first split prime
     n = next(a for a in range(2, l) if pow(a, (l - 1) // 2, l) == l - 1)
     a = OcticElem.rational((17, 7), Fraction(n, l * l))  # l divides a denominator
     b = OcticElem.rational((17, 7), n)                   # a non-residue mod l
