@@ -8,7 +8,7 @@ from .errors import (InternalInconsistencyError, ResourceGuardError,
 from .harness import Config, VerificationRecord, scan_pairs, verify_pair
 from .octic import (OcticElem, TAU1, TAU2, TAU3, apply_automorphism,
                     embed_quadratic, norm_to_subfield, octic_mul, sqrt_exact)
-from .quadratic import FundamentalUnit, QuadElem, fundamental_unit, quad_mul, quad_norm
+from .quadratic import fundamental_unit
 from .theorems import (CaseTag, SqrtDecomposition, classify_pair,
                        decompose_sqrt_data, predict_h2K, unit_generators)
 from .unit_lattice import UnitWord, rank_certificate, saturate, word_embed

@@ -307,9 +307,11 @@ def _two_ranks(d: int) -> list[int]:
 @functools.lru_cache(maxsize=None)
 def _h2_cached(d: int) -> int:
     """2-class number of Q(sqrt d), d > 1 squarefree: 2^v2(h+), halved when
-    the fundamental unit has norm +1 (module docstring)."""
+    the fundamental unit has norm +1 (module docstring). The norm is read
+    from `fundamental_unit(d)`, which for d = 5 mod 8 may be the cube of the
+    fundamental unit; N(eps^3) = N(eps), so the norm is the same."""
     v2 = sum(_two_ranks(d))
-    if fundamental_unit(d).norm == 1:
+    if fundamental_unit(d)[2] == 1:
         if v2 == 0:
             raise InternalInconsistencyError(
                 f"narrow class number odd with norm +1 unit at d={d}")

@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from .arith import (PrimePair, is_perfect_square, is_prime, ratio_str,
                     residue_table, symbol_primes)
 from .errors import InternalInconsistencyError, TriquadError
-from .quadratic import QuadElem
 
 SUBSET_LABELS = ("", "2", "p", "2p", "q", "2q", "pq", "2pq")
 
@@ -332,15 +331,15 @@ def radical_mask(n: int, pair) -> tuple[int, int]:
     return s * root, mask
 
 
-def embed_quadratic(x: QuadElem, pair) -> OcticElem:
-    """Place (a + b sqrt d)/denom on the basis slots of K."""
+def embed_quadratic(d: int, a: int, b: int, pair) -> OcticElem:
+    """Place a + b sqrt d, a and b ints, on the basis slots of K."""
     pair = _normalize_pair(pair)
-    s, mask = radical_mask(x.d, pair)
+    s, mask = radical_mask(d, pair)
     if not mask:
-        raise TriquadError(f"radicand {x.d} is a square")
+        raise TriquadError(f"radicand {d} is a square")
     num = [0] * 8
-    num[0], num[mask] = x.a, s * x.b
-    return _reduced(pair, num, x.denom)
+    num[0], num[mask] = a, s * b
+    return _new(pair, tuple(num), 1)
 
 
 # -- exact embedding signs ------------------------------------------------

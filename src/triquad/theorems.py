@@ -18,6 +18,7 @@ from .arith import PrimePair, is_perfect_square, ratio_str
 from .errors import InternalInconsistencyError, TriquadError
 from .octic import (TAU1, TAU2, TAU3, OcticElem, _reduced, norm_to_subfield,
                     octic_mul, octic_prod, radical_mask)
+from .quadratic import fundamental_unit
 from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord, saturate,
                            unit_context)
 
@@ -70,13 +71,13 @@ def decompose_sqrt_data(pair: PrimePair) -> dict[int, SqrtDecomposition]:
     when N(eps_2p) = +1, of eps_2p, keyed by radicand. Exactly one system
     must land for each."""
     ctx = unit_context(pair)
+    radicands = dict(zip(NONTORSION_IDS, pair.radicands))
     out: dict[int, SqrtDecomposition] = {}
     for uid, systems in _half_unit_systems(pair.p, pair.q, ctx.norms["e2p"]).items():
-        fu = ctx.quad[uid]
-        # these radicands are 2 or 3 mod 4, so the unit coordinates are integers
-        if fu.norm != 1 or fu.elem.denom != 1:
-            raise InternalInconsistencyError(f"{uid} is not an integral unit of norm +1")
-        d, t, y = fu.elem.d, fu.elem.a, fu.elem.b
+        d = radicands[uid]
+        t, y, norm = fundamental_unit(d)
+        if norm != 1:
+            raise InternalInconsistencyError(f"{uid} is not a unit of norm +1")
         landed = []
         for kind, fplus, fminus, u in systems:
             if (t + 1) % fplus or (t - 1) % fminus:

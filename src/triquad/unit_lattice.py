@@ -149,12 +149,9 @@ class UnitContext:
         self.units: dict[str, OcticElem] = {
             TORSION_ID: -OcticElem.one(self.key)}
         self.norms: dict[str, int] = {}
-        self.quad = {}
         for uid, d in zip(NONTORSION_IDS, pair.radicands):
-            fu = fundamental_unit(d)
-            self.quad[uid] = fu
-            self.units[uid] = embed_quadratic(fu.elem, self.key)
-            self.norms[uid] = fu.norm
+            x, y, self.norms[uid] = fundamental_unit(d)
+            self.units[uid] = embed_quadratic(d, x, y, self.key)
         self.primes = symbol_primes((2, pair.p, pair.q), (1, 1, 1), SPLIT_PRIMES)
         # the character rows read every split prime from one image modulo
         # their product: crt_roots[mask] is roots[mask] mod each prime

@@ -353,6 +353,21 @@ def brute_force_fundamental_unit(d: int, coeff_bound: int = 20000) -> tuple[int,
     return descended
 
 
+def zsqrt_unit(d: int) -> tuple[int, int, int]:
+    """(x, y, norm) of the least unit > 1 of Z[sqrt d] from the brute-force
+    fundamental unit eps: eps itself, or eps^3 when eps is half-integral
+    (then eps^2 is half-integral too, and N(eps^3) = N(eps)), which happens
+    only for d = 5 mod 8."""
+    a, b, den, norm = brute_force_fundamental_unit(d)
+    if den == 1:
+        return a, b, norm
+    assert d % 8 == 5, (d, a, b)
+    x, rx = divmod(a ** 3 + 3 * a * b * b * d, 8)
+    y, ry = divmod(3 * a * a * b + b ** 3 * d, 8)
+    assert rx == ry == 0, (d, a, b)
+    return x, y, norm
+
+
 def unsieved_saturation(pair, generators=None, restrict_support=None):
     """Reference 2-saturation with the sign screen only; returns
     (m, non-torsion words, their embeddings) as saturate does."""

@@ -12,7 +12,7 @@ from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
                            apply_automorphism, embed_quadratic,
                            norm_to_subfield, octic_inv, octic_mul, octic_prod,
                            radical_mask, rational_norm, sqrt_exact)
-from triquad.quadratic import QuadElem, fundamental_unit, quad_mul, quad_norm
+from triquad.quadratic import fundamental_unit
 from triquad.unit_lattice import unit_context
 
 from oracles import (IDENTITY, coords, legendre_by_enumeration,
@@ -32,11 +32,8 @@ def coords_strategy():
 
 
 def test_embed_quadratic_examples():
-    assert embed_quadratic(QuadElem(2, 1, 1), PAIR) == O({0: 1, 1: 1})
-    assert embed_quadratic(QuadElem(34, 35, 6), PAIR) == O({0: 35, 3: 6})
-    golden = embed_quadratic(QuadElem(5, 1, 1, 2), (5, 7))
-    assert coords(golden)[0] == Fraction(1, 2)
-    assert coords(golden)[2] == Fraction(1, 2)
+    assert embed_quadratic(2, 1, 1, PAIR) == O({0: 1, 1: 1})
+    assert embed_quadratic(34, 35, 6, PAIR) == O({0: 35, 3: 6})
     # sqrt(n) = s * sqrt(prod mask): sqrt(4 * 17 * 7 * 9) = 6 sqrt(pq)
     assert radical_mask(2, PAIR) == (1, 1)
     assert radical_mask(4 * 17 * 7 * 9, PAIR) == (6, 6)
@@ -45,9 +42,9 @@ def test_embed_quadratic_examples():
 
 def test_embed_quadratic_rejects_foreign_radicand():
     with pytest.raises(TriquadError):
-        embed_quadratic(QuadElem(34, 35, 6), (5, 7))
+        embed_quadratic(34, 35, 6, (5, 7))
     with pytest.raises(TriquadError):
-        embed_quadratic(QuadElem(3, 2, 1), PAIR)
+        embed_quadratic(3, 2, 1, PAIR)
     for n in (0, -2, 3 * 17, 2 * 7 * 5):
         with pytest.raises(TriquadError):
             radical_mask(n, PAIR)
@@ -139,7 +136,8 @@ def test_real_embeddings_examples():
     assert pos == [0, 1, 2, 3]  # sqrt2 positive on the first four embeddings
     for lo, hi in embs:
         assert hi - lo <= Fraction(1, 2 ** 64)
-    e7 = embed_quadratic(fundamental_unit(7).elem, PAIR)
+    x7, y7, _ = fundamental_unit(7)
+    e7 = embed_quadratic(7, x7, y7, PAIR)
     assert all(lo > 0 for lo, _ in real_embeddings(e7, 64))
 
 
@@ -242,19 +240,21 @@ def test_sqrt_exact_soundness_random_rationals():
        st.integers(-40, 40), st.integers(-40, 40),
        st.integers(-40, 40), st.integers(-40, 40))
 def test_embed_is_ring_homomorphism(d, a1, b1, a2, b2):
-    x, y = QuadElem(d, a1, b1), QuadElem(d, a2, b2)
-    assert (embed_quadratic(quad_mul(x, y), PAIR)
-            == octic_mul(embed_quadratic(x, PAIR), embed_quadratic(y, PAIR)))
+    # (a1 + b1 sqrt d)(a2 + b2 sqrt d) on int pairs
+    a, b = a1 * a2 + d * b1 * b2, a1 * b2 + a2 * b1
+    assert (embed_quadratic(d, a, b, PAIR)
+            == octic_mul(embed_quadratic(d, a1, b1, PAIR),
+                         embed_quadratic(d, a2, b2, PAIR)))
 
 
 @settings(max_examples=40)
 @given(st.sampled_from([2, 7, 17, 34, 119]),
        st.integers(-20, 20), st.integers(-20, 20))
 def test_octic_norm_is_fourth_power_of_quad_norm(d, a, b):
-    x = QuadElem(d, a, b)
-    if quad_norm(x) == 0:
+    n = a * a - d * b * b
+    if n == 0:
         return
-    assert rational_norm(embed_quadratic(x, PAIR)) == (quad_norm(x) ** 4, 1)
+    assert rational_norm(embed_quadratic(d, a, b, PAIR)) == (n ** 4, 1)
 
 
 # -- the character-chosen branch of the tower descent ------------------------

@@ -244,13 +244,13 @@ def test_signs_of_units_with_an_embedding_below_2_to_the_minus_1000(pair, mask, 
     # eps^k = u + w sqrt(d) with u, w > 0, so u - w sqrt(d) = N(eps)^k / eps^k:
     # its sign is that of the norm, and |u - w sqrt(d)| < 1/u < 2^-1000
     d = math.prod(r for bit, r in enumerate((2, *pair)) if mask >> bit & 1)
-    unit = fundamental_unit(d)
-    eps = embed_quadratic(unit.elem, pair) ** k
+    ux, uy, norm = fundamental_unit(d)
+    eps = embed_quadratic(d, ux, uy, pair) ** k
     u, w = coords(eps)[0], coords(eps)[mask]
     assert u > 0 and w > 0 and u > 2 ** 1000
     x = OcticElem.from_dict(pair, {0: u, mask: -w})
     expected = tuple(1 if (mask_automorphism(i) & mask).bit_count() & 1
-                     else unit.norm ** k for i in range(8))
+                     else norm ** k for i in range(8))
     assert sign_vector(x) == expected and sign_vector(-x) == tuple(-s for s in expected)
     assert tuple(embedding_sign(x, i) for i in range(8)) == expected
     # the first precision of an interval loop started at 32 + size bits
@@ -259,7 +259,7 @@ def test_signs_of_units_with_an_embedding_below_2_to_the_minus_1000(pair, mask, 
     assert lo <= 0 <= hi
     # the tiny embedding next to a unit of another subfield: x + eps' has
     # the sign of eps' there, and x - eps' the opposite
-    other = embed_quadratic(fundamental_unit(pair[1]).elem, pair)
+    other = embed_quadratic(pair[1], *fundamental_unit(pair[1])[:2], pair)
     assert sign_vector(x + other)[0] == 1 and sign_vector(x - other)[0] == -1
 
 
