@@ -7,7 +7,7 @@ import contextlib
 import json
 import sys
 
-from . import classnumber, harness, theorems, unit_lattice
+from . import classnumber, harness, theorems
 from .arith import PrimePair
 from .errors import ResourceGuardError, TriquadError
 from .harness import Config
@@ -62,8 +62,7 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command == "units":
             tag = theorems.classify_pair(pair)
             words = theorems.unit_generators(tag, pair)
-            gens = [{"word": w.render(),
-                     "coords": harness._coords_json(unit_lattice.word_embed(w, pair))}
+            gens = [{"word": w.render(), "coords": harness._coords_json(w.elem)}
                     for w in words]
             _print_json({"pair": {"p": ns.p, "q": ns.q}, "generators": gens})
             return 0

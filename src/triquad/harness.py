@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from . import classnumber, octic, theorems, unit_lattice
 from .arith import PrimePair, decimal_str, primes_in_range, ratio_str
 from .classnumber import ClassNumberReport
-from .errors import (InternalInconsistencyError, ResourceGuardError,
-                     RootMissingError, TriquadError)
+from .errors import InternalInconsistencyError, ResourceGuardError, TriquadError
 from .theorems import CaseTag
 
 STATUS_VERIFIED = "verified"
@@ -91,13 +90,12 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
 
         stage = "generators"
         words = theorems.unit_generators(tag, pair)
-        elems = [unit_lattice.word_embed(w, pair) for w in words]
-        for w, e in zip(words, elems):
-            nrm = octic.rational_norm(e)
+        for w in words:
+            nrm = octic.rational_norm(w.elem)
             if nrm not in ((1, 1), (-1, 1)):
                 mism.append(f"generator {w.render()} is not a unit "
                             f"(norm {ratio_str(*nrm)})")
-        coords = [_coords_json(e) for e in elems]
+        coords = [_coords_json(w.elem) for w in words]
         rec.generators = [(w.render(), c) for w, c in zip(words, coords)]
         rec.fingerprints = [_fingerprint(c) for c in coords]
 
@@ -108,6 +106,11 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
 
         stage = "saturate"
         m = theorems.unit_index(pair)
+        # [E_K : <W, -1>] = |det Q| 2^m / 4^7 (unit_lattice module docstring)
+        scaled_index = abs(unit_lattice.quarter_determinant(words)) << m
+        if scaled_index != 4 ** 7:
+            mism.append(f"prescribed system has index {ratio_str(scaled_index, 4 ** 7)} "
+                        f"in the unit group, not 1")
         stage = "resaturate"
         resat = unit_lattice.saturate(pair, list(words))
         rec.resaturation_m = resat.m
@@ -147,8 +150,9 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
     except ResourceGuardError as exc:
         rec.status = STATUS_RESOURCE
         mism.append(str(exc))
-    except (InternalInconsistencyError, RootMissingError) as exc:
-        # a word whose root is missing in K is a mismatch of the prescription
+    except InternalInconsistencyError as exc:
+        # a prescribed generator with no root in K is a mismatch of the
+        # prescription, raised by theorems.unit_generators
         rec.status = STATUS_MISMATCH
         mism.append(str(exc))
     except Exception as exc:

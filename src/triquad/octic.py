@@ -147,9 +147,9 @@ class OcticElem:
         return octic_mul(self, other)
 
     def __pow__(self, n: int) -> "OcticElem":
-        base = self if n >= 0 else octic_inv(self)
-        n = abs(n)
-        factors = []
+        if n < 0:
+            raise TriquadError(f"negative power {n} of an octic element")
+        base, factors = self, []
         while n:
             if n & 1:
                 factors.append(base)
@@ -297,18 +297,6 @@ def rational_norm(x: OcticElem) -> tuple[int, int]:
     d = x.den ** (1 << k)
     g = math.gcd(n, d)
     return (n // g) ** (8 >> k), (d // g) ** (8 >> k)
-
-
-def octic_inv(x: OcticElem) -> OcticElem:
-    """Inverse by the tower of relative norms: num * acc = n, an int, so
-    x^-1 = acc * den / n."""
-    if x.is_zero:
-        raise ZeroDivisionError("octic element is zero")
-    acc, n, _ = _tower_norm(x.num, _radicals(x.pair))
-    if n == 0:
-        raise InternalInconsistencyError("norm of nonzero element vanished")
-    den = x.den if n > 0 else -x.den
-    return _reduced(x.pair, [c * den for c in acc], abs(n))
 
 
 def radical_mask(n: int, pair) -> tuple[int, int]:

@@ -19,8 +19,8 @@ from .errors import InternalInconsistencyError, TriquadError
 from .octic import (TAU1, TAU2, TAU3, OcticElem, _reduced, norm_to_subfield,
                     octic_mul, octic_prod, radical_mask)
 from .quadratic import fundamental_unit
-from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord, saturate,
-                           unit_context)
+from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord,
+                           render_quarters, saturate, unit_context)
 
 KIND_UNIT = "1"
 KIND_P = "p"
@@ -168,8 +168,8 @@ def unit_index(pair: PrimePair) -> int:
     (unit_lattice module docstring), so m is k plus the steps from there.
     The seeds come from the square-class decompositions, not the case plan."""
     cc = classification_context(pair)
-    seeds = [UnitWord(quarters={uid: 2}, embedding=cc.roots[uid]) if uid in cc.roots
-             else UnitWord(quarters={uid: 4}, embedding=cc.ctx.units[uid])
+    seeds = [UnitWord(quarters={uid: 2}, elem=cc.roots[uid]) if uid in cc.roots
+             else UnitWord(quarters={uid: 4}, elem=cc.ctx.units[uid])
              for uid in NONTORSION_IDS]
     k = sum(uid in cc.roots for uid in NONTORSION_IDS)
     return k + saturate(pair, seeds, seed_index=k).m
@@ -297,15 +297,15 @@ def classify_pair(pair: PrimePair) -> CaseTag:
 
 def unit_generators(tag: CaseTag, pair: PrimePair) -> list[UnitWord]:
     """The 7 non-torsion generators prescribed by the applicable theorem,
-    each with its exact embedding (torsion -1 is implicit): e2, ep, then the
+    each made with its exact element (torsion -1 is implicit): e2, ep, then the
     case plan, where an equation whose hit bit is 0 gives its fallback."""
     cc = classification_context(pair)
-    half = {uid: UnitWord(quarters={uid: 2}, embedding=r)
+    half = {uid: UnitWord(quarters={uid: 2}, elem=r)
             for uid, r in cc.roots.items() if uid in NONTORSION_IDS}
     half["k1"] = (UnitWord(quarters={"e2": 2, "ep": 2, "e2p": 2},
-                           embedding=cc.roots["e2ep2p"])
+                           elem=cc.roots["e2ep2p"])
                   if tag.norm_eps2p == -1 else half["e2p"])
-    words = [UnitWord(quarters={uid: 4}, embedding=cc.ctx.units[uid])
+    words = [UnitWord(quarters={uid: 4}, elem=cc.ctx.units[uid])
              for uid in ("e2", "ep")]
     for entry in CASE_PLANS[tag.case, tag.norm_eps2p]:
         if isinstance(entry, str):
@@ -318,8 +318,8 @@ def unit_generators(tag: CaseTag, pair: PrimePair) -> list[UnitWord]:
             if xi is None:
                 raise InternalInconsistencyError(
                     "theorem-prescribed generator is not a square in K: "
-                    + UnitWord(quarters=quarters).render())
-            words.append(UnitWord(quarters=quarters, embedding=xi))
+                    + render_quarters(quarters))
+            words.append(UnitWord(quarters=quarters, elem=xi))
         else:
             words.append(half[entry.fallback])
     return words

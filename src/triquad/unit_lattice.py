@@ -28,6 +28,16 @@ k + m <= SATURATION_GUARD = 14. And u^4 in E_0 puts every exponent of a word in
 MAX_WORD_DEPTH = 2, and halving an odd count is the error that a depth-3
 word would raise. The 144-pair range p <= 300, q <= 200 reaches depth 2 and
 m = 7.
+
+The index of a system W of seven unit words follows from its 7x7 matrix Q
+of quarter counts. Read E_K / <-1> as a lattice with the formal fourth
+roots of the seven subfield units as coordinate basis: E_0 is 4Z^7, of
+covolume 4^7, E_K has index 2^m over it, so covolume 4^7 / 2^m, and
+<W, -1> has covolume |det Q| once each word's element is checked to be its
+word (rank_certificate). Hence
+    [E_K : <W, -1>] = |det Q| 2^m / 4^7,
+and W is a fundamental system exactly when |det Q| 2^m = 4^7: an odd index,
+which neither the rank certificate nor re-saturation sees, fails this.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from dataclasses import dataclass
 from . import octic
 from .arith import (PrimePair, f2_eliminate, ratio_str, residue_table,
                     symbol_primes)
-from .errors import InternalInconsistencyError, RootMissingError, TriquadError
+from .errors import InternalInconsistencyError, TriquadError
 from .octic import OcticElem, embed_quadratic, octic_prod, sqrt_exact
 from .quadratic import fundamental_unit
 
@@ -58,17 +68,20 @@ SPLIT_PRIMES = 6
 
 class UnitWord:
     """A formal product of base units, each exponent held as an int count of
-    quarters (the module docstring proves every exponent lies in (1/4)Z).
+    quarters (the module docstring proves every exponent lies in (1/4)Z),
+    made together with its exact element `elem` of K.
 
-    The torsion count (key "-1") is kept in {0, 4}. An exact embedding into
-    K may be attached; saturation attaches the witnessed root directly so
-    that words produced from torsion-carrying squares stay representable.
+    The torsion count (key "-1") is kept in {0, 4}; the other counts are
+    non-negative, as every word of the library is a product of subfield units
+    and roots of such products. The elements come from the checked half-unit
+    roots, the square roots of the case plan and the roots that saturation
+    witnesses; rank_certificate checks each against its word. Equality and
+    hashing compare the counts only.
     """
 
-    __slots__ = ("quarters", "_embedding")
+    __slots__ = ("quarters", "elem")
 
-    def __init__(self, *, quarters: dict[str, int],
-                 embedding: OcticElem | None = None):
+    def __init__(self, *, quarters: dict[str, int], elem: OcticElem):
         counts: dict[str, int] = {}
         for uid, c in quarters.items():
             if uid not in BASE_UNIT_IDS:
@@ -79,33 +92,18 @@ class UnitWord:
                 if c % 4:
                     raise TriquadError("torsion exponent must be an integer")
                 c %= 8
+            elif c < 0:
+                raise TriquadError(f"negative exponent in {uid}^{ratio_str(c, 4)}")
             if c:
                 counts[uid] = c
         self.quarters = counts
-        self._embedding = embedding
+        self.elem = elem
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UnitWord) and self.quarters == other.quarters
 
     def __hash__(self):
         return hash(tuple(sorted(self.quarters.items())))
-
-    def __mul__(self, other: "UnitWord") -> "UnitWord":
-        counts = dict(self.quarters)
-        for uid, c in other.quarters.items():
-            counts[uid] = counts.get(uid, 0) + c
-        return UnitWord(quarters=counts)
-
-    def sqrt_word(self) -> "UnitWord":
-        """Half every non-torsion exponent; the torsion bit is dropped (the
-        witnessed root carries the sign information exactly). An odd count
-        would need eighths: a word of depth 3, which E_K^4 in E_0 excludes."""
-        if any(c & 1 for c in self.quarters.values()):
-            raise InternalInconsistencyError(
-                f"square root of unit word {self.render()} has depth above "
-                f"{MAX_WORD_DEPTH}")
-        return UnitWord(quarters={uid: c >> 1 for uid, c in self.quarters.items()
-                                  if uid != TORSION_ID})
 
     @property
     def depth(self) -> int:
@@ -117,25 +115,24 @@ class UnitWord:
         return 3 - (low & -low).bit_length()
 
     def render(self) -> str:
-        if not self.quarters:
-            return "1"
-        parts = []
-        for uid in BASE_UNIT_IDS:
-            c = self.quarters.get(uid)
-            if c is None:
-                continue
-            parts.append(uid if c == 4 else f"{uid}^{ratio_str(c, 4)}")
-        return " * ".join(parts)
+        return render_quarters(self.quarters)
 
     def __repr__(self):
         return f"UnitWord({self.render()})"
+
+
+def render_quarters(quarters: dict[str, int]) -> str:
+    """The word of quarter counts as text, such as "-1 * e2^1/2 * eq": the
+    base units in order, zero counts left out."""
+    parts = [uid if c == 4 else f"{uid}^{ratio_str(c, 4)}"
+             for uid in BASE_UNIT_IDS if (c := quarters.get(uid))]
+    return " * ".join(parts) or "1"
 
 
 @dataclass
 class SaturationResult:
     m: int
     words: list[UnitWord]        # the 7 non-torsion fundamental words
-    elements: list[OcticElem]    # their exact embeddings
 
 
 class UnitContext:
@@ -181,18 +178,9 @@ def unit_context(pair: PrimePair) -> UnitContext:
     return UnitContext(pair)
 
 
-def base_unit_words(pair: PrimePair) -> list[UnitWord]:
-    """The eight starting generators: -1 and the seven subfield units."""
-    ctx = unit_context(pair)
-    out = []
-    for uid in BASE_UNIT_IDS:
-        out.append(UnitWord(quarters={uid: 4}, embedding=ctx.units[uid]))
-    return out
-
-
 def _integral_power(word: UnitWord, ctx: UnitContext, k: int) -> OcticElem:
     """word^(2^k) = prod eps_uid^(e*2^k) by exact multiplication, for k at
-    least the word's depth; a negative power goes through octic_inv."""
+    least the word's depth; every exponent e*2^k is then a natural number."""
     factors = []
     for uid, c in word.quarters.items():
         e, r = divmod(c << k, 4)
@@ -200,29 +188,6 @@ def _integral_power(word: UnitWord, ctx: UnitContext, k: int) -> OcticElem:
             raise InternalInconsistencyError("scaled exponent not integral")
         factors.append(ctx.units[uid] ** e)
     return octic_prod(ctx.key, factors)
-
-
-def word_embed(word: UnitWord, pair: PrimePair) -> OcticElem:
-    """Exact embedding of a formal word into K.
-
-    The integer-exponent part is assembled by exact multiplication; each
-    halving step extracts the canonical square root (positive under the
-    all-positive embedding). A missing root means the word lies outside E_K.
-    """
-    if word._embedding is not None:
-        return word._embedding
-    depth = word.depth
-    ctx = unit_context(pair)
-    z = _integral_power(word, ctx, depth)
-    for level in range(depth):
-        xi = ctx.sqrt(z)
-        if xi is None:
-            sub = UnitWord(quarters={uid: c << level
-                                     for uid, c in word.quarters.items()})
-            raise RootMissingError(sub.render())
-        z = xi
-    word._embedding = z
-    return z
 
 
 def _product_of(gens_elems: list[OcticElem], vector: int, pair_key) -> OcticElem:
@@ -285,25 +250,26 @@ def _square_candidates(rows: list[tuple[int, int]]) -> list[int]:
 
 
 def saturate(pair: PrimePair,
-             generators: list[UnitWord] | None = None,
+             generators: list[UnitWord],
              restrict_support: frozenset[int] | None = None,
              seed_index: int = 0) -> SaturationResult:
     """2-saturate the generator set; returns the number m of steps.
 
     Deterministic: products are enumerated smallest-support-first in a fixed
     numeric order and the lowest-indexed odd-exponent non-torsion generator
-    is replaced by the witnessed root. restrict_support confines the search
-    to a subfield (roots must be supported on the given basis masks), which
-    computes the unit index of an intermediate field such as Q(sqrtq, sqrt2p).
-    seed_index is k with [<generators, -1> : E_0] = 2^k, so that the index
-    2^(k+m) over E_0 is what the guard bounds.
+    is replaced by the witnessed root, as a word whose counts are half the
+    summed counts of the product, made with that root as its element.
+    restrict_support confines the search to a subfield (roots must be
+    supported on the given basis masks), which computes the unit index of an
+    intermediate field such as Q(sqrtq, sqrt2p). seed_index is k with
+    [<generators, -1> : E_0] = 2^k, so that the index 2^(k+m) over E_0 is
+    what the guard bounds.
     """
     ctx = unit_context(pair)
-    torsion = UnitWord(quarters={TORSION_ID: 4}, embedding=ctx.units[TORSION_ID])
-    words = base_unit_words(pair) if generators is None else generators
+    torsion = UnitWord(quarters={TORSION_ID: 4}, elem=ctx.units[TORSION_ID])
     # -1 first, at bit 0 of every exponent vector; it is never replaced
-    gens = [torsion] + [w for w in words if w != torsion]
-    elems = [word_embed(w, pair) for w in gens]
+    gens = [torsion] + [w for w in generators if w != torsion]
+    elems = [w.elem for w in gens]
     rows = [ctx.row(e) for e in elems]
     m = 0
     while True:
@@ -320,19 +286,27 @@ def saturate(pair: PrimePair,
             hit = (v, xi)
             break
         if hit is None:
-            return SaturationResult(m, gens[1:], elems[1:])
+            return SaturationResult(m, gens[1:])
         v, xi = hit
-        combined = UnitWord(quarters={})
-        for i, w in enumerate(gens):
-            if v >> i & 1:
-                combined = combined * w
-        word = combined.sqrt_word()
-        word._embedding = xi
         rest = v & ~1
         if not rest:
             raise InternalInconsistencyError("-1 alone reported as a square")
+        counts: dict[str, int] = {}
+        for i, w in enumerate(gens):
+            if v >> i & 1:
+                for uid, c in w.quarters.items():
+                    counts[uid] = counts.get(uid, 0) + c
+        # the torsion count is dropped: the witnessed root carries the sign.
+        # An odd count would need eighths: a word of depth 3, which E_K^4 in
+        # E_0 excludes
+        counts.pop(TORSION_ID, None)
+        if any(c & 1 for c in counts.values()):
+            raise InternalInconsistencyError(
+                f"square root of unit word {render_quarters(counts)} has depth "
+                f"above {MAX_WORD_DEPTH}")
         idx = (rest & -rest).bit_length() - 1
-        gens[idx] = word
+        gens[idx] = UnitWord(quarters={uid: c >> 1 for uid, c in counts.items()},
+                             elem=xi)
         elems[idx] = xi
         rows[idx] = ctx.row(xi)
         m += 1
@@ -343,24 +317,31 @@ def k5_unit_index(pair: PrimePair) -> int:
     returns m5 with q(k5) = 2^m5. Basis masks allowed: 1, sqrtq, sqrt2p,
     sqrt2pq, i.e. {0, 0b100, 0b011, 0b111}."""
     ctx = unit_context(pair)
-    words = [UnitWord(quarters={uid: 4}, embedding=ctx.units[uid])
+    words = [UnitWord(quarters={uid: 4}, elem=ctx.units[uid])
              for uid in ("eq", "e2p", "e2pq")]
     res = saturate(pair, words, restrict_support=frozenset({0, 0b100, 0b011, 0b111}))
     return res.m
 
 
-def _exponents_nonsingular(words: list[UnitWord]) -> bool:
-    """Whether the quarter counts of the words over NONTORSION_IDS form a
-    nonsingular matrix, by integer elimination: each other row r becomes
-    piv[0]*r - r[0]*piv on the remaining columns, which keeps the rank."""
+def quarter_determinant(words: list[UnitWord]) -> int:
+    """det Q for Q the square matrix of the quarter counts of the words over
+    NONTORSION_IDS, by fraction-free elimination (E. H. Bareiss, Math. Comp.
+    22, 1968): every division by the previous pivot is exact."""
     rows = [[w.quarters.get(uid, 0) for uid in NONTORSION_IDS] for w in words]
-    while rows:
-        piv = next((r for r in rows if r[0]), None)
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
         if piv is None:
-            return False
-        rows = [[piv[0] * a - r[0] * b for a, b in zip(r[1:], piv[1:])]
-                for r in rows if r is not piv]
-    return True
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top, pk = rows[k], rows[k][k]
+        for r in rows[k + 1:]:
+            for j in range(k + 1, n):
+                r[j] = (r[j] * pk - r[k] * top[j]) // prev
+        prev = pk
+    return sign * rows[-1][-1]
 
 
 def rank_certificate(words: list[UnitWord], pair: PrimePair) -> bool:
@@ -368,19 +349,19 @@ def rank_certificate(words: list[UnitWord], pair: PrimePair) -> bool:
 
     The seven subfield units generate a subgroup of finite index in E_K
     (Kuroda; H. Wada, 1966), so they are independent. Words in them are then
-    independent exactly when their exponent matrix is nonsingular, provided
-    each attached element is its word: elem^(2^k) == +-prod eps^(e*2^k) for
-    k the word's depth, checked by exact multiplication. A wrong element
-    attached to a word fails the second check.
+    independent exactly when their quarter-count determinant is nonzero,
+    provided each word's element is that word: elem^(2^k) == +-prod
+    eps^(e*2^k) for k the word's depth, checked by exact multiplication. A
+    wrong element made with a word fails the second check.
     """
     if len(words) != 7:
         raise TriquadError("rank certificate expects exactly 7 words")
-    if not _exponents_nonsingular(words):
+    if not quarter_determinant(words):
         return False
     ctx = unit_context(pair)
     for w in words:
         k = w.depth
         target = _integral_power(w, ctx, k)
-        if word_embed(w, pair) ** (1 << k) not in (target, -target):
+        if w.elem ** (1 << k) not in (target, -target):
             return False
     return True

@@ -36,8 +36,8 @@ it: every divisor of (D - b^2)/4 by trial division by all odd numbers, each
 sign of a tested by the real-number reduction condition, and the walk by
 single reduction steps over all reduced forms.
 
-IDENTITY, CASE_REPRESENTATIVES, coords, scale, coord_bit_size and
-report_consistent are test helpers that the library itself has no use for.
+IDENTITY, CASE_REPRESENTATIVES, coords, scale, coord_bit_size,
+subfield_unit_words and report_consistent are test helpers that the library itself has no use for.
 """
 
 import logging
@@ -47,8 +47,8 @@ from fractions import Fraction
 from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.octic import (_EMB_FLIPS, OcticElem, _radicals, _reduced,
                            _square_minus, octic_mul, sqrt_exact)
-from triquad.unit_lattice import (TORSION_ID, UnitWord, base_unit_words,
-                                  unit_context, word_embed)
+from triquad.unit_lattice import (NONTORSION_IDS, TORSION_ID, UnitWord,
+                                  unit_context)
 
 logger = logging.getLogger(__name__)
 
@@ -368,15 +368,22 @@ def zsqrt_unit(d: int) -> tuple[int, int, int]:
     return x, y, norm
 
 
+def subfield_unit_words(pair):
+    """The seven subfield units as words, each made with its unit."""
+    ctx = unit_context(pair)
+    return [UnitWord(quarters={uid: 4}, elem=ctx.units[uid]) for uid in NONTORSION_IDS]
+
+
 def unsieved_saturation(pair, generators=None, restrict_support=None):
-    """Reference 2-saturation with the sign screen only; returns
-    (m, non-torsion words, their embeddings) as saturate does."""
+    """Reference 2-saturation with the sign screen only, from the subfield
+    units by default; returns m, the non-torsion words and, apart, their
+    elements."""
     ctx = unit_context(pair)
     torsion = {TORSION_ID: 4}
-    gens = base_unit_words(pair) if generators is None else list(generators)
+    gens = subfield_unit_words(pair) if generators is None else list(generators)
     if not any(w.quarters == torsion for w in gens):
-        gens = [UnitWord(quarters=torsion, embedding=ctx.units[TORSION_ID])] + gens
-    elems = [word_embed(w, pair) for w in gens]
+        gens = [UnitWord(quarters=torsion, elem=ctx.units[TORSION_ID])] + gens
+    elems = [w.elem for w in gens]
     order = sorted(range(1, 1 << len(gens)), key=lambda v: (bin(v).count("1"), v))
     m = 0
     while True:
@@ -399,11 +406,13 @@ def unsieved_saturation(pair, generators=None, restrict_support=None):
         else:
             kept = [i for i, w in enumerate(gens) if w.quarters != torsion]
             return m, [gens[i] for i in kept], [elems[i] for i in kept]
-        combined = UnitWord(quarters={})
+        counts = {}
         for i in chosen:
-            combined = combined * gens[i]
-        word = combined.sqrt_word()
-        word._embedding = root
+            for uid, c in gens[i].quarters.items():
+                if uid != TORSION_ID:
+                    counts[uid] = counts.get(uid, 0) + c
+        assert all(c % 2 == 0 for c in counts.values()), counts
+        word = UnitWord(quarters={uid: c // 2 for uid, c in counts.items()}, elem=root)
         idx = next(i for i in chosen if gens[i].quarters != torsion)
         gens[idx], elems[idx] = word, root
         m += 1

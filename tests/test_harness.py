@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,7 +21,7 @@ from triquad.octic import OcticElem
 from triquad.unit_lattice import UnitWord
 from triquad.cli import main as cli_main
 
-from oracles import CASE_REPRESENTATIVES
+from oracles import CASE_REPRESENTATIVES, subfield_unit_words
 
 
 def test_verify_17_7():
@@ -163,7 +164,7 @@ def test_cli_h2_reports_the_m_of_verify(p, q, capsys):
     h2 = json.loads(capsys.readouterr().out)
     assert cli_main(["verify", str(p), str(q)]) == 0
     assert h2["m"] == json.loads(capsys.readouterr().out)["m"]
-    assert h2["m"] == unit_lattice.saturate(PrimePair(p, q)).m
+    assert h2["m"] == unit_lattice.saturate(PrimePair(p, q), subfield_unit_words(PrimePair(p, q))).m
 
 
 def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
@@ -213,7 +214,7 @@ def test_every_case_and_norm_branch_verifies(p, q, case, norm):
     assert rec.case_tag.norm_eps2p == norm
     assert rec.rank_ok and rec.resaturation_m == 0
     # the index from the seeded saturation is the one from E_0
-    assert rec.report.m == unit_lattice.saturate(PrimePair(p, q)).m
+    assert rec.report.m == unit_lattice.saturate(PrimePair(p, q), subfield_unit_words(PrimePair(p, q))).m
 
 
 # sha256 of each representative's record (no wall time, sorted keys): pins
@@ -269,35 +270,63 @@ def test_cli_scan_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def _half_e2_for(bad_pair, monkeypatch):
-    """Make the prescribed system of bad_pair start with e2^(1/2), which has
-    no root in K (e2 is not totally positive)."""
-    real = theorems.unit_generators
+def _other_prefix_for(bad_pair, monkeypatch):
+    """Make the tag of bad_pair name the other prefix (A, 1 - B) of each of
+    its prefixed square equations, whose product has no root in K (at most
+    one of the two prefixes has one)."""
+    real = theorems.classify_pair
 
-    def unit_generators(tag, pair):
-        words = list(real(tag, pair))
+    def classify_pair(pair):
+        tag = real(pair)
         if (pair.p, pair.q) == bad_pair:
-            words[0] = UnitWord(quarters={"e2": 2})
-        return words
+            tag = dataclasses.replace(tag, prefix_witnesses={
+                key: (a, 1 - b) for key, (a, b) in tag.prefix_witnesses.items()})
+        return tag
 
-    monkeypatch.setattr(theorems, "unit_generators", unit_generators)
+    monkeypatch.setattr(theorems, "classify_pair", classify_pair)
+
+
+MISSING_ROOT = ("theorem-prescribed generator is not a square in K: "
+                "e2^1/2 * ep^1/2 * eq^1/4 * e2p^1/4 * epq^1/4")
 
 
 def test_missing_root_is_a_mismatch_record(monkeypatch):
-    _half_e2_for((17, 7), monkeypatch)
+    _other_prefix_for((17, 7), monkeypatch)
     rec = verify_pair(17, 7)
     assert rec.status == "theorem-mismatch"
-    assert rec.mismatches == ["no square root in K for sub-word e2^1/2"]
+    assert rec.mismatches == [MISSING_ROOT]
     assert rec.case_tag is not None and rec.case_tag.case == "C0"
+    assert rec.generators == [] and rec.rank_ok is None
 
 
 def test_missing_root_in_one_pair_keeps_the_scan(monkeypatch):
-    _half_e2_for((17, 23), monkeypatch)
+    _other_prefix_for((17, 23), monkeypatch)
     result = scan_pairs(41, 23)
     assert [(r.pair, r.status) for r in result.records] == [
         ((17, 7), "verified"), ((17, 23), "theorem-mismatch"),
         ((41, 7), "verified"), ((41, 23), "verified")]
+    assert result.records[1].mismatches == [MISSING_ROOT]
     assert result.summary["by_status"] == {"theorem-mismatch": 1, "verified": 3}
+
+
+@pytest.mark.parametrize("p,q", [(17, 7), (113, 439), (977, 487)])
+def test_prescribed_system_of_index_3_is_a_mismatch(p, q, monkeypatch):
+    # the third word cubed, with its element cubed, is still a unit word of
+    # full rank that re-saturation cannot extend, but <W, -1> has index 3
+    real = theorems.unit_generators
+
+    def unit_generators(tag, pair):
+        words = list(real(tag, pair))
+        w = words[2]
+        words[2] = UnitWord(quarters={uid: 3 * c for uid, c in w.quarters.items()},
+                            elem=w.elem ** 3)
+        return words
+
+    monkeypatch.setattr(theorems, "unit_generators", unit_generators)
+    rec = verify_pair(p, q)
+    assert rec.status == "theorem-mismatch"
+    assert rec.rank_ok and rec.resaturation_m == 0
+    assert rec.mismatches == ["prescribed system has index 3 in the unit group, not 1"]
 
 
 def _h2_fails_for(bad_pair, monkeypatch):
@@ -369,7 +398,7 @@ def test_non_unit_with_a_norm_past_the_str_digit_limit_is_a_mismatch(monkeypatch
 
     def unit_generators(tag, pair):
         words = list(real(tag, pair))
-        words[0] = UnitWord(quarters=words[0].quarters, embedding=big)
+        words[0] = UnitWord(quarters=words[0].quarters, elem=big)
         return words
 
     monkeypatch.setattr(theorems, "unit_generators", unit_generators)

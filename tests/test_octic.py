@@ -10,7 +10,7 @@ from triquad.arith import PrimePair, is_prime
 from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
                            apply_automorphism, embed_quadratic,
-                           norm_to_subfield, octic_inv, octic_mul, octic_prod,
+                           norm_to_subfield, octic_mul, octic_prod,
                            radical_mask, rational_norm, sqrt_exact)
 from triquad.quadratic import fundamental_unit
 from triquad.unit_lattice import unit_context
@@ -159,12 +159,6 @@ def test_sign_vector_and_rational_norm():
         assert rational_norm(ctx.units[uid]) in ((1, 1), (-1, 1))
 
 
-def test_octic_inv():
-    ctx = unit_context(PAIR)
-    x = ctx.units["epq"]
-    assert octic_mul(x, octic_inv(x)) == OcticElem.one(KEY)
-
-
 def test_powers_and_products_match_repeated_multiplication():
     u = unit_context(PAIR).units["e2p"]
     one = OcticElem.one(KEY)
@@ -173,7 +167,13 @@ def test_powers_and_products_match_repeated_multiplication():
     for n in range(1, 7):
         power = octic_mul(power, u)
         assert u ** n == octic_prod(KEY, [u] * n) == power
-        assert u ** -n == octic_inv(power)
+
+
+def test_negative_powers_are_refused():
+    u = unit_context(PAIR).units["e2p"]
+    for n in (-1, -2, -7):
+        with pytest.raises(TriquadError, match="negative power"):
+            u ** n
 
 
 def test_sqrt_in_field_examples():

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from oracles import CASE_REPRESENTATIVES
+from oracles import CASE_REPRESENTATIVES, subfield_unit_words
 from triquad import unit_lattice
 from triquad.arith import PrimePair
 from triquad.errors import InternalInconsistencyError, TriquadError
@@ -12,9 +12,8 @@ from triquad.theorems import (classification_context, classify_pair,
                               decompose_sqrt_data, predict_h2K,
                               root_from_decomposition, unit_generators,
                               unit_index, verify_norm_tables)
-from triquad.unit_lattice import (NONTORSION_IDS, base_unit_words,
-                                  rank_certificate, saturate, unit_context,
-                                  word_embed)
+from triquad.unit_lattice import (NONTORSION_IDS, quarter_determinant,
+                                  rank_certificate, saturate, unit_context)
 
 P17 = PrimePair(17, 7)
 P41 = PrimePair(41, 7)
@@ -135,7 +134,7 @@ def test_unit_generators_fall_back_to_the_half_root(p, q, bit, index, fallback):
     assert missed[index].render() == fallback
     assert missed[:index] + missed[index + 1:] == words[:index] + words[index + 1:]
     uid = fallback.split("^")[0]
-    root = word_embed(missed[index], pair)
+    root = missed[index].elem
     assert octic_mul(root, root) == unit_context(pair).units[uid]
 
 
@@ -144,9 +143,9 @@ def test_unit_generators_embed_and_are_fundamental():
         tag = classify_pair(pair)
         words = unit_generators(tag, pair)
         assert len(words) == 7
-        for w in words:
-            word_embed(w, pair)  # raises if a root were missing
+        # the elements are the words, and the words have index 1 in E_K
         assert rank_certificate(words, pair)
+        assert abs(quarter_determinant(words)) << unit_index(pair) == 4 ** 7
         assert saturate(pair, list(words)).m == 0
 
 
@@ -221,7 +220,7 @@ def test_seeded_unit_index_is_the_saturation_from_e0_on_the_scan_dense_range():
     assert len(pairs) == 144
     for p, q in pairs:
         pair = PrimePair(p, q)
-        assert unit_index(pair) == saturate(pair).m, pair
+        assert unit_index(pair) == saturate(pair, subfield_unit_words(pair)).m, pair
 
 
 @pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
@@ -253,6 +252,6 @@ def test_guard_bounds_the_seeds_and_the_steps_together(monkeypatch):
     monkeypatch.undo()
     # with the guard at 14, E_0 claimed at index 2^8 needs 7 steps more
     guard = unit_lattice.SATURATION_GUARD
-    assert saturate(P17, base_unit_words(P17), seed_index=guard - 7).m == 7
+    assert saturate(P17, subfield_unit_words(P17), seed_index=guard - 7).m == 7
     with pytest.raises(InternalInconsistencyError, match="index guard"):
-        saturate(P17, base_unit_words(P17), seed_index=guard - 6)
+        saturate(P17, subfield_unit_words(P17), seed_index=guard - 6)

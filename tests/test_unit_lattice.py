@@ -11,20 +11,19 @@ from hypothesis import assume, example, given, settings, strategies as st
 import triquad
 from oracles import (CASE_REPRESENTATIVES, character_row_by_euler, coords,
                      legendre_by_enumeration, sqrt_in_field,
-                     unsieved_saturation)
+                     subfield_unit_words, unsieved_saturation)
 from triquad import unit_lattice
 from triquad.arith import PrimePair
 from triquad.harness import record_json, verify_pair
-from triquad.errors import (InternalInconsistencyError, RootMissingError,
-                            TriquadError)
+from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.octic import OcticElem, octic_mul, rational_norm, sqrt_exact
 from triquad.theorems import (classification_context, classify_pair,
                               unit_generators, unit_index)
-from triquad.unit_lattice import (BASE_UNIT_IDS, UnitWord, _character_row,
-                                  _product_of, _square_candidates,
-                                  base_unit_words, k5_unit_index,
-                                  rank_certificate, saturate, unit_context,
-                                  word_embed)
+from triquad.unit_lattice import (BASE_UNIT_IDS, NONTORSION_IDS, UnitWord,
+                                  _character_row, _product_of,
+                                  _square_candidates, k5_unit_index,
+                                  quarter_determinant, rank_certificate,
+                                  saturate, unit_context)
 
 P17 = PrimePair(17, 7)
 P41 = PrimePair(41, 7)
@@ -33,20 +32,26 @@ P17_191 = PrimePair(17, 191)  # (p/q) = +1
 K5_SUPPORT = frozenset({0, 0b100, 0b011, 0b111})
 # one pair per case and norm branch
 REPRESENTATIVES = [PrimePair(p, q) for p, q, _, _ in CASE_REPRESENTATIVES]
+# an element for the words whose element no test reads
+ONE = OcticElem.one((17, 7))
 
 
 def test_word_canonicalization():
-    w = UnitWord(quarters={"-1": 12, "e2": 2, "eq": 0})
+    w = UnitWord(quarters={"-1": 12, "e2": 2, "eq": 0}, elem=ONE)
     assert w.quarters == {"-1": 4, "e2": 2}
-    assert UnitWord(quarters={"-1": -4}).quarters == {"-1": 4}
+    assert UnitWord(quarters={"-1": -4}, elem=ONE).quarters == {"-1": 4}
     with pytest.raises(TriquadError):
-        UnitWord(quarters={"-1": 2})
+        UnitWord(quarters={"-1": 2}, elem=ONE)
     with pytest.raises(TriquadError):
-        UnitWord(quarters={"e2": Fraction(1, 2)})
+        UnitWord(quarters={"e2": Fraction(1, 2)}, elem=ONE)
     with pytest.raises(TriquadError):
-        UnitWord(quarters={"bogus": 4})
+        UnitWord(quarters={"bogus": 4}, elem=ONE)
+    with pytest.raises(TriquadError, match="negative exponent"):
+        UnitWord(quarters={"e2": 4, "ep": -2}, elem=ONE)
     with pytest.raises(TypeError):
-        UnitWord({"e2": 4})  # exponents, not quarter counts
+        UnitWord({"e2": 4}, elem=ONE)  # exponents, not quarter counts
+    with pytest.raises(TypeError):
+        UnitWord(quarters={"e2": 4})  # a word is made with its element
 
 
 RENDERED = {-6: "e2^-3/2", -5: "e2^-5/4", -4: "e2^-1", -3: "e2^-3/4",
@@ -57,48 +62,52 @@ RENDERED = {-6: "e2^-3/2", -5: "e2^-5/4", -4: "e2^-1", -3: "e2^-3/4",
 
 @pytest.mark.parametrize("count", range(-6, 9))
 def test_render_writes_exponents_as_fractions(count):
-    assert UnitWord(quarters={"e2": count}).render() == RENDERED[count]
+    if count < 0:
+        # no word has a negative count; the refusal names the exponent as
+        # render would
+        with pytest.raises(TriquadError) as refused:
+            UnitWord(quarters={"e2": count}, elem=ONE)
+        assert str(refused.value) == f"negative exponent in {RENDERED[count]}"
+    else:
+        assert UnitWord(quarters={"e2": count}, elem=ONE).render() == RENDERED[count]
 
 
 def test_render_orders_the_base_units():
-    w = UnitWord(quarters={"e2pq": 1, "-1": 4, "ep": -2, "eq": 8})
-    assert w.render() == "-1 * ep^-1/2 * eq^2 * e2pq^1/4"
+    w = UnitWord(quarters={"e2pq": 1, "-1": 4, "ep": 2, "eq": 8}, elem=ONE)
+    assert w.render() == "-1 * ep^1/2 * eq^2 * e2pq^1/4"
 
 
 def test_depth_counts_the_halvings():
-    for counts, depth in (({}, 0), ({"-1": 4, "e2": -8}, 0), ({"e2": 6}, 1),
-                          ({"e2": 4, "ep": 2}, 1), ({"e2": -3, "ep": 2}, 2)):
-        assert UnitWord(quarters=counts).depth == depth
-    assert UnitWord(quarters={"-1": 4, "e2": 4, "ep": -2}).sqrt_word().quarters == {
-        "e2": 2, "ep": -1}
+    for counts, depth in (({}, 0), ({"-1": 4, "e2": 8}, 0), ({"e2": 6}, 1),
+                          ({"e2": 4, "ep": 2}, 1), ({"e2": 3, "ep": 2}, 2)):
+        assert UnitWord(quarters=counts, elem=ONE).depth == depth
 
 
 def test_word_embed_examples():
-    assert word_embed(UnitWord(quarters={"e2": 4}), P17) == OcticElem.from_dict(
-        (17, 7), {0: 1, 1: 1})
-    half_q = word_embed(UnitWord(quarters={"eq": 2}), P17)
-    assert half_q == OcticElem.from_dict((17, 7), {1: Fraction(3, 2), 5: Fraction(1, 2)})
-    torsion = word_embed(UnitWord(quarters={"-1": 4, "e2": 4}), P17)
-    assert torsion == OcticElem.from_dict((17, 7), {0: -1, 1: -1})
-
-
-def test_word_embed_missing_root():
-    with pytest.raises(RootMissingError):
-        word_embed(UnitWord(quarters={"e2": 2}), P17)
+    # the elements the library makes its words with: the units of the
+    # context and the roots of the prescribed system
+    ctx = unit_context(P17)
+    assert ctx.units["e2"] == OcticElem.from_dict((17, 7), {0: 1, 1: 1})
+    assert ctx.units["-1"] == OcticElem.rational((17, 7), -1)
+    elems = {w.render(): w.elem for w in unit_generators(classify_pair(P17), P17)}
+    assert elems["e2"] == ctx.units["e2"]
+    assert elems["eq^1/2"] == OcticElem.from_dict(
+        (17, 7), {1: Fraction(3, 2), 5: Fraction(1, 2)})
 
 
 def test_word_embed_unit_invariant():
-    for word in (UnitWord(quarters={"eq": 2, "e2q": 2}),
-                 UnitWord(quarters={"epq": 2, "e2": 8})):
-        e = word_embed(word, P17)
-        assert rational_norm(e) in ((1, 1), (-1, 1))
+    for pair in [P17] + REPRESENTATIVES:
+        ctx = unit_context(pair)
+        words = unit_generators(classify_pair(pair), pair)
+        for e in list(ctx.units.values()) + [w.elem for w in words]:
+            assert rational_norm(e) in ((1, 1), (-1, 1))
 
 
 def _base_unit_squares(pair):
     """The square candidates among products of -1 and the seven subfield
     units, each with the root sqrt_exact finds (None for a non-square)."""
     ctx = unit_context(pair)
-    elems = [word_embed(w, pair) for w in base_unit_words(pair)]
+    elems = [ctx.units[uid] for uid in BASE_UNIT_IDS]
     return {v: sqrt_exact(_product_of(elems, v, ctx.key))
             for v in _square_candidates([ctx.row(e) for e in elems])}, elems
 
@@ -123,8 +132,8 @@ def test_square_class_space_41_7_k1_product():
 
 
 def test_saturate_reference_values():
-    assert saturate(P17).m == 7
-    assert saturate(P41).m == 6
+    assert saturate(P17, subfield_unit_words(P17)).m == 7
+    assert saturate(P41, subfield_unit_words(P41)).m == 6
 
 
 def test_saturation_word_deeper_than_two_is_inconsistent():
@@ -133,27 +142,27 @@ def test_saturation_word_deeper_than_two_is_inconsistent():
     # would make saturation take eps_2^(1/8)
     square = unit_context(P17).units["e2"] ** 2
     with pytest.raises(InternalInconsistencyError, match="depth above 2"):
-        saturate(P17, [UnitWord(quarters={"e2": 1}, embedding=square)])
+        saturate(P17, [UnitWord(quarters={"e2": 1}, elem=square)])
 
 
 def test_saturate_returns_seven_verified_words():
-    res = saturate(P17)
+    res = saturate(P17, subfield_unit_words(P17))
     assert len(res.words) == 7
-    for w, e in zip(res.words, res.elements):
-        assert rational_norm(e) in ((1, 1), (-1, 1))
+    for w in res.words:
+        assert rational_norm(w.elem) in ((1, 1), (-1, 1))
         assert w.quarters  # non-trivial
 
 
 def test_saturate_deterministic():
-    a = saturate(P17)
-    b = saturate(P17)
+    a = saturate(P17, subfield_unit_words(P17))
+    b = saturate(P17, subfield_unit_words(P17))
     assert a.m == b.m
     assert [w.quarters for w in a.words] == [w.quarters for w in b.words]
-    assert a.elements == b.elements
+    assert [w.elem for w in a.words] == [w.elem for w in b.words]
 
 
 def test_saturate_fixpoint_on_saturated_generators():
-    res = saturate(P17)
+    res = saturate(P17, subfield_unit_words(P17))
     again = saturate(P17, list(res.words))
     assert again.m == 0
 
@@ -164,11 +173,11 @@ def test_k5_unit_index():
 
 
 def test_rank_certificate_cases():
-    words = base_unit_words(P17)[1:]  # the seven non-torsion units
+    words = subfield_unit_words(P17)
     assert rank_certificate(words, P17)
     repeated = words[:6] + [words[0]]
     assert not rank_certificate(repeated, P17)
-    sat = saturate(P17)
+    sat = saturate(P17, subfield_unit_words(P17))
     assert rank_certificate(sat.words, P17)
     with pytest.raises(TriquadError):
         rank_certificate(words[:5], P17)
@@ -178,16 +187,41 @@ def test_rank_certificate_rejects_a_wrong_element_on_a_right_word():
     words = unit_generators(classify_pair(P17), P17)
     assert rank_certificate(words, P17)
     w0 = words[0]
-    wrong = octic_mul(word_embed(w0, P17), unit_context(P17).units["e2"])
-    corrupted = UnitWord(quarters=w0.quarters, embedding=wrong)
+    wrong = octic_mul(w0.elem, unit_context(P17).units["e2"])
+    corrupted = UnitWord(quarters=w0.quarters, elem=wrong)
     assert not rank_certificate([corrupted] + words[1:], P17)
 
 
 def test_rank_certificate_rejects_dependent_elements_on_independent_words():
     words = unit_generators(classify_pair(P17), P17)
-    borrowed = UnitWord(quarters=words[0].quarters,
-                        embedding=word_embed(words[1], P17))
+    borrowed = UnitWord(quarters=words[0].quarters, elem=words[1].elem)
     assert not rank_certificate([borrowed] + words[1:], P17)
+
+
+def _determinant_by_fractions(rows):
+    """Gaussian elimination over the rationals, the textbook way."""
+    rows = [[Fraction(c) for c in r] for r in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        piv = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for r in rows[k + 1:]:
+            f = r[k] / rows[k][k]
+            r[:] = [a - f * b for a, b in zip(r, rows[k])]
+    return det
+
+
+@settings(max_examples=200)
+@given(st.lists(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 4, 6, 8]),
+                         min_size=7, max_size=7), min_size=7, max_size=7))
+def test_quarter_determinant_is_the_determinant_of_the_counts(rows):
+    words = [UnitWord(quarters=dict(zip(NONTORSION_IDS, r)), elem=ONE) for r in rows]
+    assert quarter_determinant(words) == _determinant_by_fractions(rows)
 
 
 def test_verify_pair_does_not_import_mpmath():
@@ -221,18 +255,19 @@ def _assert_same_saturation(res, reference):
     m, words, elems = reference
     assert res.m == m
     assert [w.render() for w in res.words] == [w.render() for w in words]
-    assert res.elements == elems
+    assert [w.elem for w in res.words] == elems
 
 
 @pytest.mark.parametrize("pair", [P17, P41])
 def test_sieved_saturation_matches_unsieved_reference(pair):
-    _assert_same_saturation(saturate(pair), unsieved_saturation(pair))
+    _assert_same_saturation(saturate(pair, subfield_unit_words(pair)),
+                            unsieved_saturation(pair))
 
 
 def test_sieved_k5_saturation_matches_unsieved_reference():
     for pair in [P89] + REPRESENTATIVES:
         ctx = unit_context(pair)
-        words = [UnitWord(quarters={uid: 4}, embedding=ctx.units[uid])
+        words = [UnitWord(quarters={uid: 4}, elem=ctx.units[uid])
                  for uid in ("eq", "e2p", "e2pq")]
         reference = unsieved_saturation(pair, words, K5_SUPPORT)
         _assert_same_saturation(saturate(pair, words, K5_SUPPORT), reference)
@@ -244,8 +279,8 @@ def test_sieved_seeded_saturation_matches_unsieved_reference(pair):
     # the generators of theorems.unit_index: the checked half-unit roots in
     # place of their units
     cc = classification_context(pair)
-    seeds = [UnitWord(quarters={uid: 2}, embedding=cc.roots[uid]) if uid in cc.roots
-             else UnitWord(quarters={uid: 4}, embedding=cc.ctx.units[uid])
+    seeds = [UnitWord(quarters={uid: 2}, elem=cc.roots[uid]) if uid in cc.roots
+             else UnitWord(quarters={uid: 4}, elem=cc.ctx.units[uid])
              for uid in unit_lattice.NONTORSION_IDS]
     k = sum(uid in cc.roots for uid in unit_lattice.NONTORSION_IDS)
     reference = unsieved_saturation(pair, seeds)
@@ -275,7 +310,7 @@ def test_character_row_is_a_homomorphism_that_kills_squares():
     ctx = unit_context(P17)
     base = [ctx.units[uid] for uid in BASE_UNIT_IDS]
     units = [_product_of(base, v, ctx.key) for v in (0b10, 0b110, 0b10010110, 0b11111111)]
-    units += saturate(P17).elements
+    units += [w.elem for w in saturate(P17, subfield_unit_words(P17)).words]
     for x in units:
         assert _character_row(ctx, octic_mul(x, x)) == (0, 0)
     for x, y in zip(units, units[1:]):
@@ -290,7 +325,8 @@ def test_character_row_bits_are_legendre_symbols_at_each_root_choice():
     # prime are negated as embedding i negates sqrt2, sqrtp, sqrtq; no other
     # bit is set
     ctx = unit_context(P17)
-    units = list(ctx.units.values()) + saturate(P17).elements
+    units = list(ctx.units.values()) + [
+        w.elem for w in saturate(P17, subfield_unit_words(P17)).words]
     for x in units:
         bits, undefined = _character_row(ctx, x)
         assert undefined == 0
