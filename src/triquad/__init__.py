@@ -1,8 +1,7 @@
 """Exact unit groups and 2-class numbers of Q(sqrt2, sqrtp, sqrtq)."""
 
 from .arith import PrimePair, is_perfect_square, is_prime, legendre_symbol
-from .classnumber import (ClassNumberReport, h2_real_quadratic, kuroda_h2K,
-                          subfield_h2_map)
+from .classnumber import h2_real_quadratic, kuroda_h2K, subfield_h2_map
 from .errors import InternalInconsistencyError, ResourceGuardError, TriquadError
 from .harness import Config, VerificationRecord, scan_pairs, verify_pair
 from .octic import (OcticElem, TAU1, TAU2, TAU3, apply_automorphism,

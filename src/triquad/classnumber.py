@@ -39,7 +39,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .arith import PrimePair, f2_eliminate, factor, is_prime, ratio_str, sqrt_mod
 from .errors import InternalInconsistencyError, ResourceGuardError, TriquadError
@@ -366,12 +365,3 @@ def h2_pattern_failures(pair: PrimePair, h2: dict[int, int]) -> list[str]:
             if h2[d] % 4:
                 bad.append(f"h2({d}) = {h2[d]}, expected divisible by 4")
     return bad
-
-
-@dataclass(frozen=True)
-class ClassNumberReport:
-    pair: PrimePair
-    h2: dict[int, int]
-    m: int
-    h2K_theorem: int
-    h2K_kuroda: int

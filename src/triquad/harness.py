@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from . import classnumber, octic, theorems, unit_lattice
 from .arith import PrimePair, decimal_str, primes_in_range, ratio_str
-from .classnumber import ClassNumberReport
 from .errors import InternalInconsistencyError, ResourceGuardError, TriquadError
 from .theorems import CaseTag
 
@@ -44,10 +43,15 @@ class Config:
 
 @dataclass
 class VerificationRecord:
+    """One pair's result. h2 (subfield 2-class numbers by radicand), m (unit
+    index) and h2K (by the case formula) are set together once h2(K) is known
+    both ways; a pair that fails before then keeps all three None."""
     pair: tuple[int, int]
     status: str
     case_tag: CaseTag | None = None
-    report: ClassNumberReport | None = None
+    h2: dict[int, int] | None = None
+    m: int | None = None
+    h2K: int | None = None
     generators: list[tuple[str, dict[str, str]]] = field(default_factory=list)
     fingerprints: list[str] = field(default_factory=list)
     table_failures: list[str] = field(default_factory=list)
@@ -123,15 +127,13 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
             mism.append("quadratic 2-class pattern: " + msg)
         h2_theorem = theorems.predict_h2K(tag, h2)
         h2_kuroda = classnumber.kuroda_h2K(pair, m, h2)
-        rec.report = ClassNumberReport(pair, h2, m, h2_theorem, h2_kuroda)
+        rec.h2, rec.m, rec.h2K = h2, m, h2_theorem
         if h2_theorem != h2_kuroda:
             mism.append(f"theorem h2(K) = {h2_theorem} but Kuroda gives {h2_kuroda}")
 
         stage = "tables"
-        for chk in theorems.verify_norm_tables(pair):
-            if not chk.ok:
-                rec.table_failures.append(
-                    f"{chk.table}:{chk.unit}:{chk.sigma} expected {chk.expected}")
+        rec.table_failures = [label for label, ok in theorems.verify_norm_tables(pair)
+                              if not ok]
         if rec.table_failures:
             mism.append(f"{len(rec.table_failures)} norm-table rows failed")
 
@@ -242,8 +244,8 @@ def record_json(rec: VerificationRecord, include_wall_time: bool = True) -> dict
         "pair": {"p": rec.pair[0], "q": rec.pair[1]},
         "case": case_tag_json(rec.case_tag) if rec.case_tag else None,
         "generators": [{"word": w, "coords": c} for w, c in rec.generators],
-        "h2": h2_json(rec.report.h2, rec.report.h2K_theorem) if rec.report else None,
-        "m": rec.report.m if rec.report else None,
+        "h2": h2_json(rec.h2, rec.h2K) if rec.h2 is not None else None,
+        "m": rec.m,
         "status": rec.status,
         "fingerprints": rec.fingerprints,
         "rank_certificate": rec.rank_ok,
@@ -281,8 +283,8 @@ def scan_csv(result: ScanResult) -> str:
             "x_class": tag.x_class if tag else "",
             "v_class": tag.v_class if tag else "",
             "u": "" if tag is None or tag.u_bit is None else tag.u_bit,
-            "m": r.report.m if r.report else "",
-            "h2K": r.report.h2K_theorem if r.report else "",
+            "m": r.m if r.m is not None else "",
+            "h2K": r.h2K if r.h2K is not None else "",
             "status": r.status,
         })
     return buf.getvalue()

@@ -344,31 +344,26 @@ def predict_h2K(tag: CaseTag, h2_subfields: dict[int, int]) -> int:
 
 _SIGMAS = (TAU2, TAU1 ^ TAU2, TAU1 ^ TAU3, TAU2 ^ TAU3, TAU1)
 
-# rows keyed by square class of x+1 resp. v+1; entries are symbols:
-# integers stand for themselves, "E" for the unit, "-E" for its negative
-_TABLE_2PQ = {KIND_UNIT: (1, "-E", "-E", "E", -1),
-              KIND_P: (-1, "E", "-E", "-E", -1),
-              KIND_2P: (-1, "-E", "E", "-E", 1)}
-_TABLE_PQ = {KIND_UNIT: (1, -1, -1, "E", "-E"),
-             KIND_P: (-1, 1, -1, "-E", "-E"),
-             KIND_2P: (-1, -1, 1, "-E", "E")}
+# rows keyed by square class of x+1 resp. v+1; an entry names a power of the
+# row's unit, 1, "E" (the unit) or "E2" (its square), and a leading "-"
+# negates it
+_EXPONENTS = {"1": 0, "E": 1, "E2": 2}
+_TABLE_2PQ = {KIND_UNIT: "1 -E -E E -1",
+              KIND_P: "-1 E -E -E -1",
+              KIND_2P: "-1 -E E -E 1"}
+_TABLE_PQ = {KIND_UNIT: "1 -1 -1 E -E",
+             KIND_P: "-1 1 -1 -E -E",
+             KIND_2P: "-1 -1 1 -E E"}
+# the row of sqrt(eps_2p), indexed by u
+_TABLE_HALF_2P = ("1 -E -1 1 -1", "-1 -E 1 -1 1")
 
 # six relative norms of e2, ep, sqrt(eq), sqrt(e2q) in the fixed order
 # 1+tau1, 1+tau2, 1+tau3, 1+tau1tau2, 1+tau1tau3, 1+tau2tau3
 _SIGMAS_6 = (TAU1, TAU2, TAU3, TAU1 ^ TAU2, TAU1 ^ TAU3, TAU2 ^ TAU3)
-_TABLE_BASE = {"e2": (-1, "E2", "E2", -1, -1, "E2"),
-               "ep": ("E2", -1, "E2", -1, "E2", -1),
-               "eq": ("-E", "E", 1, "-E", -1, 1),
-               "e2q": (-1, "E", 1, -1, "-E", 1)}
-
-
-@dataclass(frozen=True)
-class TableCheck:
-    table: str
-    unit: str
-    sigma: str
-    expected: str
-    ok: bool
+_TABLE_BASE = {"e2": "-1 E2 E2 -1 -1 E2",
+               "ep": "E2 -1 E2 -1 E2 -1",
+               "eq": "-E E 1 -E -1 1",
+               "e2q": "-1 E 1 -1 -E 1"}
 
 
 def _sigma_name(flips: int) -> str:
@@ -376,20 +371,12 @@ def _sigma_name(flips: int) -> str:
     return "1+" + "".join(f"tau{b + 1}" for b in range(3) if flips >> b & 1)
 
 
-def _expected_elem(symbol, unit: OcticElem, square: OcticElem | None,
-                   one: OcticElem) -> OcticElem:
-    """The element a table symbol stands for; the integers are +-1."""
-    if symbol == "E":
-        return unit
-    if symbol == "-E":
-        return -unit
-    if symbol == "E2":
-        return square
-    return {1: one, -1: -one}[symbol]
+def verify_norm_tables(pair: PrimePair) -> list[tuple[str, bool]]:
+    """Check every applicable row of the three relative-norm tables exactly.
 
-
-def verify_norm_tables(pair: PrimePair) -> list[TableCheck]:
-    """Check every applicable row of the three relative-norm tables exactly."""
+    Each entry gives its label "table:unit:sigma expected entry" and whether
+    the relative norm equals the power of the row's unit that the entry
+    names, negated by a leading "-"."""
     cc = classification_context(pair)
     units, dec = cc.ctx.units, cc.decompositions
     rows = [("base-units", uid,
@@ -400,14 +387,16 @@ def verify_norm_tables(pair: PrimePair) -> list[TableCheck]:
              ("product-units", "epq", cc.roots["epq"], _SIGMAS,
               _TABLE_PQ[dec[pair.p * pair.q].kind])]
     if cc.norm_eps2p == 1:
-        u = cc.u_bit
         rows.append(("half-2p-unit", "e2p", cc.roots["e2p"], _SIGMAS,
-                     ((-1) ** u, "-E", (-1) ** (u + 1), (-1) ** u, (-1) ** (u + 1))))
-    # "E2" stands only in the rows of e2 and ep
-    squares = {uid: octic_mul(units[uid], units[uid]) for uid in ("e2", "ep")}
-    one = OcticElem.one(cc.ctx.key)
-    return [TableCheck(table, uid, _sigma_name(sigma), str(symbol),
-                       norm_to_subfield(sigma, elem)
-                       == _expected_elem(symbol, units[uid], squares.get(uid), one))
-            for table, uid, elem, sigmas, row in rows
-            for sigma, symbol in zip(sigmas, row)]
+                     _TABLE_HALF_2P[cc.u_bit]))
+    checks = []
+    for table, uid, elem, sigmas, row in rows:
+        powers = {}  # each power of the row's unit is made once
+        for sigma, entry in zip(sigmas, row.split()):
+            name = entry.lstrip("-")
+            if name not in powers:
+                powers[name] = units[uid] ** _EXPONENTS[name]
+            value = -powers[name] if entry[0] == "-" else powers[name]
+            checks.append((f"{table}:{uid}:{_sigma_name(sigma)} expected {entry}",
+                           norm_to_subfield(sigma, elem) == value))
+    return checks

@@ -36,8 +36,8 @@ it: every divisor of (D - b^2)/4 by trial division by all odd numbers, each
 sign of a tested by the real-number reduction condition, and the walk by
 single reduction steps over all reduced forms.
 
-IDENTITY, CASE_REPRESENTATIVES, coords, scale, coord_bit_size,
-subfield_unit_words and report_consistent are test helpers that the library itself has no use for.
+IDENTITY, CASE_REPRESENTATIVES, coords, scale, coord_bit_size and
+subfield_unit_words are test helpers that the library itself has no use for.
 """
 
 import logging
@@ -91,11 +91,6 @@ def coord_bit_size(x: OcticElem) -> int:
     Never below the largest bit length of a reduced coordinate's numerator
     or denominator, which divide these."""
     return max(x.den, *map(abs, x.num)).bit_length()
-
-
-def report_consistent(report) -> bool:
-    """Whether a ClassNumberReport's case formula and Kuroda values agree."""
-    return report.h2K_theorem == report.h2K_kuroda
 
 
 class PrecisionExhaustedError(TriquadError):

@@ -4,15 +4,13 @@ import pytest
 
 from triquad import classnumber
 from triquad.arith import PrimePair, f2_eliminate, factor, primes_in_range, sqrt_mod
-from triquad.classnumber import (ClassNumberReport, h2_real_quadratic,
-                                 kuroda_h2K, h2_pattern_failures,
-                                 subfield_h2_map)
+from triquad.classnumber import (h2_real_quadratic, kuroda_h2K,
+                                 h2_pattern_failures, subfield_h2_map)
 from triquad.errors import (InternalInconsistencyError, ResourceGuardError,
                             TriquadError)
 from triquad.quadratic import fundamental_unit
 
-from oracles import (enumerated_class_number, report_consistent,
-                     squarefree_numbers)
+from oracles import enumerated_class_number, squarefree_numbers
 
 
 def test_h2_examples():
@@ -96,13 +94,6 @@ def test_narrow_to_wide_conversion_consistency():
         D = d if d % 4 == 1 else 4 * d
         hw = enumerated_class_number(D) // 2
         assert h2_real_quadratic(d) == max(hw & -hw, 1)
-
-
-def test_report_consistency_flag():
-    pair = PrimePair(17, 7)
-    h2 = subfield_h2_map(pair)
-    rep = ClassNumberReport(pair, h2, 7, 2, 2)
-    assert report_consistent(rep)
 
 
 def wide_two_part(d, h):

@@ -14,7 +14,7 @@ import pytest
 import triquad
 from triquad import classnumber, harness, octic, theorems, unit_lattice
 from triquad.arith import PrimePair, primes_in_range
-from triquad.errors import TriquadError
+from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.harness import (Config, record_json, scan_csv, scan_json,
                              scan_pairs, valid_pairs, verify_pair)
 from triquad.octic import OcticElem
@@ -27,9 +27,9 @@ from oracles import CASE_REPRESENTATIVES, subfield_unit_words
 def test_verify_17_7():
     rec = verify_pair(17, 7)
     assert rec.status == "verified"
-    assert rec.report.m == 7
-    assert rec.report.h2K_theorem == 2
-    assert rec.report.h2K_kuroda == 2
+    assert rec.m == 7
+    assert rec.h2K == 2
+    assert classnumber.kuroda_h2K(PrimePair(17, 7), rec.m, rec.h2) == 2
     assert rec.rank_ok and rec.resaturation_m == 0 and rec.k5_identity_ok
     assert not rec.table_failures
     assert len(rec.generators) == 7
@@ -39,8 +39,8 @@ def test_verify_17_7():
 def test_verify_41_7():
     rec = verify_pair(41, 7)
     assert rec.status == "verified"
-    assert rec.report.m == 6
-    assert rec.report.h2K_theorem == 2
+    assert rec.m == 6
+    assert rec.h2K == 2
 
 
 def test_verify_rejects_invalid_pair_before_pipeline():
@@ -214,7 +214,8 @@ def test_every_case_and_norm_branch_verifies(p, q, case, norm):
     assert rec.case_tag.norm_eps2p == norm
     assert rec.rank_ok and rec.resaturation_m == 0
     # the index from the seeded saturation is the one from E_0
-    assert rec.report.m == unit_lattice.saturate(PrimePair(p, q), subfield_unit_words(PrimePair(p, q))).m
+    assert rec.m == unit_lattice.saturate(PrimePair(p, q), subfield_unit_words(PrimePair(p, q))).m
+    assert classnumber.kuroda_h2K(PrimePair(p, q), rec.m, rec.h2) == rec.h2K
 
 
 # sha256 of each representative's record (no wall time, sorted keys): pins
@@ -433,3 +434,68 @@ def test_coordinates_past_the_str_digit_limit_serialise():
     assert value == other
     elem = OcticElem((17, 7), [0, Fraction(big, 3)] + [0] * 6)
     assert harness._coords_json(elem)["2"] == "7" + "0" * 4996 + "123/3"
+
+
+
+def _record_sha256(rec) -> str:
+    doc = json.dumps(record_json(rec, include_wall_time=False), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _negate_the_tau1_norms(monkeypatch):
+    """Negate every (1+tau1)-norm; the v_sign of classification reads only
+    the (1+tau2)-norm, so only the norm-table rows see the change."""
+    real = theorems.norm_to_subfield
+
+    def norm_to_subfield(flips, x):
+        y = real(flips, x)
+        return -y if flips == octic.TAU1 else y
+
+    monkeypatch.setattr(theorems, "norm_to_subfield", norm_to_subfield)
+
+
+FAILED_TAU1_ROWS = [
+    "base-units:e2:1+tau1 expected -1", "base-units:ep:1+tau1 expected E2",
+    "base-units:eq:1+tau1 expected -E", "base-units:e2q:1+tau1 expected -1",
+    "product-units:e2pq:1+tau1 expected -1", "product-units:epq:1+tau1 expected -E",
+    "half-2p-unit:e2p:1+tau1 expected -1"]
+
+
+@pytest.mark.parametrize("p,q,rows,digest", [
+    (17, 7, 7, "47c2b74820ca9407a547b1502d0e14b8cdf1361e40cca63d0a80674c6092886f"),
+    # N(eps_82) = -1: no half-2p-unit row
+    (41, 7, 6, "a14ad5bd5e5072a524727165b7d289e528f2a0f0e5eb78ad0b74b2130a751ec1")])
+def test_failing_norm_table_rows_are_listed_by_label(p, q, rows, digest, monkeypatch):
+    _negate_the_tau1_norms(monkeypatch)
+    rec = verify_pair(p, q)
+    assert rec.status == "theorem-mismatch"
+    assert rec.table_failures == FAILED_TAU1_ROWS[:rows]
+    assert rec.mismatches == [f"{rows} norm-table rows failed"]
+    assert _record_sha256(rec) == digest
+
+
+def test_theorem_and_kuroda_disagreeing_is_a_mismatch(monkeypatch):
+    real = theorems.predict_h2K
+    monkeypatch.setattr(theorems, "predict_h2K", lambda tag, h2: 2 * real(tag, h2))
+    rec = verify_pair(17, 7)
+    assert rec.status == "theorem-mismatch"
+    assert rec.mismatches == ["theorem h2(K) = 4 but Kuroda gives 2",
+                              "intermediate-field identity failed: m5=2, h2(k5)=4"]
+    assert record_json(rec)["h2"]["K"] == 4
+    assert _record_sha256(rec) == (
+        "ab9b24508a56597b4c0e80f21ad6902be2986de4d0ed9317f343ac3cf3e7ae25")
+
+
+def test_failure_inside_the_h2_stage_keeps_h2_and_m_null(monkeypatch):
+    def kuroda_h2K(pair, m, h2):
+        raise InternalInconsistencyError("Kuroda formula refused")
+
+    monkeypatch.setattr(classnumber, "kuroda_h2K", kuroda_h2K)
+    rec = verify_pair(17, 7)
+    assert rec.status == "theorem-mismatch"
+    assert rec.mismatches == ["Kuroda formula refused"]
+    doc = record_json(rec, include_wall_time=False)
+    assert doc["h2"] is None and doc["m"] is None
+    assert doc["resaturation_m"] == 0 and doc["table_failures"] == []
+    assert _record_sha256(rec) == (
+        "8ae93e10cbe3830a6bbd9462e9237db1cd27e971ae82a1e6ab924574c9fbb3e6")
