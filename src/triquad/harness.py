@@ -193,7 +193,11 @@ def scan_pairs(p_max: int, q_max: int, config: Config = Config()) -> ScanResult:
     and deterministic content regardless of the worker count."""
     pairs = valid_pairs(p_max, q_max)
     tasks = [(p, q, config) for p, q in pairs]
-    workers = min(config.jobs, os.cpu_count() or 1, len(tasks))
+    # the CPUs this process may run on, which an affinity mask or a cpuset
+    # can make fewer than the machine's
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(config.jobs, cpus, len(tasks))
     if workers > 1:
         # imported here, as only a pool scan needs it: multiprocessing is
         # about a sixth of the package's import time

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .arith import PrimePair, is_perfect_square, ratio_str
 from .errors import InternalInconsistencyError, TriquadError
-from .octic import (TAU1, TAU2, TAU3, OcticElem, _reduced, norm_to_subfield,
-                    octic_mul, octic_prod, radical_mask)
+from .octic import (TAU1, TAU2, TAU3, OcticElem, _radicals, _reduced,
+                    norm_to_subfield, octic_mul, octic_prod, radical_mask)
 from .quadratic import fundamental_unit
 from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord,
                            render_quarters, saturate, unit_context)
@@ -148,13 +148,13 @@ class ClassificationContext:
                 raise InternalInconsistencyError(
                     "(1+tau2)-norm of sqrt(e2 ep e2p) is not +-e2")
 
-    def equation_elem(self, tail: tuple[str, ...],
-                      prefix: tuple[int, int]) -> OcticElem:
-        """e2^A ep^B times the half-roots of the tail, for prefix (A, B)."""
+    def equation_factors(self, tail: tuple[str, ...],
+                         prefix: tuple[int, int]) -> list[OcticElem]:
+        """e2^A, ep^B and the half-roots of the tail, for prefix (A, B)."""
         a_exp, b_exp = prefix
         units = self.ctx.units
-        return octic_prod(self.ctx.key, [units["e2"]] * a_exp + [units["ep"]] * b_exp
-                          + [self.roots[uid] for uid in tail])
+        return ([units["e2"]] * a_exp + [units["ep"]] * b_exp
+                + [self.roots[uid] for uid in tail])
 
 
 @functools.lru_cache(maxsize=64)
@@ -278,8 +278,14 @@ def classify_pair(pair: PrimePair) -> CaseTag:
         if eq.prefixed:
             a = resolution["a"] = (cc.u_bit + 1) % 2
             prefixes = [(a, cc.u_bit), (a, a)]
-        hits = [ab for ab in prefixes
-                if cc.ctx.sqrt(cc.equation_elem(eq.tail, ab)) is not None]
+        hits = []
+        for ab in prefixes:
+            # the memoised character rows of the factors refute most
+            # non-squares with no product and no descent
+            factors = cc.equation_factors(eq.tail, ab)
+            if (not cc.ctx.no_square(factors)
+                    and cc.ctx.sqrt(octic_prod(cc.ctx.key, factors)) is not None):
+                hits.append(ab)
         if len(hits) > 1 or not (hits or eq.keys):
             raise InternalInconsistencyError(
                 f"square equation {eq.witness} of ({pair.p},{pair.q}) has "
@@ -314,7 +320,8 @@ def unit_generators(tag: CaseTag, pair: PrimePair) -> list[UnitWord]:
             prefix = tag.prefix_witnesses.get(entry.witness) or (0, 0)
             quarters = {**dict.fromkeys(entry.tail, 1),
                         "e2": 2 * prefix[0], "ep": 2 * prefix[1]}
-            xi = cc.ctx.sqrt(cc.equation_elem(entry.tail, prefix))
+            xi = cc.ctx.sqrt(octic_prod(cc.ctx.key,
+                                        cc.equation_factors(entry.tail, prefix)))
             if xi is None:
                 raise InternalInconsistencyError(
                     "theorem-prescribed generator is not a square in K: "
@@ -347,7 +354,6 @@ _SIGMAS = (TAU2, TAU1 ^ TAU2, TAU1 ^ TAU3, TAU2 ^ TAU3, TAU1)
 # rows keyed by square class of x+1 resp. v+1; an entry names a power of the
 # row's unit, 1, "E" (the unit) or "E2" (its square), and a leading "-"
 # negates it
-_EXPONENTS = {"1": 0, "E": 1, "E2": 2}
 _TABLE_2PQ = {KIND_UNIT: "1 -E -E E -1",
               KIND_P: "-1 E -E -E -1",
               KIND_2P: "-1 -E E -E 1"}
@@ -371,32 +377,83 @@ def _sigma_name(flips: int) -> str:
     return "1+" + "".join(f"tau{b + 1}" for b in range(3) if flips >> b & 1)
 
 
+@functools.cache
+def _row_entries(table: str, uid: str, row: str) -> tuple[tuple[str, int, str], ...]:
+    """(label, flips, entry) per entry of a table row, each label made once."""
+    sigmas = _SIGMAS_6 if table == "base-units" else _SIGMAS
+    return tuple((f"{table}:{uid}:{_sigma_name(sigma)} expected {entry}", sigma, entry)
+                 for sigma, entry in zip(sigmas, row.split()))
+
+
+def _two_terms(x: OcticElem) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two nonzero coordinates (mask, numerator) of x, in mask order.
+
+    Every table element has exactly two: e2 and ep are a + b sqrt(d) with b
+    != 0 (the only rational units are +-1) and a != 0 (-d b^2 = +-1 has no
+    solution for d > 1); each half-unit root is (c+ sqrt(2 f+) + c- sqrt(2 f-))/2
+    with c+, c- > 0 (t +- 1 > 0 for t > 1), and 2 f+, 2 f- lie in different
+    square classes, as f+ f- = d k^2 with d no square."""
+    terms = [(m, n) for m, n in enumerate(x.num) if n]
+    if len(terms) != 2:
+        raise InternalInconsistencyError(
+            f"norm-table element {x} has {len(terms)} terms, not two")
+    return terms[0], terms[1]
+
+
+def _norm_form(x: OcticElem, rad: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """(m1, m2, A, B, C) of x = (alpha sqrt(rad[m1]) + beta sqrt(rad[m2]))/den:
+    A = alpha^2 rad[m1], B = beta^2 rad[m2], C = 2 alpha beta rad[m1 & m2]."""
+    (m1, alpha), (m2, beta) = _two_terms(x)
+    return (m1, m2, alpha * alpha * rad[m1], beta * beta * rad[m2],
+            2 * alpha * beta * rad[m1 & m2])
+
+
+def _relative_norm(flips: int, form: tuple[int, int, int, int, int]) -> tuple[int, int]:
+    """x sigma(x) den^2 as (r, c), meaning r + c sqrt(rad[m1 ^ m2]), for x
+    of _norm_form (m1, m2, A, B, C) and sigma the flip mask. sigma gives the
+    two terms signs s1, s2, and sqrt(rad[m1] rad[m2]) = rad[m1 & m2]
+    sqrt(rad[m1 ^ m2]), so x sigma(x) den^2 is s1 (A + B + C sqrt(rad[m1 ^
+    m2])) where the signs agree and s1 (A - B) where they differ."""
+    m1, m2, a, b, c = form
+    s1, s2 = (flips & m1).bit_count() & 1, (flips & m2).bit_count() & 1
+    s = -1 if s1 else 1
+    return (s * (a - b), 0) if s1 != s2 else (s * (a + b), s * c)
+
+
 def verify_norm_tables(pair: PrimePair) -> list[tuple[str, bool]]:
     """Check every applicable row of the three relative-norm tables exactly.
 
     Each entry gives its label "table:unit:sigma expected entry" and whether
     the relative norm equals the power of the row's unit that the entry
-    names, negated by a leading "-"."""
+    names, negated by a leading "-". The norm comes in closed form from the
+    two terms of the row's element (_relative_norm), and is compared by
+    cross-multiplication with the power held as int numerators: the units
+    lie on the basis with den 1."""
     cc = classification_context(pair)
     units, dec = cc.ctx.units, cc.decompositions
+    rad = _radicals(cc.ctx.key)
     rows = [("base-units", uid,
-             units[uid] if uid in ("e2", "ep") else cc.roots[uid], _SIGMAS_6, row)
+             units[uid] if uid in ("e2", "ep") else cc.roots[uid], row)
             for uid, row in _TABLE_BASE.items()]
-    rows += [("product-units", "e2pq", cc.roots["e2pq"], _SIGMAS,
+    rows += [("product-units", "e2pq", cc.roots["e2pq"],
               _TABLE_2PQ[dec[2 * pair.p * pair.q].kind]),
-             ("product-units", "epq", cc.roots["epq"], _SIGMAS,
+             ("product-units", "epq", cc.roots["epq"],
               _TABLE_PQ[dec[pair.p * pair.q].kind])]
     if cc.norm_eps2p == 1:
-        rows.append(("half-2p-unit", "e2p", cc.roots["e2p"], _SIGMAS,
-                     _TABLE_HALF_2P[cc.u_bit]))
+        rows.append(("half-2p-unit", "e2p", cc.roots["e2p"], _TABLE_HALF_2P[cc.u_bit]))
     checks = []
-    for table, uid, elem, sigmas, row in rows:
-        powers = {}  # each power of the row's unit is made once
-        for sigma, entry in zip(sigmas, row.split()):
-            name = entry.lstrip("-")
-            if name not in powers:
-                powers[name] = units[uid] ** _EXPONENTS[name]
-            value = -powers[name] if entry[0] == "-" else powers[name]
-            checks.append((f"{table}:{uid}:{_sigma_name(sigma)} expected {entry}",
-                           norm_to_subfield(sigma, elem) == value))
+    for table, uid, elem, row in rows:
+        form = _norm_form(elem, rad)
+        mixed = form[0] ^ form[1]
+        # the row's unit a + b sqrt(rad[mu]) and its square, times den^2
+        (_, a), (mu, b) = _two_terms(units[uid])
+        d2 = elem.den * elem.den
+        powers = {"1": (d2, 0), "E": (a * d2, b * d2),
+                  "E2": ((a * a + b * b * rad[mu]) * d2, 2 * a * b * d2)}
+        for label, sigma, entry in _row_entries(table, uid, row):
+            r, c = _relative_norm(sigma, form)
+            e0, e1 = powers[entry.lstrip("-")]
+            if entry[0] == "-":
+                e0, e1 = -e0, -e1
+            checks.append((label, r == e0 and c == e1 and (mixed == mu or not c)))
     return checks

@@ -166,6 +166,17 @@ class UnitContext:
             self.rows[x] = _character_row(self, x)
         return self.rows[x]
 
+    def no_square(self, factors: list[OcticElem]) -> bool:
+        """True when the rows of the factors show that their product is no
+        square in K: the bits XOR to nonzero on the columns that every
+        factor defines (the sieve comment below)."""
+        bits = undefined = 0
+        for x in factors:
+            b, u = self.row(x)
+            bits ^= b
+            undefined |= u
+        return bool(bits & ~undefined)
+
     def sqrt(self, x: OcticElem) -> OcticElem | None:
         """sqrt_exact(x), computed once per element."""
         if x not in self.sqrts:

@@ -36,6 +36,14 @@ it: every divisor of (D - b^2)/4 by trial division by all odd numbers, each
 sign of a tested by the real-number reduction condition, and the walk by
 single reduction steps over all reduced forms.
 
+octic_norm_tables is the relative-norm table check as the library first
+made it: per entry an automorphic image, a reduced product
+(norm_to_subfield) and a power of the row's unit, all as OcticElem, where the
+library computes each norm in closed form from the element's two terms.
+unscreened_classify_pair is classify_pair with every square equation asked
+of sqrt_exact, where the library first refutes most of them by character
+rows.
+
 IDENTITY, CASE_REPRESENTATIVES, coords, scale, coord_bit_size and
 subfield_unit_words are test helpers that the library itself has no use for.
 """
@@ -44,9 +52,11 @@ import logging
 import math
 from fractions import Fraction
 
+from triquad import theorems
 from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.octic import (_EMB_FLIPS, OcticElem, _radicals, _reduced,
-                           _square_minus, octic_mul, sqrt_exact)
+                           _square_minus, norm_to_subfield, octic_mul,
+                           octic_prod, sqrt_exact)
 from triquad.unit_lattice import (NONTORSION_IDS, TORSION_ID, UnitWord,
                                   unit_context)
 
@@ -411,6 +421,64 @@ def unsieved_saturation(pair, generators=None, restrict_support=None):
         idx = next(i for i in chosen if gens[i].quarters != torsion)
         gens[idx], elems[idx] = word, root
         m += 1
+
+
+# -- referees of the norm tables and of classification -----------------------
+
+def octic_norm_tables(pair) -> list[tuple[str, bool]]:
+    """verify_norm_tables by OcticElem arithmetic: each relative norm is
+    x * sigma(x) by norm_to_subfield, compared with +- a power of the row's
+    unit made by **."""
+    T = theorems
+    cc = T.classification_context(pair)
+    units, dec = cc.ctx.units, cc.decompositions
+    rows = [("base-units", uid,
+             units[uid] if uid in ("e2", "ep") else cc.roots[uid], T._SIGMAS_6, row)
+            for uid, row in T._TABLE_BASE.items()]
+    rows += [("product-units", "e2pq", cc.roots["e2pq"], T._SIGMAS,
+              T._TABLE_2PQ[dec[2 * pair.p * pair.q].kind]),
+             ("product-units", "epq", cc.roots["epq"], T._SIGMAS,
+              T._TABLE_PQ[dec[pair.p * pair.q].kind])]
+    if cc.norm_eps2p == 1:
+        rows.append(("half-2p-unit", "e2p", cc.roots["e2p"], T._SIGMAS,
+                     T._TABLE_HALF_2P[cc.u_bit]))
+    exponents = {"1": 0, "E": 1, "E2": 2}
+    checks = []
+    for table, uid, elem, sigmas, row in rows:
+        for sigma, entry in zip(sigmas, row.split()):
+            value = units[uid] ** exponents[entry.lstrip("-")]
+            if entry[0] == "-":
+                value = -value
+            checks.append((f"{table}:{uid}:{T._sigma_name(sigma)} expected {entry}",
+                           norm_to_subfield(sigma, elem) == value))
+    return checks
+
+
+def unscreened_classify_pair(pair) -> "theorems.CaseTag":
+    """classify_pair with every tested square equation asked of sqrt_exact."""
+    T = theorems
+    cc = T.classification_context(pair)
+    x_class = cc.decompositions[2 * pair.p * pair.q].kind
+    v_class = cc.decompositions[pair.p * pair.q].kind
+    case = "C0" if pair.legendre_pq == -1 else T.CASE_GRID[(x_class, v_class)]
+    resolution, witnesses = {}, {}
+    for eq in T.CASE_PLANS[case, cc.norm_eps2p]:
+        if isinstance(eq, str) or eq.witness is None:
+            continue
+        prefixes = [(0, 0)]
+        if eq.prefixed:
+            a = resolution["a"] = (cc.u_bit + 1) % 2
+            prefixes = [(a, cc.u_bit), (a, a)]
+        hits = [ab for ab in prefixes if sqrt_exact(
+            octic_prod(cc.ctx.key, cc.equation_factors(eq.tail, ab))) is not None]
+        assert len(hits) <= 1 and (hits or eq.keys), (pair, eq.witness, hits)
+        witnesses[eq.witness] = hits[0] if hits else None
+        if eq.keys:
+            hit, miss = eq.keys
+            resolution[hit], resolution[miss] = len(hits), 1 - len(hits)
+    return T.CaseTag(pair=pair, legendre_pq=pair.legendre_pq, norm_eps2p=cc.norm_eps2p,
+                     x_class=x_class, v_class=v_class, case=case, u_bit=cc.u_bit,
+                     v_sign=cc.v_sign, resolution=resolution, prefix_witnesses=witnesses)
 
 
 # -- Fraction-coordinate arithmetic in K -------------------------------------

@@ -167,6 +167,13 @@ def test_cli_h2_reports_the_m_of_verify(p, q, capsys):
     assert h2["m"] == unit_lattice.saturate(PrimePair(p, q), subfield_unit_words(PrimePair(p, q))).m
 
 
+def _allow_cpus(monkeypatch, n, machine=None):
+    """Let the process run on n CPUs of a machine with `machine` (default n)."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: machine or n)
+
+
 def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
     started = []
 
@@ -185,16 +192,26 @@ def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
 
     # scan_pairs imports the pool class when it starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    _allow_cpus(monkeypatch, 3)
     serial = scan_json(scan_pairs(41, 23, Config()))  # 4 pairs
     assert scan_json(scan_pairs(41, 23, Config(jobs=64))) == serial
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 16)
+    _allow_cpus(monkeypatch, 16)
     assert scan_json(scan_pairs(41, 23, Config(jobs=64))) == serial
     scan_pairs(41, 23, Config(jobs=2))
     assert started == [3, 4, 2]
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    _allow_cpus(monkeypatch, 1)
     scan_pairs(41, 23, Config(jobs=64))
     assert started == [3, 4, 2]
+
+
+def test_scan_pool_counts_the_cpus_of_the_affinity_mask(monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was built for a process on one CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    _allow_cpus(monkeypatch, 1, machine=16)
+    assert cli_main(["scan", "--pmax", "41", "--qmax", "23", "--jobs", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["pairs"] == 4
 
 
 def test_cli_scan_csv_to_file(tmp_path, capsys):
@@ -443,15 +460,15 @@ def _record_sha256(rec) -> str:
 
 
 def _negate_the_tau1_norms(monkeypatch):
-    """Negate every (1+tau1)-norm; the v_sign of classification reads only
-    the (1+tau2)-norm, so only the norm-table rows see the change."""
-    real = theorems.norm_to_subfield
+    """Negate every (1+tau1)-norm of the tables; classification does not
+    read the closed form, so only the norm-table rows see the change."""
+    real = theorems._relative_norm
 
-    def norm_to_subfield(flips, x):
-        y = real(flips, x)
-        return -y if flips == octic.TAU1 else y
+    def relative_norm(flips, form):
+        r, c = real(flips, form)
+        return (-r, -c) if flips == octic.TAU1 else (r, c)
 
-    monkeypatch.setattr(theorems, "norm_to_subfield", norm_to_subfield)
+    monkeypatch.setattr(theorems, "_relative_norm", relative_norm)
 
 
 FAILED_TAU1_ROWS = [

@@ -1,14 +1,18 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
-from oracles import CASE_REPRESENTATIVES, subfield_unit_words
+from oracles import (CASE_REPRESENTATIVES, octic_norm_tables,
+                     subfield_unit_words, unscreened_classify_pair)
 from triquad import unit_lattice
 from triquad.arith import PrimePair
 from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.harness import valid_pairs
-from triquad.octic import octic_mul, sqrt_exact
-from triquad.theorems import (classification_context, classify_pair,
+from triquad.octic import (OcticElem, _radicals, _reduced, norm_to_subfield,
+                           octic_mul, octic_prod, sqrt_exact)
+from triquad.theorems import (CASE_PLANS, _norm_form, _relative_norm,
+                              classification_context, classify_pair,
                               decompose_sqrt_data, predict_h2K,
                               root_from_decomposition, unit_generators,
                               unit_index, verify_norm_tables)
@@ -210,6 +214,72 @@ def test_norm_table_names_17_7():
                      for sigma, entry in zip(five, row.split())]
     checks = verify_norm_tables(P17)
     assert [label for label, _ in checks] == expected
+
+
+REPRESENTATIVES = [PrimePair(p, q) for p, q, _, _ in CASE_REPRESENTATIVES]
+SCAN_DENSE = [PrimePair(p, q) for p, q in valid_pairs(300, 200)]
+
+
+def test_closed_form_tables_equal_the_octic_referee():
+    for pair in SCAN_DENSE + REPRESENTATIVES:
+        assert verify_norm_tables(pair) == octic_norm_tables(pair), pair
+
+
+KEY = (17, 7)
+nonzero = st.integers(-10 ** 30, 10 ** 30).filter(bool)
+
+
+@given(st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True),
+       nonzero, nonzero, st.integers(1, 10 ** 6))
+def test_closed_form_relative_norm_is_x_times_its_conjugate(masks, alpha, beta, den):
+    num = [0] * 8
+    num[masks[0]], num[masks[1]] = alpha, beta
+    x = _reduced(KEY, num, den)
+    form = _norm_form(x, _radicals(KEY))
+    for flips in range(1, 8):
+        r, c = _relative_norm(flips, form)
+        closed = [0] * 8
+        closed[0], closed[form[0] ^ form[1]] = r, c
+        assert _reduced(KEY, closed, x.den ** 2) == norm_to_subfield(flips, x)
+
+
+def test_a_table_element_of_three_terms_is_an_inconsistency():
+    cc = classification_context(P17)
+    root = cc.roots["eq"]
+    cc.roots["eq"] = root + OcticElem.from_dict(KEY, {0b110: 1})
+    try:
+        with pytest.raises(InternalInconsistencyError, match="has 3 terms, not two"):
+            verify_norm_tables(P17)
+    finally:
+        cc.roots["eq"] = root
+    assert all(ok for _, ok in verify_norm_tables(P17))
+
+
+# -- the square equations of classification, screened by character rows ------
+
+def test_every_square_equation_the_rows_refute_has_no_root():
+    refuted = 0
+    for pair in SCAN_DENSE:
+        cc = classification_context(pair)
+        tag = classify_pair(pair)
+        for eq in CASE_PLANS[tag.case, tag.norm_eps2p]:
+            if isinstance(eq, str) or eq.witness is None:
+                continue
+            prefixes = [(0, 0)]
+            if eq.prefixed:  # the two prefixes that classify_pair tries
+                a = 1 - cc.u_bit
+                prefixes = [(a, cc.u_bit), (a, a)]
+            for ab in prefixes:
+                factors = cc.equation_factors(eq.tail, ab)
+                if cc.ctx.no_square(factors):
+                    refuted += 1
+                    assert sqrt_exact(octic_prod(cc.ctx.key, factors)) is None, (pair, ab)
+    assert refuted == 165
+
+
+@pytest.mark.parametrize("pair", REPRESENTATIVES, ids=str)
+def test_screened_classification_equals_the_unscreened_referee(pair):
+    assert classify_pair(pair) == unscreened_classify_pair(pair)
 
 
 # -- the unit index from the checked half-unit roots ------------------------

@@ -424,7 +424,10 @@ def test_warm_verify_pair_repeats_the_cold_record_without_new_roots(monkeypatch)
     assert asked == []  # every root of the pair comes from the memo
 
 
-@pytest.mark.parametrize("pair", [P17, P17_191])
+# (17, 223) has (p/q) = +1 and its saturation leaves two misses; the character
+# rows refute every square equation of classification that has no root, so
+# the misses of (17, 191) never reach the memo
+@pytest.mark.parametrize("pair", [P17, PrimePair(17, 223)])
 def test_root_memo_holds_roots_of_its_pair_or_certified_misses(pair):
     verify_pair(pair.p, pair.q)
     ctx = unit_context(pair)
