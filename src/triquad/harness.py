@@ -4,6 +4,11 @@ verify_pair runs the whole chain (decompose, classify, prescribed generators,
 saturation, class numbers, table checks) and encodes mathematical mismatches
 as record status rather than exceptions: detecting them is the point. Any
 other exception becomes an internal-error record naming its type and stage.
+
+scan_pairs with more than one worker sends the pairs in batches of
+consecutive pairs, about four per worker, each one message out and one list
+of records back. scan_json writes the report with a direct emitter. The
+report's bytes depend on neither the batching nor the worker count.
 """
 
 from __future__ import annotations
@@ -11,12 +16,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import math
 import os
 import time
 import traceback
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import classnumber, octic, theorems, unit_lattice
 from .arith import PrimePair, decimal_str, primes_in_range, ratio_str
@@ -202,8 +207,11 @@ def scan_pairs(p_max: int, q_max: int, config: Config = Config()) -> ScanResult:
         # imported here, as only a pool scan needs it: multiprocessing is
         # about a sixth of the package's import time
         from concurrent.futures import ProcessPoolExecutor
+        # about four batches per worker: one message each way per batch,
+        # while the batches still finishing balance a pair cost that grows with p
+        chunksize = math.ceil(len(tasks) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_scan_worker, tasks, chunksize=1))
+            records = list(pool.map(_scan_worker, tasks, chunksize=chunksize))
     else:
         records = [_scan_worker(t) for t in tasks]
     records.sort(key=lambda r: r.pair)
@@ -263,11 +271,60 @@ def record_json(rec: VerificationRecord, include_wall_time: bool = True) -> dict
     return out
 
 
+def _emit(obj, out: list[str], newline: str) -> None:
+    """Append obj to out as json.dumps(obj, indent=2, sort_keys=True) writes
+    it, newline being "\\n" and the indent of obj's line. Only str-keyed
+    dicts, lists, str, int, bool and None are written; anything else, a
+    float or a tuple included, raises TypeError."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _emit(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _emit(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def scan_json(result: ScanResult) -> str:
+    """The report, byte for byte as json.dumps(doc, indent=2, sort_keys=True)
+    plus a newline; the emitter avoids the pure-Python encoder that json
+    falls back on when it indents."""
     doc = {"records": [record_json(r, include_wall_time=False)
                        for r in result.records],
            "summary": result.summary}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _emit(doc, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 _CSV_FIELDS = ("p", "q", "case", "norm_eps2p", "x_class", "v_class", "u",

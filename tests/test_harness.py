@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import triquad
 from triquad import classnumber, harness, octic, theorems, unit_lattice
@@ -202,6 +204,86 @@ def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
     _allow_cpus(monkeypatch, 1)
     scan_pairs(41, 23, Config(jobs=64))
     assert started == [3, 4, 2]
+
+
+def _record_batch_sizes(monkeypatch):
+    """Build real pools that note the chunksize of each map; returns the
+    list of chunksizes."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            sizes.append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_scan_in_batches_of_several_pairs_gives_the_serial_bytes(monkeypatch):
+    serial = scan_json(scan_pairs(300, 31))  # 36 pairs
+    sizes = _record_batch_sizes(monkeypatch)
+    _allow_cpus(monkeypatch, 3)
+    # 2 workers: 8 batches, the last of one pair; 3 workers: 12 batches
+    assert scan_json(scan_pairs(300, 31, Config(jobs=2))) == serial
+    assert scan_json(scan_pairs(300, 31, Config(jobs=3))) == serial
+    assert sizes == [5, 3]
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched stage reaches pool workers only by fork")
+def test_internal_error_inside_a_pool_batch_keeps_the_batch(monkeypatch):
+    _h2_fails_for((41, 7), monkeypatch)
+    serial = scan_pairs(100, 31)  # 15 pairs
+    sizes = _record_batch_sizes(monkeypatch)
+    _allow_cpus(monkeypatch, 2)
+    pooled = scan_pairs(100, 31, Config(jobs=2))
+    # batches of 2: (41, 7), the fourth pair, shares its batch with (17, 31)
+    assert sizes == [2]
+    assert [r.pair for r in pooled.records] == valid_pairs(100, 31)
+    assert [r.pair for r in pooled.records if r.status != "verified"] == [(41, 7)]
+    assert pooled.records[3].mismatches == [
+        "ZeroDivisionError in h2: integer division by zero"]
+    assert pooled.summary["by_status"] == {"internal-error": 1, "verified": 14}
+    assert scan_json(pooled) == scan_json(serial)
+
+
+def _emitted(obj) -> str:
+    out: list[str] = []
+    harness._emit(obj, out, "\n")
+    return "".join(out)
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.text()
+                 | st.sampled_from(["", "\"quoted\"", "back\\slash", "\x00\x1f\n\t\x7f",
+                                    "p\u00e9rim\u00e8tre", "\u221a2 \U0001d50a", "\ud800"]))
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=25)
+
+
+@given(_json_docs)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [[], {}], "\"": "\\", "\u00e9": [True, False, None, -7]})
+def test_emitter_writes_the_bytes_of_json_dumps(doc):
+    assert _emitted(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [
+    1.5, [0.0], {"h2": {"K": float("nan")}}, {1: "x"}, {"a": {None: 1}},
+    {True: 1}, {"a": [{(1, 2): 3}]}, {"x": (1, 2)}, {"x": {1, 2}}, object()])
+def test_emitter_refuses_what_it_would_write_differently(doc):
+    with pytest.raises(TypeError):
+        _emitted(doc)
+
+
+def test_empty_scan_report_is_the_bytes_of_json_dumps():
+    result = scan_pairs(10, 10)
+    assert result.records == []
+    doc = {"records": [], "summary": result.summary}
+    assert scan_json(result) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_scan_pool_counts_the_cpus_of_the_affinity_mask(monkeypatch, capsys):
