@@ -129,6 +129,19 @@ def sqrt_mod(a: int, l: int) -> int:
     return r
 
 
+@functools.lru_cache(maxsize=None)
+def sqrt_table(l: int) -> memoryview:
+    """For an odd prime l, the table t of length l with t[v] the square root
+    of v mod l in [1, (l - 1)/2] when v is a nonzero square, and 0 when v is
+    0 or a non-residue: 2-byte entries while the roots fit. Filled on first
+    use, one per prime the symbol walks reach."""
+    wide = l >= 1 << 17  # roots up to (l - 1)/2 past 2 bytes
+    t = memoryview(bytearray((4 if wide else 2) * l)).cast("I" if wide else "H")
+    for i in range(1, l // 2 + 1):
+        t[i * i % l] = i
+    return t
+
+
 # the first bound of the prime table; each walk past its end doubles it
 _PRIME_TABLE_BOUND = 1024
 
@@ -149,22 +162,24 @@ def symbol_primes(radicals: tuple[int, ...], symbols: tuple[int | None, ...],
     """The first `count` odd primes l dividing no radical at which the
     Legendre symbol of radicals[i] is symbols[i] (None: either), each with
     roots[mask]: the product mod l of one fixed square root of each radical
-    in mask (bit i for radicals[i]), None when mask holds a non-residue."""
+    in mask (bit i for radicals[i]), None when mask holds a non-residue.
+    Symbols and roots are read from `sqrt_table(l)`."""
     out = []
     start, bound = 0, _PRIME_TABLE_BOUND
     while len(out) < count:
         table = _odd_primes(bound)
         for l in table[start:]:
-            h = (l - 1) // 2
-            # Euler's criterion: 0 where l divides a radical
+            sqrts = sqrt_table(l)
+            found: list[int | None] = []
             for a, s in zip(radicals, symbols):
-                e = pow(a, h, l)
-                if e == 0 or s is not None and e != s % l:
+                v = a % l
+                r = sqrts[v]  # 0: l divides a, or a is a non-residue
+                if not v or s is not None and (r > 0) != (s > 0):
                     break
+                found.append(r or None)
             else:
                 roots: list[int | None] = [1]
-                for a in radicals:
-                    r = sqrt_mod(a, l) if pow(a, h, l) == 1 else None
+                for a, r in zip(radicals, found):
                     if r is not None and (r * r - a) % l:
                         raise InternalInconsistencyError(f"wrong square root mod {l}")
                     roots += [None if r is None or x is None else x * r % l for x in roots]
@@ -190,6 +205,21 @@ def factor(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def squarefree_primes(d: int, primes: tuple[int, ...] | None = None) -> list[int]:
+    """The primes of a squarefree d > 1, increasing: by trial division, or,
+    where the caller has proved them prime (PrimePair.radicand_primes),
+    `primes` itself once they are distinct and multiply to d. TriquadError
+    otherwise."""
+    if primes is None:
+        factors = factor(d)
+        if d < 2 or any(e > 1 for _, e in factors):
+            raise TriquadError(f"not a squarefree radicand above 1: {d}")
+        return [l for l, _ in factors]
+    if d < 2 or len(set(primes)) != len(primes) or math.prod(primes) != d:
+        raise TriquadError(f"{primes} are not the distinct primes of the radicand {d}")
+    return sorted(primes)
 
 
 def f2_eliminate(rows: list[int]) -> tuple[list[int], list[int]]:
@@ -230,6 +260,13 @@ class PrimePair:
         """The seven quadratic subfield radicands of Q(sqrt2, sqrtp, sqrtq)."""
         p, q = self.p, self.q
         return (2, p, q, 2 * p, 2 * q, p * q, 2 * p * q)
+
+    @property
+    def radicand_primes(self) -> tuple[tuple[int, ...], ...]:
+        """The primes of each radicand, in the order of `radicands`; p and q
+        were proved prime when the pair was made."""
+        p, q = self.p, self.q
+        return ((2,), (p,), (q,), (2, p), (2, q), (p, q), (2, p, q))
 
     @property
     def legendre_pq(self) -> int:

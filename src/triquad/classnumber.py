@@ -40,21 +40,19 @@ import itertools
 import math
 import operator
 
-from .arith import PrimePair, f2_eliminate, factor, is_prime, ratio_str, sqrt_mod
-from .errors import InternalInconsistencyError, ResourceGuardError, TriquadError
+from .arith import (PrimePair, f2_eliminate, factor, is_prime, ratio_str, sqrt_mod,
+                    squarefree_primes)
+from .errors import InternalInconsistencyError, ResourceGuardError
 from .quadratic import fundamental_unit
 
 DEFAULT_QUAD_BOUND = 10 ** 7
 
 
-def _prime_discriminants(d: int) -> list[int]:
+def _prime_discriminants(d: int, primes: tuple[int, ...] | None = None) -> list[int]:
     """The prime discriminants whose product is the discriminant D of
-    Q(sqrt d), d > 1 squarefree: (-1)^((l-1)/2) l for each odd prime l | d,
-    and -4, 8 or -8 when D is even."""
-    factors = factor(d)
-    if d < 2 or any(e > 1 for _, e in factors):
-        raise TriquadError(f"not a squarefree radicand above 1: {d}")
-    discs = [l if l % 4 == 1 else -l for l, _ in factors if l > 2]
+    Q(sqrt d), d > 1 squarefree of primes `primes` (arith.squarefree_primes):
+    (-1)^((l-1)/2) l for each odd prime l | d, and -4, 8 or -8 when D is even."""
+    discs = [l if l % 4 == 1 else -l for l in squarefree_primes(d, primes) if l > 2]
     if d % 4 == 3:
         discs.append(-4)
     elif d % 2 == 0:
@@ -257,11 +255,11 @@ def _sqrt_class(d: int, D: int, discs: list[int], form: tuple[int, int, int],
     return (c[0], -c[1], c[2]), genus
 
 
-def _two_ranks(d: int) -> list[int]:
+def _two_ranks(d: int, primes: tuple[int, ...] | None = None) -> list[int]:
     """The 2^k-ranks e_1, ..., e_K of the narrow class group of Q(sqrt d),
-    d > 1 squarefree, up to the first e_(K+1) = 0 (module docstring); their
-    sum is v2(h+)."""
-    discs = _prime_discriminants(d)
+    d > 1 squarefree of primes `primes`, up to the first e_(K+1) = 0 (module
+    docstring); their sum is v2(h+)."""
+    discs = _prime_discriminants(d, primes)
     D = math.prod(discs)
     rD = math.isqrt(D)
     primes = [_ramified_prime(dj) for dj in discs]
@@ -304,13 +302,14 @@ def _two_ranks(d: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _h2_cached(d: int) -> int:
-    """2-class number of Q(sqrt d), d > 1 squarefree: 2^v2(h+), halved when
-    the fundamental unit has norm +1 (module docstring). The norm is read
-    from `fundamental_unit(d)`, which for d = 5 mod 8 may be the cube of the
-    fundamental unit; N(eps^3) = N(eps), so the norm is the same."""
-    v2 = sum(_two_ranks(d))
-    if fundamental_unit(d)[2] == 1:
+def _h2_cached(d: int, primes: tuple[int, ...] | None = None) -> int:
+    """2-class number of Q(sqrt d), d > 1 squarefree of primes `primes`:
+    2^v2(h+), halved when the fundamental unit has norm +1 (module
+    docstring). The norm is read from `fundamental_unit(d, primes)`, which
+    for d = 5 mod 8 may be the cube of the fundamental unit; N(eps^3) =
+    N(eps), so the norm is the same."""
+    v2 = sum(_two_ranks(d, primes))
+    if fundamental_unit(d, primes)[2] == 1:
         if v2 == 0:
             raise InternalInconsistencyError(
                 f"narrow class number odd with norm +1 unit at d={d}")
@@ -326,10 +325,13 @@ def check_radicand(d: int, bound: int) -> None:
             f"radicand {d} exceeds the class-number bound {bound}")
 
 
-def h2_real_quadratic(d: int, bound: int = DEFAULT_QUAD_BOUND) -> int:
-    """Exact 2-class number of Q(sqrt d) for squarefree d > 1."""
+def h2_real_quadratic(d: int, bound: int = DEFAULT_QUAD_BOUND,
+                      primes: tuple[int, ...] | None = None) -> int:
+    """Exact 2-class number of Q(sqrt d) for squarefree d > 1; `primes`,
+    the distinct primes of d already proved prime, spares the trial
+    division."""
     check_radicand(d, bound)
-    return _h2_cached(d)
+    return _h2_cached(d, primes)
 
 
 _KURODA_POWER = 9  # n (2^(n-1) - 1) for the real degree-8 case
@@ -346,7 +348,8 @@ def kuroda_h2K(pair: PrimePair, m: int, h2: dict[int, int]) -> int:
 
 
 def subfield_h2_map(pair: PrimePair, bound: int = DEFAULT_QUAD_BOUND) -> dict[int, int]:
-    return {d: h2_real_quadratic(d, bound) for d in pair.radicands}
+    return {d: h2_real_quadratic(d, bound, primes)
+            for d, primes in zip(pair.radicands, pair.radicand_primes)}
 
 
 def h2_pattern_failures(pair: PrimePair, h2: dict[int, int]) -> list[str]:

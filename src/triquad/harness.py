@@ -109,14 +109,15 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
         rec.fingerprints = [_fingerprint(c) for c in coords]
 
         stage = "rank"
-        rec.rank_ok = unit_lattice.rank_certificate(words, pair)
+        det = unit_lattice.quarter_determinant(words)
+        rec.rank_ok = unit_lattice.rank_certificate(words, pair, det)
         if not rec.rank_ok:
             mism.append("prescribed generators fail the rank certificate")
 
         stage = "saturate"
         m = theorems.unit_index(pair)
         # [E_K : <W, -1>] = |det Q| 2^m / 4^7 (unit_lattice module docstring)
-        scaled_index = abs(unit_lattice.quarter_determinant(words)) << m
+        scaled_index = abs(det) << m
         if scaled_index != 4 ** 7:
             mism.append(f"prescribed system has index {ratio_str(scaled_index, 4 ** 7)} "
                         f"in the unit group, not 1")

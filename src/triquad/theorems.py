@@ -71,11 +71,11 @@ def decompose_sqrt_data(pair: PrimePair) -> dict[int, SqrtDecomposition]:
     when N(eps_2p) = +1, of eps_2p, keyed by radicand. Exactly one system
     must land for each."""
     ctx = unit_context(pair)
-    radicands = dict(zip(NONTORSION_IDS, pair.radicands))
+    radicands = dict(zip(NONTORSION_IDS, zip(pair.radicands, pair.radicand_primes)))
     out: dict[int, SqrtDecomposition] = {}
     for uid, systems in _half_unit_systems(pair.p, pair.q, ctx.norms["e2p"]).items():
-        d = radicands[uid]
-        t, y, norm = fundamental_unit(d)
+        d, primes = radicands[uid]
+        t, y, norm = fundamental_unit(d, primes)
         if norm != 1:
             raise InternalInconsistencyError(f"{uid} is not a unit of norm +1")
         landed = []

@@ -146,8 +146,8 @@ class UnitContext:
         self.units: dict[str, OcticElem] = {
             TORSION_ID: -OcticElem.one(self.key)}
         self.norms: dict[str, int] = {}
-        for uid, d in zip(NONTORSION_IDS, pair.radicands):
-            x, y, self.norms[uid] = fundamental_unit(d)
+        for uid, d, primes in zip(NONTORSION_IDS, pair.radicands, pair.radicand_primes):
+            x, y, self.norms[uid] = fundamental_unit(d, primes)
             self.units[uid] = embed_quadratic(d, x, y, self.key)
         self.primes = symbol_primes((2, pair.p, pair.q), (1, 1, 1), SPLIT_PRIMES)
         # the character rows read every split prime from one image modulo
@@ -338,6 +338,8 @@ def quarter_determinant(words: list[UnitWord]) -> int:
     """det Q for Q the square matrix of the quarter counts of the words over
     NONTORSION_IDS, by fraction-free elimination (E. H. Bareiss, Math. Comp.
     22, 1968): every division by the previous pivot is exact."""
+    if len(words) != len(NONTORSION_IDS):
+        raise TriquadError(f"the quarter determinant needs 7 words, got {len(words)}")
     rows = [[w.quarters.get(uid, 0) for uid in NONTORSION_IDS] for w in words]
     n, sign, prev = len(rows), 1, 1
     for k in range(n - 1):
@@ -355,7 +357,8 @@ def quarter_determinant(words: list[UnitWord]) -> int:
     return sign * rows[-1][-1]
 
 
-def rank_certificate(words: list[UnitWord], pair: PrimePair) -> bool:
+def rank_certificate(words: list[UnitWord], pair: PrimePair,
+                     det: int | None = None) -> bool:
     """Certify exactly that 7 words are multiplicatively independent.
 
     The seven subfield units generate a subgroup of finite index in E_K
@@ -363,11 +366,11 @@ def rank_certificate(words: list[UnitWord], pair: PrimePair) -> bool:
     independent exactly when their quarter-count determinant is nonzero,
     provided each word's element is that word: elem^(2^k) == +-prod
     eps^(e*2^k) for k the word's depth, checked by exact multiplication. A
-    wrong element made with a word fails the second check.
+    wrong element made with a word fails the second check. `det`, when
+    given, is quarter_determinant(words), which refuses any number of words
+    but 7, made once by a caller that also checks the index.
     """
-    if len(words) != 7:
-        raise TriquadError("rank certificate expects exactly 7 words")
-    if not quarter_determinant(words):
+    if not (quarter_determinant(words) if det is None else det):
         return False
     ctx = unit_context(pair)
     for w in words:

@@ -44,6 +44,10 @@ unscreened_classify_pair is classify_pair with every square equation asked
 of sqrt_exact, where the library first refutes most of them by character
 rows.
 
+cf_pell_unit_full_walk is the Pell unit as the library first computed it:
+the continued fraction of sqrt d walked over its whole period, where the
+library stops at the middle and squares or multiplies the convergents there.
+
 IDENTITY, CASE_REPRESENTATIVES, coords, scale, coord_bit_size and
 subfield_unit_words are test helpers that the library itself has no use for.
 """
@@ -233,6 +237,30 @@ def scan_fundamental_unit(d: int, coeff_bound: int) -> tuple[int, int, int, int]
             if tt > 0 and tt * tt * d > 4 * a * a:
                 return best
     return None
+
+
+def cf_pell_unit_full_walk(d: int) -> tuple[int, int, int]:
+    """(x, y, norm) of the least unit > 1 of Z[sqrt d], d > 1 not a square,
+    from the convergent just before the first period of the continued
+    fraction of sqrt d closes (Q == 1): the least solution of
+    x^2 - d y^2 = (-1)^period."""
+    a0 = math.isqrt(d)
+    P, Q, a = 0, 1, a0
+    p1, p0 = a0, 1
+    q1, q0 = 1, 0
+    period = 0
+    while True:
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        a = (a0 + P) // Q
+        period += 1
+        if Q == 1:
+            break
+        p1, p0 = a * p1 + p0, p1
+        q1, q0 = a * q1 + q0, q1
+    n = p1 * p1 - d * q1 * q1
+    assert n == (-1) ** period, (d, period, n)
+    return p1, q1, n
 
 
 def chakravala(d: int) -> tuple[int, int]:

@@ -72,6 +72,24 @@ def test_residue_table_is_eulers_criterion_below_1000():
         assert list(table) == [int(pow(v, (l - 1) // 2, l) == l - 1) for v in range(l)]
 
 
+def test_sqrt_table_is_the_least_root_below_1000():
+    for l in primes_in_range(1000, 1, 2)[1:]:
+        table = arith.sqrt_table(l)
+        assert len(table) == l
+        for v in range(l):
+            roots = [r for r in range(1, (l + 1) // 2) if r * r % l == v]
+            assert table[v] == (roots[0] if roots else 0), (l, v)
+
+
+def test_sqrt_table_past_two_byte_roots():
+    l = 131101  # the least prime above 2^17: roots up to 65550
+    assert arith.is_prime(l) and all(arith.is_prime(k) is False for k in range(1 << 17, l))
+    table = arith.sqrt_table(l)
+    for r in (1, 2, 65535, 65536, 65550):
+        assert table[r * r % l] == r
+    assert table[2] == 0 and legendre_by_enumeration(2, l) == -1
+
+
 def _symbol_primes_by_enumeration(radicals, symbols, count):
     """The first `count` primes, by trial division, at which the symbols of
     the radicals, by enumeration of the squares, are the prescribed ones."""

@@ -372,3 +372,37 @@ def test_wrong_eight_character_is_caught(monkeypatch):
                         lambda dj, n: n % 8 in (3, 7) if dj == 8 else is_minus(dj, n))
     with pytest.raises(InternalInconsistencyError, match="not the norm"):
         classnumber._h2_cached.__wrapped__(34)
+
+
+def test_verify_pair_factors_none_of_the_pair_radicands(monkeypatch):
+    from triquad import arith, quadratic, theorems, unit_lattice
+    from triquad.harness import verify_pair
+    pair = PrimePair(2969, 1543)
+    for cache in (quadratic.fundamental_unit, classnumber._h2_cached,
+                  unit_lattice.unit_context, theorems.classification_context):
+        cache.cache_clear()
+    calls = {}
+
+    def counted(n):
+        calls[n] = calls.get(n, 0) + 1
+        return factor(n)
+
+    # both bindings: arith's own, for radicands, and the conic cofactors'
+    monkeypatch.setattr(arith, "factor", counted)
+    monkeypatch.setattr(classnumber, "factor", counted)
+    assert verify_pair(2969, 1543).status == "verified"
+    assert not set(calls) & set(pair.radicands), calls
+    # a direct caller without the primes still factors the radicand, for
+    # its prime discriminants and for the squarefree check of its unit
+    h2_real_quadratic(2969 * 1543)
+    assert calls[2969 * 1543] == 2
+
+
+def test_radicand_primes_that_do_not_multiply_to_it_are_refused():
+    # the primes are trusted to be prime, so (2, 21) would pass for 42
+    for d, primes in ((21, (3, 5)), (21, (3, 7, 7)), (42, (2, 3))):
+        with pytest.raises(TriquadError, match="distinct primes"):
+            h2_real_quadratic(d, primes=primes)
+    with pytest.raises(TriquadError):
+        h2_real_quadratic(12)
+    assert h2_real_quadratic(21, primes=(7, 3)) == h2_real_quadratic(21)

@@ -598,3 +598,41 @@ def test_failure_inside_the_h2_stage_keeps_h2_and_m_null(monkeypatch):
     assert doc["resaturation_m"] == 0 and doc["table_failures"] == []
     assert _record_sha256(rec) == (
         "8ae93e10cbe3830a6bbd9462e9237db1cd27e971ae82a1e6ab924574c9fbb3e6")
+
+
+# sha256 of the records of the 8 pairs with the largest 2pq in sparse-large
+# seed 7 (perfbench.workloads.sample_sparse_pairs(7, 64)): every radicand is
+# new, and the units near 2pq = 10^7 have the longest periods of the sample
+SPARSE_LARGE_SEED7_TOP8_SHA256 = {
+    (3169, 1439): "03edde8f034755512725f5cf1d8d7ed1d49be1628a11f124e2f1b8e17a16276f",
+    (7321, 631): "54f9477b4005984ae1194b136aa21f569515fcbd349838015bee10f609acd89a",
+    (4049, 1151): "52fd131517e1fc15cf7f342402671117a517038f770fec4e909d8e9ffdadeb92",
+    (1201, 3943): "d1bf716fd86d56180941c7404563c8a137af19c4c4eb090d66569f682fd77863",
+    (6673, 719): "7232e16122957481a8abeffc50a7e72ba26a72768880c79b4320851838bd5c57",
+    (1361, 3559): "4d3ef908d13ffd82df133fb995732fa293b18984c5931a8a22b592d03acaaa68",
+    (3593, 1367): "609196499074a896d0fba605102ee23380ab6c8b873877be713939353f353e0c",
+    (5569, 887): "40e5cb9db8a4b08cd55a8648e09aae48a8e2d348e61e057c003de99ffefb3174",
+}
+
+
+@pytest.mark.parametrize("p,q", list(SPARSE_LARGE_SEED7_TOP8_SHA256))
+def test_largest_sparse_large_seed7_pairs_keep_their_record_bytes(p, q):
+    rec = verify_pair(p, q)
+    assert rec.status == "verified", rec.mismatches
+    assert _record_sha256(rec) == SPARSE_LARGE_SEED7_TOP8_SHA256[p, q]
+
+
+def test_quarter_determinant_is_made_once_per_pair(monkeypatch):
+    calls = []
+    real = unit_lattice.quarter_determinant
+    monkeypatch.setattr(unit_lattice, "quarter_determinant",
+                        lambda words: calls.append(1) or real(words))
+    rec = verify_pair(41, 23)
+    assert rec.status == "verified" and rec.rank_ok
+    assert len(calls) == 1
+    # the index check reads the same determinant as the rank certificate
+    words = theorems.unit_generators(rec.case_tag, PrimePair(41, 23))
+    assert abs(real(words)) << rec.m == 4 ** 7
+    assert not unit_lattice.rank_certificate(words, PrimePair(41, 23), 0)
+    with pytest.raises(TriquadError, match="needs 7 words"):
+        real(words + words[:1])
