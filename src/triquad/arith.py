@@ -146,14 +146,22 @@ def sqrt_table(l: int) -> memoryview:
 _PRIME_TABLE_BOUND = 1024
 
 
-@functools.lru_cache(maxsize=None)
-def _odd_primes(bound: int) -> tuple[int, ...]:
-    """The odd primes below bound, by the sieve of Eratosthenes. It is
-    filled on first use, never at import, for bounds 1024 * 2^k only."""
+def _odd_sieve(bound: int) -> bytearray:
+    """The sieve of Eratosthenes below bound >= 2 over the odd numbers:
+    entry i, for odd i, is 1 exactly when i is prime."""
     sieve = bytearray([1]) * bound
+    sieve[1] = 0
     for i in range(3, math.isqrt(bound - 1) + 1, 2):
         if sieve[i]:
             sieve[i * i::2 * i] = bytes(len(range(i * i, bound, 2 * i)))
+    return sieve
+
+
+@functools.lru_cache(maxsize=None)
+def _odd_primes(bound: int) -> tuple[int, ...]:
+    """The odd primes below bound. It is filled on first use, never at
+    import, for bounds 1024 * 2^k only."""
+    sieve = _odd_sieve(bound)
     return tuple(i for i in range(3, bound, 2) if sieve[i])
 
 
@@ -274,6 +282,9 @@ class PrimePair:
 
 
 def primes_in_range(limit: int, residue: int, modulus: int) -> list[int]:
-    """All primes <= limit congruent to residue mod modulus."""
-    return [n for n in range(2, limit + 1)
-            if n % modulus == residue and is_prime(n)]
+    """All primes <= limit congruent to residue mod modulus, by a sieve."""
+    if limit < 2:
+        return []
+    sieve = _odd_sieve(limit + 1)
+    return [n for n in range(residue % modulus, limit + 1, modulus)
+            if (sieve[n] if n % 2 else n == 2)]

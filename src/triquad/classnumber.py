@@ -43,7 +43,7 @@ import operator
 from .arith import (PrimePair, f2_eliminate, factor, is_prime, ratio_str, sqrt_mod,
                     squarefree_primes)
 from .errors import InternalInconsistencyError, ResourceGuardError
-from .quadratic import fundamental_unit
+from .quadratic import RADICAND_CACHE_SIZE, fundamental_unit
 
 DEFAULT_QUAD_BOUND = 10 ** 7
 
@@ -301,7 +301,7 @@ def _two_ranks(d: int, primes: tuple[int, ...] | None = None) -> list[int]:
         level = nxt
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=RADICAND_CACHE_SIZE)
 def _h2_cached(d: int, primes: tuple[int, ...] | None = None) -> int:
     """2-class number of Q(sqrt d), d > 1 squarefree of primes `primes`:
     2^v2(h+), halved when the fundamental unit has norm +1 (module
@@ -329,8 +329,10 @@ def h2_real_quadratic(d: int, bound: int = DEFAULT_QUAD_BOUND,
                       primes: tuple[int, ...] | None = None) -> int:
     """Exact 2-class number of Q(sqrt d) for squarefree d > 1; `primes`,
     the distinct primes of d already proved prime, spares the trial
-    division."""
+    division, which is otherwise made once here."""
     check_radicand(d, bound)
+    if primes is None:
+        primes = tuple(squarefree_primes(d))
     return _h2_cached(d, primes)
 
 

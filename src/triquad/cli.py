@@ -31,8 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("q", type=int)
 
     sp = sub.add_parser("scan", help="verify all valid pairs in a range")
-    sp.add_argument("--pmax", type=int, required=True)
-    sp.add_argument("--qmax", type=int, required=True)
+    sp.add_argument("--pmax", type=int, help="with --qmax: every pair p <= pmax, q <= qmax")
+    sp.add_argument("--qmax", type=int)
+    sp.add_argument("--max-2pq", type=int, help="instead: every pair with 2pq <= this")
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", type=str, default=None)
@@ -83,11 +84,14 @@ def main(argv: list[str] | None = None) -> int:
                     harness.STATUS_RESOURCE: 3,
                     harness.STATUS_INTERNAL: 4}[rec.status]
         if ns.command == "scan":
+            given = [flag is not None for flag in (ns.pmax, ns.qmax, ns.max_2pq)]
+            if given not in ([True, True, False], [False, False, True]):
+                raise TriquadError("scan takes --pmax and --qmax, or --max-2pq")
             # the output file is opened first, so a bad path costs no scan
             with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
-                result = harness.scan_pairs(ns.pmax, ns.qmax, config)
-                fh.write(harness.scan_json(result) if ns.format == "json"
-                         else harness.scan_csv(result))
+                pairs = (harness.valid_pairs(ns.pmax, ns.qmax) if ns.max_2pq is None
+                         else harness.range_pairs(ns.max_2pq))
+                harness.write_scan(harness.iter_records(pairs, config), fh, ns.format)
             return 0
     except ResourceGuardError as exc:
         print(f"limit reached: {exc}", file=sys.stderr)

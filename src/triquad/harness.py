@@ -5,23 +5,31 @@ saturation, class numbers, table checks) and encodes mathematical mismatches
 as record status rather than exceptions: detecting them is the point. Any
 other exception becomes an internal-error record naming its type and stage.
 
-scan_pairs with more than one worker sends the pairs in batches of
-consecutive pairs, about four per worker, each one message out and one list
-of records back. scan_json writes the report with a direct emitter. The
-report's bytes depend on neither the batching nor the worker count.
+A scan is a stream: iter_records makes the records of a box of pairs
+(valid_pairs) or of every pair with 2pq at most a bound (range_pairs) one
+at a time, in pair order, in this process or in a pool; write_scan writes
+each record as it is drawn and the summary last, from running counts, and
+keeps no record. So the memory of a scan does not grow with its length.
+scan_pairs, scan_json and scan_csv are the same two steps with the records
+kept. The report's bytes depend on neither the batching nor the worker
+count.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import io
+import itertools
 import math
 import os
 import time
 import traceback
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TextIO
 
 from . import classnumber, octic, theorems, unit_lattice
 from .arith import PrimePair, decimal_str, primes_in_range, ratio_str
@@ -183,9 +191,88 @@ def valid_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
     return [(p, q) for p in ps for q in qs]
 
 
+def range_pairs(max_2pq: int) -> Iterator[tuple[int, int]]:
+    """Every valid pair with 2pq <= max_2pq, in (p, q) order, one at a
+    time; p >= 17 and q >= 7 bound p by max_2pq/14 and q by max_2pq/34."""
+    qs = primes_in_range(max_2pq // 34, 7, 8)
+    for p in primes_in_range(max_2pq // 14, 1, 8):
+        for q in qs[:bisect.bisect_right(qs, max_2pq // (2 * p))]:
+            yield p, q
+
+
 def _scan_worker(args: tuple[int, int, Config]) -> VerificationRecord:
     p, q, config = args
     return verify_pair(p, q, config)
+
+
+# the most pairs in one batch of a pool scan: at two workers, 8 ran the
+# 925-pair range faster than 16, 32, 64 or no cap, and the whole range
+# 2pq <= 10^7 at the least peak memory (CHANGES.md has the measurements)
+BATCH_CAP = 8
+
+
+def iter_records(pairs: Iterable[tuple[int, int]],
+                 config: Config = Config()) -> Iterator[VerificationRecord]:
+    """The records of `pairs`, in their order, made one at a time: in this
+    process, or in a pool of up to config.jobs workers that never holds more
+    workers than pairs or than the CPUs this process may run on."""
+    tasks = ((p, q, config) for p, q in pairs)
+    # the CPUs this process may run on, which an affinity mask or a cpuset
+    # can make fewer than the machine's
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    jobs = min(config.jobs, cpus)
+    if jobs > 1:
+        window = list(itertools.islice(tasks, 4 * BATCH_CAP * jobs))
+        if len(window) > 1:
+            return _pool_records(itertools.chain(window, tasks), min(jobs, len(window)))
+        tasks = iter(window)
+    return map(_scan_worker, tasks)
+
+
+def _pool_records(tasks: Iterator, workers: int) -> Iterator[VerificationRecord]:
+    """The records of `tasks` from a pool of `workers`. The tasks go out a
+    window of 4 * BATCH_CAP * workers at a time, each window in batches of
+    consecutive pairs, about four per worker and at most BATCH_CAP pairs:
+    one message out and one list of records back per batch. The next
+    window is queued before the records of the last are read, so the
+    workers do not wait for the reader, and no more than two windows are
+    held."""
+    # imported here, as only a pool scan needs it: multiprocessing is about
+    # a sixth of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        queued: Iterator[VerificationRecord] = iter(())
+        while window := list(itertools.islice(tasks, 4 * BATCH_CAP * workers)):
+            batch = min(math.ceil(len(window) / (4 * workers)), BATCH_CAP)
+            records = pool.map(_scan_worker, window, chunksize=batch)
+            yield from queued
+            queued = records
+        yield from queued
+
+
+class _Tally:
+    """The running counts of a scan's summary."""
+
+    def __init__(self):
+        self.pairs = 0
+        self.by_case: dict[str, int] = {}
+        self.by_status: dict[str, int] = {}
+        self.matrix = {x: {v: 0 for v in ("1", "p", "2p")} for x in ("1", "p", "2p")}
+
+    def add(self, rec: VerificationRecord) -> None:
+        self.pairs += 1
+        self.by_status[rec.status] = self.by_status.get(rec.status, 0) + 1
+        tag = rec.case_tag
+        if tag is not None:
+            self.by_case[tag.case] = self.by_case.get(tag.case, 0) + 1
+            if tag.legendre_pq == 1:
+                self.matrix[tag.x_class][tag.v_class] += 1
+
+    def summary(self) -> dict:
+        return {"pairs": self.pairs, "by_case": dict(sorted(self.by_case.items())),
+                "by_status": dict(sorted(self.by_status.items())),
+                "case_matrix": self.matrix}
 
 
 @dataclass
@@ -197,38 +284,11 @@ class ScanResult:
 def scan_pairs(p_max: int, q_max: int, config: Config = Config()) -> ScanResult:
     """Verify all valid pairs in range; output in (p, q) lexicographic order
     and deterministic content regardless of the worker count."""
-    pairs = valid_pairs(p_max, q_max)
-    tasks = [(p, q, config) for p, q in pairs]
-    # the CPUs this process may run on, which an affinity mask or a cpuset
-    # can make fewer than the machine's
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(config.jobs, cpus, len(tasks))
-    if workers > 1:
-        # imported here, as only a pool scan needs it: multiprocessing is
-        # about a sixth of the package's import time
-        from concurrent.futures import ProcessPoolExecutor
-        # about four batches per worker: one message each way per batch,
-        # while the batches still finishing balance a pair cost that grows with p
-        chunksize = math.ceil(len(tasks) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_scan_worker, tasks, chunksize=chunksize))
-    else:
-        records = [_scan_worker(t) for t in tasks]
-    records.sort(key=lambda r: r.pair)
-    by_case: dict[str, int] = {}
-    by_status: dict[str, int] = {}
-    matrix = {x: {v: 0 for v in ("1", "p", "2p")} for x in ("1", "p", "2p")}
-    for r in records:
-        by_status[r.status] = by_status.get(r.status, 0) + 1
-        if r.case_tag is not None:
-            by_case[r.case_tag.case] = by_case.get(r.case_tag.case, 0) + 1
-            if r.case_tag.legendre_pq == 1:
-                matrix[r.case_tag.x_class][r.case_tag.v_class] += 1
-    summary = {"pairs": len(records), "by_case": dict(sorted(by_case.items())),
-               "by_status": dict(sorted(by_status.items())),
-               "case_matrix": matrix}
-    return ScanResult(records, summary)
+    records = list(iter_records(valid_pairs(p_max, q_max), config))
+    tally = _Tally()
+    for rec in records:
+        tally.add(rec)
+    return ScanResult(records, tally.summary())
 
 
 # -- serialization -----------------------------------------------------------
@@ -315,38 +375,63 @@ def _emit(obj, out: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def scan_json(result: ScanResult) -> str:
-    """The report, byte for byte as json.dumps(doc, indent=2, sort_keys=True)
-    plus a newline; the emitter avoids the pure-Python encoder that json
-    falls back on when it indents."""
-    doc = {"records": [record_json(r, include_wall_time=False)
-                       for r in result.records],
-           "summary": result.summary}
-    out: list[str] = []
-    _emit(doc, out, "\n")
-    out.append("\n")
-    return "".join(out)
-
-
 _CSV_FIELDS = ("p", "q", "case", "norm_eps2p", "x_class", "v_class", "u",
                "m", "h2K", "status")
 
 
+def _csv_row(rec: VerificationRecord) -> tuple:
+    tag = rec.case_tag
+    if tag is None:
+        return (*rec.pair, "", "", "", "", "", "", "", rec.status)
+    return (*rec.pair, tag.case, tag.norm_eps2p, tag.x_class, tag.v_class,
+            "" if tag.u_bit is None else tag.u_bit,
+            "" if rec.m is None else rec.m, "" if rec.h2K is None else rec.h2K,
+            rec.status)
+
+
+def write_scan(records: Iterable[VerificationRecord], out: TextIO,
+               fmt: str = "json") -> dict:
+    """Write the scan report of `records` to `out`, each record as it is
+    drawn, and return the summary. The JSON report is byte for byte
+    json.dumps(doc, indent=2, sort_keys=True) plus a newline, doc holding
+    "records" and "summary": sorted keys put the records first, so the
+    summary is written last, from running counts. The CSV report has a row
+    per record and no summary. No record is kept once written."""
+    tally = _Tally()
+    if fmt == "csv":
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(_CSV_FIELDS)
+        for rec in records:
+            tally.add(rec)
+            w.writerow(_csv_row(rec))
+        return tally.summary()
+    out.write('{\n  "records": [')
+    sep = "\n    "
+    for rec in records:
+        tally.add(rec)
+        # one record's pieces joined at a time, as a list of the whole
+        # report's small strings costs more memory than its text
+        parts = [sep]
+        _emit(record_json(rec, include_wall_time=False), parts, "\n    ")
+        out.write("".join(parts))
+        sep = ",\n    "
+    summary = tally.summary()
+    parts = ["\n  ]" if tally.pairs else "]", ',\n  "summary": ']
+    _emit(summary, parts, "\n  ")
+    parts.append("\n}\n")
+    out.write("".join(parts))
+    return summary
+
+
+def scan_json(result: ScanResult) -> str:
+    """The JSON report of a scan (`write_scan`); the emitter avoids the
+    pure-Python encoder that json falls back on when it indents."""
+    buf = io.StringIO()
+    write_scan(result.records, buf)
+    return buf.getvalue()
+
+
 def scan_csv(result: ScanResult) -> str:
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
-    w.writeheader()
-    for r in result.records:
-        tag = r.case_tag
-        w.writerow({
-            "p": r.pair[0], "q": r.pair[1],
-            "case": tag.case if tag else "",
-            "norm_eps2p": tag.norm_eps2p if tag else "",
-            "x_class": tag.x_class if tag else "",
-            "v_class": tag.v_class if tag else "",
-            "u": "" if tag is None or tag.u_bit is None else tag.u_bit,
-            "m": r.m if r.m is not None else "",
-            "h2K": r.h2K if r.h2K is not None else "",
-            "status": r.status,
-        })
+    write_scan(result.records, buf, "csv")
     return buf.getvalue()

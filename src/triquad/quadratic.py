@@ -66,7 +66,15 @@ def _cf_pell_unit(d: int) -> tuple[int, int, int]:
     return x, y, norm
 
 
-@functools.lru_cache(maxsize=None)
+# the radicands kept by `fundamental_unit` and `classnumber._h2_cached`. In
+# a scan pq and 2pq never recur, and q and 2q recur at the next p, about 4
+# keys per q later: over the whole range 2pq <= 10^7 this bound recomputes
+# about half a unit per pair, and the peak memory stays within 6% of the
+# 925-pair scan's (CHANGES.md has the measurements)
+RADICAND_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=RADICAND_CACHE_SIZE)
 def fundamental_unit(d: int, primes: tuple[int, ...] | None = None) -> tuple[int, int, int]:
     """(x, y, norm) of the least unit x + y sqrt d > 1 of Z[sqrt d], exact,
     for squarefree d > 1: the fundamental unit unless d = 5 mod 8, where it

@@ -392,10 +392,10 @@ def test_verify_pair_factors_none_of_the_pair_radicands(monkeypatch):
     monkeypatch.setattr(classnumber, "factor", counted)
     assert verify_pair(2969, 1543).status == "verified"
     assert not set(calls) & set(pair.radicands), calls
-    # a direct caller without the primes still factors the radicand, for
-    # its prime discriminants and for the squarefree check of its unit
+    # a direct caller without the primes factors the radicand once, and
+    # passes its primes on to the prime discriminants and the unit
     h2_real_quadratic(2969 * 1543)
-    assert calls[2969 * 1543] == 2
+    assert calls[2969 * 1543] == 1
 
 
 def test_radicand_primes_that_do_not_multiply_to_it_are_refused():

@@ -1,12 +1,15 @@
 import concurrent.futures
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import triquad
-from triquad import classnumber, harness, octic, theorems, unit_lattice
+from triquad import classnumber, harness, octic, quadratic, theorems, unit_lattice
 from triquad.arith import PrimePair, primes_in_range
 from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.harness import (Config, record_json, scan_csv, scan_json,
@@ -354,7 +357,7 @@ def test_cli_scan_unwritable_out_fails_before_scanning(tmp_path, monkeypatch, ca
     def no_scan(*args):
         raise AssertionError("scan ran although --out cannot be opened")
 
-    monkeypatch.setattr(harness, "scan_pairs", no_scan)
+    monkeypatch.setattr(harness, "iter_records", no_scan)
     out = tmp_path / "missing" / "x.json"
     assert cli_main(["scan", "--pmax", "20", "--qmax", "10", "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -636,3 +639,101 @@ def test_quarter_determinant_is_made_once_per_pair(monkeypatch):
     assert not unit_lattice.rank_certificate(words, PrimePair(41, 23), 0)
     with pytest.raises(TriquadError, match="needs 7 words"):
         real(words + words[:1])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_scan_streams_the_bytes_of_scan_json_and_scan_csv(tmp_path, jobs):
+    result = scan_pairs(100, 47)
+    for fmt, text in (("json", scan_json(result)), ("csv", scan_csv(result))):
+        out = tmp_path / f"scan-{jobs}.{fmt}"
+        assert cli_main(["scan", "--pmax", "100", "--qmax", "47", "--jobs", str(jobs),
+                         "--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+
+
+def test_writer_keeps_no_record_it_has_written():
+    refs = []
+
+    def records():
+        for p, q in valid_pairs(100, 31):
+            # the writer may hold the record it is writing, no earlier one
+            assert all(ref() is None for ref in refs[:-1])
+            rec = verify_pair(p, q)
+            refs.append(weakref.ref(rec))
+            yield rec
+            del rec
+
+    for fmt in ("json", "csv"):
+        refs.clear()
+        out = io.StringIO()
+        summary = harness.write_scan(records(), out, fmt)
+        assert summary["pairs"] == len(refs) == 15
+        assert all(ref() is None for ref in refs)
+        assert out.getvalue() == (scan_json if fmt == "json" else scan_csv)(
+            scan_pairs(100, 31))
+
+
+def test_range_scan_lists_the_pairs_with_2pq_at_most_the_bound():
+    def prime(n):
+        return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    for bound in (0, 237, 238, 239, 5000, 100000):
+        brute = [(p, q) for p in range(1, bound + 1, 8) for q in range(7, bound // (2 * p) + 1, 8)
+                 if prime(p) and prime(q)]
+        assert list(harness.range_pairs(bound)) == brute
+    assert list(harness.range_pairs(238)) == [(17, 7)]
+
+
+def test_cli_range_scan_is_the_report_of_its_pairs(tmp_path, capsys):
+    out = tmp_path / "range.json"
+    assert cli_main(["scan", "--max-2pq", "3000", "--jobs", "2", "--out", str(out)]) == 0
+    pairs = list(harness.range_pairs(3000))
+    assert pairs == [(17, 7), (17, 23), (17, 31), (17, 47), (17, 71), (17, 79),
+                     (41, 7), (41, 23), (41, 31), (73, 7), (89, 7), (97, 7),
+                     (113, 7), (137, 7), (193, 7)]
+    buf = io.StringIO()
+    harness.write_scan(map(verify_pair, *zip(*pairs)), buf)
+    assert out.read_text() == buf.getvalue()
+    for argv in (["--max-2pq", "3000", "--pmax", "100"], ["--pmax", "100"], ["--qmax", "7"],
+                 [], ["--pmax", "100", "--qmax", "7", "--max-2pq", "3000"]):
+        assert cli_main(["scan", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: scan takes")
+
+
+def test_radicand_caches_are_bounded():
+    for cache in (quadratic.fundamental_unit, classnumber._h2_cached):
+        assert cache.cache_info().maxsize == quadratic.RADICAND_CACHE_SIZE > 0
+
+
+def test_pool_scan_sends_windows_of_capped_batches_and_reads_ahead_one(monkeypatch):
+    drawn = []
+    windows = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            windows.append((len(tasks), chunksize, len(drawn)))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_scan_worker", lambda task: task[:2])
+    _allow_cpus(monkeypatch, 2)
+    window = 4 * 2 * harness.BATCH_CAP
+    pairs = [(p, 7) for p in range(5 * window // 2)]
+    for rec in harness.iter_records(pairs, Config(jobs=2)):
+        drawn.append(rec)
+    assert drawn == pairs
+    # each window goes out before the one two back has been read: no more
+    # than two windows are held at once
+    last = window // 2
+    assert windows == [(window, harness.BATCH_CAP, 0),
+                       (window, harness.BATCH_CAP, 0),
+                       (last, math.ceil(last / 8), window)]
