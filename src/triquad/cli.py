@@ -56,20 +56,19 @@ def main(argv: list[str] | None = None) -> int:
             # verify_pair makes the same check and reports it in its record
             pair = PrimePair(ns.p, ns.q)
             classnumber.check_radicand(max(pair.radicands), config.quad_bound)
+            cc = theorems.ClassificationContext(pair)
+            tag = theorems.classify_pair(cc)
         if ns.command == "classify":
-            tag = theorems.classify_pair(pair)
             _print_json(harness.case_tag_json(tag))
             return 0
         if ns.command == "units":
-            tag = theorems.classify_pair(pair)
-            words = theorems.unit_generators(tag, pair)
+            words = theorems.unit_generators(tag, cc)
             gens = [{"word": w.render(), "coords": harness._coords_json(w.elem)}
                     for w in words]
             _print_json({"pair": {"p": ns.p, "q": ns.q}, "generators": gens})
             return 0
         if ns.command == "h2":
-            tag = theorems.classify_pair(pair)
-            m = theorems.unit_index(pair)
+            m = theorems.unit_index(cc)
             h2 = classnumber.subfield_h2_map(pair, config.quad_bound)
             _print_json({"pair": {"p": ns.p, "q": ns.q},
                          "h2": harness.h2_json(h2, theorems.predict_h2K(tag, h2)),

@@ -102,11 +102,13 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
     try:
         # 2pq is the largest radicand: refuse before any unit is computed
         classnumber.check_radicand(max(pair.radicands), config.quad_bound)
-        tag = theorems.classify_pair(pair)
+        # the pair's state, made once and passed to every stage
+        cc = theorems.ClassificationContext(pair)
+        tag = theorems.classify_pair(cc)
         rec.case_tag = tag
 
         stage = "generators"
-        words = theorems.unit_generators(tag, pair)
+        words = theorems.unit_generators(tag, cc)
         for w in words:
             nrm = octic.rational_norm(w.elem)
             if nrm not in ((1, 1), (-1, 1)):
@@ -118,19 +120,19 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
 
         stage = "rank"
         det = unit_lattice.quarter_determinant(words)
-        rec.rank_ok = unit_lattice.rank_certificate(words, pair, det)
+        rec.rank_ok = unit_lattice.rank_certificate(words, cc.ctx, det)
         if not rec.rank_ok:
             mism.append("prescribed generators fail the rank certificate")
 
         stage = "saturate"
-        m = theorems.unit_index(pair)
+        m = theorems.unit_index(cc)
         # [E_K : <W, -1>] = |det Q| 2^m / 4^7 (unit_lattice module docstring)
         scaled_index = abs(det) << m
         if scaled_index != 4 ** 7:
             mism.append(f"prescribed system has index {ratio_str(scaled_index, 4 ** 7)} "
                         f"in the unit group, not 1")
         stage = "resaturate"
-        resat = unit_lattice.saturate(pair, list(words))
+        resat = unit_lattice.saturate(cc.ctx, list(words))
         rec.resaturation_m = resat.m
         if resat.m != 0:
             mism.append(f"prescribed system is not saturated: {resat.m} more steps")
@@ -146,7 +148,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
             mism.append(f"theorem h2(K) = {h2_theorem} but Kuroda gives {h2_kuroda}")
 
         stage = "tables"
-        rec.table_failures = [label for label, ok in theorems.verify_norm_tables(pair)
+        rec.table_failures = [label for label, ok in theorems.verify_norm_tables(cc)
                               if not ok]
         if rec.table_failures:
             mism.append(f"{len(rec.table_failures)} norm-table rows failed")
@@ -156,7 +158,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
             # h2(K) = h2(k5)/2 across the unramified step K/k5, with
             # h2(k5) = 2^(m5-2) h2(q) h2(2p) h2(2pq); the m5 = 1 value holds
             # in the norm -1 branch, m5 = 2 in the norm +1 branch
-            m5 = unit_lattice.k5_unit_index(pair)
+            m5 = unit_lattice.k5_unit_index(cc.ctx)
             h2_k5 = (1 << m5) * h2[q] * h2[2 * p] * h2[2 * p * q]  # 4 h2(k5)
             expected_m5 = 1 if tag.norm_eps2p == -1 else 2
             rec.k5_identity_ok = (m5 == expected_m5 and h2_k5 == 8 * h2_theorem)

@@ -31,7 +31,8 @@ SUBSET_LABELS = ("", "2", "p", "2p", "q", "2q", "pq", "2pq")
 _EMB_FLIPS = (0, 4, 2, 6, 1, 5, 3, 7)
 
 
-# the pair-keyed caches keep the last 64 pairs, as unit_lattice.unit_context
+# the pair-keyed caches hold constants of the pair tuple that every element
+# carries, and keep the last 64 pairs
 @functools.lru_cache(maxsize=64)
 def _validate_pair(p: int, q: int) -> None:
     if p == q or p <= 2 or q <= 2 or not is_prime(p) or not is_prime(q):

@@ -18,9 +18,8 @@ from .arith import PrimePair, is_perfect_square, ratio_str
 from .errors import InternalInconsistencyError, TriquadError
 from .octic import (TAU1, TAU2, TAU3, OcticElem, _radicals, _reduced,
                     norm_to_subfield, octic_mul, octic_prod, radical_mask)
-from .quadratic import fundamental_unit
 from .unit_lattice import (NONTORSION_IDS, UnitContext, UnitWord,
-                           render_quarters, saturate, unit_context)
+                           render_quarters, saturate)
 
 KIND_UNIT = "1"
 KIND_P = "p"
@@ -66,16 +65,16 @@ def _half_unit_systems(p: int, q: int, norm_eps2p: int) -> dict:
     return systems
 
 
-def decompose_sqrt_data(pair: PrimePair) -> dict[int, SqrtDecomposition]:
+def decompose_sqrt_data(ctx: UnitContext) -> dict[int, SqrtDecomposition]:
     """Square-root decompositions of eps_q, eps_2q, eps_pq, eps_2pq and,
-    when N(eps_2p) = +1, of eps_2p, keyed by radicand. Exactly one system
-    must land for each."""
-    ctx = unit_context(pair)
-    radicands = dict(zip(NONTORSION_IDS, zip(pair.radicands, pair.radicand_primes)))
+    when N(eps_2p) = +1, of eps_2p, keyed by radicand, from the unit
+    triples of the context. Exactly one system must land for each."""
+    pair = ctx.pair
+    radicand = dict(zip(NONTORSION_IDS, pair.radicands))
     out: dict[int, SqrtDecomposition] = {}
-    for uid, systems in _half_unit_systems(pair.p, pair.q, ctx.norms["e2p"]).items():
-        d, primes = radicands[uid]
-        t, y, norm = fundamental_unit(d, primes)
+    for uid, systems in _half_unit_systems(pair.p, pair.q, ctx.triples["e2p"][2]).items():
+        d = radicand[uid]
+        t, y, norm = ctx.triples[uid]
         if norm != 1:
             raise InternalInconsistencyError(f"{uid} is not a unit of norm +1")
         landed = []
@@ -108,12 +107,14 @@ def root_from_decomposition(dec: SqrtDecomposition, pair: PrimePair) -> OcticEle
 
 
 class ClassificationContext:
-    """Roots of the base units and derived data for one pair."""
+    """One pair's UnitContext `ctx`, square-root decompositions, the roots
+    of the base units they give and the bits read off them; the caller
+    makes it and passes it to every stage."""
 
     def __init__(self, pair: PrimePair):
         self.pair = pair
-        self.ctx: UnitContext = unit_context(pair)
-        self.decompositions = decompose_sqrt_data(pair)
+        self.ctx = UnitContext(pair)
+        self.decompositions = decompose_sqrt_data(self.ctx)
         uid_of = dict(zip(pair.radicands, NONTORSION_IDS))
         self.roots: dict[str, OcticElem] = {}
         for d, dec in self.decompositions.items():
@@ -125,7 +126,7 @@ class ClassificationContext:
             # c+, c- >= 0 make r positive at the all-positive embedding, so
             # it is the root that sqrt_exact returns: the memo takes it
             self.ctx.sqrts[unit] = r
-        self.norm_eps2p = self.ctx.norms["e2p"]
+        self.norm_eps2p = self.ctx.triples["e2p"][2]
         self.u_bit = None
         self.v_sign = None
         if self.norm_eps2p == 1:
@@ -157,22 +158,22 @@ class ClassificationContext:
                 + [self.roots[uid] for uid in tail])
 
 
+# read only by perfbench/unit.py, which calls cache_info() in every repetition
 @functools.lru_cache(maxsize=64)
 def classification_context(pair: PrimePair) -> ClassificationContext:
     return ClassificationContext(pair)
 
 
-def unit_index(pair: PrimePair) -> int:
+def unit_index(cc: ClassificationContext) -> int:
     """m with q(K) = 2^m: 2-saturation from E_0 with the k checked half-unit
     roots in place of their units, whose index over E_0 is 2^k
     (unit_lattice module docstring), so m is k plus the steps from there.
     The seeds come from the square-class decompositions, not the case plan."""
-    cc = classification_context(pair)
     seeds = [UnitWord(quarters={uid: 2}, elem=cc.roots[uid]) if uid in cc.roots
              else UnitWord(quarters={uid: 4}, elem=cc.ctx.units[uid])
              for uid in NONTORSION_IDS]
     k = sum(uid in cc.roots for uid in NONTORSION_IDS)
-    return k + saturate(pair, seeds, seed_index=k).m
+    return k + saturate(cc.ctx, seeds, seed_index=k).m
 
 
 @dataclass(frozen=True)
@@ -255,13 +256,13 @@ CASE_PLANS = {
 }
 
 
-def classify_pair(pair: PrimePair) -> CaseTag:
+def classify_pair(cc: ClassificationContext) -> CaseTag:
     """Complete CaseTag with exact K-squareness resolution of every bit.
 
     Each tested square equation of the case plan has at most one root among
     its prefixes (two would make eps_p totally positive), and exactly one
     where the plan gives it no resolution bits."""
-    cc = classification_context(pair)
+    pair = cc.pair
     leg = pair.legendre_pq
     x_class = cc.decompositions[2 * pair.p * pair.q].kind
     v_class = cc.decompositions[pair.p * pair.q].kind
@@ -301,11 +302,10 @@ def classify_pair(pair: PrimePair) -> CaseTag:
                    prefix_witnesses=witnesses)
 
 
-def unit_generators(tag: CaseTag, pair: PrimePair) -> list[UnitWord]:
+def unit_generators(tag: CaseTag, cc: ClassificationContext) -> list[UnitWord]:
     """The 7 non-torsion generators prescribed by the applicable theorem,
     each made with its exact element (torsion -1 is implicit): e2, ep, then the
     case plan, where an equation whose hit bit is 0 gives its fallback."""
-    cc = classification_context(pair)
     half = {uid: UnitWord(quarters={uid: 2}, elem=r)
             for uid, r in cc.roots.items() if uid in NONTORSION_IDS}
     half["k1"] = (UnitWord(quarters={"e2": 2, "ep": 2, "e2p": 2},
@@ -420,7 +420,7 @@ def _relative_norm(flips: int, form: tuple[int, int, int, int, int]) -> tuple[in
     return (s * (a - b), 0) if s1 != s2 else (s * (a + b), s * c)
 
 
-def verify_norm_tables(pair: PrimePair) -> list[tuple[str, bool]]:
+def verify_norm_tables(cc: ClassificationContext) -> list[tuple[str, bool]]:
     """Check every applicable row of the three relative-norm tables exactly.
 
     Each entry gives its label "table:unit:sigma expected entry" and whether
@@ -429,7 +429,7 @@ def verify_norm_tables(pair: PrimePair) -> list[tuple[str, bool]]:
     two terms of the row's element (_relative_norm), and is compared by
     cross-multiplication with the power held as int numerators: the units
     lie on the basis with den 1."""
-    cc = classification_context(pair)
+    pair = cc.pair
     units, dec = cc.ctx.units, cc.decompositions
     rad = _radicals(cc.ctx.key)
     rows = [("base-units", uid,

@@ -136,18 +136,20 @@ class SaturationResult:
 
 
 class UnitContext:
-    """Per-pair cache of embedded base units, the split primes of the
-    saturation sieve, and memos of character rows and of the square roots
-    that every stage of the pair asks for; they leave with the context."""
+    """One pair's quadratic units, as (x, y, norm) triples and in K, the
+    split primes of the saturation sieve, and memos of the character rows
+    and square roots that the stages ask for. The caller makes it and passes
+    it to every stage; nothing else keeps it, so the memos live as long as
+    one verification of the pair."""
 
     def __init__(self, pair: PrimePair):
         self.pair = pair
         self.key = (pair.p, pair.q)
+        self.triples: dict[str, tuple[int, int, int]] = {}
         self.units: dict[str, OcticElem] = {
             TORSION_ID: -OcticElem.one(self.key)}
-        self.norms: dict[str, int] = {}
         for uid, d, primes in zip(NONTORSION_IDS, pair.radicands, pair.radicand_primes):
-            x, y, self.norms[uid] = fundamental_unit(d, primes)
+            x, y, _ = self.triples[uid] = fundamental_unit(d, primes)
             self.units[uid] = embed_quadratic(d, x, y, self.key)
         self.primes = symbol_primes((2, pair.p, pair.q), (1, 1, 1), SPLIT_PRIMES)
         # the character rows read every split prime from one image modulo
@@ -184,6 +186,7 @@ class UnitContext:
         return self.sqrts[x]
 
 
+# read only by perfbench/unit.py, which calls cache_info() in every repetition
 @functools.lru_cache(maxsize=64)
 def unit_context(pair: PrimePair) -> UnitContext:
     return UnitContext(pair)
@@ -260,7 +263,7 @@ def _square_candidates(rows: list[tuple[int, int]]) -> list[int]:
     return sorted(span[1:], key=lambda v: (v.bit_count(), v))
 
 
-def saturate(pair: PrimePair,
+def saturate(ctx: UnitContext,
              generators: list[UnitWord],
              restrict_support: frozenset[int] | None = None,
              seed_index: int = 0) -> SaturationResult:
@@ -276,7 +279,6 @@ def saturate(pair: PrimePair,
     [<generators, -1> : E_0] = 2^k, so that the index 2^(k+m) over E_0 is
     what the guard bounds.
     """
-    ctx = unit_context(pair)
     torsion = UnitWord(quarters={TORSION_ID: 4}, elem=ctx.units[TORSION_ID])
     # -1 first, at bit 0 of every exponent vector; it is never replaced
     gens = [torsion] + [w for w in generators if w != torsion]
@@ -323,14 +325,13 @@ def saturate(pair: PrimePair,
         m += 1
 
 
-def k5_unit_index(pair: PrimePair) -> int:
+def k5_unit_index(ctx: UnitContext) -> int:
     """Saturation exponent of the biquadratic subfield Q(sqrtq, sqrt2p):
     returns m5 with q(k5) = 2^m5. Basis masks allowed: 1, sqrtq, sqrt2p,
     sqrt2pq, i.e. {0, 0b100, 0b011, 0b111}."""
-    ctx = unit_context(pair)
     words = [UnitWord(quarters={uid: 4}, elem=ctx.units[uid])
              for uid in ("eq", "e2p", "e2pq")]
-    res = saturate(pair, words, restrict_support=frozenset({0, 0b100, 0b011, 0b111}))
+    res = saturate(ctx, words, restrict_support=frozenset({0, 0b100, 0b011, 0b111}))
     return res.m
 
 
@@ -357,7 +358,7 @@ def quarter_determinant(words: list[UnitWord]) -> int:
     return sign * rows[-1][-1]
 
 
-def rank_certificate(words: list[UnitWord], pair: PrimePair,
+def rank_certificate(words: list[UnitWord], ctx: UnitContext,
                      det: int | None = None) -> bool:
     """Certify exactly that 7 words are multiplicatively independent.
 
@@ -372,7 +373,6 @@ def rank_certificate(words: list[UnitWord], pair: PrimePair,
     """
     if not (quarter_determinant(words) if det is None else det):
         return False
-    ctx = unit_context(pair)
     for w in words:
         k = w.depth
         target = _integral_power(w, ctx, k)

@@ -48,8 +48,9 @@ cf_pell_unit_full_walk is the Pell unit as the library first computed it:
 the continued fraction of sqrt d walked over its whole period, where the
 library stops at the middle and squares or multiplies the convergents there.
 
-IDENTITY, CASE_REPRESENTATIVES, coords, scale, coord_bit_size and
-subfield_unit_words are test helpers that the library itself has no use for.
+IDENTITY, CASE_REPRESENTATIVES, coords, scale, coord_bit_size,
+subfield_unit_words and verified_context are test helpers that the library
+itself has no use for.
 """
 
 import logging
@@ -61,8 +62,8 @@ from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.octic import (_EMB_FLIPS, OcticElem, _radicals, _reduced,
                            _square_minus, norm_to_subfield, octic_mul,
                            octic_prod, sqrt_exact)
-from triquad.unit_lattice import (NONTORSION_IDS, TORSION_ID, UnitWord,
-                                  unit_context)
+from triquad.unit_lattice import (NONTORSION_IDS, TORSION_ID, UnitContext,
+                                  UnitWord, k5_unit_index, saturate)
 
 logger = logging.getLogger(__name__)
 
@@ -401,19 +402,31 @@ def zsqrt_unit(d: int) -> tuple[int, int, int]:
     return x, y, norm
 
 
-def subfield_unit_words(pair):
-    """The seven subfield units as words, each made with its unit."""
-    ctx = unit_context(pair)
+def subfield_unit_words(ctx: UnitContext):
+    """The seven subfield units of the context's pair as words, each made
+    with its unit."""
     return [UnitWord(quarters={uid: 4}, elem=ctx.units[uid]) for uid in NONTORSION_IDS]
 
 
-def unsieved_saturation(pair, generators=None, restrict_support=None):
+def verified_context(pair) -> UnitContext:
+    """A UnitContext of the pair after the stages of verify_pair that ask it
+    for roots: classification, the prescribed system, the unit index,
+    re-saturation and, where (p/q) = -1, the k5 index."""
+    cc = theorems.ClassificationContext(pair)
+    words = theorems.unit_generators(theorems.classify_pair(cc), cc)
+    theorems.unit_index(cc)
+    saturate(cc.ctx, words)
+    if pair.legendre_pq == -1:
+        k5_unit_index(cc.ctx)
+    return cc.ctx
+
+
+def unsieved_saturation(ctx: UnitContext, generators=None, restrict_support=None):
     """Reference 2-saturation with the sign screen only, from the subfield
     units by default; returns m, the non-torsion words and, apart, their
     elements."""
-    ctx = unit_context(pair)
     torsion = {TORSION_ID: 4}
-    gens = subfield_unit_words(pair) if generators is None else list(generators)
+    gens = subfield_unit_words(ctx) if generators is None else list(generators)
     if not any(w.quarters == torsion for w in gens):
         gens = [UnitWord(quarters=torsion, elem=ctx.units[TORSION_ID])] + gens
     elems = [w.elem for w in gens]
@@ -453,12 +466,12 @@ def unsieved_saturation(pair, generators=None, restrict_support=None):
 
 # -- referees of the norm tables and of classification -----------------------
 
-def octic_norm_tables(pair) -> list[tuple[str, bool]]:
+def octic_norm_tables(cc: "theorems.ClassificationContext") -> list[tuple[str, bool]]:
     """verify_norm_tables by OcticElem arithmetic: each relative norm is
     x * sigma(x) by norm_to_subfield, compared with +- a power of the row's
     unit made by **."""
     T = theorems
-    cc = T.classification_context(pair)
+    pair = cc.pair
     units, dec = cc.ctx.units, cc.decompositions
     rows = [("base-units", uid,
              units[uid] if uid in ("e2", "ep") else cc.roots[uid], T._SIGMAS_6, row)
@@ -482,10 +495,10 @@ def octic_norm_tables(pair) -> list[tuple[str, bool]]:
     return checks
 
 
-def unscreened_classify_pair(pair) -> "theorems.CaseTag":
+def unscreened_classify_pair(cc: "theorems.ClassificationContext") -> "theorems.CaseTag":
     """classify_pair with every tested square equation asked of sqrt_exact."""
     T = theorems
-    cc = T.classification_context(pair)
+    pair = cc.pair
     x_class = cc.decompositions[2 * pair.p * pair.q].kind
     v_class = cc.decompositions[pair.p * pair.q].kind
     case = "C0" if pair.legendre_pq == -1 else T.CASE_GRID[(x_class, v_class)]

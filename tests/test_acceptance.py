@@ -13,7 +13,8 @@ from triquad.classnumber import h2_real_quadratic, kuroda_h2K, subfield_h2_map
 from triquad.harness import verify_pair
 from triquad.octic import OcticElem, octic_mul, sqrt_exact
 from triquad.quadratic import fundamental_unit
-from triquad.theorems import classify_pair, verify_norm_tables
+from triquad.theorems import (ClassificationContext, classify_pair,
+                              verify_norm_tables)
 
 
 from oracles import (PrecisionExhaustedError, brute_force_fundamental_unit,
@@ -80,7 +81,7 @@ def test_criterion_3_nine_case_coverage():
                 continue
             # classification raises InternalInconsistencyError unless exactly
             # one kind lands for each of x+1 and v+1
-            tag = classify_pair(pair)
+            tag = classify_pair(ClassificationContext(pair))
             matrix[tag.x_class][tag.v_class] += 1
             count += 1
             if tag.case == "C1" and tag.norm_eps2p == 1:
@@ -117,7 +118,7 @@ def test_criterion_4_table_fidelity():
     for p, q in pairs:
         pair = PrimePair(p, q)
         signs.add(pair.legendre_pq)
-        checks = verify_norm_tables(pair)
+        checks = verify_norm_tables(ClassificationContext(pair))
         bad = [label for label, ok in checks if not ok]
         assert not bad, (p, q, bad)
         rows += len(checks)

@@ -375,11 +375,10 @@ def test_wrong_eight_character_is_caught(monkeypatch):
 
 
 def test_verify_pair_factors_none_of_the_pair_radicands(monkeypatch):
-    from triquad import arith, quadratic, theorems, unit_lattice
+    from triquad import arith, quadratic
     from triquad.harness import verify_pair
     pair = PrimePair(2969, 1543)
-    for cache in (quadratic.fundamental_unit, classnumber._h2_cached,
-                  unit_lattice.unit_context, theorems.classification_context):
+    for cache in (quadratic.fundamental_unit, classnumber._h2_cached):
         cache.cache_clear()
     calls = {}
 

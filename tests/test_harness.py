@@ -169,7 +169,8 @@ def test_cli_h2_reports_the_m_of_verify(p, q, capsys):
     h2 = json.loads(capsys.readouterr().out)
     assert cli_main(["verify", str(p), str(q)]) == 0
     assert h2["m"] == json.loads(capsys.readouterr().out)["m"]
-    assert h2["m"] == unit_lattice.saturate(PrimePair(p, q), subfield_unit_words(PrimePair(p, q))).m
+    ctx = unit_lattice.UnitContext(PrimePair(p, q))
+    assert h2["m"] == unit_lattice.saturate(ctx, subfield_unit_words(ctx)).m
 
 
 def _allow_cpus(monkeypatch, n, machine=None):
@@ -316,7 +317,8 @@ def test_every_case_and_norm_branch_verifies(p, q, case, norm):
     assert rec.case_tag.norm_eps2p == norm
     assert rec.rank_ok and rec.resaturation_m == 0
     # the index from the seeded saturation is the one from E_0
-    assert rec.m == unit_lattice.saturate(PrimePair(p, q), subfield_unit_words(PrimePair(p, q))).m
+    ctx = unit_lattice.UnitContext(PrimePair(p, q))
+    assert rec.m == unit_lattice.saturate(ctx, subfield_unit_words(ctx)).m
     assert classnumber.kuroda_h2K(PrimePair(p, q), rec.m, rec.h2) == rec.h2K
 
 
@@ -379,9 +381,9 @@ def _other_prefix_for(bad_pair, monkeypatch):
     one of the two prefixes has one)."""
     real = theorems.classify_pair
 
-    def classify_pair(pair):
-        tag = real(pair)
-        if (pair.p, pair.q) == bad_pair:
+    def classify_pair(cc):
+        tag = real(cc)
+        if (cc.pair.p, cc.pair.q) == bad_pair:
             tag = dataclasses.replace(tag, prefix_witnesses={
                 key: (a, 1 - b) for key, (a, b) in tag.prefix_witnesses.items()})
         return tag
@@ -418,8 +420,8 @@ def test_prescribed_system_of_index_3_is_a_mismatch(p, q, monkeypatch):
     # full rank that re-saturation cannot extend, but <W, -1> has index 3
     real = theorems.unit_generators
 
-    def unit_generators(tag, pair):
-        words = list(real(tag, pair))
+    def unit_generators(tag, cc):
+        words = list(real(tag, cc))
         w = words[2]
         words[2] = UnitWord(quarters={uid: 3 * c for uid, c in w.quarters.items()},
                             elem=w.elem ** 3)
@@ -499,8 +501,8 @@ def test_non_unit_with_a_norm_past_the_str_digit_limit_is_a_mismatch(monkeypatch
     real = theorems.unit_generators
     big = OcticElem.rational((17, 7), 10 ** 700)
 
-    def unit_generators(tag, pair):
-        words = list(real(tag, pair))
+    def unit_generators(tag, cc):
+        words = list(real(tag, cc))
         words[0] = UnitWord(quarters=words[0].quarters, elem=big)
         return words
 
@@ -515,8 +517,7 @@ def test_pair_keyed_caches_keep_at_most_64_pairs():
              for q in primes_in_range(200, 7, 8)][:70]
     for p, q in pairs:
         assert verify_pair(p, q).status == "verified"
-    for cache in (octic._validate_pair, octic._radicals, octic._tower_levels,
-                  unit_lattice.unit_context):
+    for cache in (octic._validate_pair, octic._radicals, octic._tower_levels):
         assert cache.cache_info().currsize <= 64
 
 
@@ -634,9 +635,10 @@ def test_quarter_determinant_is_made_once_per_pair(monkeypatch):
     assert rec.status == "verified" and rec.rank_ok
     assert len(calls) == 1
     # the index check reads the same determinant as the rank certificate
-    words = theorems.unit_generators(rec.case_tag, PrimePair(41, 23))
+    cc = theorems.ClassificationContext(PrimePair(41, 23))
+    words = theorems.unit_generators(rec.case_tag, cc)
     assert abs(real(words)) << rec.m == 4 ** 7
-    assert not unit_lattice.rank_certificate(words, PrimePair(41, 23), 0)
+    assert not unit_lattice.rank_certificate(words, cc.ctx, 0)
     with pytest.raises(TriquadError, match="needs 7 words"):
         real(words + words[:1])
 

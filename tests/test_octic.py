@@ -13,7 +13,7 @@ from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
                            norm_to_subfield, octic_mul, octic_prod,
                            radical_mask, rational_norm, sqrt_exact)
 from triquad.quadratic import fundamental_unit
-from triquad.unit_lattice import unit_context
+from triquad.unit_lattice import UnitContext
 
 from oracles import (IDENTITY, coords, legendre_by_enumeration,
                      real_embeddings, sign_vector, sqrt_in_field)
@@ -101,7 +101,7 @@ def test_automorphism_group_structure():
 
 
 def test_str_and_repr_render_coordinates_in_lowest_terms():
-    root = sqrt_exact(unit_context(PAIR).units["eq"])  # the README example
+    root = sqrt_exact(UnitContext(PAIR).units["eq"])  # the README example
     assert str(root) == "3/2*sqrt(2) + 1/2*sqrt(2q)"
     assert repr(root) == "OcticElem((17, 7), [0, 3/2, 0, 0, 0, 1/2, 0, 0])"
     x = O({0: Fraction(-6, 4), 3: 2, 7: Fraction(5, 6)})
@@ -110,7 +110,7 @@ def test_str_and_repr_render_coordinates_in_lowest_terms():
 
 
 def test_norm_to_subfield_examples():
-    ctx = unit_context(PAIR)
+    ctx = UnitContext(PAIR)
     root_eq = sqrt_exact(ctx.units["eq"])
     assert norm_to_subfield(TAU1, root_eq) == -ctx.units["eq"]
     e2 = O({0: 1, 1: 1})
@@ -151,7 +151,7 @@ def test_real_embeddings_width_contract():
 
 
 def test_sign_vector_and_rational_norm():
-    ctx = unit_context(PAIR)
+    ctx = UnitContext(PAIR)
     assert sign_vector(ctx.units["eq"]) == (1,) * 8  # totally positive
     sv = sign_vector(ctx.units["e2"])
     assert sv[0] == 1 and -1 in sv
@@ -160,7 +160,7 @@ def test_sign_vector_and_rational_norm():
 
 
 def test_powers_and_products_match_repeated_multiplication():
-    u = unit_context(PAIR).units["e2p"]
+    u = UnitContext(PAIR).units["e2p"]
     one = OcticElem.one(KEY)
     assert u ** 0 == octic_prod(KEY, []) == one
     power = one
@@ -170,14 +170,14 @@ def test_powers_and_products_match_repeated_multiplication():
 
 
 def test_negative_powers_are_refused():
-    u = unit_context(PAIR).units["e2p"]
+    u = UnitContext(PAIR).units["e2p"]
     for n in (-1, -2, -7):
         with pytest.raises(TriquadError, match="negative power"):
             u ** n
 
 
 def test_sqrt_in_field_examples():
-    ctx = unit_context(PAIR)
+    ctx = UnitContext(PAIR)
     root = sqrt_in_field(ctx.units["eq"])
     assert root == O({1: Fraction(3, 2), 5: Fraction(1, 2)})
     assert sqrt_in_field(ctx.units["e2"]) is None  # not totally positive
@@ -207,7 +207,7 @@ def test_sqrt_roundtrip_small_denominators():
 
 
 def test_sqrt_engines_agree():
-    ctx = unit_context(PAIR)
+    ctx = UnitContext(PAIR)
     rng = random.Random(7)
     ids = list(ctx.units)
     for _ in range(20):

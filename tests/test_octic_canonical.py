@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (CASE_REPRESENTATIVES, conjugate_product_inverse,
                      conjugate_product_norm, coord_bit_size, coords,
-                     fraction_embedding_interval, scale, sign_vector)
+                     fraction_embedding_interval, scale, sign_vector,
+                     verified_context)
 from triquad.arith import PrimePair
 from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _radicals,
@@ -19,8 +20,6 @@ from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _radicals,
                            embedding_sign, octic_mul, rational_norm,
                            sqrt_exact)
 from triquad.quadratic import fundamental_unit
-from triquad.harness import verify_pair
-from triquad.unit_lattice import unit_context
 
 KEY = (17, 7)
 PAIRS = [(17, 7), (977, 487)]
@@ -209,11 +208,10 @@ def test_first_embedding_sign_is_the_first_of_the_sign_vector(x):
 
 @pytest.mark.parametrize("p,q", [(p, q) for p, q, _, _ in CASE_REPRESENTATIVES])
 def test_first_embedding_sign_of_every_root_of_a_representative(p, q):
-    # the roots of the base units, and every root the pair's verification
-    # holds in its memo; sqrt_exact makes each positive at embedding 0
-    pair = PrimePair(p, q)
-    verify_pair(p, q)
-    ctx = unit_context(pair)
+    # the roots of the base units, and every root the stages of the pair's
+    # verification hold in its memo; sqrt_exact makes each positive at
+    # embedding 0
+    ctx = verified_context(PrimePair(p, q))
     roots = [y for y in map(sqrt_exact, ctx.units.values()) if y is not None]
     assert len(roots) >= 4
     roots += [y for y in ctx.sqrts.values() if y is not None and not y.is_zero]

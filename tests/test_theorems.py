@@ -11,13 +11,14 @@ from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.harness import valid_pairs
 from triquad.octic import (OcticElem, _radicals, _reduced, norm_to_subfield,
                            octic_mul, octic_prod, sqrt_exact)
-from triquad.theorems import (CASE_PLANS, _norm_form, _relative_norm,
-                              classification_context, classify_pair,
+from triquad.theorems import (CASE_PLANS, ClassificationContext, _norm_form,
+                              _relative_norm, classify_pair,
                               decompose_sqrt_data, predict_h2K,
                               root_from_decomposition, unit_generators,
                               unit_index, verify_norm_tables)
-from triquad.unit_lattice import (NONTORSION_IDS, quarter_determinant,
-                                  rank_certificate, saturate, unit_context)
+from triquad.unit_lattice import (NONTORSION_IDS, UnitContext,
+                                  quarter_determinant, rank_certificate,
+                                  saturate)
 
 P17 = PrimePair(17, 7)
 P41 = PrimePair(41, 7)
@@ -25,8 +26,17 @@ P113 = PrimePair(113, 7)
 P73 = PrimePair(73, 7)
 
 
+def classify(pair):
+    """The tag of the pair, from a context made for it."""
+    return classify_pair(ClassificationContext(pair))
+
+
+def norm_tables(pair):
+    return verify_norm_tables(ClassificationContext(pair))
+
+
 def test_decompose_17_7():
-    dec = decompose_sqrt_data(P17)
+    dec = decompose_sqrt_data(UnitContext(P17))
     assert dec[119].kind == "1" and dec[119].cofactors == (11, 1)
     assert 11 * 11 - 119 == 2
     assert dec[7].kind == "1" and dec[7].cofactors == (3, 1)
@@ -34,7 +44,7 @@ def test_decompose_17_7():
     assert dec[34].u_bit == 0 and dec[34].cofactors == (6, 1)
     assert (6 * 6 - 34) // 2 == 1  # (-1)^u with u = 0
     # eps_146 = 145 + 12 sqrt146: t - 1 = 12^2 and t + 1 = 146 * 1^2, so u = 1
-    dec = decompose_sqrt_data(P73)
+    dec = decompose_sqrt_data(UnitContext(P73))
     assert dec[146].u_bit == 1 and dec[146].cofactors == (1, 12)
     assert dec[146].factors == (146, 1)
     assert (12 * 12 - 146 * 1 * 1) // 2 == -1  # (-1)^u with u = 1
@@ -42,8 +52,8 @@ def test_decompose_17_7():
 
 def test_decompose_roots_square_back():
     for pair in (P17, P41, P113, P73, PrimePair(97, 31)):
-        ctx = unit_context(pair)
-        dec = decompose_sqrt_data(pair)
+        ctx = UnitContext(pair)
+        dec = decompose_sqrt_data(ctx)
         uid_of = {pair.q: "eq", 2 * pair.q: "e2q", pair.p * pair.q: "epq",
                   2 * pair.p * pair.q: "e2pq", 2 * pair.p: "e2p"}
         for d, sd in dec.items():
@@ -52,13 +62,13 @@ def test_decompose_roots_square_back():
 
 
 def test_decompose_legendre_plus_lands_one_kind():
-    dec = decompose_sqrt_data(PrimePair(113, 7))
+    dec = decompose_sqrt_data(UnitContext(PrimePair(113, 7)))
     assert dec[113 * 7].kind in ("1", "p", "2p")
     assert dec[2 * 113 * 7].kind in ("1", "p", "2p")
 
 
 def test_classify_17_7():
-    tag = classify_pair(P17)
+    tag = classify(P17)
     assert tag.case == "C0"
     assert tag.legendre_pq == -1
     assert tag.norm_eps2p == 1
@@ -70,7 +80,7 @@ def test_classify_17_7():
 
 
 def test_classify_41_7():
-    tag = classify_pair(P41)
+    tag = classify(P41)
     assert tag.case == "C0"
     assert tag.norm_eps2p == -1
     assert tag.u_bit is None
@@ -79,19 +89,19 @@ def test_classify_41_7():
 
 def test_classify_rejects_invalid_pair():
     with pytest.raises(TriquadError):
-        classify_pair(PrimePair(7, 17))
+        classify(PrimePair(7, 17))
 
 
 def test_classify_forces_unit_classes_for_legendre_minus():
     for pair in (P17, P41, PrimePair(137, 31)):
-        tag = classify_pair(pair)
+        tag = classify(pair)
         if tag.legendre_pq == -1:
             assert tag.x_class == "1" and tag.v_class == "1"
 
 
 def test_unit_generators_41_7_match_prescription():
-    tag = classify_pair(P41)
-    words = unit_generators(tag, P41)
+    cc = ClassificationContext(P41)
+    words = unit_generators(classify_pair(cc), cc)
     exps = [w.quarters for w in words]
     one, h, quarter = 4, 2, 1  # exponents 1, 1/2 and 1/4 in quarters
     assert exps == [
@@ -102,8 +112,8 @@ def test_unit_generators_41_7_match_prescription():
 
 
 def test_unit_generators_17_7_substituted_bits():
-    tag = classify_pair(P17)
-    words = unit_generators(tag, P17)
+    cc = ClassificationContext(P17)
+    words = unit_generators(classify_pair(cc), cc)
     h, quarter = 2, 1  # exponents 1/2 and 1/4 in quarters
     # witnessed exponents: e2^a with a = 1, ep^u with u = 0
     assert words[5].quarters == {"e2": h, "eq": quarter, "epq": quarter,
@@ -128,40 +138,40 @@ FALLBACKS = [
 
 @pytest.mark.parametrize("p,q,bit,index,fallback", FALLBACKS)
 def test_unit_generators_fall_back_to_the_half_root(p, q, bit, index, fallback):
-    pair = PrimePair(p, q)
-    tag = classify_pair(pair)
+    cc = ClassificationContext(PrimePair(p, q))
+    tag = classify_pair(cc)
     assert tag.resolution[bit] == 1
-    words = unit_generators(tag, pair)
+    words = unit_generators(tag, cc)
     missed = unit_generators(
-        dataclasses.replace(tag, resolution={**tag.resolution, bit: 0}), pair)
+        dataclasses.replace(tag, resolution={**tag.resolution, bit: 0}), cc)
     assert words[index].render() != fallback
     assert missed[index].render() == fallback
     assert missed[:index] + missed[index + 1:] == words[:index] + words[index + 1:]
     uid = fallback.split("^")[0]
     root = missed[index].elem
-    assert octic_mul(root, root) == unit_context(pair).units[uid]
+    assert octic_mul(root, root) == cc.ctx.units[uid]
 
 
 def test_unit_generators_embed_and_are_fundamental():
     for pair in (P17, P41, P113, PrimePair(17, 47)):
-        tag = classify_pair(pair)
-        words = unit_generators(tag, pair)
+        cc = ClassificationContext(pair)
+        words = unit_generators(classify_pair(cc), cc)
         assert len(words) == 7
         # the elements are the words, and the words have index 1 in E_K
-        assert rank_certificate(words, pair)
-        assert abs(quarter_determinant(words)) << unit_index(pair) == 4 ** 7
-        assert saturate(pair, list(words)).m == 0
+        assert rank_certificate(words, cc.ctx)
+        assert abs(quarter_determinant(words)) << unit_index(cc) == 4 ** 7
+        assert saturate(cc.ctx, list(words)).m == 0
 
 
 def test_predict_h2K_examples():
     h2_17 = {2: 1, 17: 1, 7: 1, 34: 2, 14: 1, 119: 2, 238: 2}
-    assert predict_h2K(classify_pair(P17), h2_17) == 2
+    assert predict_h2K(classify(P17), h2_17) == 2
     h2_41 = {2: 1, 41: 1, 7: 1, 82: 4, 14: 1, 287: 2, 574: 2}
-    assert predict_h2K(classify_pair(P41), h2_41) == 2
+    assert predict_h2K(classify(P41), h2_41) == 2
 
 
 def test_predict_h2K_case_formula():
-    tag = classify_pair(PrimePair(17, 47))  # C2, norm +1, alpha resolved
+    tag = classify(PrimePair(17, 47))  # C2, norm +1, alpha resolved
     assert tag.case == "C2"
     assert tag.resolution["alpha"] == 1
     h2 = {2: 1, 17: 1, 47: 1, 34: 2, 94: 1, 17 * 47: 4, 2 * 17 * 47: 4}
@@ -170,7 +180,7 @@ def test_predict_h2K_case_formula():
 
 def test_predict_h2K_rejects_non_integer():
     # C0 with N(eps_82) = -1 gives h2(K) = h2(82)/2, so h2(82) = 1 leaves 1/2
-    tag = classify_pair(P41)
+    tag = classify(P41)
     assert tag.case == "C0" and tag.norm_eps2p == -1
     h2 = {2: 1, 41: 1, 7: 1, 82: 1, 14: 1, 287: 2, 574: 2}
     with pytest.raises(InternalInconsistencyError,
@@ -180,14 +190,14 @@ def test_predict_h2K_rejects_non_integer():
 
 def test_norm_tables_all_rows_pass():
     for pair in (P17, P41, P113, PrimePair(97, 31)):
-        checks = verify_norm_tables(pair)
+        checks = norm_tables(pair)
         assert checks and all(ok for _, ok in checks), pair
 
 
 @pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
 def test_norm_tables_pass_every_row_in_every_branch(p, q, case, norm):
     # 24 base-unit rows, 5 for each product unit, 5 for sqrt(eps_2p) if N = +1
-    checks = verify_norm_tables(PrimePair(p, q))
+    checks = norm_tables(PrimePair(p, q))
     assert len(checks) == 34 + 5 * (norm == 1)
     assert all(ok for _, ok in checks)
 
@@ -195,7 +205,7 @@ def test_norm_tables_pass_every_row_in_every_branch(p, q, case, norm):
 def test_norm_table_u_dependence():
     # the (1+tau2)-norm of sqrt(eps_2p) is (-1)^u: u = 0 at (17,7), u = 1 at (73,7)
     for pair, expected in ((P17, "1"), (P73, "-1")):
-        checks = dict(verify_norm_tables(pair))
+        checks = dict(norm_tables(pair))
         assert checks[f"half-2p-unit:e2p:1+tau2 expected {expected}"], pair
 
 
@@ -212,7 +222,7 @@ def test_norm_table_names_17_7():
                             ("half-2p-unit", "e2p", "1 -E -1 1 -1")):
         expected += [f"{table}:{uid}:{sigma} expected {entry}"
                      for sigma, entry in zip(five, row.split())]
-    checks = verify_norm_tables(P17)
+    checks = norm_tables(P17)
     assert [label for label, _ in checks] == expected
 
 
@@ -222,7 +232,8 @@ SCAN_DENSE = [PrimePair(p, q) for p, q in valid_pairs(300, 200)]
 
 def test_closed_form_tables_equal_the_octic_referee():
     for pair in SCAN_DENSE + REPRESENTATIVES:
-        assert verify_norm_tables(pair) == octic_norm_tables(pair), pair
+        cc = ClassificationContext(pair)
+        assert verify_norm_tables(cc) == octic_norm_tables(cc), pair
 
 
 KEY = (17, 7)
@@ -244,15 +255,13 @@ def test_closed_form_relative_norm_is_x_times_its_conjugate(masks, alpha, beta, 
 
 
 def test_a_table_element_of_three_terms_is_an_inconsistency():
-    cc = classification_context(P17)
+    cc = ClassificationContext(P17)
     root = cc.roots["eq"]
     cc.roots["eq"] = root + OcticElem.from_dict(KEY, {0b110: 1})
-    try:
-        with pytest.raises(InternalInconsistencyError, match="has 3 terms, not two"):
-            verify_norm_tables(P17)
-    finally:
-        cc.roots["eq"] = root
-    assert all(ok for _, ok in verify_norm_tables(P17))
+    with pytest.raises(InternalInconsistencyError, match="has 3 terms, not two"):
+        verify_norm_tables(cc)
+    cc.roots["eq"] = root
+    assert all(ok for _, ok in verify_norm_tables(cc))
 
 
 # -- the square equations of classification, screened by character rows ------
@@ -260,8 +269,8 @@ def test_a_table_element_of_three_terms_is_an_inconsistency():
 def test_every_square_equation_the_rows_refute_has_no_root():
     refuted = 0
     for pair in SCAN_DENSE:
-        cc = classification_context(pair)
-        tag = classify_pair(pair)
+        cc = ClassificationContext(pair)
+        tag = classify_pair(cc)
         for eq in CASE_PLANS[tag.case, tag.norm_eps2p]:
             if isinstance(eq, str) or eq.witness is None:
                 continue
@@ -279,7 +288,8 @@ def test_every_square_equation_the_rows_refute_has_no_root():
 
 @pytest.mark.parametrize("pair", REPRESENTATIVES, ids=str)
 def test_screened_classification_equals_the_unscreened_referee(pair):
-    assert classify_pair(pair) == unscreened_classify_pair(pair)
+    cc = ClassificationContext(pair)
+    assert classify_pair(cc) == unscreened_classify_pair(cc)
 
 
 # -- the unit index from the checked half-unit roots ------------------------
@@ -288,39 +298,38 @@ def test_seeded_unit_index_is_the_saturation_from_e0_on_the_scan_dense_range():
     pairs = valid_pairs(300, 200)
     assert len(pairs) == 144
     for p, q in pairs:
-        pair = PrimePair(p, q)
-        assert unit_index(pair) == saturate(pair, subfield_unit_words(pair)).m, pair
+        cc = ClassificationContext(PrimePair(p, q))
+        assert unit_index(cc) == saturate(cc.ctx, subfield_unit_words(cc.ctx)).m, (p, q)
 
 
 @pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
 def test_classification_puts_the_roots_sqrt_exact_returns_in_the_memo(p, q, case, norm):
-    pair = PrimePair(p, q)
-    unit_context.cache_clear()
-    classification_context.cache_clear()
-    cc = classification_context(pair)
+    cc = ClassificationContext(PrimePair(p, q))
     seeded = [uid for uid in NONTORSION_IDS if uid in cc.roots]
     assert len(seeded) == (5 if norm == 1 else 4)
     memo = dict(cc.ctx.sqrts)  # before any stage asks for a root
     for uid in seeded:
         unit = cc.ctx.units[uid]
         assert memo[unit] is cc.roots[uid]
-        assert unit_context(pair).sqrt(unit) == sqrt_exact(unit)
+        assert cc.ctx.sqrt(unit) == sqrt_exact(unit)
 
 
 def test_guard_bounds_the_seeds_and_the_steps_together(monkeypatch):
-    k = sum(uid in classification_context(P17).roots for uid in NONTORSION_IDS)
-    steps = unit_index(P17) - k
+    cc = ClassificationContext(P17)
+    k = sum(uid in cc.roots for uid in NONTORSION_IDS)
+    steps = unit_index(cc) - k
     assert (k, steps) == (5, 2)
     # a guard of k + steps - 1 trips, though it is above the steps alone
     monkeypatch.setattr(unit_lattice, "SATURATION_GUARD", k + steps - 1)
     assert steps <= k + steps - 1
     with pytest.raises(InternalInconsistencyError, match="index guard"):
-        unit_index(P17)
+        unit_index(ClassificationContext(P17))
     monkeypatch.setattr(unit_lattice, "SATURATION_GUARD", k + steps)
-    assert unit_index(P17) == 7
+    assert unit_index(ClassificationContext(P17)) == 7
     monkeypatch.undo()
     # with the guard at 14, E_0 claimed at index 2^8 needs 7 steps more
     guard = unit_lattice.SATURATION_GUARD
-    assert saturate(P17, subfield_unit_words(P17), seed_index=guard - 7).m == 7
+    ctx = UnitContext(P17)
+    assert saturate(ctx, subfield_unit_words(ctx), seed_index=guard - 7).m == 7
     with pytest.raises(InternalInconsistencyError, match="index guard"):
-        saturate(P17, subfield_unit_words(P17), seed_index=guard - 6)
+        saturate(ctx, subfield_unit_words(ctx), seed_index=guard - 6)

@@ -11,16 +11,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 import triquad
 from oracles import (CASE_REPRESENTATIVES, character_row_by_euler, coords,
                      legendre_by_enumeration, sqrt_in_field,
-                     subfield_unit_words, unsieved_saturation)
+                     subfield_unit_words, unsieved_saturation,
+                     verified_context)
 from triquad import unit_lattice
 from triquad.arith import PrimePair
-from triquad.harness import record_json, verify_pair
+from triquad.harness import record_json, scan_pairs, verify_pair
 from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.octic import OcticElem, octic_mul, rational_norm, sqrt_exact
-from triquad.theorems import (classification_context, classify_pair,
-                              unit_generators, unit_index)
-from triquad.unit_lattice import (BASE_UNIT_IDS, NONTORSION_IDS, UnitWord,
-                                  _character_row, _product_of,
+from triquad.theorems import (ClassificationContext, classification_context,
+                              classify_pair, unit_generators, unit_index)
+from triquad.unit_lattice import (BASE_UNIT_IDS, NONTORSION_IDS, UnitContext,
+                                  UnitWord, _character_row, _product_of,
                                   _square_candidates, k5_unit_index,
                                   quarter_determinant, rank_certificate,
                                   saturate, unit_context)
@@ -34,6 +35,11 @@ K5_SUPPORT = frozenset({0, 0b100, 0b011, 0b111})
 REPRESENTATIVES = [PrimePair(p, q) for p, q, _, _ in CASE_REPRESENTATIVES]
 # an element for the words whose element no test reads
 ONE = OcticElem.one((17, 7))
+
+
+def prescribed_words(cc):
+    """The prescribed system of the context's pair."""
+    return unit_generators(classify_pair(cc), cc)
 
 
 def test_word_canonicalization():
@@ -86,10 +92,11 @@ def test_depth_counts_the_halvings():
 def test_word_embed_examples():
     # the elements the library makes its words with: the units of the
     # context and the roots of the prescribed system
-    ctx = unit_context(P17)
+    cc = ClassificationContext(P17)
+    ctx = cc.ctx
     assert ctx.units["e2"] == OcticElem.from_dict((17, 7), {0: 1, 1: 1})
     assert ctx.units["-1"] == OcticElem.rational((17, 7), -1)
-    elems = {w.render(): w.elem for w in unit_generators(classify_pair(P17), P17)}
+    elems = {w.render(): w.elem for w in prescribed_words(cc)}
     assert elems["e2"] == ctx.units["e2"]
     assert elems["eq^1/2"] == OcticElem.from_dict(
         (17, 7), {1: Fraction(3, 2), 5: Fraction(1, 2)})
@@ -97,16 +104,16 @@ def test_word_embed_examples():
 
 def test_word_embed_unit_invariant():
     for pair in [P17] + REPRESENTATIVES:
-        ctx = unit_context(pair)
-        words = unit_generators(classify_pair(pair), pair)
-        for e in list(ctx.units.values()) + [w.elem for w in words]:
+        cc = ClassificationContext(pair)
+        words = prescribed_words(cc)
+        for e in list(cc.ctx.units.values()) + [w.elem for w in words]:
             assert rational_norm(e) in ((1, 1), (-1, 1))
 
 
 def _base_unit_squares(pair):
     """The square candidates among products of -1 and the seven subfield
     units, each with the root sqrt_exact finds (None for a non-square)."""
-    ctx = unit_context(pair)
+    ctx = UnitContext(pair)
     elems = [ctx.units[uid] for uid in BASE_UNIT_IDS]
     return {v: sqrt_exact(_product_of(elems, v, ctx.key))
             for v in _square_candidates([ctx.row(e) for e in elems])}, elems
@@ -131,22 +138,28 @@ def test_square_class_space_41_7_k1_product():
     assert candidates[v] is not None     # N(eps_2p) = -1: k1 product is a square
 
 
+def _saturate_subfield_units(pair):
+    ctx = UnitContext(pair)
+    return saturate(ctx, subfield_unit_words(ctx))
+
+
 def test_saturate_reference_values():
-    assert saturate(P17, subfield_unit_words(P17)).m == 7
-    assert saturate(P41, subfield_unit_words(P41)).m == 6
+    assert _saturate_subfield_units(P17).m == 7
+    assert _saturate_subfield_units(P41).m == 6
 
 
 def test_saturation_word_deeper_than_two_is_inconsistent():
     # E_K^4 lies in the group of the subfield units, so no unit word needs
     # depth 3; a depth-2 word carrying a square (eps_2^2 as eps_2^(1/4))
     # would make saturation take eps_2^(1/8)
-    square = unit_context(P17).units["e2"] ** 2
+    ctx = UnitContext(P17)
+    square = ctx.units["e2"] ** 2
     with pytest.raises(InternalInconsistencyError, match="depth above 2"):
-        saturate(P17, [UnitWord(quarters={"e2": 1}, elem=square)])
+        saturate(ctx, [UnitWord(quarters={"e2": 1}, elem=square)])
 
 
 def test_saturate_returns_seven_verified_words():
-    res = saturate(P17, subfield_unit_words(P17))
+    res = _saturate_subfield_units(P17)
     assert len(res.words) == 7
     for w in res.words:
         assert rational_norm(w.elem) in ((1, 1), (-1, 1))
@@ -154,48 +167,52 @@ def test_saturate_returns_seven_verified_words():
 
 
 def test_saturate_deterministic():
-    a = saturate(P17, subfield_unit_words(P17))
-    b = saturate(P17, subfield_unit_words(P17))
+    a = _saturate_subfield_units(P17)
+    b = _saturate_subfield_units(P17)
     assert a.m == b.m
     assert [w.quarters for w in a.words] == [w.quarters for w in b.words]
     assert [w.elem for w in a.words] == [w.elem for w in b.words]
 
 
 def test_saturate_fixpoint_on_saturated_generators():
-    res = saturate(P17, subfield_unit_words(P17))
-    again = saturate(P17, list(res.words))
+    ctx = UnitContext(P17)
+    res = saturate(ctx, subfield_unit_words(ctx))
+    again = saturate(ctx, list(res.words))
     assert again.m == 0
 
 
 def test_k5_unit_index():
-    assert k5_unit_index(P41) == 1   # norm -1 branch
-    assert k5_unit_index(P17) == 2   # norm +1 branch
+    assert k5_unit_index(UnitContext(P41)) == 1   # norm -1 branch
+    assert k5_unit_index(UnitContext(P17)) == 2   # norm +1 branch
 
 
 def test_rank_certificate_cases():
-    words = subfield_unit_words(P17)
-    assert rank_certificate(words, P17)
+    ctx = UnitContext(P17)
+    words = subfield_unit_words(ctx)
+    assert rank_certificate(words, ctx)
     repeated = words[:6] + [words[0]]
-    assert not rank_certificate(repeated, P17)
-    sat = saturate(P17, subfield_unit_words(P17))
-    assert rank_certificate(sat.words, P17)
+    assert not rank_certificate(repeated, ctx)
+    sat = saturate(ctx, subfield_unit_words(ctx))
+    assert rank_certificate(sat.words, ctx)
     with pytest.raises(TriquadError):
-        rank_certificate(words[:5], P17)
+        rank_certificate(words[:5], ctx)
 
 
 def test_rank_certificate_rejects_a_wrong_element_on_a_right_word():
-    words = unit_generators(classify_pair(P17), P17)
-    assert rank_certificate(words, P17)
+    cc = ClassificationContext(P17)
+    words = prescribed_words(cc)
+    assert rank_certificate(words, cc.ctx)
     w0 = words[0]
-    wrong = octic_mul(w0.elem, unit_context(P17).units["e2"])
+    wrong = octic_mul(w0.elem, cc.ctx.units["e2"])
     corrupted = UnitWord(quarters=w0.quarters, elem=wrong)
-    assert not rank_certificate([corrupted] + words[1:], P17)
+    assert not rank_certificate([corrupted] + words[1:], cc.ctx)
 
 
 def test_rank_certificate_rejects_dependent_elements_on_independent_words():
-    words = unit_generators(classify_pair(P17), P17)
+    cc = ClassificationContext(P17)
+    words = prescribed_words(cc)
     borrowed = UnitWord(quarters=words[0].quarters, elem=words[1].elem)
-    assert not rank_certificate([borrowed] + words[1:], P17)
+    assert not rank_certificate([borrowed] + words[1:], cc.ctx)
 
 
 def _determinant_by_fractions(rows):
@@ -260,45 +277,47 @@ def _assert_same_saturation(res, reference):
 
 @pytest.mark.parametrize("pair", [P17, P41])
 def test_sieved_saturation_matches_unsieved_reference(pair):
-    _assert_same_saturation(saturate(pair, subfield_unit_words(pair)),
-                            unsieved_saturation(pair))
+    ctx = UnitContext(pair)
+    _assert_same_saturation(saturate(ctx, subfield_unit_words(ctx)),
+                            unsieved_saturation(ctx))
 
 
 def test_sieved_k5_saturation_matches_unsieved_reference():
     for pair in [P89] + REPRESENTATIVES:
-        ctx = unit_context(pair)
+        ctx = UnitContext(pair)
         words = [UnitWord(quarters={uid: 4}, elem=ctx.units[uid])
                  for uid in ("eq", "e2p", "e2pq")]
-        reference = unsieved_saturation(pair, words, K5_SUPPORT)
-        _assert_same_saturation(saturate(pair, words, K5_SUPPORT), reference)
-        assert k5_unit_index(pair) == reference[0]
+        reference = unsieved_saturation(ctx, words, K5_SUPPORT)
+        _assert_same_saturation(saturate(ctx, words, K5_SUPPORT), reference)
+        assert k5_unit_index(ctx) == reference[0]
 
 
 @pytest.mark.parametrize("pair", REPRESENTATIVES)
 def test_sieved_seeded_saturation_matches_unsieved_reference(pair):
     # the generators of theorems.unit_index: the checked half-unit roots in
     # place of their units
-    cc = classification_context(pair)
+    cc = ClassificationContext(pair)
     seeds = [UnitWord(quarters={uid: 2}, elem=cc.roots[uid]) if uid in cc.roots
              else UnitWord(quarters={uid: 4}, elem=cc.ctx.units[uid])
              for uid in unit_lattice.NONTORSION_IDS]
     k = sum(uid in cc.roots for uid in unit_lattice.NONTORSION_IDS)
-    reference = unsieved_saturation(pair, seeds)
-    _assert_same_saturation(saturate(pair, seeds, seed_index=k), reference)
-    assert unit_index(pair) == k + reference[0]
+    reference = unsieved_saturation(cc.ctx, seeds)
+    _assert_same_saturation(saturate(cc.ctx, seeds, seed_index=k), reference)
+    assert unit_index(cc) == k + reference[0]
 
 
 @pytest.mark.parametrize("pair", REPRESENTATIVES)
 def test_sieved_resaturation_matches_unsieved_reference(pair):
-    words = unit_generators(classify_pair(pair), pair)
-    reference = unsieved_saturation(pair, words)
+    cc = ClassificationContext(pair)
+    words = prescribed_words(cc)
+    reference = unsieved_saturation(cc.ctx, words)
     assert reference[0] == 0
-    _assert_same_saturation(saturate(pair, words), reference)
+    _assert_same_saturation(saturate(cc.ctx, words), reference)
 
 
 @pytest.mark.parametrize("pair", [P17, P17_191])
 def test_crt_roots_reduce_to_the_roots_of_each_split_prime(pair):
-    ctx = unit_context(pair)
+    ctx = UnitContext(pair)
     assert ctx.modulus == math.prod(l for l, _ in ctx.primes)
     for l, roots in ctx.primes:
         assert [r % l for r in ctx.crt_roots] == list(roots)
@@ -307,10 +326,10 @@ def test_crt_roots_reduce_to_the_roots_of_each_split_prime(pair):
 
 
 def test_character_row_is_a_homomorphism_that_kills_squares():
-    ctx = unit_context(P17)
+    ctx = UnitContext(P17)
     base = [ctx.units[uid] for uid in BASE_UNIT_IDS]
     units = [_product_of(base, v, ctx.key) for v in (0b10, 0b110, 0b10010110, 0b11111111)]
-    units += [w.elem for w in saturate(P17, subfield_unit_words(P17)).words]
+    units += [w.elem for w in saturate(ctx, subfield_unit_words(ctx)).words]
     for x in units:
         assert _character_row(ctx, octic_mul(x, x)) == (0, 0)
     for x, y in zip(units, units[1:]):
@@ -324,9 +343,9 @@ def test_character_row_bits_are_legendre_symbols_at_each_root_choice():
     # bit 8k+i: the image of x when the roots of 2, p, q mod the k-th split
     # prime are negated as embedding i negates sqrt2, sqrtp, sqrtq; no other
     # bit is set
-    ctx = unit_context(P17)
+    ctx = UnitContext(P17)
     units = list(ctx.units.values()) + [
-        w.elem for w in saturate(P17, subfield_unit_words(P17)).words]
+        w.elem for w in saturate(ctx, subfield_unit_words(ctx)).words]
     for x in units:
         bits, undefined = _character_row(ctx, x)
         assert undefined == 0
@@ -362,13 +381,13 @@ def split_prime_elements():
 @example(OcticElem((17, 7), [47, 47, 0, 0, 0, 0, 0, Fraction(1, 103)]))
 def test_character_row_matches_eulers_criterion(x):
     assume(not x.is_zero)
-    ctx = unit_context(P17)
+    ctx = UnitContext(P17)
     assert [l for l, _ in ctx.primes] == [47, 103, 137, 223, 271, 281]
     assert _character_row(ctx, x) == character_row_by_euler(ctx, x)
 
 
 def test_undefined_character_column_is_dropped_not_zeroed():
-    ctx = unit_context(P17)
+    ctx = UnitContext(P17)
     l = ctx.primes[0][0]
     column = 0xFF  # the characters of the first split prime
     n = next(a for a in range(2, l) if pow(a, (l - 1) // 2, l) == l - 1)
@@ -408,10 +427,7 @@ def test_square_candidates_are_the_screened_vectors_smallest_support_first(data)
 
 # -- the per-pair root memo ----------------------------------------------------
 
-def test_warm_verify_pair_repeats_the_cold_record_without_new_roots(monkeypatch):
-    unit_context.cache_clear()
-    classification_context.cache_clear()
-    cold = record_json(verify_pair(17, 191), include_wall_time=False)
+def test_verify_pair_asks_each_root_once_and_keeps_nothing(monkeypatch):
     asked = []
 
     def counted(x):
@@ -419,9 +435,27 @@ def test_warm_verify_pair_repeats_the_cold_record_without_new_roots(monkeypatch)
         return sqrt_exact(x)
 
     monkeypatch.setattr(unit_lattice, "sqrt_exact", counted)
-    warm = record_json(verify_pair(17, 191), include_wall_time=False)
-    assert warm == cold
-    assert asked == []  # every root of the pair comes from the memo
+    first = record_json(verify_pair(17, 191), include_wall_time=False)
+    n = len(asked)
+    # within one verification every root comes from sqrt_exact once, then
+    # from the memo of the pair's context
+    assert n and len(set(asked)) == n
+    # the second verification starts from a new context: it asks the same
+    # roots in the same order and makes the same record
+    second = record_json(verify_pair(17, 191), include_wall_time=False)
+    assert second == first
+    assert asked[n:] == asked[:n]
+    # the stages run on a context of the test's own ask the same roots
+    assert set(asked[:n]) <= set(verified_context(P17_191).sqrts)
+
+
+def test_scan_makes_every_context_in_the_pair_verification():
+    # the context caches are left for the benchmark's cache_info(): no stage
+    # looks a pair's state up in them
+    before = (unit_context.cache_info(), classification_context.cache_info())
+    assert len(scan_pairs(300, 200).records) == 144
+    assert (unit_context.cache_info(), classification_context.cache_info()) == before
+    assert before[0].currsize == before[1].currsize == 0
 
 
 # (17, 223) has (p/q) = +1 and its saturation leaves two misses; the character
@@ -429,8 +463,7 @@ def test_warm_verify_pair_repeats_the_cold_record_without_new_roots(monkeypatch)
 # the misses of (17, 191) never reach the memo
 @pytest.mark.parametrize("pair", [P17, PrimePair(17, 223)])
 def test_root_memo_holds_roots_of_its_pair_or_certified_misses(pair):
-    verify_pair(pair.p, pair.q)
-    ctx = unit_context(pair)
+    ctx = verified_context(pair)
     assert any(y is None for y in ctx.sqrts.values())
     for x, y in ctx.sqrts.items():
         assert x.pair == ctx.key
