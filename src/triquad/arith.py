@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInconsistencyError, TriquadError
 
@@ -248,20 +248,30 @@ def f2_eliminate(rows: list[int]) -> tuple[list[int], list[int]]:
     return [w >> n for w in basis], kernel
 
 
-@dataclass(frozen=True)
-class PrimePair:
-    """A pair of primes (p, q) with p = 1 mod 8 and q = 7 mod 8."""
-
+class _PrimePairFields(NamedTuple):
     p: int
     q: int
 
-    def __post_init__(self):
+
+class PrimePair(_PrimePairFields):
+    """A pair of primes (p, q) with p = 1 mod 8 and q = 7 mod 8. The check
+    runs in __new__, so unpickling and _replace run it too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not is_prime(self.p) or self.p % 8 != 1:
             raise TriquadError(f"p = {self.p} is not a prime congruent to 1 mod 8")
         if not is_prime(self.q) or self.q % 8 != 7:
             raise TriquadError(f"q = {self.q} is not a prime congruent to 7 mod 8")
         if self.p == self.q:
             raise TriquadError("p and q must be distinct")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def radicands(self) -> tuple[int, ...]:

@@ -18,18 +18,16 @@ count.
 from __future__ import annotations
 
 import bisect
-import csv
 import hashlib
 import io
 import itertools
 import math
+import operator
 import os
 import time
-import traceback
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from . import classnumber, octic, theorems, unit_lattice
 from .arith import PrimePair, decimal_str, primes_in_range, ratio_str
@@ -42,37 +40,67 @@ STATUS_RESOURCE = "resource-guard"
 STATUS_INTERNAL = "internal-error"
 
 
-@dataclass(frozen=True)
-class Config:
+class _ConfigFields(NamedTuple):
     quad_bound: int = classnumber.DEFAULT_QUAD_BOUND
     jobs: int = 1
 
-    def __post_init__(self):
+
+class Config(_ConfigFields):
+    """The radicand bound and the worker count of a verification or scan;
+    checked in __new__, so unpickling and _replace check them too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.quad_bound < 1:
             raise TriquadError("quad_bound must be at least 1")
         if self.jobs < 1:
             raise TriquadError("jobs must be at least 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass
+_RECORD_FIELDS = ("pair", "status", "case_tag", "h2", "m", "h2K", "generators",
+                  "fingerprints", "table_failures", "rank_ok", "resaturation_m",
+                  "k5_identity_ok", "mismatches", "wall_time")
+_record_values = operator.attrgetter(*_RECORD_FIELDS)
+
+
 class VerificationRecord:
     """One pair's result. h2 (subfield 2-class numbers by radicand), m (unit
     index) and h2K (by the case formula) are set together once h2(K) is known
-    both ways; a pair that fails before then keeps all three None."""
-    pair: tuple[int, int]
-    status: str
-    case_tag: CaseTag | None = None
-    h2: dict[int, int] | None = None
-    m: int | None = None
-    h2K: int | None = None
-    generators: list[tuple[str, dict[str, str]]] = field(default_factory=list)
-    fingerprints: list[str] = field(default_factory=list)
-    table_failures: list[str] = field(default_factory=list)
-    rank_ok: bool | None = None
-    resaturation_m: int | None = None
-    k5_identity_ok: bool | None = None
-    mismatches: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
+    both ways; a pair that fails before then keeps all three None. Records
+    are equal when their fields are."""
+
+    def __init__(self, pair: tuple[int, int], status: str):
+        self.pair = pair
+        self.status = status
+        self.case_tag: CaseTag | None = None
+        self.h2: dict[int, int] | None = None
+        self.m: int | None = None
+        self.h2K: int | None = None
+        self.generators: list[tuple[str, dict[str, str]]] = []
+        self.fingerprints: list[str] = []
+        self.table_failures: list[str] = []
+        self.rank_ok: bool | None = None
+        self.resaturation_m: int | None = None
+        self.k5_identity_ok: bool | None = None
+        self.mismatches: list[str] = []
+        self.wall_time = 0.0
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _record_values(self) == _record_values(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(_RECORD_FIELDS, _record_values(self)))
+        return f"VerificationRecord({fields})"
 
 
 def _rat(n: int, d: int) -> str:
@@ -176,7 +204,9 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
     except Exception as exc:
         # any other failure stays in this pair's record, so a pool scan
         # keeps every other record; the traceback goes to stderr only, as
-        # the report must not depend on where the package is installed
+        # the report must not depend on where the package is installed;
+        # traceback is imported here, as only this branch needs it
+        import traceback
         traceback.print_exc()
         rec.status = STATUS_INTERNAL
         mism.append(f"{type(exc).__name__} in {stage}: {exc}")
@@ -240,8 +270,8 @@ def _pool_records(tasks: Iterator, workers: int) -> Iterator[VerificationRecord]
     window is queued before the records of the last are read, so the
     workers do not wait for the reader, and no more than two windows are
     held."""
-    # imported here, as only a pool scan needs it: multiprocessing is about
-    # a sixth of the package's import time
+    # imported here, as only a pool scan needs it: with multiprocessing it
+    # takes about half as long to import as the whole package
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         queued: Iterator[VerificationRecord] = iter(())
@@ -277,8 +307,7 @@ class _Tally:
                 "case_matrix": self.matrix}
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     records: list[VerificationRecord]
     summary: dict
 
@@ -401,6 +430,7 @@ def write_scan(records: Iterable[VerificationRecord], out: TextIO,
     per record and no summary. No record is kept once written."""
     tally = _Tally()
     if fmt == "csv":
+        import csv  # only the CSV report needs it
         w = csv.writer(out, lineterminator="\n")
         w.writerow(_CSV_FIELDS)
         for rec in records:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .arith import PrimePair, is_perfect_square, ratio_str
 from .errors import InternalInconsistencyError, TriquadError
@@ -32,8 +32,7 @@ CASE_GRID = {(KIND_UNIT, KIND_UNIT): "C1", (KIND_UNIT, KIND_P): "C2",
              (KIND_2P, KIND_2P): "C9"}
 
 
-@dataclass(frozen=True)
-class SqrtDecomposition:
+class SqrtDecomposition(NamedTuple):
     """Exact data of the square root of a norm +1 unit t + y sqrt(d).
 
     Exactly one system t + 1 = f+ c+^2, t - 1 = f- c-^2 of the unit's table
@@ -176,8 +175,7 @@ def unit_index(cc: ClassificationContext) -> int:
     return k + saturate(cc.ctx, seeds, seed_index=k).m
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(NamedTuple):
     """Full classification of a pair, with resolution-bit witnesses."""
 
     pair: PrimePair
@@ -188,8 +186,8 @@ class CaseTag:
     case: str
     u_bit: int | None
     v_sign: int | None
-    resolution: dict[str, int] = field(default_factory=dict)
-    prefix_witnesses: dict[str, tuple[int, int] | None] = field(default_factory=dict)
+    resolution: dict[str, int]
+    prefix_witnesses: dict[str, tuple[int, int] | None]
 
     @property
     def class_number_exponent(self) -> int:
@@ -202,8 +200,7 @@ class CaseTag:
                    if not isinstance(eq, str) and eq.keys)
 
 
-@dataclass(frozen=True)
-class SquareEquation:
+class SquareEquation(NamedTuple):
     """The generator sqrt(e2^A ep^B * prod of sqrt(eps_uid), uid in tail).
 
     witness keys the tag's prefix witness; None leaves the equation untested

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import octic
 from .arith import (PrimePair, f2_eliminate, ratio_str, residue_table,
@@ -129,8 +129,7 @@ def render_quarters(quarters: dict[str, int]) -> str:
     return " * ".join(parts) or "1"
 
 
-@dataclass
-class SaturationResult:
+class SaturationResult(NamedTuple):
     m: int
     words: list[UnitWord]        # the 7 non-torsion fundamental words
 

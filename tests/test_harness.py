@@ -1,11 +1,11 @@
 import concurrent.futures
-import dataclasses
 import hashlib
 import io
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -154,6 +154,52 @@ def test_import_loads_no_process_pool_and_fills_no_prime_table():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == ["0", "0", "False"]
+
+
+def test_import_loads_no_module_that_only_some_paths_use():
+    """dataclasses (with the inspect it pulls in) is not used at all;
+    traceback only on an internal error, csv only for the CSV report and
+    the process pool only for a pool scan."""
+    unused = ("dataclasses", "inspect", "traceback", "csv",
+              "concurrent.futures", "multiprocessing")
+    code = ("import sys\n"
+            "import triquad\n"
+            "print(*[name for name in sys.argv[1:] if name in sys.modules])\n")
+    src = str(Path(triquad.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-S", "-c", code, *unused],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == []
+
+
+def test_value_types_are_immutable_and_check_their_fields_when_unpickled():
+    pair = PrimePair(17, 7)
+    rec = verify_pair(17, 7)
+    tag = rec.case_tag
+    assert type(tag.pair) is PrimePair
+    for value, name in ((pair, "p"), (Config(), "jobs"), (tag, "case")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    # the pool path: records come back pickled, fields compared one by one
+    back = pickle.loads(pickle.dumps(rec))
+    assert back is not rec and back == rec
+    assert type(back.case_tag) is type(tag) and type(back.case_tag.pair) is PrimePair
+    back.mismatches.append("changed")
+    assert back != rec
+    # a payload whose fields fail the checks raises as the constructor does
+    payload = pickle.dumps(pair)
+    assert payload.count(b"K\x11K\x07") == 1  # the BININT1 opcodes of 17, 7
+    for p in (15, 23):  # composite, and a prime = 7 mod 8
+        with pytest.raises(TriquadError, match=f"p = {p} "):
+            pickle.loads(payload.replace(b"K\x11K\x07", b"K" + bytes([p]) + b"K\x07"))
+    with pytest.raises(TriquadError, match="p = 15 "):
+        pair._replace(p=15)
+    payload = pickle.dumps(Config(jobs=2))
+    assert payload.count(b"K\x02") == 1
+    with pytest.raises(TriquadError, match="jobs"):
+        pickle.loads(payload.replace(b"K\x02", b"K\x00"))
+    with pytest.raises(TriquadError, match="jobs"):
+        Config()._replace(jobs=0)
 
 
 def test_cli_refuses_a_prime_test_past_the_proved_witness_bound(capsys):
@@ -384,7 +430,7 @@ def _other_prefix_for(bad_pair, monkeypatch):
     def classify_pair(cc):
         tag = real(cc)
         if (cc.pair.p, cc.pair.q) == bad_pair:
-            tag = dataclasses.replace(tag, prefix_witnesses={
+            tag = tag._replace(prefix_witnesses={
                 key: (a, 1 - b) for key, (a, b) in tag.prefix_witnesses.items()})
         return tag
 

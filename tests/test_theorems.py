@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -143,7 +141,7 @@ def test_unit_generators_fall_back_to_the_half_root(p, q, bit, index, fallback):
     assert tag.resolution[bit] == 1
     words = unit_generators(tag, cc)
     missed = unit_generators(
-        dataclasses.replace(tag, resolution={**tag.resolution, bit: 0}), cc)
+        tag._replace(resolution={**tag.resolution, bit: 0}), cc)
     assert words[index].render() != fallback
     assert missed[index].render() == fallback
     assert missed[:index] + missed[index + 1:] == words[:index] + words[index + 1:]
