@@ -95,18 +95,6 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if t == p - 1 else 1
 
 
-@functools.lru_cache(maxsize=128)
-def residue_table(l: int) -> bytes:
-    """For an odd prime l, the bytes t of length l with t[v] = 1 when v is a
-    non-residue mod l, and 0 when v is 0 or a nonzero square: the Legendre
-    symbol (v/l) of v prime to l is 1 - 2*t[v]."""
-    t = bytearray([1]) * l
-    t[0] = 0
-    for i in range(1, l // 2 + 1):
-        t[i * i % l] = 0
-    return bytes(t)
-
-
 def sqrt_mod(a: int, l: int) -> int:
     """A square root of a modulo an odd prime l with (a/l) != -1, by
     Tonelli-Shanks. Callers check the root by squaring."""
@@ -133,8 +121,8 @@ def sqrt_mod(a: int, l: int) -> int:
 def sqrt_table(l: int) -> memoryview:
     """For an odd prime l, the table t of length l with t[v] the square root
     of v mod l in [1, (l - 1)/2] when v is a nonzero square, and 0 when v is
-    0 or a non-residue: 2-byte entries while the roots fit. Filled on first
-    use, one per prime the symbol walks reach."""
+    0 or a non-residue (so t also gives the symbol of v): 2-byte entries
+    while the roots fit. Filled on first use, one per prime read."""
     wide = l >= 1 << 17  # roots up to (l - 1)/2 past 2 bytes
     t = memoryview(bytearray((4 if wide else 2) * l)).cast("I" if wide else "H")
     for i in range(1, l // 2 + 1):
@@ -288,7 +276,8 @@ class PrimePair(_PrimePairFields):
 
     @property
     def legendre_pq(self) -> int:
-        return legendre_symbol(self.p, self.q)
+        """(p/q) by Euler's criterion, as __new__ proved q prime."""
+        return 1 if pow(self.p, (self.q - 1) // 2, self.q) == 1 else -1
 
 
 def primes_in_range(limit: int, residue: int, modulus: int) -> list[int]:

@@ -349,8 +349,10 @@ def kuroda_h2K(pair: PrimePair, m: int, h2: dict[int, int]) -> int:
     return num >> _KURODA_POWER
 
 
-def subfield_h2_map(pair: PrimePair, bound: int = DEFAULT_QUAD_BOUND) -> dict[int, int]:
-    return {d: h2_real_quadratic(d, bound, primes)
+def subfield_h2_map(pair: PrimePair) -> dict[int, int]:
+    """The 2-class numbers of the seven quadratic subfields, by radicand.
+    The caller has checked the largest radicand, 2pq, against its bound."""
+    return {d: _h2_cached(d, primes)
             for d, primes in zip(pair.radicands, pair.radicand_primes)}
 
 

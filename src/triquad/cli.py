@@ -53,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = Config(quad_bound=ns.quad_bound, jobs=getattr(ns, "jobs", 1))
         if ns.command in ("classify", "units", "h2"):
-            # verify_pair makes the same check and reports it in its record
+            # the one check of the radicand bound, as in verify_pair
             pair = PrimePair(ns.p, ns.q)
             classnumber.check_radicand(max(pair.radicands), config.quad_bound)
             cc = theorems.ClassificationContext(pair)
@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if ns.command == "h2":
             m = theorems.unit_index(cc)
-            h2 = classnumber.subfield_h2_map(pair, config.quad_bound)
+            h2 = classnumber.subfield_h2_map(pair)
             _print_json({"pair": {"p": ns.p, "q": ns.q},
                          "h2": harness.h2_json(h2, theorems.predict_h2K(tag, h2)),
                          "m": m,

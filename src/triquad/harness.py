@@ -130,7 +130,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
     try:
         # 2pq is the largest radicand: refuse before any unit is computed
         classnumber.check_radicand(max(pair.radicands), config.quad_bound)
-        # the pair's state, made once and passed to every stage
+        # the pair's one object, made once and passed to every stage
         cc = theorems.ClassificationContext(pair)
         tag = theorems.classify_pair(cc)
         rec.case_tag = tag
@@ -148,7 +148,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
 
         stage = "rank"
         det = unit_lattice.quarter_determinant(words)
-        rec.rank_ok = unit_lattice.rank_certificate(words, cc.ctx, det)
+        rec.rank_ok = unit_lattice.rank_certificate(words, cc, det)
         if not rec.rank_ok:
             mism.append("prescribed generators fail the rank certificate")
 
@@ -160,13 +160,13 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
             mism.append(f"prescribed system has index {ratio_str(scaled_index, 4 ** 7)} "
                         f"in the unit group, not 1")
         stage = "resaturate"
-        resat = unit_lattice.saturate(cc.ctx, list(words))
+        resat = unit_lattice.saturate(cc, list(words))
         rec.resaturation_m = resat.m
         if resat.m != 0:
             mism.append(f"prescribed system is not saturated: {resat.m} more steps")
 
         stage = "h2"
-        h2 = classnumber.subfield_h2_map(pair, config.quad_bound)
+        h2 = classnumber.subfield_h2_map(pair)
         for msg in classnumber.h2_pattern_failures(pair, h2):
             mism.append("quadratic 2-class pattern: " + msg)
         h2_theorem = theorems.predict_h2K(tag, h2)
@@ -186,7 +186,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
             # h2(K) = h2(k5)/2 across the unramified step K/k5, with
             # h2(k5) = 2^(m5-2) h2(q) h2(2p) h2(2pq); the m5 = 1 value holds
             # in the norm -1 branch, m5 = 2 in the norm +1 branch
-            m5 = unit_lattice.k5_unit_index(cc.ctx)
+            m5 = unit_lattice.k5_unit_index(cc)
             h2_k5 = (1 << m5) * h2[q] * h2[2 * p] * h2[2 * p * q]  # 4 h2(k5)
             expected_m5 = 1 if tag.norm_eps2p == -1 else 2
             rec.k5_identity_ok = (m5 == expected_m5 and h2_k5 == 8 * h2_theorem)

@@ -22,7 +22,7 @@ import math
 from collections.abc import Sequence
 
 from .arith import (PrimePair, is_perfect_square, is_prime, ratio_str,
-                    residue_table, symbol_primes)
+                    sqrt_table, symbol_primes)
 from .errors import InternalInconsistencyError, TriquadError
 
 SUBSET_LABELS = ("", "2", "p", "2p", "q", "2q", "pq", "2pq")
@@ -31,9 +31,7 @@ SUBSET_LABELS = ("", "2", "p", "2p", "q", "2q", "pq", "2pq")
 _EMB_FLIPS = (0, 4, 2, 6, 1, 5, 3, 7)
 
 
-# the pair-keyed caches hold constants of the pair tuple that every element
-# carries, and keep the last 64 pairs
-@functools.lru_cache(maxsize=64)
+# for raw (p, q) tuples from outside the library; a PrimePair checked itself
 def _validate_pair(p: int, q: int) -> None:
     if p == q or p <= 2 or q <= 2 or not is_prime(p) or not is_prime(q):
         raise TriquadError(f"need two distinct odd primes, got ({p}, {q})")
@@ -47,6 +45,8 @@ def _normalize_pair(pair) -> tuple[int, int]:
     return p, q
 
 
+# the pair-keyed caches keep the last 64 pairs; a PrimePair is equal to its
+# (p, q) tuple, with the same hash, so the two share an entry
 @functools.lru_cache(maxsize=64)
 def _radicals(pair: tuple[int, int]) -> tuple[int, ...]:
     """prod(S) for each mask S."""
@@ -322,13 +322,12 @@ def radical_mask(n: int, pair) -> tuple[int, int]:
 
 def embed_quadratic(d: int, a: int, b: int, pair) -> OcticElem:
     """Place a + b sqrt d, a and b ints, on the basis slots of K."""
-    pair = _normalize_pair(pair)
     s, mask = radical_mask(d, pair)
     if not mask:
         raise TriquadError(f"radicand {d} is a square")
     num = [0] * 8
     num[0], num[mask] = a, s * b
-    return _new(pair, tuple(num), 1)
+    return _new(_normalize_pair(pair), tuple(num), 1)
 
 
 # -- exact embedding signs ------------------------------------------------
@@ -378,22 +377,23 @@ def _tower_levels(pair: tuple[int, int]) -> tuple[tuple, ...]:
     """The levels of the descent, for the radicals of bits 0, 1, 2 in turn:
     (t, sub, l, roots, table) with t the level's radical, sub the radicals
     of the subfield below it (every (2 << bit)-th), l its branch prime, roots
-    the images of their square roots in F_l and table the residue table of l."""
+    the images of their square roots in F_l and table the sqrt_table of l."""
     rad = _radicals(pair)
     levels = []
     for bit in range(3):
         l, roots = _branch_prime(pair, bit)
         step = 2 << bit
-        levels.append((rad[1 << bit], rad[::step], l, roots[::step], residue_table(l)))
+        levels.append((rad[1 << bit], rad[::step], l, roots[::step], sqrt_table(l)))
     return tuple(levels)
 
 
 def _no_square(num: Sequence[int], den: int, level: tuple) -> bool:
     """True when num/den, in the subfield below `level`, maps to a nonzero
-    non-residue at the level's branch prime l, so is no square. num/den has
-    the character of num*den, which is 0 where l divides den."""
+    non-residue at the level's branch prime l (a 0 in its sqrt_table), so is
+    no square. num/den has the character of num*den, 0 where l divides den."""
     _, _, l, roots, table = level
-    return table[sum(n % l * r for n, r in zip(num, roots)) * den % l] == 1
+    v = sum(n % l * r for n, r in zip(num, roots)) * den % l
+    return v != 0 and not table[v]
 
 
 def _sqrt_tower(num: Sequence[int], den: int,

@@ -105,44 +105,42 @@ def root_from_decomposition(dec: SqrtDecomposition, pair: PrimePair) -> OcticEle
     return _reduced((pair.p, pair.q), num, 2)
 
 
-class ClassificationContext:
-    """One pair's UnitContext `ctx`, square-root decompositions, the roots
-    of the base units they give and the bits read off them; the caller
-    makes it and passes it to every stage."""
+class ClassificationContext(UnitContext):
+    """The one object of a pair: its UnitContext, extended by the
+    square-root decompositions, the roots of the base units they give and
+    the bits read off them. The caller makes it and passes it to every
+    stage, the unit_lattice ones included."""
 
     def __init__(self, pair: PrimePair):
-        self.pair = pair
-        self.ctx = UnitContext(pair)
-        self.decompositions = decompose_sqrt_data(self.ctx)
+        super().__init__(pair)
+        self.decompositions = decompose_sqrt_data(self)
         uid_of = dict(zip(pair.radicands, NONTORSION_IDS))
         self.roots: dict[str, OcticElem] = {}
         for d, dec in self.decompositions.items():
             uid, r = uid_of[d], root_from_decomposition(dec, pair)
-            unit = self.ctx.units[uid]
+            unit = self.units[uid]
             if octic_mul(r, r) != unit:
                 raise InternalInconsistencyError(f"root template failed for {uid}")
             self.roots[uid] = r
             # c+, c- >= 0 make r positive at the all-positive embedding, so
             # it is the root that sqrt_exact returns: the memo takes it
-            self.ctx.sqrts[unit] = r
-        self.norm_eps2p = self.ctx.triples["e2p"][2]
+            self.sqrts[unit] = r
+        self.norm_eps2p = self.triples["e2p"][2]
         self.u_bit = None
         self.v_sign = None
         if self.norm_eps2p == 1:
             self.u_bit = self.decompositions[2 * pair.p].u_bit
         else:
-            units = self.ctx.units
-            r = self.ctx.sqrt(octic_prod(self.ctx.key,
-                                         [units["e2"], units["ep"], units["e2p"]]))
+            units = self.units
+            r = self.sqrt(octic_prod(pair, [units["e2"], units["ep"], units["e2p"]]))
             if r is None:
                 raise InternalInconsistencyError(
                     "sqrt(e2 ep e2p) missing although N(eps_2p) = -1")
             self.roots["e2ep2p"] = r
             nrm = norm_to_subfield(TAU2, r)
-            e2 = self.ctx.units["e2"]
-            if nrm == e2:
+            if nrm == units["e2"]:
                 self.v_sign = 0
-            elif nrm == -e2:
+            elif nrm == -units["e2"]:
                 self.v_sign = 1
             else:
                 raise InternalInconsistencyError(
@@ -152,7 +150,7 @@ class ClassificationContext:
                          prefix: tuple[int, int]) -> list[OcticElem]:
         """e2^A, ep^B and the half-roots of the tail, for prefix (A, B)."""
         a_exp, b_exp = prefix
-        units = self.ctx.units
+        units = self.units
         return ([units["e2"]] * a_exp + [units["ep"]] * b_exp
                 + [self.roots[uid] for uid in tail])
 
@@ -169,10 +167,10 @@ def unit_index(cc: ClassificationContext) -> int:
     (unit_lattice module docstring), so m is k plus the steps from there.
     The seeds come from the square-class decompositions, not the case plan."""
     seeds = [UnitWord(quarters={uid: 2}, elem=cc.roots[uid]) if uid in cc.roots
-             else UnitWord(quarters={uid: 4}, elem=cc.ctx.units[uid])
+             else UnitWord(quarters={uid: 4}, elem=cc.units[uid])
              for uid in NONTORSION_IDS]
     k = sum(uid in cc.roots for uid in NONTORSION_IDS)
-    return k + saturate(cc.ctx, seeds, seed_index=k).m
+    return k + saturate(cc, seeds, seed_index=k).m
 
 
 class CaseTag(NamedTuple):
@@ -281,8 +279,8 @@ def classify_pair(cc: ClassificationContext) -> CaseTag:
             # the memoised character rows of the factors refute most
             # non-squares with no product and no descent
             factors = cc.equation_factors(eq.tail, ab)
-            if (not cc.ctx.no_square(factors)
-                    and cc.ctx.sqrt(octic_prod(cc.ctx.key, factors)) is not None):
+            if (not cc.no_square(factors)
+                    and cc.sqrt(octic_prod(pair, factors)) is not None):
                 hits.append(ab)
         if len(hits) > 1 or not (hits or eq.keys):
             raise InternalInconsistencyError(
@@ -308,7 +306,7 @@ def unit_generators(tag: CaseTag, cc: ClassificationContext) -> list[UnitWord]:
     half["k1"] = (UnitWord(quarters={"e2": 2, "ep": 2, "e2p": 2},
                            elem=cc.roots["e2ep2p"])
                   if tag.norm_eps2p == -1 else half["e2p"])
-    words = [UnitWord(quarters={uid: 4}, elem=cc.ctx.units[uid])
+    words = [UnitWord(quarters={uid: 4}, elem=cc.units[uid])
              for uid in ("e2", "ep")]
     for entry in CASE_PLANS[tag.case, tag.norm_eps2p]:
         if isinstance(entry, str):
@@ -317,8 +315,7 @@ def unit_generators(tag: CaseTag, cc: ClassificationContext) -> list[UnitWord]:
             prefix = tag.prefix_witnesses.get(entry.witness) or (0, 0)
             quarters = {**dict.fromkeys(entry.tail, 1),
                         "e2": 2 * prefix[0], "ep": 2 * prefix[1]}
-            xi = cc.ctx.sqrt(octic_prod(cc.ctx.key,
-                                        cc.equation_factors(entry.tail, prefix)))
+            xi = cc.sqrt(octic_prod(cc.pair, cc.equation_factors(entry.tail, prefix)))
             if xi is None:
                 raise InternalInconsistencyError(
                     "theorem-prescribed generator is not a square in K: "
@@ -427,8 +424,8 @@ def verify_norm_tables(cc: ClassificationContext) -> list[tuple[str, bool]]:
     cross-multiplication with the power held as int numerators: the units
     lie on the basis with den 1."""
     pair = cc.pair
-    units, dec = cc.ctx.units, cc.decompositions
-    rad = _radicals(cc.ctx.key)
+    units, dec = cc.units, cc.decompositions
+    rad = _radicals(pair)
     rows = [("base-units", uid,
              units[uid] if uid in ("e2", "ep") else cc.roots[uid], row)
             for uid, row in _TABLE_BASE.items()]

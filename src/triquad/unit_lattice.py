@@ -47,8 +47,7 @@ import math
 from typing import NamedTuple
 
 from . import octic
-from .arith import (PrimePair, f2_eliminate, ratio_str, residue_table,
-                    symbol_primes)
+from .arith import PrimePair, f2_eliminate, ratio_str, sqrt_table, symbol_primes
 from .errors import InternalInconsistencyError, TriquadError
 from .octic import OcticElem, embed_quadratic, octic_prod, sqrt_exact
 from .quadratic import fundamental_unit
@@ -137,19 +136,18 @@ class SaturationResult(NamedTuple):
 class UnitContext:
     """One pair's quadratic units, as (x, y, norm) triples and in K, the
     split primes of the saturation sieve, and memos of the character rows
-    and square roots that the stages ask for. The caller makes it and passes
-    it to every stage; nothing else keeps it, so the memos live as long as
-    one verification of the pair."""
+    and square roots that the stages ask for, all made from its PrimePair
+    `pair`. theorems.ClassificationContext extends it to the one object of
+    a pair, which the caller makes and passes to every stage; nothing else
+    keeps it, so the memos live as long as one verification of the pair."""
 
     def __init__(self, pair: PrimePair):
         self.pair = pair
-        self.key = (pair.p, pair.q)
         self.triples: dict[str, tuple[int, int, int]] = {}
-        self.units: dict[str, OcticElem] = {
-            TORSION_ID: -OcticElem.one(self.key)}
+        self.units: dict[str, OcticElem] = {TORSION_ID: -OcticElem.one(pair)}
         for uid, d, primes in zip(NONTORSION_IDS, pair.radicands, pair.radicand_primes):
             x, y, _ = self.triples[uid] = fundamental_unit(d, primes)
-            self.units[uid] = embed_quadratic(d, x, y, self.key)
+            self.units[uid] = embed_quadratic(d, x, y, pair)
         self.primes = symbol_primes((2, pair.p, pair.q), (1, 1, 1), SPLIT_PRIMES)
         # the character rows read every split prime from one image modulo
         # their product: crt_roots[mask] is roots[mask] mod each prime
@@ -157,7 +155,7 @@ class UnitContext:
         self.crt_roots = tuple(
             sum(roots[m] * (self.modulus // l) * pow(self.modulus // l, -1, l)
                 for l, roots in self.primes) % self.modulus for m in range(8))
-        self.tables = tuple((8 * k, l, residue_table(l))
+        self.tables = tuple((8 * k, l, sqrt_table(l))
                             for k, (l, _) in enumerate(self.primes))
         self.rows: dict[OcticElem, tuple[int, int]] = {}
         self.sqrts: dict[OcticElem, OcticElem | None] = {}
@@ -200,11 +198,11 @@ def _integral_power(word: UnitWord, ctx: UnitContext, k: int) -> OcticElem:
         if r:
             raise InternalInconsistencyError("scaled exponent not integral")
         factors.append(ctx.units[uid] ** e)
-    return octic_prod(ctx.key, factors)
+    return octic_prod(ctx.pair, factors)
 
 
-def _product_of(gens_elems: list[OcticElem], vector: int, pair_key) -> OcticElem:
-    return octic_prod(pair_key, [g for i, g in enumerate(gens_elems) if vector >> i & 1])
+def _product_of(gens_elems: list[OcticElem], vector: int, pair: PrimePair) -> OcticElem:
+    return octic_prod(pair, [g for i, g in enumerate(gens_elems) if vector >> i & 1])
 
 
 # -- the quadratic-character sieve --------------------------------------------
@@ -217,7 +215,8 @@ def _product_of(gens_elems: list[OcticElem], vector: int, pair_key) -> OcticElem
 # every square, so the first square in the candidate order does not depend on
 # which columns are read. A bit is undefined when l divides a coordinate
 # denominator or the residue is 0; such a column is dropped for the whole
-# search, never read as 0, so no square is lost.
+# search, never read as 0, so no square is lost. A nonzero residue is a
+# non-residue where the square-root table of l holds 0.
 
 def _character_row(ctx: UnitContext, x: OcticElem) -> tuple[int, int]:
     """(bits, undefined) of x: bit 8k+i a non-residue at the prime above the
@@ -244,7 +243,7 @@ def _character_row(ctx: UnitContext, x: OcticElem) -> tuple[int, int]:
             v = w % l
             if not v:
                 undefined |= 1 << (shift + i)
-            elif table[v]:
+            elif not table[v]:
                 bits |= 1 << (shift + i)
     return bits, undefined
 
@@ -290,7 +289,7 @@ def saturate(ctx: UnitContext,
                 f"saturation exceeded the index guard 2^{SATURATION_GUARD}")
         hit = None
         for v in _square_candidates(rows):
-            xi = ctx.sqrt(_product_of(elems, v, ctx.key))
+            xi = ctx.sqrt(_product_of(elems, v, ctx.pair))
             if xi is None:
                 continue
             if restrict_support is not None and not xi.support() <= restrict_support:

@@ -415,10 +415,10 @@ def verified_context(pair) -> UnitContext:
     cc = theorems.ClassificationContext(pair)
     words = theorems.unit_generators(theorems.classify_pair(cc), cc)
     theorems.unit_index(cc)
-    saturate(cc.ctx, words)
+    saturate(cc, words)
     if pair.legendre_pq == -1:
-        k5_unit_index(cc.ctx)
-    return cc.ctx
+        k5_unit_index(cc)
+    return cc
 
 
 def unsieved_saturation(ctx: UnitContext, generators=None, restrict_support=None):
@@ -442,7 +442,7 @@ def unsieved_saturation(ctx: UnitContext, generators=None, restrict_support=None
                 signs ^= neg[i]
             if signs:
                 continue
-            prod = OcticElem.one(ctx.key)
+            prod = OcticElem.one(ctx.pair)
             for i in chosen:
                 prod = octic_mul(prod, elems[i])
             root = sqrt_exact(prod)
@@ -472,7 +472,7 @@ def octic_norm_tables(cc: "theorems.ClassificationContext") -> list[tuple[str, b
     unit made by **."""
     T = theorems
     pair = cc.pair
-    units, dec = cc.ctx.units, cc.decompositions
+    units, dec = cc.units, cc.decompositions
     rows = [("base-units", uid,
              units[uid] if uid in ("e2", "ep") else cc.roots[uid], T._SIGMAS_6, row)
             for uid, row in T._TABLE_BASE.items()]
@@ -511,7 +511,7 @@ def unscreened_classify_pair(cc: "theorems.ClassificationContext") -> "theorems.
             a = resolution["a"] = (cc.u_bit + 1) % 2
             prefixes = [(a, cc.u_bit), (a, a)]
         hits = [ab for ab in prefixes if sqrt_exact(
-            octic_prod(cc.ctx.key, cc.equation_factors(eq.tail, ab))) is not None]
+            octic_prod(cc.pair, cc.equation_factors(eq.tail, ab))) is not None]
         assert len(hits) <= 1 and (hits or eq.keys), (pair, eq.witness, hits)
         witnesses[eq.witness] = hits[0] if hits else None
         if eq.keys:

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from triquad import arith
 from triquad.arith import (PrimePair, f2_eliminate, is_perfect_square, is_prime,
                            legendre_symbol, primes_in_range, ratio_str,
-                           residue_table, symbol_primes)
+                           symbol_primes)
 from triquad.errors import TriquadError
 
 from oracles import legendre_by_enumeration
@@ -63,13 +63,6 @@ def test_legendre_matches_enumeration_small_primes():
        st.sampled_from(primes_in_range(500, 1, 2)[1:]))
 def test_legendre_multiplicative(a, b, p):
     assert legendre_symbol(a * b, p) == legendre_symbol(a, p) * legendre_symbol(b, p)
-
-
-def test_residue_table_is_eulers_criterion_below_1000():
-    for l in primes_in_range(1000, 1, 2):
-        table = residue_table(l)
-        assert len(table) == l
-        assert list(table) == [int(pow(v, (l - 1) // 2, l) == l - 1) for v in range(l)]
 
 
 def test_sqrt_table_is_the_least_root_below_1000():
@@ -204,6 +197,13 @@ def test_prime_pair_radicands():
     pair = PrimePair(17, 7)
     assert pair.radicands == (2, 17, 7, 34, 14, 119, 238)
     assert pair.legendre_pq == -1
+
+
+def test_legendre_pq_is_the_symbol_by_enumeration_on_the_scan_dense_range():
+    pairs = [(p, q) for p in primes_in_range(300, 1, 8) for q in primes_in_range(200, 7, 8)]
+    assert len(pairs) == 144
+    for p, q in pairs:
+        assert PrimePair(p, q).legendre_pq == legendre_by_enumeration(p, q), (p, q)
 
 
 def _xor_of(rows, v):

@@ -48,6 +48,30 @@ def test_verify_41_7():
     assert rec.h2K == 2
 
 
+def test_verify_pair_proves_each_pair_fact_once(monkeypatch):
+    """p and q are proved prime when the pair is made, the radicand bound
+    is checked where the pair enters, and no stage checks a raw pair tuple."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append((name, args))
+            return real(*args)
+        return wrapper
+
+    for module in (triquad.arith, octic, classnumber):
+        monkeypatch.setattr(module, "is_prime", counted("is_prime", triquad.arith.is_prime))
+    monkeypatch.setattr(classnumber, "check_radicand",
+                        counted("check_radicand", classnumber.check_radicand))
+    monkeypatch.setattr(octic, "_validate_pair", counted("_validate_pair", octic._validate_pair))
+    assert verify_pair(977, 487).status == "verified"
+    assert calls.count(("is_prime", (977,))) == 1
+    assert calls.count(("is_prime", (487,))) == 1
+    names = [name for name, _ in calls]
+    assert names.count("check_radicand") == 1
+    assert "_validate_pair" not in names
+
+
 def test_verify_rejects_invalid_pair_before_pipeline():
     with pytest.raises(TriquadError):
         verify_pair(7, 17)
@@ -146,7 +170,7 @@ def test_import_loads_no_process_pool_and_fills_no_prime_table():
             "import triquad\n"
             "from triquad import arith\n"
             "print(arith._odd_primes.cache_info().currsize,\n"
-            "      arith.residue_table.cache_info().currsize)\n"
+            "      arith.sqrt_table.cache_info().currsize)\n"
             "assert triquad.verify_pair(17, 7).status == 'verified'\n"
             "print('multiprocessing' in sys.modules)\n")
     src = str(Path(triquad.__file__).resolve().parents[1])
@@ -484,10 +508,10 @@ def _h2_fails_for(bad_pair, monkeypatch):
     """Make the subfield class numbers of bad_pair raise a non-package error."""
     real = classnumber.subfield_h2_map
 
-    def subfield_h2_map(pair, bound=classnumber.DEFAULT_QUAD_BOUND):
+    def subfield_h2_map(pair):
         if (pair.p, pair.q) == bad_pair:
             raise ZeroDivisionError("integer division by zero")
-        return real(pair, bound)
+        return real(pair)
 
     monkeypatch.setattr(classnumber, "subfield_h2_map", subfield_h2_map)
 
@@ -563,7 +587,7 @@ def test_pair_keyed_caches_keep_at_most_64_pairs():
              for q in primes_in_range(200, 7, 8)][:70]
     for p, q in pairs:
         assert verify_pair(p, q).status == "verified"
-    for cache in (octic._validate_pair, octic._radicals, octic._tower_levels):
+    for cache in (octic._radicals, octic._tower_levels):
         assert cache.cache_info().currsize <= 64
 
 
@@ -684,7 +708,7 @@ def test_quarter_determinant_is_made_once_per_pair(monkeypatch):
     cc = theorems.ClassificationContext(PrimePair(41, 23))
     words = theorems.unit_generators(rec.case_tag, cc)
     assert abs(real(words)) << rec.m == 4 ** 7
-    assert not unit_lattice.rank_certificate(words, cc.ctx, 0)
+    assert not unit_lattice.rank_certificate(words, cc, 0)
     with pytest.raises(TriquadError, match="needs 7 words"):
         real(words + words[:1])
 

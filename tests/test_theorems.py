@@ -147,7 +147,7 @@ def test_unit_generators_fall_back_to_the_half_root(p, q, bit, index, fallback):
     assert missed[:index] + missed[index + 1:] == words[:index] + words[index + 1:]
     uid = fallback.split("^")[0]
     root = missed[index].elem
-    assert octic_mul(root, root) == cc.ctx.units[uid]
+    assert octic_mul(root, root) == cc.units[uid]
 
 
 def test_unit_generators_embed_and_are_fundamental():
@@ -156,9 +156,9 @@ def test_unit_generators_embed_and_are_fundamental():
         words = unit_generators(classify_pair(cc), cc)
         assert len(words) == 7
         # the elements are the words, and the words have index 1 in E_K
-        assert rank_certificate(words, cc.ctx)
+        assert rank_certificate(words, cc)
         assert abs(quarter_determinant(words)) << unit_index(cc) == 4 ** 7
-        assert saturate(cc.ctx, list(words)).m == 0
+        assert saturate(cc, list(words)).m == 0
 
 
 def test_predict_h2K_examples():
@@ -278,9 +278,9 @@ def test_every_square_equation_the_rows_refute_has_no_root():
                 prefixes = [(a, cc.u_bit), (a, a)]
             for ab in prefixes:
                 factors = cc.equation_factors(eq.tail, ab)
-                if cc.ctx.no_square(factors):
+                if cc.no_square(factors):
                     refuted += 1
-                    assert sqrt_exact(octic_prod(cc.ctx.key, factors)) is None, (pair, ab)
+                    assert sqrt_exact(octic_prod(cc.pair, factors)) is None, (pair, ab)
     assert refuted == 165
 
 
@@ -297,7 +297,7 @@ def test_seeded_unit_index_is_the_saturation_from_e0_on_the_scan_dense_range():
     assert len(pairs) == 144
     for p, q in pairs:
         cc = ClassificationContext(PrimePair(p, q))
-        assert unit_index(cc) == saturate(cc.ctx, subfield_unit_words(cc.ctx)).m, (p, q)
+        assert unit_index(cc) == saturate(cc, subfield_unit_words(cc)).m, (p, q)
 
 
 @pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
@@ -305,11 +305,11 @@ def test_classification_puts_the_roots_sqrt_exact_returns_in_the_memo(p, q, case
     cc = ClassificationContext(PrimePair(p, q))
     seeded = [uid for uid in NONTORSION_IDS if uid in cc.roots]
     assert len(seeded) == (5 if norm == 1 else 4)
-    memo = dict(cc.ctx.sqrts)  # before any stage asks for a root
+    memo = dict(cc.sqrts)  # before any stage asks for a root
     for uid in seeded:
-        unit = cc.ctx.units[uid]
+        unit = cc.units[uid]
         assert memo[unit] is cc.roots[uid]
-        assert cc.ctx.sqrt(unit) == sqrt_exact(unit)
+        assert cc.sqrt(unit) == sqrt_exact(unit)
 
 
 def test_guard_bounds_the_seeds_and_the_steps_together(monkeypatch):

@@ -93,11 +93,10 @@ def test_word_embed_examples():
     # the elements the library makes its words with: the units of the
     # context and the roots of the prescribed system
     cc = ClassificationContext(P17)
-    ctx = cc.ctx
-    assert ctx.units["e2"] == OcticElem.from_dict((17, 7), {0: 1, 1: 1})
-    assert ctx.units["-1"] == OcticElem.rational((17, 7), -1)
+    assert cc.units["e2"] == OcticElem.from_dict((17, 7), {0: 1, 1: 1})
+    assert cc.units["-1"] == OcticElem.rational((17, 7), -1)
     elems = {w.render(): w.elem for w in prescribed_words(cc)}
-    assert elems["e2"] == ctx.units["e2"]
+    assert elems["e2"] == cc.units["e2"]
     assert elems["eq^1/2"] == OcticElem.from_dict(
         (17, 7), {1: Fraction(3, 2), 5: Fraction(1, 2)})
 
@@ -106,7 +105,7 @@ def test_word_embed_unit_invariant():
     for pair in [P17] + REPRESENTATIVES:
         cc = ClassificationContext(pair)
         words = prescribed_words(cc)
-        for e in list(cc.ctx.units.values()) + [w.elem for w in words]:
+        for e in list(cc.units.values()) + [w.elem for w in words]:
             assert rational_norm(e) in ((1, 1), (-1, 1))
 
 
@@ -115,7 +114,7 @@ def _base_unit_squares(pair):
     units, each with the root sqrt_exact finds (None for a non-square)."""
     ctx = UnitContext(pair)
     elems = [ctx.units[uid] for uid in BASE_UNIT_IDS]
-    return {v: sqrt_exact(_product_of(elems, v, ctx.key))
+    return {v: sqrt_exact(_product_of(elems, v, ctx.pair))
             for v in _square_candidates([ctx.row(e) for e in elems])}, elems
 
 
@@ -201,18 +200,18 @@ def test_rank_certificate_cases():
 def test_rank_certificate_rejects_a_wrong_element_on_a_right_word():
     cc = ClassificationContext(P17)
     words = prescribed_words(cc)
-    assert rank_certificate(words, cc.ctx)
+    assert rank_certificate(words, cc)
     w0 = words[0]
-    wrong = octic_mul(w0.elem, cc.ctx.units["e2"])
+    wrong = octic_mul(w0.elem, cc.units["e2"])
     corrupted = UnitWord(quarters=w0.quarters, elem=wrong)
-    assert not rank_certificate([corrupted] + words[1:], cc.ctx)
+    assert not rank_certificate([corrupted] + words[1:], cc)
 
 
 def test_rank_certificate_rejects_dependent_elements_on_independent_words():
     cc = ClassificationContext(P17)
     words = prescribed_words(cc)
     borrowed = UnitWord(quarters=words[0].quarters, elem=words[1].elem)
-    assert not rank_certificate([borrowed] + words[1:], cc.ctx)
+    assert not rank_certificate([borrowed] + words[1:], cc)
 
 
 def _determinant_by_fractions(rows):
@@ -298,11 +297,11 @@ def test_sieved_seeded_saturation_matches_unsieved_reference(pair):
     # place of their units
     cc = ClassificationContext(pair)
     seeds = [UnitWord(quarters={uid: 2}, elem=cc.roots[uid]) if uid in cc.roots
-             else UnitWord(quarters={uid: 4}, elem=cc.ctx.units[uid])
+             else UnitWord(quarters={uid: 4}, elem=cc.units[uid])
              for uid in unit_lattice.NONTORSION_IDS]
     k = sum(uid in cc.roots for uid in unit_lattice.NONTORSION_IDS)
-    reference = unsieved_saturation(cc.ctx, seeds)
-    _assert_same_saturation(saturate(cc.ctx, seeds, seed_index=k), reference)
+    reference = unsieved_saturation(cc, seeds)
+    _assert_same_saturation(saturate(cc, seeds, seed_index=k), reference)
     assert unit_index(cc) == k + reference[0]
 
 
@@ -310,9 +309,9 @@ def test_sieved_seeded_saturation_matches_unsieved_reference(pair):
 def test_sieved_resaturation_matches_unsieved_reference(pair):
     cc = ClassificationContext(pair)
     words = prescribed_words(cc)
-    reference = unsieved_saturation(cc.ctx, words)
+    reference = unsieved_saturation(cc, words)
     assert reference[0] == 0
-    _assert_same_saturation(saturate(cc.ctx, words), reference)
+    _assert_same_saturation(saturate(cc, words), reference)
 
 
 @pytest.mark.parametrize("pair", [P17, P17_191])
@@ -328,7 +327,7 @@ def test_crt_roots_reduce_to_the_roots_of_each_split_prime(pair):
 def test_character_row_is_a_homomorphism_that_kills_squares():
     ctx = UnitContext(P17)
     base = [ctx.units[uid] for uid in BASE_UNIT_IDS]
-    units = [_product_of(base, v, ctx.key) for v in (0b10, 0b110, 0b10010110, 0b11111111)]
+    units = [_product_of(base, v, ctx.pair) for v in (0b10, 0b110, 0b10010110, 0b11111111)]
     units += [w.elem for w in saturate(ctx, subfield_unit_words(ctx)).words]
     for x in units:
         assert _character_row(ctx, octic_mul(x, x)) == (0, 0)
@@ -466,8 +465,8 @@ def test_root_memo_holds_roots_of_its_pair_or_certified_misses(pair):
     ctx = verified_context(pair)
     assert any(y is None for y in ctx.sqrts.values())
     for x, y in ctx.sqrts.items():
-        assert x.pair == ctx.key
+        assert x.pair == ctx.pair
         if y is None:
             assert sqrt_in_field(x) is None
         else:
-            assert y.pair == ctx.key and octic_mul(y, y) == x
+            assert y.pair == ctx.pair and octic_mul(y, y) == x
