@@ -84,17 +84,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
-    if p <= 2 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"legendre_symbol needs an odd prime modulus, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    t = pow(a, (p - 1) // 2, p)
-    return -1 if t == p - 1 else 1
-
-
 def sqrt_mod(a: int, l: int) -> int:
     """A square root of a modulo an odd prime l with (a/l) != -1, by
     Tonelli-Shanks. Callers check the root by squaring."""

@@ -7,7 +7,8 @@ other exception becomes an internal-error record naming its type and stage.
 
 A scan is a stream: iter_records makes the records of a box of pairs
 (valid_pairs) or of every pair with 2pq at most a bound (range_pairs) one
-at a time, in pair order, in this process or in a pool; write_scan writes
+at a time, in pair order, in this process or in a pool of forked workers
+that each send their batches of records through a pipe; write_scan writes
 each record as it is drawn and the summary last, from running counts, and
 keeps no record. So the memory of a scan does not grow with its length.
 scan_pairs, scan_json and scan_csv are the same two steps with the records
@@ -24,10 +25,11 @@ import itertools
 import math
 import operator
 import os
+import sys
 import time
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple, TextIO
+from typing import NamedTuple, NoReturn, TextIO
 
 from . import classnumber, octic, theorems, unit_lattice
 from .arith import PrimePair, decimal_str, primes_in_range, ratio_str
@@ -246,41 +248,97 @@ BATCH_CAP = 8
 def iter_records(pairs: Iterable[tuple[int, int]],
                  config: Config = Config()) -> Iterator[VerificationRecord]:
     """The records of `pairs`, in their order, made one at a time: in this
-    process, or in a pool of up to config.jobs workers that never holds more
-    workers than pairs or than the CPUs this process may run on."""
+    process, or by up to config.jobs forked workers, never more than the
+    CPUs this process may run on or than the batches of the first window
+    of 4 * BATCH_CAP pairs per worker. That window sizes the batches once:
+    about four per worker, and at most BATCH_CAP pairs."""
     tasks = ((p, q, config) for p, q in pairs)
     # the CPUs this process may run on, which an affinity mask or a cpuset
-    # can make fewer than the machine's
+    # can make fewer than the machine's; with no fork, the scan is serial
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    jobs = min(config.jobs, cpus)
+    jobs = min(config.jobs, cpus) if hasattr(os, "fork") else 1
     if jobs > 1:
         window = list(itertools.islice(tasks, 4 * BATCH_CAP * jobs))
+        tasks = itertools.chain(window, tasks)
         if len(window) > 1:
-            return _pool_records(itertools.chain(window, tasks), min(jobs, len(window)))
-        tasks = iter(window)
+            batch = min(math.ceil(len(window) / (4 * jobs)), BATCH_CAP)
+            return _pool_records(tasks, min(jobs, math.ceil(len(window) / batch)), batch)
     return map(_scan_worker, tasks)
 
 
-def _pool_records(tasks: Iterator, workers: int) -> Iterator[VerificationRecord]:
-    """The records of `tasks` from a pool of `workers`. The tasks go out a
-    window of 4 * BATCH_CAP * workers at a time, each window in batches of
-    consecutive pairs, about four per worker and at most BATCH_CAP pairs:
-    one message out and one list of records back per batch. The next
-    window is queued before the records of the last are read, so the
-    workers do not wait for the reader, and no more than two windows are
-    held."""
-    # imported here, as only a pool scan needs it: with multiprocessing it
-    # takes about half as long to import as the whole package
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        queued: Iterator[VerificationRecord] = iter(())
-        while window := list(itertools.islice(tasks, 4 * BATCH_CAP * workers)):
-            batch = min(math.ceil(len(window) / (4 * workers)), BATCH_CAP)
-            records = pool.map(_scan_worker, window, chunksize=batch)
-            yield from queued
-            queued = records
-        yield from queued
+def _pool_records(tasks: Iterator, workers: int, batch: int) -> Iterator[VerificationRecord]:
+    """The records of `tasks` from `workers` forked children, each with its
+    own pipe. Child k draws the whole task stream in batches of `batch`
+    consecutive tasks, verifies batches k, k + workers, ... (_pool_worker)
+    and this process reads the batches back in order. A child runs at most
+    a pipe buffer and a batch ahead of the reader, so the memory of a scan
+    stays flat. Every child is reaped before this returns or raises: a child
+    that dies, or stops before its last batch, raises TriquadError, and one
+    left by an error or an early close() is killed."""
+    # imported here, as only a pool scan needs them
+    import pickle
+    import signal
+    readers: list[io.BufferedReader] = []
+    live: dict[int, int] = {}  # the pid of each worker not yet reaped
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            readers.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _pool_worker(tasks, k, workers, batch, w, readers)
+                live[k] = pid
+            finally:
+                os.close(w)
+        for k in itertools.cycle(range(workers)):
+            try:
+                records = pickle.load(readers[k])
+            except (EOFError, pickle.UnpicklingError):
+                raise TriquadError(f"scan worker {k} stopped before its last batch, "
+                                   f"exit status {_reap(live, k)}") from None
+            if records is None:
+                break
+            yield from records
+        for k in range(workers):
+            if status := _reap(live, k):
+                raise TriquadError(f"scan worker {k} failed, exit status {status}")
+    finally:
+        for pid in live.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
+def _reap(live: dict[int, int], k: int) -> int:
+    """Wait for worker k; its exit status, or minus the signal that killed it."""
+    return os.waitstatus_to_exitcode(os.waitpid(live.pop(k), 0)[1])
+
+
+def _pool_worker(tasks: Iterator, k: int, workers: int, batch: int, w: int,
+                 readers: list) -> NoReturn:
+    """Worker k of _pool_records, in the forked child: write the list of
+    records of each of its batches to the pipe `w`, then None. It leaves
+    only by os._exit, so it flushes none of the buffers it inherited (a
+    report's head may be in one) and runs no atexit handler."""
+    import pickle
+    status = 1
+    try:
+        for reader in readers:
+            reader.close()
+        with open(w, "wb") as out:
+            batches = iter(lambda: list(itertools.islice(tasks, batch)), [])
+            for chunk in itertools.islice(batches, k, None, workers):
+                pickle.dump(list(map(_scan_worker, chunk)), out)
+                out.flush()
+            pickle.dump(None, out)
+        status = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        os._exit(status)
 
 
 class _Tally:

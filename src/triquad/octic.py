@@ -27,6 +27,8 @@ from .errors import InternalInconsistencyError, TriquadError
 
 SUBSET_LABELS = ("", "2", "p", "2p", "q", "2q", "pq", "2pq")
 
+_ONE = (1, 0, 0, 0, 0, 0, 0, 0)
+
 # flip mask of real embedding i: i with its 3 bits reversed
 _EMB_FLIPS = (0, 4, 2, 6, 1, 5, 3, 7)
 
@@ -114,7 +116,7 @@ class OcticElem:
 
     @staticmethod
     def one(pair) -> "OcticElem":
-        return _new(_normalize_pair(pair), (1, 0, 0, 0, 0, 0, 0, 0), 1)
+        return _new(_normalize_pair(pair), _ONE, 1)
 
     @staticmethod
     def zero(pair) -> "OcticElem":
@@ -157,7 +159,8 @@ class OcticElem:
             n >>= 1
             if n:
                 base = octic_mul(base, base)
-        return octic_prod(self.pair, factors)
+        # one from the pair this element already checked
+        return octic_prod(self.pair, factors) if factors else _new(self.pair, _ONE, 1)
 
     def _check(self, other: "OcticElem"):
         if self.pair != other.pair:
@@ -458,7 +461,7 @@ def sqrt_exact(x: OcticElem) -> OcticElem | None:
     The returned root is positive under the all-positive embedding.
     """
     if x.is_zero:
-        return OcticElem.zero(x.pair)
+        return x  # the canonical zero: coordinates 0 over 1
     root = _sqrt_tower(x.num, x.den, _tower_levels(x.pair))
     if root is None:
         return None

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from triquad import arith
 from triquad.arith import (PrimePair, f2_eliminate, is_perfect_square, is_prime,
-                           legendre_symbol, primes_in_range, ratio_str,
-                           symbol_primes)
+                           primes_in_range, ratio_str, symbol_primes)
 from triquad.errors import TriquadError
 
 from oracles import legendre_by_enumeration
@@ -36,33 +35,6 @@ def test_perfect_square_exhaustive_to_1e6():
 @given(st.integers(min_value=0, max_value=10 ** 40))
 def test_perfect_square_of_square(r):
     assert is_perfect_square(r * r) == r
-
-
-def test_legendre_examples():
-    assert legendre_symbol(17, 7) == -1
-    assert legendre_symbol(113, 7) == 1
-    assert legendre_symbol(14, 7) == 0
-
-
-def test_legendre_rejects_bad_modulus():
-    for p in (4, 9, 15, 2):
-        with pytest.raises(ValueError):
-            legendre_symbol(3, p)
-
-
-def test_legendre_matches_enumeration_small_primes():
-    for p in primes_in_range(100, 1, 2):
-        if p == 2:
-            continue
-        for a in range(2 * p):
-            assert legendre_symbol(a, p) == legendre_by_enumeration(a, p)
-
-
-@given(st.integers(min_value=-10 ** 12, max_value=10 ** 12),
-       st.integers(min_value=-10 ** 12, max_value=10 ** 12),
-       st.sampled_from(primes_in_range(500, 1, 2)[1:]))
-def test_legendre_multiplicative(a, b, p):
-    assert legendre_symbol(a * b, p) == legendre_symbol(a, p) * legendre_symbol(b, p)
 
 
 def test_sqrt_table_is_the_least_root_below_1000():

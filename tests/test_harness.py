@@ -1,11 +1,10 @@
-import concurrent.futures
 import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -166,18 +165,27 @@ def test_quad_bound_below_one_is_a_usage_error(capsys):
 
 
 def test_import_loads_no_process_pool_and_fills_no_prime_table():
-    code = ("import sys\n"
+    """Nor does a pool scan: its two workers are forked, on two CPUs
+    granted whatever the machine has."""
+    code = ("import os, sys\n"
             "import triquad\n"
-            "from triquad import arith\n"
+            "from triquad import arith, harness\n"
             "print(arith._odd_primes.cache_info().currsize,\n"
             "      arith.sqrt_table.cache_info().currsize)\n"
             "assert triquad.verify_pair(17, 7).status == 'verified'\n"
-            "print('multiprocessing' in sys.modules)\n")
+            "print('multiprocessing' in sys.modules)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "result = harness.scan_pairs(41, 23, harness.Config(jobs=2))\n"
+            "assert [r.status for r in result.records] == ['verified'] * 4\n"
+            "print(len(forks), *[name in sys.modules for name in\n"
+            "                    ('multiprocessing', 'concurrent.futures')])\n")
     src = str(Path(triquad.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["0", "0", "False"]
+    assert out.stdout.split() == ["0", "0", "False", "2", "False", "False"]
 
 
 def test_import_loads_no_module_that_only_some_paths_use():
@@ -253,21 +261,11 @@ def _allow_cpus(monkeypatch, n, machine=None):
 def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
     started = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def serial_pool(tasks, workers, batch):
+        started.append(workers)
+        return map(harness._scan_worker, tasks)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    # scan_pairs imports the pool class when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_pool_records", serial_pool)
     _allow_cpus(monkeypatch, 3)
     serial = scan_json(scan_pairs(41, 23, Config()))  # 4 pairs
     assert scan_json(scan_pairs(41, 23, Config(jobs=64))) == serial
@@ -281,16 +279,15 @@ def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
 
 
 def _record_batch_sizes(monkeypatch):
-    """Build real pools that note the chunksize of each map; returns the
-    list of chunksizes."""
+    """Run real pools that note their batch size; returns the list of sizes."""
     sizes = []
+    pool = harness._pool_records
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def map(self, fn, *iterables, chunksize=1, **kwargs):
-            sizes.append(chunksize)
-            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+    def recording_pool(tasks, workers, batch):
+        sizes.append(batch)
+        return pool(tasks, workers, batch)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_pool_records", recording_pool)
     return sizes
 
 
@@ -304,8 +301,6 @@ def test_scan_in_batches_of_several_pairs_gives_the_serial_bytes(monkeypatch):
     assert sizes == [5, 3]
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched stage reaches pool workers only by fork")
 def test_internal_error_inside_a_pool_batch_keeps_the_batch(monkeypatch):
     _h2_fails_for((41, 7), monkeypatch)
     serial = scan_pairs(100, 31)  # 15 pairs
@@ -364,7 +359,7 @@ def test_scan_pool_counts_the_cpus_of_the_affinity_mask(monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was built for a process on one CPU")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness, "_pool_records", no_pool)
     _allow_cpus(monkeypatch, 1, machine=16)
     assert cli_main(["scan", "--pmax", "41", "--qmax", "23", "--jobs", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["pairs"] == 4
@@ -777,35 +772,80 @@ def test_radicand_caches_are_bounded():
         assert cache.cache_info().maxsize == quadratic.RADICAND_CACHE_SIZE > 0
 
 
-def test_pool_scan_sends_windows_of_capped_batches_and_reads_ahead_one(monkeypatch):
-    drawn = []
-    windows = []
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    class FakePool:
-        def __init__(self, max_workers):
-            self.workers = max_workers
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            windows.append((len(tasks), chunksize, len(drawn)))
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(harness, "_scan_worker", lambda task: task[:2])
+def test_pool_scan_deals_capped_batches_in_turn_and_reads_them_in_order(monkeypatch):
+    monkeypatch.setattr(harness, "_scan_worker", lambda task: (task[:2], os.getpid()))
+    sizes = _record_batch_sizes(monkeypatch)
     _allow_cpus(monkeypatch, 2)
-    window = 4 * 2 * harness.BATCH_CAP
-    pairs = [(p, 7) for p in range(5 * window // 2)]
-    for rec in harness.iter_records(pairs, Config(jobs=2)):
-        drawn.append(rec)
-    assert drawn == pairs
-    # each window goes out before the one two back has been read: no more
-    # than two windows are held at once
-    last = window // 2
-    assert windows == [(window, harness.BATCH_CAP, 0),
-                       (window, harness.BATCH_CAP, 0),
-                       (last, math.ceil(last / 8), window)]
+    cap = harness.BATCH_CAP
+    pairs = [(p, 7) for p in range(20 * cap)]
+    got = list(harness.iter_records(pairs, Config(jobs=2)))
+    assert [pair for pair, _ in got] == pairs
+    # a full first window: every batch holds BATCH_CAP pairs, and batch j
+    # comes from worker j % 2, a forked child
+    assert sizes == [cap]
+    workers = [{pid for _, pid in got[i:i + cap]} for i in range(0, len(got), cap)]
+    assert all(len(w) == 1 for w in workers)
+    first, second = workers[:2]
+    assert first != second and workers == [first, second] * 10
+    assert os.getpid() not in first | second
+    _no_child_is_left()
+
+
+def test_pool_workers_run_at_most_a_pipe_and_a_batch_ahead_of_the_reader(
+        monkeypatch, tmp_path):
+    log = tmp_path / "started"
+
+    def logged(task):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        os.write(fd, b"%d\n" % task[0])
+        os.close(fd)
+        return bytes(1 << 16)  # a batch of these overfills a pipe buffer
+
+    monkeypatch.setattr(harness, "_scan_worker", logged)
+    _allow_cpus(monkeypatch, 2)
+    stream = harness.iter_records([(p, 7) for p in range(40 * harness.BATCH_CAP)],
+                                  Config(jobs=2))
+    next(stream)
+    time.sleep(0.5)
+    # batch 0 is read; worker 1 blocks writing batch 1, worker 0 batch 2
+    started = len(log.read_text().split())
+    stream.close()
+    assert 0 < started <= 3 * harness.BATCH_CAP
+    _no_child_is_left()
+
+
+def test_closing_a_pool_stream_early_reaps_every_worker(monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+    pairs = valid_pairs(300, 31)  # 36 pairs
+    stream = harness.iter_records(pairs, Config(jobs=2))
+    first = [next(stream) for _ in range(3)]
+    stream.close()
+    assert [r.pair for r in first] == pairs[:3]
+    assert all(r.status == "verified" for r in first)
+    _no_child_is_left()
+
+
+def test_a_dead_pool_worker_fails_the_scan_and_leaves_no_child(monkeypatch, capsys):
+    parent = os.getpid()
+    scan_worker = harness._scan_worker
+
+    def dying(task):
+        if task[:2] == (41, 7) and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return scan_worker(task)
+
+    monkeypatch.setattr(harness, "_scan_worker", dying)
+    _allow_cpus(monkeypatch, 2)
+    # 15 pairs in batches of 2: (41, 7), the fourth, is in worker 1's batch 1
+    with pytest.raises(TriquadError, match=r"scan worker 1 .* status -9$"):
+        list(harness.iter_records(valid_pairs(100, 31), Config(jobs=2)))
+    _no_child_is_left()
+    assert cli_main(["scan", "--pmax", "100", "--qmax", "31", "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scan worker 1 ") and "Traceback" not in err
+    _no_child_is_left()

@@ -169,6 +169,19 @@ def test_powers_and_products_match_repeated_multiplication():
         assert u ** n == octic_prod(KEY, [u] * n) == power
 
 
+def test_one_and_zero_from_an_element_take_its_checked_pair(monkeypatch):
+    one, zero = OcticElem.one((977, 487)), OcticElem.zero((977, 487))
+    u = UnitContext(PrimePair(977, 487)).units["e2p"]
+    calls = []
+    validate = octic._validate_pair
+    monkeypatch.setattr(octic, "_validate_pair",
+                        lambda p, q: calls.append((p, q)) or validate(p, q))
+    powers = [u ** 0 for _ in range(5)]
+    root = sqrt_exact(u - u)
+    assert calls == []
+    assert powers == [one] * 5 and root == zero
+
+
 def test_negative_powers_are_refused():
     u = UnitContext(PAIR).units["e2p"]
     for n in (-1, -2, -7):
