@@ -27,8 +27,10 @@ import operator
 import os
 import sys
 import time
+# the C quoting that json.encoder re-exports, taken from _json, as the json
+# package would load json.decoder and json.scanner too
+from _json import encode_basestring_ascii as _quote
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, NoReturn, TextIO
 
 from . import classnumber, octic, theorems, unit_lattice
@@ -116,9 +118,12 @@ def _coords_json(elem: octic.OcticElem) -> dict[str, str]:
             for label, n in zip(octic.SUBSET_LABELS, elem.num)}
 
 
+_SORTED_LABELS = sorted(octic.SUBSET_LABELS)
+
+
 def _fingerprint(coords: dict[str, str]) -> str:
-    """Digest of the `_coords_json` of an element."""
-    payload = ";".join(f"{k}={v}" for k, v in sorted(coords.items()))
+    """Digest of the `_coords_json` of an element, its labels in sorted order."""
+    payload = ";".join(f"{k}={coords[k]}" for k in _SORTED_LABELS)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

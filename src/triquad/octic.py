@@ -265,6 +265,19 @@ def _tower_norm(num: Sequence[int],
     return acc, n, k + 1
 
 
+def _tower_norm_only(num: Sequence[int], rad: Sequence[int]) -> tuple[int, int]:
+    """(n, k) of _tower_norm, by the same relative norms level by level,
+    with no accumulator of conjugates."""
+    k = 0
+    while len(num) > 1:
+        a, b, t, rad = num[0::2], num[1::2], rad[1], rad[0::2]
+        if any(b):
+            a = _square_minus(a, b, t, rad)
+            k += 1
+        num = a
+    return num[0], k
+
+
 def octic_mul(x: OcticElem, y: OcticElem) -> OcticElem:
     """Bilinear product: sqrt(prod S) * sqrt(prod T) = prod(S&T) * sqrt(prod(S^T))."""
     x._check(y)
@@ -297,7 +310,7 @@ def rational_norm(x: OcticElem) -> tuple[int, int]:
     """Product of all 8 conjugates as (num, den) in lowest terms with den > 0,
     by the tower of relative norms: x times its 2^k - 1 conjugates there is
     n / den^(2^k), and the norm is that to the power 8 >> k."""
-    _, n, k = _tower_norm(x.num, _radicals(x.pair))
+    n, k = _tower_norm_only(x.num, _radicals(x.pair))
     d = x.den ** (1 << k)
     g = math.gcd(n, d)
     return (n // g) ** (8 >> k), (d // g) ** (8 >> k)

@@ -108,11 +108,14 @@ def root_from_decomposition(dec: SqrtDecomposition, pair: PrimePair) -> OcticEle
 class ClassificationContext(UnitContext):
     """The one object of a pair: its UnitContext, extended by the
     square-root decompositions, the roots of the base units they give and
-    the bits read off them. The caller makes it and passes it to every
-    stage, the unit_lattice ones included."""
+    the bits read off them, and the roots of the square equations that
+    classify_pair solves, keyed by (tail, prefix), for unit_generators. The
+    caller makes it and passes it to every stage, the unit_lattice ones
+    included."""
 
     def __init__(self, pair: PrimePair):
         super().__init__(pair)
+        self.equation_roots: dict[tuple[tuple[str, ...], tuple[int, int]], OcticElem] = {}
         self.decompositions = decompose_sqrt_data(self)
         uid_of = dict(zip(pair.radicands, NONTORSION_IDS))
         self.roots: dict[str, OcticElem] = {}
@@ -279,8 +282,11 @@ def classify_pair(cc: ClassificationContext) -> CaseTag:
             # the memoised character rows of the factors refute most
             # non-squares with no product and no descent
             factors = cc.equation_factors(eq.tail, ab)
-            if (not cc.no_square(factors)
-                    and cc.sqrt(octic_prod(pair, factors)) is not None):
+            if cc.no_square(factors):
+                continue
+            root = cc.sqrt(octic_prod(pair, factors))
+            if root is not None:
+                cc.equation_roots[eq.tail, ab] = root
                 hits.append(ab)
         if len(hits) > 1 or not (hits or eq.keys):
             raise InternalInconsistencyError(
@@ -300,7 +306,9 @@ def classify_pair(cc: ClassificationContext) -> CaseTag:
 def unit_generators(tag: CaseTag, cc: ClassificationContext) -> list[UnitWord]:
     """The 7 non-torsion generators prescribed by the applicable theorem,
     each made with its exact element (torsion -1 is implicit): e2, ep, then the
-    case plan, where an equation whose hit bit is 0 gives its fallback."""
+    case plan, where an equation whose hit bit is 0 gives its fallback. An
+    equation's root is the one classify_pair kept on the context; only an
+    equation it did not solve there is multiplied out and asked for."""
     half = {uid: UnitWord(quarters={uid: 2}, elem=r)
             for uid, r in cc.roots.items() if uid in NONTORSION_IDS}
     half["k1"] = (UnitWord(quarters={"e2": 2, "ep": 2, "e2p": 2},
@@ -315,7 +323,9 @@ def unit_generators(tag: CaseTag, cc: ClassificationContext) -> list[UnitWord]:
             prefix = tag.prefix_witnesses.get(entry.witness) or (0, 0)
             quarters = {**dict.fromkeys(entry.tail, 1),
                         "e2": 2 * prefix[0], "ep": 2 * prefix[1]}
-            xi = cc.sqrt(octic_prod(cc.pair, cc.equation_factors(entry.tail, prefix)))
+            xi = cc.equation_roots.get((entry.tail, prefix))
+            if xi is None:
+                xi = cc.sqrt(octic_prod(cc.pair, cc.equation_factors(entry.tail, prefix)))
             if xi is None:
                 raise InternalInconsistencyError(
                     "theorem-prescribed generator is not a square in K: "

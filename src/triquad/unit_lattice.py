@@ -151,19 +151,23 @@ class UnitContext:
         self.primes = symbol_primes((2, pair.p, pair.q), (1, 1, 1), SPLIT_PRIMES)
         # the character rows read every split prime from one image modulo
         # their product: crt_roots[mask] is roots[mask] mod each prime
-        self.modulus = math.prod(l for l, _ in self.primes)
+        self.modulus = M = math.prod(l for l, _ in self.primes)
+        # the CRT basis: (M // l) * ((M // l)^-1 mod l), one per split prime
+        basis = [(M // l) * pow(M // l, -1, l) for l, _ in self.primes]
         self.crt_roots = tuple(
-            sum(roots[m] * (self.modulus // l) * pow(self.modulus // l, -1, l)
-                for l, roots in self.primes) % self.modulus for m in range(8))
+            sum(roots[m] * e for e, (_, roots) in zip(basis, self.primes)) % M
+            for m in range(8))
         self.tables = tuple((8 * k, l, sqrt_table(l))
                             for k, (l, _) in enumerate(self.primes))
         self.rows: dict[OcticElem, tuple[int, int]] = {}
         self.sqrts: dict[OcticElem, OcticElem | None] = {}
 
     def row(self, x: OcticElem) -> tuple[int, int]:
-        if x not in self.rows:
-            self.rows[x] = _character_row(self, x)
-        return self.rows[x]
+        # one lookup: hashing an element hashes its 8 numerators
+        r = self.rows.get(x)
+        if r is None:
+            r = self.rows[x] = _character_row(self, x)
+        return r
 
     def no_square(self, factors: list[OcticElem]) -> bool:
         """True when the rows of the factors show that their product is no
@@ -177,10 +181,13 @@ class UnitContext:
         return bool(bits & ~undefined)
 
     def sqrt(self, x: OcticElem) -> OcticElem | None:
-        """sqrt_exact(x), computed once per element."""
-        if x not in self.sqrts:
-            self.sqrts[x] = sqrt_exact(x)
-        return self.sqrts[x]
+        """sqrt_exact(x), computed once per element; a miss is memoised as
+        None, so the memo is read by one lookup that may raise KeyError."""
+        try:
+            return self.sqrts[x]
+        except KeyError:
+            y = self.sqrts[x] = sqrt_exact(x)
+            return y
 
 
 # read only by perfbench/unit.py, which calls cache_info() in every repetition

@@ -191,9 +191,10 @@ def test_import_loads_no_process_pool_and_fills_no_prime_table():
 def test_import_loads_no_module_that_only_some_paths_use():
     """dataclasses (with the inspect it pulls in) is not used at all;
     traceback only on an internal error, csv only for the CSV report and
-    the process pool only for a pool scan."""
+    the process pool only for a pool scan; the report's quoting comes from
+    _json, so the json package's decoder and scanner do not load."""
     unused = ("dataclasses", "inspect", "traceback", "csv",
-              "concurrent.futures", "multiprocessing")
+              "concurrent.futures", "multiprocessing", "json.decoder", "json.scanner")
     code = ("import sys\n"
             "import triquad\n"
             "print(*[name for name in sys.argv[1:] if name in sys.modules])\n")
@@ -202,6 +203,10 @@ def test_import_loads_no_module_that_only_some_paths_use():
                          capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split() == []
+
+
+def test_report_quoting_is_the_function_json_encoder_exports():
+    assert harness._quote is json.encoder.encode_basestring_ascii
 
 
 def test_value_types_are_immutable_and_check_their_fields_when_unpickled():

@@ -13,6 +13,7 @@ from oracles import (CASE_REPRESENTATIVES, conjugate_product_inverse,
                      conjugate_product_norm, coord_bit_size, coords,
                      fraction_embedding_interval, scale, sign_vector,
                      verified_context)
+from triquad import octic
 from triquad.arith import PrimePair
 from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _radicals,
@@ -165,6 +166,17 @@ def test_inverse_matches_the_seven_conjugate_product(x):
 @given(nonzero_elements())
 def test_rational_norm_matches_the_eight_conjugate_product(x):
     assert rational_norm(x) == as_pair(conjugate_product_norm(x))
+
+
+def test_rational_norm_descends_norms_only(monkeypatch):
+    # a generic element: all 8 coordinates nonzero, so every level has b != 0
+    x = OcticElem(KEY, [Fraction(3 * m + 1, m + 2) for m in range(8)])
+    products = []
+    real = octic._mul
+    monkeypatch.setattr(octic, "_mul", lambda *args: products.append(args) or real(*args))
+    norm = rational_norm(x)
+    assert products == []
+    assert norm == as_pair(conjugate_product_norm(x))
 
 
 @pytest.mark.parametrize("support", [frozenset({0})] + QUADRATIC + BIQUADRATIC,

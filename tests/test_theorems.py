@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from oracles import (CASE_REPRESENTATIVES, octic_norm_tables,
                      subfield_unit_words, unscreened_classify_pair)
-from triquad import unit_lattice
+from triquad import theorems, unit_lattice
 from triquad.arith import PrimePair
 from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.harness import valid_pairs
@@ -310,6 +310,32 @@ def test_classification_puts_the_roots_sqrt_exact_returns_in_the_memo(p, q, case
         unit = cc.units[uid]
         assert memo[unit] is cc.roots[uid]
         assert cc.sqrt(unit) == sqrt_exact(unit)
+
+
+@pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
+def test_unit_generators_multiply_out_no_equation_classification_solved(
+        p, q, case, norm, monkeypatch):
+    cc = ClassificationContext(PrimePair(p, q))
+    tag = classify_pair(cc)
+    equations = [eq for eq in CASE_PLANS[case, norm] if not isinstance(eq, str)]
+    solved = [eq for eq in equations
+              if eq.witness is not None and tag.prefix_witnesses[eq.witness]]
+    products = []
+    real = theorems.octic_prod
+    monkeypatch.setattr(theorems, "octic_prod",
+                        lambda pair, factors: products.append(list(factors))
+                        or real(pair, factors))
+    words = unit_generators(tag, cc)
+    # only the equations that classification did not test are multiplied out
+    assert products == [cc.equation_factors(eq.tail, (0, 0))
+                        for eq in equations if eq.witness is None]
+    assert len(cc.equation_roots) == len(solved)
+    monkeypatch.undo()
+    # the same words and elements as from a context that kept no root
+    fresh = ClassificationContext(PrimePair(p, q))
+    referee = unit_generators(tag, fresh)
+    assert not fresh.equation_roots
+    assert [(w.quarters, w.elem) for w in words] == [(w.quarters, w.elem) for w in referee]
 
 
 def test_guard_bounds_the_seeds_and_the_steps_together(monkeypatch):
