@@ -59,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
             cc = theorems.ClassificationContext(pair)
             tag = theorems.classify_pair(cc)
         if ns.command == "classify":
-            _print_json(harness.case_tag_json(tag))
+            _print_json(harness.case_tag_json(pair, tag))
             return 0
         if ns.command == "units":
             words = theorems.unit_generators(tag, cc)
@@ -71,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
             m = theorems.unit_index(cc)
             h2 = classnumber.subfield_h2_map(pair)
             _print_json({"pair": {"p": ns.p, "q": ns.q},
-                         "h2": harness.h2_json(h2, theorems.predict_h2K(tag, h2)),
+                         "h2": harness.h2_json(h2, theorems.predict_h2K(pair, tag, h2)),
                          "m": m,
                          "h2K_kuroda": classnumber.kuroda_h2K(pair, m, h2)})
             return 0

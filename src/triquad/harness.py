@@ -11,9 +11,8 @@ at a time, in pair order, in this process or in a pool of forked workers
 that each send their batches of records through a pipe; write_scan writes
 each record as it is drawn and the summary last, from running counts, and
 keeps no record. So the memory of a scan does not grow with its length.
-scan_pairs, scan_json and scan_csv are the same two steps with the records
-kept. The report's bytes depend on neither the batching nor the worker
-count.
+scan_pairs and scan_json are the same two steps with the records kept. The
+report's bytes depend on neither the batching nor the worker count.
 """
 
 from __future__ import annotations
@@ -176,7 +175,7 @@ def verify_pair(p: int, q: int, config: Config = Config()) -> VerificationRecord
         h2 = classnumber.subfield_h2_map(pair)
         for msg in classnumber.h2_pattern_failures(pair, h2):
             mism.append("quadratic 2-class pattern: " + msg)
-        h2_theorem = theorems.predict_h2K(tag, h2)
+        h2_theorem = theorems.predict_h2K(pair, tag, h2)
         h2_kuroda = classnumber.kuroda_h2K(pair, m, h2)
         rec.h2, rec.m, rec.h2K = h2, m, h2_theorem
         if h2_theorem != h2_kuroda:
@@ -387,9 +386,9 @@ def scan_pairs(p_max: int, q_max: int, config: Config = Config()) -> ScanResult:
 
 # -- serialization -----------------------------------------------------------
 
-def case_tag_json(tag: CaseTag) -> dict:
+def case_tag_json(pair: tuple[int, int], tag: CaseTag) -> dict:
     return {
-        "p": tag.pair.p, "q": tag.pair.q,
+        "p": pair[0], "q": pair[1],
         "legendre_pq": tag.legendre_pq,
         "norm_eps2p": tag.norm_eps2p,
         "x_class": tag.x_class, "v_class": tag.v_class,
@@ -409,7 +408,7 @@ def h2_json(h2: dict[int, int], h2K: int) -> dict:
 def record_json(rec: VerificationRecord, include_wall_time: bool = True) -> dict:
     out = {
         "pair": {"p": rec.pair[0], "q": rec.pair[1]},
-        "case": case_tag_json(rec.case_tag) if rec.case_tag else None,
+        "case": case_tag_json(rec.pair, rec.case_tag) if rec.case_tag else None,
         "generators": [{"word": w, "coords": c} for w, c in rec.generators],
         "h2": h2_json(rec.h2, rec.h2K) if rec.h2 is not None else None,
         "m": rec.m,
@@ -523,10 +522,4 @@ def scan_json(result: ScanResult) -> str:
     pure-Python encoder that json falls back on when it indents."""
     buf = io.StringIO()
     write_scan(result.records, buf)
-    return buf.getvalue()
-
-
-def scan_csv(result: ScanResult) -> str:
-    buf = io.StringIO()
-    write_scan(result.records, buf, "csv")
     return buf.getvalue()

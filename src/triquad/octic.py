@@ -21,8 +21,8 @@ import functools
 import math
 from collections.abc import Sequence
 
-from .arith import (PrimePair, is_perfect_square, is_prime, ratio_str,
-                    sqrt_table, symbol_primes)
+from .arith import (PrimePair, is_perfect_square, ratio_str, sqrt_table,
+                    symbol_primes)
 from .errors import InternalInconsistencyError, TriquadError
 
 SUBSET_LABELS = ("", "2", "p", "2p", "q", "2q", "pq", "2pq")
@@ -33,22 +33,13 @@ _ONE = (1, 0, 0, 0, 0, 0, 0, 0)
 _EMB_FLIPS = (0, 4, 2, 6, 1, 5, 3, 7)
 
 
-# for raw (p, q) tuples from outside the library; a PrimePair checked itself
-def _validate_pair(p: int, q: int) -> None:
-    if p == q or p <= 2 or q <= 2 or not is_prime(p) or not is_prime(q):
-        raise TriquadError(f"need two distinct odd primes, got ({p}, {q})")
+def _check_pair(pair) -> None:
+    """Refuse any pair but a PrimePair, which proved its primes when made."""
+    if not isinstance(pair, PrimePair):
+        raise TriquadError(f"an element of K needs a PrimePair, got {pair!r}")
 
 
-def _normalize_pair(pair) -> tuple[int, int]:
-    if isinstance(pair, PrimePair):
-        return pair.p, pair.q
-    p, q = pair
-    _validate_pair(p, q)
-    return p, q
-
-
-# the pair-keyed caches keep the last 64 pairs; a PrimePair is equal to its
-# (p, q) tuple, with the same hash, so the two share an entry
+# the pair-keyed caches keep the last 64 pairs
 @functools.lru_cache(maxsize=64)
 def _radicals(pair: tuple[int, int]) -> tuple[int, ...]:
     """prod(S) for each mask S."""
@@ -64,21 +55,23 @@ TAU1, TAU2, TAU3 = 1, 2, 4
 class OcticElem:
     """An element of K for one pair: integer coordinates `num` over `den`.
 
-    `OcticElem(pair, coords)` takes 8 ints or Fractions, read through their
-    `.numerator` and `.denominator`. Instances are immutable, and equal
-    elements have equal (pair, num, den), which equality and hashing compare.
+    `OcticElem(pair, num, den=1)` takes a PrimePair and 8 ints over a
+    positive int, and brings them to canonical form by one gcd. Instances
+    are immutable, and equal elements have equal (pair, num, den), which
+    equality and hashing compare.
     """
 
     __slots__ = ("pair", "num", "den")
 
-    def __init__(self, pair, coords):
-        if len(coords) != 8:
-            raise TriquadError("octic element needs exactly 8 coordinates")
-        # over the lcm of the reduced denominators the form is canonical
-        den = math.lcm(*(c.denominator for c in coords))
-        _set_pair(self, _normalize_pair(pair))
-        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coords))
-        _set_den(self, den)
+    def __init__(self, pair: PrimePair, num: Sequence[int], den: int = 1):
+        _check_pair(pair)
+        if len(num) != 8 or den < 1:
+            raise TriquadError("an element of K needs 8 coordinates over a "
+                               "positive denominator")
+        g = math.gcd(den, *num)
+        _set_pair(self, pair)
+        _set_num(self, tuple(n // g for n in num))
+        _set_den(self, den // g)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"OcticElem is immutable; cannot set {name!r}")
@@ -104,23 +97,9 @@ class OcticElem:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_dict(pair, d: dict) -> "OcticElem":
-        c = [0] * 8
-        for mask, v in d.items():
-            c[mask] = v
-        return OcticElem(pair, c)
-
-    @staticmethod
-    def rational(pair, v) -> "OcticElem":
-        return OcticElem.from_dict(pair, {0: v})
-
-    @staticmethod
-    def one(pair) -> "OcticElem":
-        return _new(_normalize_pair(pair), _ONE, 1)
-
-    @staticmethod
-    def zero(pair) -> "OcticElem":
-        return _new(_normalize_pair(pair), (0,) * 8, 1)
+    def one(pair: PrimePair) -> "OcticElem":
+        _check_pair(pair)
+        return _new(pair, _ONE, 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -132,16 +111,6 @@ class OcticElem:
         return frozenset(m for m, n in enumerate(self.num) if n)
 
     # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "OcticElem") -> "OcticElem":
-        self._check(other)
-        a, b, den = _common(self, other)
-        return _reduced(self.pair, [x + y for x, y in zip(a, b)], den)
-
-    def __sub__(self, other: "OcticElem") -> "OcticElem":
-        self._check(other)
-        a, b, den = _common(self, other)
-        return _reduced(self.pair, [x - y for x, y in zip(a, b)], den)
 
     def __neg__(self) -> "OcticElem":
         return _new(self.pair, tuple(-n for n in self.num), self.den)
@@ -180,7 +149,7 @@ _set_num = OcticElem.num.__set__
 _set_den = OcticElem.den.__set__
 
 
-def _new(pair: tuple[int, int], num: tuple[int, ...], den: int) -> OcticElem:
+def _new(pair: PrimePair, num: tuple[int, ...], den: int) -> OcticElem:
     """Element from coordinates already in canonical form."""
     x = object.__new__(OcticElem)
     _set_pair(x, pair)
@@ -189,22 +158,12 @@ def _new(pair: tuple[int, int], num: tuple[int, ...], den: int) -> OcticElem:
     return x
 
 
-def _reduced(pair: tuple[int, int], num: list[int], den: int) -> OcticElem:
+def _reduced(pair: PrimePair, num: list[int], den: int) -> OcticElem:
     """Element num/den for den > 0, brought to canonical form by one gcd."""
     g = math.gcd(den, *num)
     if g != 1:
         return _new(pair, tuple(n // g for n in num), den // g)
     return _new(pair, tuple(num), den)
-
-
-def _common(x: OcticElem, y: OcticElem) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Numerators of x and y over their least common denominator."""
-    dx, dy = x.den, y.den
-    if dx == dy:
-        return x.num, y.num, dx
-    g = math.gcd(dx, dy)
-    fx, fy = dy // g, dx // g
-    return (tuple(n * fx for n in x.num), tuple(n * fy for n in y.num), dx * fx)
 
 
 # -- integer-list kernels ---------------------------------------------------
@@ -284,7 +243,7 @@ def octic_mul(x: OcticElem, y: OcticElem) -> OcticElem:
     return _reduced(x.pair, _mul(x.num, y.num, _radicals(x.pair)), x.den * y.den)
 
 
-def octic_prod(pair, factors) -> OcticElem:
+def octic_prod(pair: PrimePair, factors) -> OcticElem:
     """Product of the factors from the first one on; one only when empty."""
     prod = None
     for x in factors:
@@ -316,10 +275,11 @@ def rational_norm(x: OcticElem) -> tuple[int, int]:
     return (n // g) ** (8 >> k), (d // g) ** (8 >> k)
 
 
-def radical_mask(n: int, pair) -> tuple[int, int]:
+def radical_mask(n: int, pair: PrimePair) -> tuple[int, int]:
     """(s, mask) with sqrt(n) = s * sqrt(prod mask), for n > 0 a square
     times a product of 2, p and q."""
-    p, q = _normalize_pair(pair)
+    _check_pair(pair)
+    p, q = pair
     if n < 1:
         raise TriquadError(f"sqrt({n}) is not a positive real radical")
     s, mask, rest = 1, 0, n
@@ -336,14 +296,14 @@ def radical_mask(n: int, pair) -> tuple[int, int]:
     return s * root, mask
 
 
-def embed_quadratic(d: int, a: int, b: int, pair) -> OcticElem:
+def embed_quadratic(d: int, a: int, b: int, pair: PrimePair) -> OcticElem:
     """Place a + b sqrt d, a and b ints, on the basis slots of K."""
     s, mask = radical_mask(d, pair)
     if not mask:
         raise TriquadError(f"radicand {d} is a square")
     num = [0] * 8
     num[0], num[mask] = a, s * b
-    return _new(_normalize_pair(pair), tuple(num), 1)
+    return _new(pair, tuple(num), 1)
 
 
 # -- exact embedding signs ------------------------------------------------

@@ -102,7 +102,7 @@ def root_from_decomposition(dec: SqrtDecomposition, pair: PrimePair) -> OcticEle
     for c, f in zip(dec.cofactors, dec.factors):
         s, mask = radical_mask(2 * f, pair)
         num[mask] += s * c
-    return _reduced((pair.p, pair.q), num, 2)
+    return _reduced(pair, num, 2)
 
 
 class ClassificationContext(UnitContext):
@@ -177,9 +177,9 @@ def unit_index(cc: ClassificationContext) -> int:
 
 
 class CaseTag(NamedTuple):
-    """Full classification of a pair, with resolution-bit witnesses."""
+    """Full classification of a pair, with resolution-bit witnesses; the
+    pair itself is the caller's, as a record holds it once."""
 
-    pair: PrimePair
     legendre_pq: int
     norm_eps2p: int
     x_class: str
@@ -297,7 +297,7 @@ def classify_pair(cc: ClassificationContext) -> CaseTag:
             hit, miss = eq.keys
             resolution[hit], resolution[miss] = len(hits), 1 - len(hits)
 
-    return CaseTag(pair=pair, legendre_pq=leg, norm_eps2p=cc.norm_eps2p,
+    return CaseTag(legendre_pq=leg, norm_eps2p=cc.norm_eps2p,
                    x_class=x_class, v_class=v_class, case=case,
                    u_bit=cc.u_bit, v_sign=cc.v_sign, resolution=resolution,
                    prefix_witnesses=witnesses)
@@ -336,9 +336,10 @@ def unit_generators(tag: CaseTag, cc: ClassificationContext) -> list[UnitWord]:
     return words
 
 
-def predict_h2K(tag: CaseTag, h2_subfields: dict[int, int]) -> int:
-    """Theorem-side closed form for the 2-class number of K."""
-    p, q = tag.pair.p, tag.pair.q
+def predict_h2K(pair: tuple[int, int], tag: CaseTag,
+                h2_subfields: dict[int, int]) -> int:
+    """Theorem-side closed form for the 2-class number of the pair's K."""
+    p, q = pair
     h2p = h2_subfields[2 * p]
     if tag.case == "C0":
         num, shift = h2p, 1 if tag.norm_eps2p == -1 else 0

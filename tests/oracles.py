@@ -94,6 +94,14 @@ def coords(x: OcticElem) -> tuple[Fraction, ...]:
     return tuple(Fraction(n, x.den) for n in x.num)
 
 
+def num_den(values) -> tuple[list[int], int]:
+    """8 rational coordinates (ints or Fractions) as the (num, den) that
+    OcticElem takes: the numerators over the lcm of the denominators."""
+    fs = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fs))
+    return [f.numerator * (den // f.denominator) for f in fs], den
+
+
 def scale(x: OcticElem, v) -> OcticElem:
     """x times the rational v, through the library's canonical reduction."""
     f = Fraction(v)
@@ -517,7 +525,7 @@ def unscreened_classify_pair(cc: "theorems.ClassificationContext") -> "theorems.
         if eq.keys:
             hit, miss = eq.keys
             resolution[hit], resolution[miss] = len(hits), 1 - len(hits)
-    return T.CaseTag(pair=pair, legendre_pq=pair.legendre_pq, norm_eps2p=cc.norm_eps2p,
+    return T.CaseTag(legendre_pq=pair.legendre_pq, norm_eps2p=cc.norm_eps2p,
                      x_class=x_class, v_class=v_class, case=case, u_bit=cc.u_bit,
                      v_sign=cc.v_sign, resolution=resolution, prefix_witnesses=witnesses)
 
@@ -673,7 +681,7 @@ def sqrt_in_field(x: OcticElem, precision: int = DEFAULT_PRECISION,
                         break
                     cand_coords.append(cand)
                 if ok:
-                    xi = OcticElem(x.pair, tuple(cand_coords))
+                    xi = OcticElem(x.pair, *num_den(cand_coords))
                     if octic_mul(xi, xi) == x:
                         return xi
             if not undecided:

@@ -18,7 +18,8 @@ from triquad.theorems import (ClassificationContext, classify_pair,
 
 
 from oracles import (PrecisionExhaustedError, brute_force_fundamental_unit,
-                     sign_vector, sqrt_in_field, squarefree_numbers, zsqrt_unit)
+                     num_den, sign_vector, sqrt_in_field, squarefree_numbers,
+                     zsqrt_unit)
 
 
 def test_criterion_1_fundamental_unit_oracle_equivalence():
@@ -173,12 +174,12 @@ def test_criterion_7_sqrt_extractor_soundness_completeness():
     rejections on non-totally-positive inputs decided without precision
     exhaustion; zero false positives by exact squaring."""
     rng = random.Random(0x5EED)
-    key = (17, 7)
+    key = PrimePair(17, 7)
     done = 0
     while done < 100:
         coords = tuple(Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
                        for _ in range(8))
-        xi = OcticElem(key, coords)
+        xi = OcticElem(key, *num_den(coords))
         if xi.is_zero:
             continue
         sq = octic_mul(xi, xi)
@@ -195,7 +196,7 @@ def test_criterion_7_sqrt_extractor_soundness_completeness():
         attempts += 1
         coords = tuple(Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
                        for _ in range(8))
-        x = OcticElem(key, coords)
+        x = OcticElem(key, *num_den(coords))
         if x.is_zero or all(s > 0 for s in sign_vector(x)):
             continue
         try:

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 import weakref
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,13 +18,19 @@ import triquad
 from triquad import classnumber, harness, octic, quadratic, theorems, unit_lattice
 from triquad.arith import PrimePair, primes_in_range
 from triquad.errors import InternalInconsistencyError, TriquadError
-from triquad.harness import (Config, record_json, scan_csv, scan_json,
-                             scan_pairs, valid_pairs, verify_pair)
+from triquad.harness import (Config, record_json, scan_json, scan_pairs,
+                             valid_pairs, verify_pair)
 from triquad.octic import OcticElem
 from triquad.unit_lattice import UnitWord
 from triquad.cli import main as cli_main
 
 from oracles import CASE_REPRESENTATIVES, subfield_unit_words
+
+
+def _csv_report(records) -> str:
+    out = io.StringIO()
+    harness.write_scan(records, out, "csv")
+    return out.getvalue()
 
 
 def test_verify_17_7():
@@ -48,8 +53,8 @@ def test_verify_41_7():
 
 
 def test_verify_pair_proves_each_pair_fact_once(monkeypatch):
-    """p and q are proved prime when the pair is made, the radicand bound
-    is checked where the pair enters, and no stage checks a raw pair tuple."""
+    """p and q are proved prime when the pair is made, and the radicand
+    bound is checked where the pair enters."""
     calls = []
 
     def counted(name, real):
@@ -58,17 +63,14 @@ def test_verify_pair_proves_each_pair_fact_once(monkeypatch):
             return real(*args)
         return wrapper
 
-    for module in (triquad.arith, octic, classnumber):
+    for module in (triquad.arith, classnumber):
         monkeypatch.setattr(module, "is_prime", counted("is_prime", triquad.arith.is_prime))
     monkeypatch.setattr(classnumber, "check_radicand",
                         counted("check_radicand", classnumber.check_radicand))
-    monkeypatch.setattr(octic, "_validate_pair", counted("_validate_pair", octic._validate_pair))
     assert verify_pair(977, 487).status == "verified"
     assert calls.count(("is_prime", (977,))) == 1
     assert calls.count(("is_prime", (487,))) == 1
-    names = [name for name, _ in calls]
-    assert names.count("check_radicand") == 1
-    assert "_validate_pair" not in names
+    assert [name for name, _ in calls].count("check_radicand") == 1
 
 
 def test_verify_rejects_invalid_pair_before_pipeline():
@@ -113,7 +115,7 @@ def test_scan_summary_and_csv():
     res = scan_pairs(50, 32, Config())
     assert res.summary["pairs"] == len(res.records) == 6
     assert res.summary["by_status"] == {"verified": 6}
-    text = scan_csv(res)
+    text = _csv_report(res.records)
     lines = text.strip().split("\n")
     assert lines[0].startswith("p,q,case")
     assert len(lines) == 7
@@ -205,6 +207,19 @@ def test_import_loads_no_module_that_only_some_paths_use():
     assert out.stdout.split() == []
 
 
+def test_unpickling_a_batch_of_records_proves_no_prime(monkeypatch):
+    # a pool scan's parent unpickles every record its workers send: a
+    # record holds its pair as plain ints, and its case tag holds no pair
+    records = [verify_pair(p, q) for p, q in valid_pairs(50, 32)]
+    payload = pickle.dumps(records)
+    calls = []
+    prove = triquad.arith.is_prime
+    monkeypatch.setattr(triquad.arith, "is_prime", lambda n: calls.append(n) or prove(n))
+    back = pickle.loads(payload)
+    assert calls == []
+    assert back == records and all(rec.case_tag is not None for rec in back)
+
+
 def test_report_quoting_is_the_function_json_encoder_exports():
     assert harness._quote is json.encoder.encode_basestring_ascii
 
@@ -213,14 +228,13 @@ def test_value_types_are_immutable_and_check_their_fields_when_unpickled():
     pair = PrimePair(17, 7)
     rec = verify_pair(17, 7)
     tag = rec.case_tag
-    assert type(tag.pair) is PrimePair
     for value, name in ((pair, "p"), (Config(), "jobs"), (tag, "case")):
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
     # the pool path: records come back pickled, fields compared one by one
     back = pickle.loads(pickle.dumps(rec))
     assert back is not rec and back == rec
-    assert type(back.case_tag) is type(tag) and type(back.case_tag.pair) is PrimePair
+    assert type(back.case_tag) is type(tag)
     back.mismatches.append("changed")
     assert back != rec
     # a payload whose fields fail the checks raises as the constructor does
@@ -569,7 +583,7 @@ def test_non_unit_with_a_norm_past_the_str_digit_limit_is_a_mismatch(monkeypatch
     # a generator whose attached element is 10^700 has norm 10^5600, whose
     # 5,601 digits str(int) refuses
     real = theorems.unit_generators
-    big = OcticElem.rational((17, 7), 10 ** 700)
+    big = OcticElem(PrimePair(17, 7), [10 ** 700] + [0] * 7)
 
     def unit_generators(tag, cc):
         words = list(real(tag, cc))
@@ -605,7 +619,7 @@ def test_coordinates_past_the_str_digit_limit_serialise():
         chunk = text[i:i + 500]
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == other
-    elem = OcticElem((17, 7), [0, Fraction(big, 3)] + [0] * 6)
+    elem = OcticElem(PrimePair(17, 7), [0, big] + [0] * 6, 3)
     assert harness._coords_json(elem)["2"] == "7" + "0" * 4996 + "123/3"
 
 
@@ -649,7 +663,8 @@ def test_failing_norm_table_rows_are_listed_by_label(p, q, rows, digest, monkeyp
 
 def test_theorem_and_kuroda_disagreeing_is_a_mismatch(monkeypatch):
     real = theorems.predict_h2K
-    monkeypatch.setattr(theorems, "predict_h2K", lambda tag, h2: 2 * real(tag, h2))
+    monkeypatch.setattr(theorems, "predict_h2K",
+                        lambda pair, tag, h2: 2 * real(pair, tag, h2))
     rec = verify_pair(17, 7)
     assert rec.status == "theorem-mismatch"
     assert rec.mismatches == ["theorem h2(K) = 4 but Kuroda gives 2",
@@ -716,7 +731,7 @@ def test_quarter_determinant_is_made_once_per_pair(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_cli_scan_streams_the_bytes_of_scan_json_and_scan_csv(tmp_path, jobs):
     result = scan_pairs(100, 47)
-    for fmt, text in (("json", scan_json(result)), ("csv", scan_csv(result))):
+    for fmt, text in (("json", scan_json(result)), ("csv", _csv_report(result.records))):
         out = tmp_path / f"scan-{jobs}.{fmt}"
         assert cli_main(["scan", "--pmax", "100", "--qmax", "47", "--jobs", str(jobs),
                          "--format", fmt, "--out", str(out)]) == 0
@@ -735,14 +750,15 @@ def test_writer_keeps_no_record_it_has_written():
             yield rec
             del rec
 
+    result = scan_pairs(100, 31)
     for fmt in ("json", "csv"):
         refs.clear()
         out = io.StringIO()
         summary = harness.write_scan(records(), out, fmt)
         assert summary["pairs"] == len(refs) == 15
         assert all(ref() is None for ref in refs)
-        assert out.getvalue() == (scan_json if fmt == "json" else scan_csv)(
-            scan_pairs(100, 31))
+        assert out.getvalue() == (scan_json(result) if fmt == "json"
+                                  else _csv_report(result.records))
 
 
 def test_range_scan_lists_the_pairs_with_2pq_at_most_the_bound():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from triquad import octic
+from triquad import arith, octic
 from triquad.arith import PrimePair, is_prime
 from triquad.errors import TriquadError
 from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
@@ -15,20 +15,24 @@ from triquad.octic import (TAU1, TAU2, TAU3, OcticElem, _branch_prime,
 from triquad.quadratic import fundamental_unit
 from triquad.unit_lattice import UnitContext
 
-from oracles import (IDENTITY, coords, legendre_by_enumeration,
+from oracles import (IDENTITY, coords, legendre_by_enumeration, num_den,
                      real_embeddings, sign_vector, sqrt_in_field)
 
 PAIR = PrimePair(17, 7)
-KEY = (17, 7)
+ZERO = OcticElem(PAIR, [0] * 8)
 
 
-def O(d):
-    return OcticElem.from_dict(KEY, d)
+def O(d, pair=PAIR):
+    return OcticElem(pair, *num_den(d.get(m, 0) for m in range(8)))
 
 
 def coords_strategy():
     fr = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-    return st.tuples(*[fr] * 8).map(lambda t: OcticElem(KEY, tuple(Fraction(c) for c in t)))
+    return st.tuples(*[fr] * 8).map(lambda t: OcticElem(PAIR, *num_den(t)))
+
+
+def add(x, y):
+    return OcticElem(PAIR, *num_den(a + b for a, b in zip(coords(x), coords(y))))
 
 
 def test_embed_quadratic_examples():
@@ -42,7 +46,7 @@ def test_embed_quadratic_examples():
 
 def test_embed_quadratic_rejects_foreign_radicand():
     with pytest.raises(TriquadError):
-        embed_quadratic(34, 35, 6, (5, 7))
+        embed_quadratic(34, 35, 6, PrimePair(41, 7))
     with pytest.raises(TriquadError):
         embed_quadratic(3, 2, 1, PAIR)
     for n in (0, -2, 3 * 17, 2 * 7 * 5):
@@ -80,7 +84,7 @@ def test_mul_commutative(x, y):
 @given(coords_strategy(), coords_strategy(), coords_strategy())
 def test_mul_associative_distributive(x, y, z):
     assert octic_mul(octic_mul(x, y), z) == octic_mul(x, octic_mul(y, z))
-    assert octic_mul(x, y + z) == octic_mul(x, y) + octic_mul(x, z)
+    assert octic_mul(x, add(y, z)) == add(octic_mul(x, y), octic_mul(x, z))
 
 
 @settings(max_examples=40)
@@ -103,10 +107,10 @@ def test_automorphism_group_structure():
 def test_str_and_repr_render_coordinates_in_lowest_terms():
     root = sqrt_exact(UnitContext(PAIR).units["eq"])  # the README example
     assert str(root) == "3/2*sqrt(2) + 1/2*sqrt(2q)"
-    assert repr(root) == "OcticElem((17, 7), [0, 3/2, 0, 0, 0, 1/2, 0, 0])"
+    assert repr(root) == "OcticElem(PrimePair(p=17, q=7), [0, 3/2, 0, 0, 0, 1/2, 0, 0])"
     x = O({0: Fraction(-6, 4), 3: 2, 7: Fraction(5, 6)})
     assert str(x) == "-3/2 + 2*sqrt(2p) + 5/6*sqrt(2pq)"
-    assert str(OcticElem.zero(KEY)) == "0"
+    assert str(ZERO) == "0"
 
 
 def test_norm_to_subfield_examples():
@@ -127,7 +131,7 @@ def test_norm_to_subfield_fixed_by_sigma(x, sigma):
 
 
 def test_real_embeddings_examples():
-    one = OcticElem.one(KEY)
+    one = OcticElem.one(PAIR)
     for lo, hi in real_embeddings(one, 64):
         assert lo <= 1 <= hi
     r2 = O({1: 1})
@@ -161,25 +165,26 @@ def test_sign_vector_and_rational_norm():
 
 def test_powers_and_products_match_repeated_multiplication():
     u = UnitContext(PAIR).units["e2p"]
-    one = OcticElem.one(KEY)
-    assert u ** 0 == octic_prod(KEY, []) == one
+    one = OcticElem.one(PAIR)
+    assert u ** 0 == octic_prod(PAIR, []) == one
     power = one
     for n in range(1, 7):
         power = octic_mul(power, u)
-        assert u ** n == octic_prod(KEY, [u] * n) == power
+        assert u ** n == octic_prod(PAIR, [u] * n) == power
 
 
 def test_one_and_zero_from_an_element_take_its_checked_pair(monkeypatch):
-    one, zero = OcticElem.one((977, 487)), OcticElem.zero((977, 487))
-    u = UnitContext(PrimePair(977, 487)).units["e2p"]
+    pair = PrimePair(977, 487)
+    one, zero = OcticElem.one(pair), OcticElem(pair, [0] * 8)
+    u = UnitContext(pair).units["e2p"]
     calls = []
-    validate = octic._validate_pair
-    monkeypatch.setattr(octic, "_validate_pair",
-                        lambda p, q: calls.append((p, q)) or validate(p, q))
+    prove = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or prove(n))
     powers = [u ** 0 for _ in range(5)]
-    root = sqrt_exact(u - u)
+    root = sqrt_exact(zero)
     assert calls == []
     assert powers == [one] * 5 and root == zero
+    assert all(x.pair is pair for x in (*powers, root))
 
 
 def test_negative_powers_are_refused():
@@ -187,6 +192,19 @@ def test_negative_powers_are_refused():
     for n in (-1, -2, -7):
         with pytest.raises(TriquadError, match="negative power"):
             u ** n
+
+
+def test_elements_take_a_prime_pair_and_8_ints_over_a_positive_int():
+    one = [1] + [0] * 7
+    for pair in ((17, 7), (11, 19)):  # a raw tuple, and one off the family
+        for make in (lambda: OcticElem(pair, one), lambda: OcticElem.one(pair),
+                     lambda: radical_mask(2, pair),
+                     lambda: embed_quadratic(2, 1, 1, pair)):
+            with pytest.raises(TriquadError, match="PrimePair"):
+                make()
+    for num, den in ((one[:7], 1), (one, 0), (one, -2)):
+        with pytest.raises(TriquadError, match="8 coordinates over a positive"):
+            OcticElem(PAIR, num, den)
 
 
 def test_sqrt_in_field_examples():
@@ -201,7 +219,7 @@ def test_sqrt_in_field_examples():
 
 def test_sqrt_in_field_rejects_zero():
     with pytest.raises(TriquadError):
-        sqrt_in_field(OcticElem.zero(KEY))
+        sqrt_in_field(ZERO)
 
 
 def test_sqrt_roundtrip_small_denominators():
@@ -210,7 +228,7 @@ def test_sqrt_roundtrip_small_denominators():
     while done < 50:
         coords = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4)))
                        for _ in range(8))
-        xi = OcticElem(KEY, coords)
+        xi = OcticElem(PAIR, *num_den(coords))
         if xi.is_zero:
             continue
         sq = octic_mul(xi, xi)
@@ -224,7 +242,7 @@ def test_sqrt_engines_agree():
     rng = random.Random(7)
     ids = list(ctx.units)
     for _ in range(20):
-        x = OcticElem.one(KEY)
+        x = OcticElem.one(PAIR)
         for uid in ids:
             if rng.random() < 0.4:
                 x = octic_mul(x, ctx.units[uid])
@@ -240,7 +258,7 @@ def test_sqrt_exact_soundness_random_rationals():
     for _ in range(30):
         coords = tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
                        for _ in range(8))
-        x = OcticElem(KEY, coords)
+        x = OcticElem(PAIR, *num_den(coords))
         if x.is_zero:
             continue
         r = sqrt_exact(x)
@@ -272,22 +290,23 @@ def test_octic_norm_is_fourth_power_of_quad_norm(d, a, b):
 
 # -- the character-chosen branch of the tower descent ------------------------
 
-# the branch primes of (11, 19) are 5, 3 and 7 for the levels of sqrt2, sqrt11
-# and sqrt19: small enough for sqrt_in_field's denominator bound of 16
-BRANCH_KEY = (11, 19)
+# the branch primes of (41, 31) are 5, 3 and 7 for the levels of sqrt2, sqrt41
+# and sqrt31: small enough for sqrt_in_field's denominator bound of 16
+BRANCH_KEY = PrimePair(41, 31)
 BRANCH_DENOMINATORS = (1, 2, 3, 5, 7, 15)
 
 
 def branch_elements():
     fr = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(BRANCH_DENOMINATORS))
-    return st.tuples(*[fr] * 8).map(lambda t: OcticElem(BRANCH_KEY, t))
+    return st.tuples(*[fr] * 8).map(lambda t: OcticElem(BRANCH_KEY, *num_den(t)))
 
 
 def _branch(coords):
-    return OcticElem(BRANCH_KEY, tuple(Fraction(c) for c in coords))
+    return OcticElem(BRANCH_KEY, *num_den(coords))
 
 
-@pytest.mark.parametrize("key", [KEY, BRANCH_KEY, (5, 7), (41, 23)])
+@pytest.mark.parametrize("key", [PAIR, BRANCH_KEY, PrimePair(97, 127),
+                                 PrimePair(41, 23)])
 def test_branch_prime_is_the_first_with_the_level_symbols(key):
     rads = (2, *key)
     for bit in range(3):
@@ -324,7 +343,7 @@ def test_sqrt_exact_finds_squares_and_rejects_radical_multiples(y, mask):
     root = sqrt_exact(x)
     assert root in (y, -y)
     assert root == sqrt_in_field(x)
-    tx = octic_mul(OcticElem.from_dict(BRANCH_KEY, {mask: 1}), x)
+    tx = octic_mul(O({mask: 1}, BRANCH_KEY), x)
     assert sqrt_exact(tx) is None
     assert sqrt_in_field(tx) is None
 
@@ -334,7 +353,7 @@ def test_sqrt_exact_b_zero_branch_takes_a_or_a_over_t():
     c2 = octic_mul(c, c)
     two_c2 = octic_mul(O({0: 2}), c2)
     # a and a/t = a/2 have opposite characters at the branch prime of sqrt2
-    l, roots = _branch_prime(KEY, 0)
+    l, roots = _branch_prime(PAIR, 0)
 
     def symbol(z):
         image = sum(f.numerator * roots[m] * pow(f.denominator, -1, l)

@@ -163,17 +163,18 @@ def test_unit_generators_embed_and_are_fundamental():
 
 def test_predict_h2K_examples():
     h2_17 = {2: 1, 17: 1, 7: 1, 34: 2, 14: 1, 119: 2, 238: 2}
-    assert predict_h2K(classify(P17), h2_17) == 2
+    assert predict_h2K(P17, classify(P17), h2_17) == 2
     h2_41 = {2: 1, 41: 1, 7: 1, 82: 4, 14: 1, 287: 2, 574: 2}
-    assert predict_h2K(classify(P41), h2_41) == 2
+    assert predict_h2K(P41, classify(P41), h2_41) == 2
 
 
 def test_predict_h2K_case_formula():
-    tag = classify(PrimePair(17, 47))  # C2, norm +1, alpha resolved
+    pair = PrimePair(17, 47)
+    tag = classify(pair)  # C2, norm +1, alpha resolved
     assert tag.case == "C2"
     assert tag.resolution["alpha"] == 1
     h2 = {2: 1, 17: 1, 47: 1, 34: 2, 94: 1, 17 * 47: 4, 2 * 17 * 47: 4}
-    assert predict_h2K(tag, h2) == 2 * 4 * 4 // 8
+    assert predict_h2K(pair, tag, h2) == 2 * 4 * 4 // 8
 
 
 def test_predict_h2K_rejects_non_integer():
@@ -183,7 +184,7 @@ def test_predict_h2K_rejects_non_integer():
     h2 = {2: 1, 41: 1, 7: 1, 82: 1, 14: 1, 287: 2, 574: 2}
     with pytest.raises(InternalInconsistencyError,
                        match="theorem class number 1/2 is not an integer"):
-        predict_h2K(tag, h2)
+        predict_h2K(P41, tag, h2)
 
 
 def test_norm_tables_all_rows_pass():
@@ -234,7 +235,6 @@ def test_closed_form_tables_equal_the_octic_referee():
         assert verify_norm_tables(cc) == octic_norm_tables(cc), pair
 
 
-KEY = (17, 7)
 nonzero = st.integers(-10 ** 30, 10 ** 30).filter(bool)
 
 
@@ -243,19 +243,21 @@ nonzero = st.integers(-10 ** 30, 10 ** 30).filter(bool)
 def test_closed_form_relative_norm_is_x_times_its_conjugate(masks, alpha, beta, den):
     num = [0] * 8
     num[masks[0]], num[masks[1]] = alpha, beta
-    x = _reduced(KEY, num, den)
-    form = _norm_form(x, _radicals(KEY))
+    x = _reduced(P17, num, den)
+    form = _norm_form(x, _radicals(P17))
     for flips in range(1, 8):
         r, c = _relative_norm(flips, form)
         closed = [0] * 8
         closed[0], closed[form[0] ^ form[1]] = r, c
-        assert _reduced(KEY, closed, x.den ** 2) == norm_to_subfield(flips, x)
+        assert _reduced(P17, closed, x.den ** 2) == norm_to_subfield(flips, x)
 
 
 def test_a_table_element_of_three_terms_is_an_inconsistency():
     cc = ClassificationContext(P17)
     root = cc.roots["eq"]
-    cc.roots["eq"] = root + OcticElem.from_dict(KEY, {0b110: 1})
+    num = list(root.num)
+    num[0b110] += root.den  # root + sqrt(pq)
+    cc.roots["eq"] = OcticElem(P17, num, root.den)
     with pytest.raises(InternalInconsistencyError, match="has 3 terms, not two"):
         verify_norm_tables(cc)
     cc.roots["eq"] = root

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import triquad
 from oracles import (CASE_REPRESENTATIVES, character_row_by_euler, coords,
-                     legendre_by_enumeration, sqrt_in_field,
+                     legendre_by_enumeration, num_den, sqrt_in_field,
                      subfield_unit_words, unsieved_saturation,
                      verified_context)
 from triquad import unit_lattice
@@ -34,7 +34,7 @@ K5_SUPPORT = frozenset({0, 0b100, 0b011, 0b111})
 # one pair per case and norm branch
 REPRESENTATIVES = [PrimePair(p, q) for p, q, _, _ in CASE_REPRESENTATIVES]
 # an element for the words whose element no test reads
-ONE = OcticElem.one((17, 7))
+ONE = OcticElem.one(P17)
 
 
 def prescribed_words(cc):
@@ -93,12 +93,11 @@ def test_word_embed_examples():
     # the elements the library makes its words with: the units of the
     # context and the roots of the prescribed system
     cc = ClassificationContext(P17)
-    assert cc.units["e2"] == OcticElem.from_dict((17, 7), {0: 1, 1: 1})
-    assert cc.units["-1"] == OcticElem.rational((17, 7), -1)
+    assert cc.units["e2"] == OcticElem(P17, [1, 1, 0, 0, 0, 0, 0, 0])
+    assert cc.units["-1"] == OcticElem(P17, [-1, 0, 0, 0, 0, 0, 0, 0])
     elems = {w.render(): w.elem for w in prescribed_words(cc)}
     assert elems["e2"] == cc.units["e2"]
-    assert elems["eq^1/2"] == OcticElem.from_dict(
-        (17, 7), {1: Fraction(3, 2), 5: Fraction(1, 2)})
+    assert elems["eq^1/2"] == OcticElem(P17, [0, 3, 0, 0, 0, 1, 0, 0], 2)
 
 
 def test_word_embed_unit_invariant():
@@ -368,16 +367,16 @@ def split_prime_elements():
     num = st.one_of(st.integers(-60, 60), st.sampled_from((47, -94, 103, 137 * 5)))
     den = st.sampled_from((1, 2, 3, 47, 2 * 103, 137 * 223, 271 ** 2, 281 * 47))
     return st.tuples(*[st.builds(Fraction, num, den)] * 8).map(
-        lambda t: OcticElem((17, 7), t))
+        lambda t: OcticElem(P17, *num_den(t)))
 
 
 @settings(max_examples=150)
 @given(split_prime_elements())
 # a whole column undefined (47 divides the denominator), single embeddings
 # undefined (the image is 0 mod 47), and both at once
-@example(OcticElem.rational((17, 7), Fraction(3, 47)))
-@example(OcticElem.rational((17, 7), 47))
-@example(OcticElem((17, 7), [47, 47, 0, 0, 0, 0, 0, Fraction(1, 103)]))
+@example(OcticElem(P17, [3, 0, 0, 0, 0, 0, 0, 0], 47))
+@example(OcticElem(P17, [47, 0, 0, 0, 0, 0, 0, 0]))
+@example(OcticElem(P17, *num_den([47, 47, 0, 0, 0, 0, 0, Fraction(1, 103)])))
 def test_character_row_matches_eulers_criterion(x):
     assume(not x.is_zero)
     ctx = UnitContext(P17)
@@ -390,12 +389,12 @@ def test_undefined_character_column_is_dropped_not_zeroed():
     l = ctx.primes[0][0]
     column = 0xFF  # the characters of the first split prime
     n = next(a for a in range(2, l) if pow(a, (l - 1) // 2, l) == l - 1)
-    a = OcticElem.rational((17, 7), Fraction(n, l * l))  # l divides a denominator
-    b = OcticElem.rational((17, 7), n)                   # a non-residue mod l
+    a = OcticElem(P17, [n] + [0] * 7, l * l)  # l divides a denominator
+    b = OcticElem(P17, [n] + [0] * 7)         # a non-residue mod l
     row_a, row_b = _character_row(ctx, a), _character_row(ctx, b)
     assert row_a[1] == column
     assert row_b[1] == 0 and row_b[0] & column == column
-    assert _character_row(ctx, OcticElem.rational((17, 7), l))[1] == column
+    assert _character_row(ctx, OcticElem(P17, [l] + [0] * 7))[1] == column
     # a*b = (n/l)^2 is a square; a zeroed column would reject it
     assert 0b11 in _square_candidates([row_a, row_b])
     assert 0b11 not in _square_candidates([(row_a[0], 0), row_b])
