@@ -126,7 +126,10 @@ _PRIME_TABLE_BOUND = 1024
 def _odd_sieve(bound: int) -> bytearray:
     """The sieve of Eratosthenes below bound >= 2 over the odd numbers:
     entry i, for odd i, is 1 exactly when i is prime."""
-    sieve = bytearray([1]) * bound
+    try:
+        sieve = bytearray([1]) * bound
+    except MemoryError:
+        raise TriquadError(f"a prime sieve below {bound} does not fit in memory") from None
     sieve[1] = 0
     for i in range(3, math.isqrt(bound - 1) + 1, 2):
         if sieve[i]:

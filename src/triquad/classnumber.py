@@ -325,17 +325,6 @@ def check_radicand(d: int, bound: int) -> None:
             f"radicand {d} exceeds the class-number bound {bound}")
 
 
-def h2_real_quadratic(d: int, bound: int = DEFAULT_QUAD_BOUND,
-                      primes: tuple[int, ...] | None = None) -> int:
-    """Exact 2-class number of Q(sqrt d) for squarefree d > 1; `primes`,
-    the distinct primes of d already proved prime, spares the trial
-    division, which is otherwise made once here."""
-    check_radicand(d, bound)
-    if primes is None:
-        primes = tuple(squarefree_primes(d))
-    return _h2_cached(d, primes)
-
-
 _KURODA_POWER = 9  # n (2^(n-1) - 1) for the real degree-8 case
 
 

@@ -8,11 +8,12 @@ other exception becomes an internal-error record naming its type and stage.
 A scan is a stream: iter_records makes the records of a box of pairs
 (valid_pairs) or of every pair with 2pq at most a bound (range_pairs) one
 at a time, in pair order, in this process or in a pool of forked workers
-that each send their batches of records through a pipe; write_scan writes
-each record as it is drawn and the summary last, from running counts, and
-keeps no record. So the memory of a scan does not grow with its length.
-scan_pairs and scan_json are the same two steps with the records kept. The
-report's bytes depend on neither the batching nor the worker count.
+that take batches of BATCH_PAIRS pairs in turn and send each batch's
+records through a pipe; write_scan writes each record as it is drawn and
+the summary last, from running counts, and keeps no record. So the memory
+of a scan does not grow with its length. scan_pairs and scan_json are the
+same two steps with the records kept. The report's bytes do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -231,50 +232,41 @@ def valid_pairs(p_max: int, q_max: int) -> list[tuple[int, int]]:
 
 def range_pairs(max_2pq: int) -> Iterator[tuple[int, int]]:
     """Every valid pair with 2pq <= max_2pq, in (p, q) order, one at a
-    time; p >= 17 and q >= 7 bound p by max_2pq/14 and q by max_2pq/34."""
+    time; p >= 17 and q >= 7 bound p by max_2pq/14 and q by max_2pq/34.
+    Both sieves run before this returns, so a range whose sieve does not
+    fit in memory fails here, in the caller's process."""
     qs = primes_in_range(max_2pq // 34, 7, 8)
-    for p in primes_in_range(max_2pq // 14, 1, 8):
-        for q in qs[:bisect.bisect_right(qs, max_2pq // (2 * p))]:
-            yield p, q
+    ps = primes_in_range(max_2pq // 14, 1, 8)
+    return ((p, q) for p in ps for q in qs[:bisect.bisect_right(qs, max_2pq // (2 * p))])
 
 
-def _scan_worker(args: tuple[int, int, Config]) -> VerificationRecord:
-    p, q, config = args
-    return verify_pair(p, q, config)
-
-
-# the most pairs in one batch of a pool scan: at two workers, 8 ran the
-# 925-pair range faster than 16, 32, 64 or no cap, and the whole range
-# 2pq <= 10^7 at the least peak memory (CHANGES.md has the measurements)
-BATCH_CAP = 8
+# the pairs in one batch of a pool scan: at two workers, 8 ran the 925-pair
+# range faster than 16, 32, 64 or no cap, and the whole range 2pq <= 10^7
+# at the least peak memory (CHANGES.md has the measurements)
+BATCH_PAIRS = 8
 
 
 def iter_records(pairs: Iterable[tuple[int, int]],
                  config: Config = Config()) -> Iterator[VerificationRecord]:
     """The records of `pairs`, in their order, made one at a time: in this
-    process, or by up to config.jobs forked workers, never more than the
-    CPUs this process may run on or than the batches of the first window
-    of 4 * BATCH_CAP pairs per worker. That window sizes the batches once:
-    about four per worker, and at most BATCH_CAP pairs."""
-    tasks = ((p, q, config) for p, q in pairs)
+    process, or by min(config.jobs, the CPUs this process may run on)
+    forked workers that take batches of BATCH_PAIRS pairs in turn
+    (_pool_records)."""
     # the CPUs this process may run on, which an affinity mask or a cpuset
     # can make fewer than the machine's; with no fork, the scan is serial
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     jobs = min(config.jobs, cpus) if hasattr(os, "fork") else 1
     if jobs > 1:
-        window = list(itertools.islice(tasks, 4 * BATCH_CAP * jobs))
-        tasks = itertools.chain(window, tasks)
-        if len(window) > 1:
-            batch = min(math.ceil(len(window) / (4 * jobs)), BATCH_CAP)
-            return _pool_records(tasks, min(jobs, math.ceil(len(window) / batch)), batch)
-    return map(_scan_worker, tasks)
+        return _pool_records(pairs, jobs, config)
+    return (verify_pair(p, q, config) for p, q in pairs)
 
 
-def _pool_records(tasks: Iterator, workers: int, batch: int) -> Iterator[VerificationRecord]:
-    """The records of `tasks` from `workers` forked children, each with its
-    own pipe. Child k draws the whole task stream in batches of `batch`
-    consecutive tasks, verifies batches k, k + workers, ... (_pool_worker)
+def _pool_records(pairs: Iterable[tuple[int, int]], workers: int,
+                  config: Config) -> Iterator[VerificationRecord]:
+    """The records of `pairs` from `workers` forked children, each with its
+    own pipe. Child k draws the whole pair stream in batches of BATCH_PAIRS
+    consecutive pairs, verifies batches k, k + workers, ... (_pool_worker)
     and this process reads the batches back in order. A child runs at most
     a pipe buffer and a batch ahead of the reader, so the memory of a scan
     stays flat. Every child is reaped before this returns or raises: a child
@@ -292,7 +284,7 @@ def _pool_records(tasks: Iterator, workers: int, batch: int) -> Iterator[Verific
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _pool_worker(tasks, k, workers, batch, w, readers)
+                    _pool_worker(pairs, k, workers, config, w, readers)
                 live[k] = pid
             finally:
                 os.close(w)
@@ -321,8 +313,8 @@ def _reap(live: dict[int, int], k: int) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(live.pop(k), 0)[1])
 
 
-def _pool_worker(tasks: Iterator, k: int, workers: int, batch: int, w: int,
-                 readers: list) -> NoReturn:
+def _pool_worker(pairs: Iterable[tuple[int, int]], k: int, workers: int,
+                 config: Config, w: int, readers: list) -> NoReturn:
     """Worker k of _pool_records, in the forked child: write the list of
     records of each of its batches to the pipe `w`, then None. It leaves
     only by os._exit, so it flushes none of the buffers it inherited (a
@@ -333,9 +325,10 @@ def _pool_worker(tasks: Iterator, k: int, workers: int, batch: int, w: int,
         for reader in readers:
             reader.close()
         with open(w, "wb") as out:
-            batches = iter(lambda: list(itertools.islice(tasks, batch)), [])
-            for chunk in itertools.islice(batches, k, None, workers):
-                pickle.dump(list(map(_scan_worker, chunk)), out)
+            stream = iter(pairs)
+            batches = iter(lambda: list(itertools.islice(stream, BATCH_PAIRS)), [])
+            for batch in itertools.islice(batches, k, None, workers):
+                pickle.dump([verify_pair(p, q, config) for p, q in batch], out)
                 out.flush()
             pickle.dump(None, out)
         status = 0

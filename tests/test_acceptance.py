@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from triquad.arith import PrimePair, is_perfect_square, primes_in_range
-from triquad.classnumber import h2_real_quadratic, kuroda_h2K, subfield_h2_map
+from triquad.classnumber import _h2_cached, kuroda_h2K, subfield_h2_map
 from triquad.harness import verify_pair
 from triquad.octic import OcticElem, octic_mul, sqrt_exact
 from triquad.quadratic import fundamental_unit
@@ -153,7 +153,7 @@ def test_criterion_5_norm_plus_one_nonsquares():
 def test_criterion_6_quadratic_class_number_pattern():
     """h2(p) = h2(q) = h2(2q) = h2(2) = 1 over the scanned pairs; the pq and
     2pq values are 2 for (p/q) = -1 and divisible by 4 otherwise."""
-    assert h2_real_quadratic(2) == 1
+    assert _h2_cached(2) == 1
     scanned = 0
     for p in primes_in_range(200, 1, 8):
         for q in primes_in_range(200, 7, 8):

