@@ -6,9 +6,9 @@ import argparse
 import contextlib
 import json
 import sys
+from types import SimpleNamespace
 
-from . import classnumber, harness, theorems
-from .arith import PrimePair
+from . import classnumber, harness
 from .errors import ResourceGuardError, TriquadError
 from .harness import Config
 
@@ -44,6 +44,26 @@ def _print_json(doc: dict):
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
+def _view(command: str, rec: harness.VerificationRecord) -> dict:
+    """The case, the generators, or the 2-class numbers of verify's record,
+    as `classify`, `units` or `h2` prints them."""
+    if rec.status == harness.STATUS_RESOURCE:
+        raise ResourceGuardError(rec.mismatches[0])
+    doc = harness.record_json(rec, include_wall_time=False)
+    # a view's field is unset when its stage, or one before it, did not finish
+    if not doc[{"classify": "case", "units": "generators", "h2": "h2"}[command]]:
+        raise TriquadError(rec.mismatches[0])
+    if command == "classify":
+        return doc["case"]
+    if command == "units":
+        return {"pair": doc["pair"], "generators": doc["generators"]}
+    # kuroda_h2K reads only p, q and the radicands, the keys of h2, of a pair
+    # that verify_pair has proved valid
+    pair = SimpleNamespace(p=rec.pair[0], q=rec.pair[1], radicands=tuple(rec.h2))
+    return {"pair": doc["pair"], "h2": doc["h2"], "m": doc["m"],
+            "h2K_kuroda": classnumber.kuroda_h2K(pair, rec.m, rec.h2)}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     try:
@@ -52,53 +72,31 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         config = Config(quad_bound=ns.quad_bound, jobs=getattr(ns, "jobs", 1))
-        if ns.command in ("classify", "units", "h2"):
-            # the one check of the radicand bound, as in verify_pair
-            pair = PrimePair(ns.p, ns.q)
-            classnumber.check_radicand(max(pair.radicands), config.quad_bound)
-            cc = theorems.ClassificationContext(pair)
-            tag = theorems.classify_pair(cc)
-        if ns.command == "classify":
-            _print_json(harness.case_tag_json(pair, tag))
-            return 0
-        if ns.command == "units":
-            words = theorems.unit_generators(tag, cc)
-            gens = [{"word": w.render(), "coords": harness._coords_json(w.elem)}
-                    for w in words]
-            _print_json({"pair": {"p": ns.p, "q": ns.q}, "generators": gens})
-            return 0
-        if ns.command == "h2":
-            m = theorems.unit_index(cc)
-            h2 = classnumber.subfield_h2_map(pair)
-            _print_json({"pair": {"p": ns.p, "q": ns.q},
-                         "h2": harness.h2_json(h2, theorems.predict_h2K(pair, tag, h2)),
-                         "m": m,
-                         "h2K_kuroda": classnumber.kuroda_h2K(pair, m, h2)})
-            return 0
-        if ns.command == "verify":
+        if ns.command != "scan":
             rec = harness.verify_pair(ns.p, ns.q, config)
+            if ns.command != "verify":
+                _print_json(_view(ns.command, rec))
+                return 0
             _print_json(harness.record_json(rec))
             return {harness.STATUS_VERIFIED: 0,
                     harness.STATUS_MISMATCH: 2,
                     harness.STATUS_RESOURCE: 3,
                     harness.STATUS_INTERNAL: 4}[rec.status]
-        if ns.command == "scan":
-            given = [flag is not None for flag in (ns.pmax, ns.qmax, ns.max_2pq)]
-            if given not in ([True, True, False], [False, False, True]):
-                raise TriquadError("scan takes --pmax and --qmax, or --max-2pq")
-            # the output file is opened first, so a bad path costs no scan
-            with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
-                pairs = (harness.valid_pairs(ns.pmax, ns.qmax) if ns.max_2pq is None
-                         else harness.range_pairs(ns.max_2pq))
-                harness.write_scan(harness.iter_records(pairs, config), fh, ns.format)
-            return 0
+        given = [flag is not None for flag in (ns.pmax, ns.qmax, ns.max_2pq)]
+        if given not in ([True, True, False], [False, False, True]):
+            raise TriquadError("scan takes --pmax and --qmax, or --max-2pq")
+        # the output file is opened first, so a bad path costs no scan
+        with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
+            pairs = (harness.valid_pairs(ns.pmax, ns.qmax) if ns.max_2pq is None
+                     else harness.range_pairs(ns.max_2pq))
+            harness.write_scan(harness.iter_records(pairs, config), fh, ns.format)
+        return 0
     except ResourceGuardError as exc:
         print(f"limit reached: {exc}", file=sys.stderr)
         return 3
     except (TriquadError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

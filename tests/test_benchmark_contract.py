@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from triquad.arith import PrimePair, primes_in_range
+from triquad.harness import record_json, verify_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +54,26 @@ def test_traced_unit_run_keeps_the_benchmark_contract(tmp_path, workload, jobs):
     assert distinct <= misses <= jobs * distinct
     if workload == "sparse-large":
         assert misses == distinct == 385
+
+
+def test_sparse_large_samples_of_seeds_2_to_10_verify_pair_by_pair(monkeypatch):
+    """The calls a sparse-large repetition makes, in this process, for the
+    samples of seeds 2 to 10 (seed 1 is the traced run above): verify_pair
+    one pair at a time, each record without its wall time, and the report
+    of a seed's records by json.dumps."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import workloads
+
+    distinct = set()
+    for seed in range(2, 11):
+        pairs = workloads.sample_sparse_pairs(seed, 64)
+        distinct.update(pairs)
+        docs = []
+        for p, q in pairs:
+            rec = verify_pair(p, q)
+            assert rec.status == "verified", (seed, p, q, rec.mismatches)
+            docs.append(record_json(rec, include_wall_time=False))
+        report = json.dumps(docs, indent=2, sort_keys=True) + "\n"
+        assert [tuple(doc["pair"].values()) for doc in json.loads(report)] == pairs
+    assert len(distinct) == 566

@@ -53,9 +53,10 @@ def test_verify_41_7():
     assert rec.h2K == 2
 
 
-def test_verify_pair_proves_each_pair_fact_once(monkeypatch):
+def test_verify_pair_proves_each_pair_fact_once(monkeypatch, capsys):
     """p and q are proved prime when the pair is made, and the radicand
-    bound is checked where the pair enters."""
+    bound is checked where the pair enters, verify_pair; classify, units
+    and h2 go through it, so each makes the pair's one object once too."""
     calls = []
 
     def counted(name, real):
@@ -68,10 +69,18 @@ def test_verify_pair_proves_each_pair_fact_once(monkeypatch):
         monkeypatch.setattr(module, "is_prime", counted("is_prime", triquad.arith.is_prime))
     monkeypatch.setattr(classnumber, "check_radicand",
                         counted("check_radicand", classnumber.check_radicand))
+    monkeypatch.setattr(theorems, "ClassificationContext",
+                        counted("ClassificationContext", theorems.ClassificationContext))
     assert verify_pair(977, 487).status == "verified"
-    assert calls.count(("is_prime", (977,))) == 1
-    assert calls.count(("is_prime", (487,))) == 1
-    assert [name for name, _ in calls].count("check_radicand") == 1
+    for command in (None, "classify", "units", "h2"):
+        if command:
+            calls.clear()
+            assert cli_main([command, "977", "487"]) == 0
+            capsys.readouterr()
+        assert calls.count(("is_prime", (977,))) == 1
+        assert calls.count(("is_prime", (487,))) == 1
+        names = [name for name, _ in calls]
+        assert names.count("check_radicand") == names.count("ClassificationContext") == 1
 
 
 def test_verify_rejects_invalid_pair_before_pipeline():
@@ -143,6 +152,56 @@ def test_cli_units_and_h2(capsys):
     assert cli_main(["h2", "41", "7"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["m"] == 6 and out["h2"]["K"] == 2 == out["h2K_kuroda"]
+
+
+@pytest.mark.parametrize("p,q,case,norm", CASE_REPRESENTATIVES)
+def test_classify_units_and_h2_print_views_of_the_verify_record(p, q, case, norm, capsys):
+    assert cli_main(["verify", str(p), str(q)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    views = {}
+    for command in ("classify", "units", "h2"):
+        assert cli_main([command, str(p), str(q)]) == 0
+        views[command] = json.loads(capsys.readouterr().out)
+    assert views["classify"] == doc["case"]
+    assert views["units"] == {"pair": doc["pair"], "generators": doc["generators"]}
+    assert views["h2"] == {"pair": doc["pair"], "h2": doc["h2"], "m": doc["m"],
+                           "h2K_kuroda": doc["h2"]["K"]}
+
+
+def test_views_print_when_a_later_stage_fails(monkeypatch, capsys):
+    """A view needs only its own stage and those before it: a fault in the
+    norm tables, the stage after h2, leaves all three views as they were."""
+    printed = {}
+    for command in ("classify", "units", "h2"):
+        assert cli_main([command, "17", "7"]) == 0
+        printed[command] = capsys.readouterr().out
+
+    def verify_norm_tables(cc):
+        raise ZeroDivisionError("planted in the norm tables")
+
+    monkeypatch.setattr(theorems, "verify_norm_tables", verify_norm_tables)
+    assert verify_pair(17, 7).status == "internal-error"
+    capsys.readouterr()
+    for command in ("classify", "units", "h2"):
+        assert cli_main([command, "17", "7"]) == 0
+        assert capsys.readouterr().out == printed[command]
+
+
+def test_a_view_whose_stage_did_not_finish_is_an_error(monkeypatch, capsys):
+    """h2 needs the generators stage to finish: with no generators there is
+    no units or h2 view, and each exits 1 with the record's first mismatch;
+    the case, made before, still prints."""
+    def unit_generators(tag, cc):
+        raise InternalInconsistencyError("planted: no root for the generator")
+
+    monkeypatch.setattr(theorems, "unit_generators", unit_generators)
+    for command in ("h2", "units"):
+        assert cli_main([command, "17", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: planted: no root for the generator\n"
+        assert captured.out == ""
+    assert cli_main(["classify", "17", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == "C0"
 
 
 def test_cli_usage_errors(capsys):
